@@ -4,7 +4,8 @@
     fedsched sweep --config experiment.json --axis workers --values 1000,5000,10000
     fedsched validate-config --config experiment.json
 
-Exit codes: 0 success, 2 configuration problem, 3 detected livelock.
+Exit codes: 0 success, 2 configuration problem, 3 detected livelock, 4 any
+other simulation error (e.g. tasks that never completed).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 import sys
 
 from .config import load_config
-from .errors import ConfigurationError, LivelockError
+from .errors import ConfigurationError, LivelockError, SimulationError
 from .experiment import SWEEP_AXES, run_experiment, sweep, write_reports
 
 log = logging.getLogger(__name__)
@@ -126,6 +127,9 @@ def main(argv: list[str] | None = None) -> int:
     except LivelockError as exc:
         print(f"livelock: {exc}", file=sys.stderr)
         return 3
+    except SimulationError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .global_master import GlobalMaster
 from .local_master import LocalMaster
 from .metrics import AllocationRecord, MetricsCollector, RECORD_FIELDS, summarize
 from .sparrow import ProbeScheduler
-from .state import ClusterView
+from .state import ClusterView, NodeSnapshot, RunningTaskInfo
 from .worker import FifoWorker
 from .workload import (assign_machine_constraints, assign_users,
                        augment_constraints, generate_synthetic, load_trace)
@@ -269,8 +269,44 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
             raise SimulationError(f"{gm.gm_id}: internal partition count != LM count")
 
 
+def check_snapshot_cache(lm: LocalMaster) -> None:
+    """The running index and every cached NodeSnapshot equal a fresh rebuild."""
+    by_node: dict[str, dict[str, RunningTaskInfo]] = {}
+    for task_id in sorted(lm.running):
+        rt = lm.running[task_id]
+        by_node.setdefault(rt.node_id, {})[task_id] = RunningTaskInfo(
+            task_id=task_id, user_id=rt.user_id, demand=rt.demand,
+            launch_time=rt.start_time,
+        )
+    if lm.running_on != by_node:
+        raise SimulationError(f"{lm.lm_id}: running index != running tasks by node")
+    for node_id, cached in lm.node_snapshots.items():
+        node = lm.nodes.get(node_id)
+        if node is None:
+            raise SimulationError(f"{lm.lm_id}: snapshot cached for destroyed node {node_id}")
+        fresh = NodeSnapshot(
+            node_id=node_id, available=node.available, is_logical=node.is_logical,
+            parent_node=node.parent_node,
+            running=tuple(by_node.get(node_id, {}).values()),
+        )
+        if cached != fresh:
+            raise SimulationError(f"stale cached snapshot of {node_id}")
+
+
+def check_match_memo(gm: GlobalMaster) -> None:
+    """Every memoised match miss is still a miss, with its counts, on the view."""
+    for (lm_id, pid), part in gm.view.partitions.items():
+        for (ids, quantities), counts in part.misses.items():
+            found = part.scan(ConstraintSet(ids), ResourceVector(quantities))
+            if found != (None, *counts):
+                raise SimulationError(
+                    f"{gm.gm_id}: memoised miss on {lm_id}/{pid} for constraints "
+                    f"{sorted(ids)} demand {quantities} rescans as {found}"
+                )
+
+
 class InvariantChecker:
-    """Post-event hook validating conservation and partition structure."""
+    """Post-event hook validating conservation, partition structure and caches."""
 
     def __init__(self, lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
         self.lms = lms
@@ -281,7 +317,10 @@ class InvariantChecker:
         self.checks += 1
         for lm in self.lms:
             check_conservation(lm)
+            check_snapshot_cache(lm)
         check_structure(self.lms, self.gms)
+        for gm in self.gms:
+            check_match_memo(gm)
 
 
 # -- running -------------------------------------------------------------------

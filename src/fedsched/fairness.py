@@ -79,9 +79,6 @@ class QueueSet:
             return head
         return None
 
-    def pending_total(self) -> int:
-        return sum(len(q.pending) for q in self.queues)
-
     def add_consumed(self, user_id: str, demand: ResourceVector) -> None:
         queue = self.by_user[user_id]
         queue.consumed = queue.consumed + demand

@@ -348,7 +348,6 @@ class GlobalMaster:
             self.view_version += 1
         self.queues.sub_consumed(message.user_id, message.demand)
         run = message.run
-        run.inflight = None
         run.consecutive_failures = 0
         run.tried_version = -1
         run.queued_since = done

@@ -5,6 +5,12 @@ state here, no matter what view the requesting GM acted on.  Failure responses
 carry a full state snapshot so the requester can correct its view immediately;
 success responses piggyback just the partitions that changed.  A periodic
 heartbeat pushes the full state to every GM.
+
+Snapshot state is kept incrementally rather than rebuilt per message: a
+per-node running index (`running_on`) is updated on launch and release, and
+each node's `NodeSnapshot` is cached until a launch, release, or carve-out
+changes that node.  A message therefore rebuilds only the nodes touched
+since the previous one.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ class LocalMaster:
         self.partitions: dict[str, Partition] = {}
         self.partition_by_owner: dict[str, Partition] = {}
         self.running: dict[str, RunningTask] = {}
+        self.running_on: dict[str, dict[str, RunningTaskInfo]] = {}
+        self.node_snapshots: dict[str, NodeSnapshot] = {}
         self.consumed: dict[str, ResourceVector] = {}
         self.children: dict[str, list[str]] = {}
         self.gms: list = []  # GlobalMaster handles, wired by the experiment builder
@@ -90,32 +98,24 @@ class LocalMaster:
 
     # -- snapshots ----------------------------------------------------------
 
-    def _running_by_node(self) -> dict[str, list[RunningTaskInfo]]:
-        by_node: dict[str, list[RunningTaskInfo]] = {}
-        for task_id in sorted(self.running):
-            rt = self.running[task_id]
-            by_node.setdefault(rt.node_id, []).append(RunningTaskInfo(
-                task_id=task_id, user_id=rt.user_id, demand=rt.demand,
-                launch_time=rt.start_time,
-            ))
-        return by_node
+    def _node_snapshot(self, node_id: str) -> NodeSnapshot:
+        node = self.nodes[node_id]
+        running = self.running_on.get(node_id)
+        snap = NodeSnapshot(
+            node_id=node_id,
+            available=node.available,
+            is_logical=node.is_logical,
+            parent_node=node.parent_node,
+            running=tuple(running[t] for t in sorted(running)) if running else (),
+        )
+        self.node_snapshots[node_id] = snap
+        return snap
 
-    def partition_snapshot(self, partition_id: str,
-                           by_node: dict[str, list[RunningTaskInfo]] | None = None
-                           ) -> PartitionSnapshot:
-        if by_node is None:
-            by_node = self._running_by_node()
+    def partition_snapshot(self, partition_id: str) -> PartitionSnapshot:
         partition = self.partitions[partition_id]
-        nodes = []
-        for node_id in partition.node_ids:
-            node = self.nodes[node_id]
-            nodes.append(NodeSnapshot(
-                node_id=node_id,
-                available=node.available,
-                is_logical=node.is_logical,
-                parent_node=node.parent_node,
-                running=tuple(by_node.get(node_id, ())),
-            ))
+        cached = self.node_snapshots.get
+        nodes = [cached(node_id) or self._node_snapshot(node_id)
+                 for node_id in partition.node_ids]
         return PartitionSnapshot(
             partition_id=partition_id,
             lm_id=self.lm_id,
@@ -126,11 +126,10 @@ class LocalMaster:
         )
 
     def snapshot(self, timestamp: float) -> LMStateSnapshot:
-        by_node = self._running_by_node()
         return LMStateSnapshot(
             lm_id=self.lm_id,
             timestamp=timestamp,
-            partitions=tuple(self.partition_snapshot(pid, by_node)
+            partitions=tuple(self.partition_snapshot(pid)
                              for pid in sorted(self.partitions)),
             user_consumed=self._consumed_snapshot(),
         )
@@ -206,6 +205,11 @@ class LocalMaster:
             user_id=request.user_id, gm_id=gm_id,
             start_time=deliver_at, incarnation=incarnation,
         )
+        self.running_on.setdefault(node.node_id, {})[request.task_id] = RunningTaskInfo(
+            task_id=request.task_id, user_id=request.user_id, demand=request.demand,
+            launch_time=deliver_at,
+        )
+        self.node_snapshots.pop(node.node_id, None)
         self.consumed[request.user_id] = (
             self.consumed.get(request.user_id, ResourceVector.zeros(self.resource_dim))
             + request.demand
@@ -298,6 +302,7 @@ class LocalMaster:
             parent_node=source.node_id,
         )
         source.available = source.available - req.demand
+        self.node_snapshots.pop(source.node_id, None)
         self.nodes[logical.node_id] = logical
         target.append_node(logical.node_id, logical.machine_constraints)
         self.children.setdefault(source.node_id, []).append(logical.node_id)
@@ -375,9 +380,15 @@ class LocalMaster:
         """Return resources for a finished or killed task; destroys logical nodes."""
         node = self.nodes[rt.node_id]
         touched = [node.partition_id]
+        on_node = self.running_on[node.node_id]
+        del on_node[rt.run.request.task_id]
+        if not on_node:
+            del self.running_on[node.node_id]
+        self.node_snapshots.pop(node.node_id, None)  # evicts a logical node for good
         if node.is_logical:
             parent = self.nodes[node.parent_node]
             parent.available = parent.available + node.capacity
+            self.node_snapshots.pop(parent.node_id, None)
             self.partitions[node.partition_id].remove_node(node.node_id)
             del self.nodes[node.node_id]
             self.children[parent.node_id].remove(node.node_id)

@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 from .core import TaskRequest
 
-SCHEDULER_MEGHA = "megha"
-SCHEDULER_SPARROW = "sparrow"
-SCHEDULER_CENTRALIZED = "centralized"
-
 
 @dataclass
 class TaskMetrics:
@@ -109,7 +105,6 @@ class TaskRun:
         "tried_version",
         "consecutive_failures",
         "incarnation",
-        "inflight",
         "record",
         "times_preempted",
     )
@@ -121,7 +116,6 @@ class TaskRun:
         self.tried_version = -1
         self.consecutive_failures = 0
         self.incarnation = 0
-        self.inflight = None
         self.record: AllocationRecord | None = None
         self.times_preempted = 0
 

@@ -66,10 +66,15 @@ class ViewPartition:
     commits to a node, so back-to-back decisions in the same pass do not pick
     the same resources twice.  The next snapshot from the LM overwrites the
     guesswork with authority.
+
+    Misses of `match` are memoised per (constraint ids, demand) until the
+    next `refresh`.  Between refreshes the bitmap is fixed and `deduct` only
+    shrinks availability, so a miss stays a miss over the same candidates
+    and the memo returns exactly the counts a rescan would.
     """
 
     __slots__ = ("partition_id", "lm_id", "owner_gm_id", "node_ids", "available",
-                 "running", "logical", "bitmap")
+                 "running", "logical", "bitmap", "misses")
 
     def __init__(self, snapshot: PartitionSnapshot) -> None:
         self.partition_id = snapshot.partition_id
@@ -85,6 +90,7 @@ class ViewPartition:
         self.bitmap = ConstraintBitmap(
             snapshot.constraint_count, len(snapshot.nodes), list(snapshot.bits)
         )
+        self.misses: dict[tuple[frozenset[int], tuple[int, ...]], tuple[int, int]] = {}
 
     def match(self, constraints: ConstraintSet, demand: ResourceVector
               ) -> tuple[int | None, int, int]:
@@ -92,8 +98,21 @@ class ViewPartition:
 
         Returns (ordinal or None, word_ops, nodes_checked).  Candidates come
         from intersecting the constraint bit vectors; they are then scanned in
-        ascending ordinal order for sufficient viewed resources.
+        ascending ordinal order for sufficient viewed resources.  A repeated
+        miss is answered from the memo with the counts of the original scan.
         """
+        key = (constraints.ids, demand.quantities)
+        miss = self.misses.get(key)
+        if miss is not None:
+            return None, miss[0], miss[1]
+        found = self.scan(constraints, demand)
+        if found[0] is None:
+            self.misses[key] = found[1:]
+        return found
+
+    def scan(self, constraints: ConstraintSet, demand: ResourceVector
+             ) -> tuple[int | None, int, int]:
+        """`match` without the memo: always walks the candidates."""
         mask, word_ops = self.bitmap.candidates(constraints)
         word_ops += self.bitmap.words  # one scan pass over the candidate words
         checked = 0

@@ -7,7 +7,7 @@ import pytest
 from fedsched.cli import main
 from fedsched.config import UserSpec, config_from_dict
 from fedsched.core import ResourceVector
-from fedsched.errors import ConfigurationError
+from fedsched.errors import ConfigurationError, SimulationError
 from fedsched.experiment import (build_workload, effective_users,
                                  run_experiment, sweep, write_reports)
 from fedsched.metrics import RECORD_FIELDS
@@ -302,6 +302,17 @@ def test_cli_livelock_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, data)
     assert main(["run", "--config", path, "--out-dir", str(tmp_path / "o")]) == 3
     assert "livelock:" in capsys.readouterr().err
+
+
+def test_cli_simulation_error_exits_4(tmp_path, capsys, monkeypatch):
+    def never_completes(config, *, check_invariants=False):
+        raise SimulationError("3 tasks never completed")
+
+    monkeypatch.setattr("fedsched.cli.run_experiment", never_completes)
+    path = write_config(tmp_path, base_data())
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err == "simulation error: 3 tasks never completed\n"
 
 
 def test_cli_sweep(tmp_path, capsys):

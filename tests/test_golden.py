@@ -1,0 +1,76 @@
+"""Golden digests: refactors of host-side state must not change what is simulated.
+
+Each config is small enough to run in well under a second.  The digests are
+the sha256 of the `tasks.csv` and `summary.json` the run writes; they were
+recorded once from the simulator before its LM snapshot cache and GM match
+memo existed, and must never be re-recorded to make a change pass.
+"""
+
+import hashlib
+
+import pytest
+
+from fedsched.config import config_from_dict
+from fedsched.experiment import run_experiment, write_reports
+
+# 3 GMs x 2 LMs x 12 workers (96 slots) under a burst of 240 tasks of 2 s:
+# GMs carve logical nodes out of each other's partitions, those nodes are
+# destroyed again, and over-share users are preempted.
+CONTENDED = {
+    "scheduler": "megha", "gm_count": 3, "lm_count": 2, "workers_per_lm": 12,
+    "worker_capacity": [64, 16384],
+    "users": [{"user_id": "uA", "share": 0.2, "gm_index": 0},
+              {"user_id": "uB", "share": 0.3, "gm_index": 1},
+              {"user_id": "uC", "share": 0.5, "gm_index": 2}],
+    "workload": {"kind": "synthetic", "count": 240, "rate": 800.0,
+                 "duration": 2.0, "demand": [16, 4096]},
+    "seed": 5,
+}
+
+# 1 GM x 1 LM x 25 workers (100 slots) at 400 tasks/s of 1 s: the single GM
+# races its own in-flight requests, so validations fail and full snapshots
+# travel on failure responses.
+CENTRALIZED = {
+    "scheduler": "centralized", "gm_count": 1, "lm_count": 1, "workers_per_lm": 25,
+    "worker_capacity": [64, 16384],
+    "workload": {"kind": "synthetic", "count": 400, "rate": 400.0,
+                 "duration": 1.0, "demand": [16, 4096],
+                 "constraint_probabilities": {"3": 0.3}},
+    "seed": 3,
+}
+
+GOLDEN = {
+    "contended": (CONTENDED, {
+        "tasks.csv": "f03ba68ecaf5c371a7555c3522162d002c348676cea387a1d1ea7020ff716141",
+        "summary.json": "d70802c3646da567f3d3d4f4062a2a769701763b1a8cfdaef45442996969f738",
+    }),
+    "centralized": (CENTRALIZED, {
+        "tasks.csv": "d06ed3bc2ef24d3bfbb7f50273ee429678947e6a5bf68180114e18a9137bc0d0",
+        "summary.json": "64465d0907ca45f7050001ed35aa583fddb87152627345ec0b96ff4a7a7bc35b",
+    }),
+}
+
+
+def _digests(out_dir) -> dict[str, str]:
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("tasks.csv", "summary.json")}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reports_match_golden_digests(name, tmp_path):
+    data, expected = GOLDEN[name]
+    result = run_experiment(config_from_dict(data))
+    write_reports(result, str(tmp_path))
+    assert _digests(tmp_path) == expected
+
+
+def test_contended_config_takes_every_rare_path():
+    counters = run_experiment(config_from_dict(CONTENDED)).counters
+    assert counters["repartitions"] >= 1
+    assert counters["preemptions"] >= 1
+    assert counters["inconsistency_failures"] >= 1
+
+
+def test_centralized_config_fails_validations():
+    counters = run_experiment(config_from_dict(CENTRALIZED)).counters
+    assert counters["inconsistency_failures"] >= 1

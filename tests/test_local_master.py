@@ -6,7 +6,7 @@ import pytest
 
 from fedsched.core import ConstraintBitmap, Partition, WorkerNode
 from fedsched.engine import DelayModel, EventLoop, Network
-from fedsched.experiment import check_conservation
+from fedsched.experiment import check_conservation, check_snapshot_cache
 from fedsched.local_master import LocalMaster
 from fedsched.messages import LaunchRequest, PreemptRequest, RepartitionRequest
 from fedsched.metrics import MetricsCollector
@@ -492,3 +492,94 @@ def test_preempt_repartitioned_victim_destroys_logical_node():
     assert {p.partition_id for p in resp.piggyback} == {"lm0-p0", "lm0-p1"}
     assert victim.times_preempted == 1
     check_conservation(lm)
+
+
+# -- snapshot cache -------------------------------------------------------------
+
+
+def assert_snapshots_fresh(lm):
+    """Snapshot every node, check the caches against a rebuild; nodes by id."""
+    nodes = {n.node_id: n for p in lm.snapshot(0.0).partitions for n in p.nodes}
+    check_snapshot_cache(lm)
+    return nodes
+
+
+def test_snapshot_cache_after_launch_and_completion():
+    lm, gms, loop, collector = one_lm({"gm0": [
+        ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs())]})
+    launch(lm, loop, collector, node_id="n0", demand=rv(2, 4096), task_id="t1")
+    launch(lm, loop, collector, node_id="n0", demand=rv(1, 1024), task_id="t0",
+           duration=2.0)
+    before = assert_snapshots_fresh(lm)
+    seen = {}
+    loop.schedule(0.5, lambda t: seen.setdefault("running", assert_snapshots_fresh(lm)))
+    loop.schedule(1.5, lambda t: seen.setdefault("one_done", assert_snapshots_fresh(lm)))
+    loop.run()
+    after = assert_snapshots_fresh(lm)
+
+    running = seen["running"]
+    assert [r.task_id for r in running["n0"].running] == ["t0", "t1"]  # by task id
+    assert running["n0"] is not before["n0"]
+    assert running["n1"] is before["n1"]  # untouched node: same object
+    assert [r.task_id for r in seen["one_done"]["n0"].running] == ["t0"]
+    assert after["n0"].running == () and after["n0"].available == rv(4, 8192)
+    assert after["n1"] is before["n1"]
+    assert lm.running_on == {}
+
+
+def test_snapshot_cache_across_repartition_and_logical_node_destruction():
+    lm, gms, loop, collector = one_lm({
+        "gm0": [("N", rv(8, 16384), cs()), ("M", rv(8, 16384), cs())], "gm1": []})
+    before = assert_snapshots_fresh(lm)
+    repartition(lm, loop, collector, source="N", demand=rv(2, 4096), duration=1.0)
+    seen = {}
+    loop.schedule(0.5, lambda t: seen.setdefault("carved", assert_snapshots_fresh(lm)))
+    loop.run()
+    after = assert_snapshots_fresh(lm)
+
+    carved = seen["carved"]
+    assert carved["N"].available == rv(6, 12288)
+    assert carved["N.l1"].is_logical and carved["N.l1"].parent_node == "N"
+    assert [r.task_id for r in carved["N.l1"].running] == ["t0"]
+    assert carved["M"] is before["M"]
+    # the destroyed logical node leaves nothing behind in either cache
+    assert "N.l1" not in lm.node_snapshots and "N.l1" not in lm.running_on
+    assert after["N"].available == rv(8, 16384)
+    assert after["M"] is before["M"]
+
+
+def test_snapshot_cache_after_preemption():
+    lm, gms, loop, collector = one_lm({"gm0": [
+        ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs())]})
+    launch(lm, loop, collector, node_id="n0", demand=rv(4, 8192), task_id="tv",
+           duration=100.0, user="uV")
+    launch(lm, loop, collector, node_id="n1", demand=rv(1, 1024), task_id="tk",
+           duration=100.0)
+    seen = {}
+    loop.schedule(0.5, lambda t: seen.setdefault("before", assert_snapshots_fresh(lm)))
+    preempt(lm, loop, collector, node_id="n0", victim_ids=["tv"], at=1.0)
+    loop.schedule(1.5, lambda t: seen.setdefault("after", assert_snapshots_fresh(lm)))
+    loop.run()
+
+    assert collector.counters["preemptions"] == 1
+    after = seen["after"]
+    assert after["n0"].running == () and after["n0"].available == rv(4, 8192)
+    assert after["n1"] is seen["before"]["n1"]
+    (when, resp), = gms["gm0"].preempt_responses
+    assert resp.piggyback[0].nodes[0] is after["n0"]
+
+
+def test_repartition_of_a_physical_node_invalidates_its_snapshot():
+    lm, gms, loop, collector = one_lm({
+        "gm0": [("N", rv(8, 16384), cs())], "gm1": []})
+    launch(lm, loop, collector, node_id="N", demand=rv(1, 1024), task_id="a",
+           duration=10.0)
+    repartition(lm, loop, collector, source="N", demand=rv(2, 4096), task_id="b",
+                at=1.0, duration=10.0)
+    seen = {}
+    loop.schedule(0.5, lambda t: seen.setdefault("one", assert_snapshots_fresh(lm)))
+    loop.schedule(1.5, lambda t: seen.setdefault("two", assert_snapshots_fresh(lm)))
+    loop.run()
+    assert seen["two"]["N"].available == rv(5, 11264)
+    assert seen["two"]["N"] is not seen["one"]["N"]
+    assert_snapshots_fresh(lm)

@@ -110,6 +110,49 @@ class TestViewPartitionMatch:
         assert ordinal is None
 
 
+def _memo_partition(first=rv(2, 200)):
+    return make_partition_snapshot(nodes=[
+        ("a", ConstraintSet.of(1), first),
+        ("b", ConstraintSet.empty(), rv(8, 800)),
+        ("c", ConstraintSet.of(1, 2), rv(3, 300)),
+    ])
+
+
+class TestViewPartitionMissMemo:
+    def test_miss_after_deduct_returns_the_same_counts(self):
+        part = ViewPartition(_memo_partition())
+        miss = part.match(ConstraintSet.of(1), rv(4, 400))
+        assert miss[0] is None and miss[2] == 2  # a and c are the candidates
+        assert len(part.misses) == 1
+        part.deduct(2, rv(1, 100))
+        assert part.match(ConstraintSet.of(1), rv(4, 400)) == miss
+        assert part.scan(ConstraintSet.of(1), rv(4, 400)) == miss
+
+    def test_refresh_that_frees_capacity_turns_the_miss_into_a_hit(self):
+        part = ViewPartition(_memo_partition())
+        assert part.match(ConstraintSet.of(1), rv(4, 400))[0] is None
+        part.refresh(_memo_partition(first=rv(4, 400)))
+        assert part.misses == {}
+        ordinal, _, checked = part.match(ConstraintSet.of(1), rv(4, 400))
+        assert (ordinal, checked) == (0, 1)
+
+    def test_other_demands_are_not_served_from_the_memo(self):
+        part = ViewPartition(_memo_partition())
+        assert part.match(ConstraintSet.of(1), rv(4, 400))[0] is None
+        ordinal, _, checked = part.match(ConstraintSet.of(1), rv(3, 300))
+        assert (ordinal, checked) == (2, 2)
+        ordinal, _, _ = part.match(ConstraintSet.empty(), rv(4, 400))
+        assert ordinal == 1
+        assert list(part.misses) == [(frozenset({1}), (4, 400))]
+
+    def test_hits_are_never_memoised(self):
+        part = ViewPartition(_memo_partition())
+        assert part.match(ConstraintSet.of(1), rv(2, 200))[0] == 0
+        part.deduct(0, rv(2, 200))
+        assert part.match(ConstraintSet.of(1), rv(2, 200))[0] == 2
+        assert part.misses == {}
+
+
 def two_node_snapshot(ts, avail_a, avail_b):
     part = make_partition_snapshot(nodes=[
         ("a", ConstraintSet.empty(), avail_a),
