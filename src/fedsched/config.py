@@ -90,6 +90,23 @@ class ExperimentConfig:
         if self.scheduler == "sparrow":
             if self.probe_count < 1 or self.sparrow_scheduler_count < 1:
                 raise ConfigurationError("probe_count and scheduler count must be >= 1")
+        demand = self.workload.demand
+        vectors = ([demand] if isinstance(demand, ResourceVector)
+                   else [v for v, _ in demand or ()])
+        if self.slot_demand is not None:
+            vectors.append(self.slot_demand)
+        for vector in vectors:
+            if vector.dimension != self.worker_capacity.dimension:
+                raise ConfigurationError(
+                    f"resource vector {vector.quantities} does not have the "
+                    f"{self.worker_capacity.dimension} dimensions of worker_capacity"
+                )
+        ids = [cid for p in self.machine_profiles for cid in p.probabilities]
+        for cid in ids + list(self.workload.constraint_probabilities):
+            if not 0 <= cid < self.constraint_count:
+                raise ConfigurationError(
+                    f"constraint id {cid} outside [0, {self.constraint_count})"
+                )
         seen = set()
         total_share = 0.0
         for user in self.users:

@@ -5,6 +5,13 @@ default).  Constraints are small integer ids; a machine satisfies a task when
 its constraint set is a superset of the task's.  Partition membership is
 indexed per constraint with bit vectors so a scheduler can intersect them with
 bitwise AND instead of walking every node.
+
+Input is validated where it enters, not in every operation.  `ResourceVector.of`
+checks each vector built from outside input (config, trace, default demand);
+arithmetic trusts its operands.  `ExperimentConfig.validate` and
+`build_workload` reject constraint ids outside `[0, constraint_count)` and
+demand vectors whose dimension differs from the worker capacity's, so the
+bitmap and the vector operations never see either.
 """
 
 from __future__ import annotations
@@ -25,23 +32,22 @@ class ResourceVector:
 
     Invariants:
       - at least one dimension
-      - every quantity is an int >= 0 (enforced here and by arithmetic)
+      - every quantity is an int >= 0 (checked by `of`, kept by arithmetic)
     """
 
     quantities: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.quantities:
+    @classmethod
+    def of(cls, *quantities: int) -> "ResourceVector":
+        """A vector from outside input, checked against the invariants."""
+        if not quantities:
             raise ConfigurationError("resource vector needs at least one dimension")
-        for q in self.quantities:
+        for q in quantities:
             if not isinstance(q, int) or isinstance(q, bool) or q < 0:
                 raise ConfigurationError(
                     f"resource quantities must be non-negative integers, got {q!r}"
                 )
-
-    @classmethod
-    def of(cls, *quantities: int) -> "ResourceVector":
-        return cls(tuple(quantities))
+        return cls(quantities)
 
     @classmethod
     def zeros(cls, dimension: int = DEFAULT_RESOURCE_DIM) -> "ResourceVector":
@@ -51,18 +57,10 @@ class ResourceVector:
     def dimension(self) -> int:
         return len(self.quantities)
 
-    def _check_dimension(self, other: "ResourceVector") -> None:
-        if len(self.quantities) != len(other.quantities):
-            raise ConfigurationError(
-                f"resource dimension mismatch: {len(self.quantities)} vs {len(other.quantities)}"
-            )
-
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        self._check_dimension(other)
         return ResourceVector(tuple(a + b for a, b in zip(self.quantities, other.quantities)))
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        self._check_dimension(other)
         out = tuple(a - b for a, b in zip(self.quantities, other.quantities))
         if any(q < 0 for q in out):
             raise ValueError(f"resource underflow: {self.quantities} - {other.quantities}")
@@ -70,7 +68,6 @@ class ResourceVector:
 
     def geq(self, other: "ResourceVector") -> bool:
         """True when every dimension of self is >= the same dimension of other."""
-        self._check_dimension(other)
         return all(a >= b for a, b in zip(self.quantities, other.quantities))
 
     def __getitem__(self, index: int) -> int:
@@ -81,11 +78,6 @@ class ResourceVector:
 
     def is_zero(self) -> bool:
         return all(q == 0 for q in self.quantities)
-
-
-def resource_geq(supply: ResourceVector, demand: ResourceVector) -> bool:
-    """Per-dimension dominance check used everywhere a launch is validated."""
-    return supply.geq(demand)
 
 
 @dataclass(frozen=True)
@@ -116,20 +108,12 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, cid: int) -> bool:
-        return cid in self.ids
-
     def __iter__(self) -> Iterator[int]:
         # sorted so that iteration order never depends on set internals
         return iter(self.sorted_ids())
 
 
 _EMPTY_CONSTRAINTS = ConstraintSet(frozenset())
-
-
-def constraint_superset(machine: ConstraintSet, task: ConstraintSet) -> bool:
-    """A machine is eligible only when it carries every constraint the task names."""
-    return machine.issuperset(task)
 
 
 @dataclass(frozen=True)
@@ -215,17 +199,10 @@ class ConstraintBitmap:
         """Number of 64-bit words each vector spans."""
         return (self.length + WORD_BITS - 1) // WORD_BITS
 
-    def _check_id(self, cid: int) -> None:
-        if cid < 0 or cid >= self.constraint_count:
-            raise ConfigurationError(
-                f"unknown constraint id {cid} (system has {self.constraint_count})"
-            )
-
     def append_node(self, constraints: ConstraintSet) -> int:
         """Add a node at the next ordinal; returns that ordinal."""
         ordinal = self.length
         for cid in constraints:
-            self._check_id(cid)
             self.bits[cid] |= 1 << ordinal
         self.length += 1
         return ordinal
@@ -241,7 +218,6 @@ class ConstraintBitmap:
         self.length -= 1
 
     def satisfies(self, cid: int, ordinal: int) -> bool:
-        self._check_id(cid)
         return bool(self.bits[cid] >> ordinal & 1)
 
     def candidates(self, constraints: ConstraintSet) -> tuple[int, int]:
@@ -253,16 +229,12 @@ class ConstraintBitmap:
         mask = (1 << self.length) - 1
         word_ops = 0
         for cid in constraints:
-            self._check_id(cid)
             mask &= self.bits[cid]
             word_ops += self.words
         return mask, word_ops
 
     def snapshot_bits(self) -> tuple[int, ...]:
         return tuple(self.bits)
-
-    def copy(self) -> "ConstraintBitmap":
-        return ConstraintBitmap(self.constraint_count, self.length, list(self.bits))
 
 
 def iter_ordinals(mask: int) -> Iterator[int]:

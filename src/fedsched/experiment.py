@@ -76,10 +76,16 @@ def build_workload(config: ExperimentConfig, users: list[UserSpec]) -> list[Task
         ) for t in tasks]
     tasks = assign_users(tasks, [u.user_id for u in users])
     known = {u.user_id for u in users}
+    dim = config.worker_capacity.dimension
     for task in tasks:
         if task.user_id not in known:
             raise ConfigurationError(
                 f"task {task.task_id} belongs to unknown user {task.user_id!r}"
+            )
+        if task.demand.dimension != dim:
+            raise ConfigurationError(
+                f"task {task.task_id}: demand {task.demand.quantities} does not "
+                f"have the {dim} dimensions of worker_capacity"
             )
     return tasks
 
@@ -101,9 +107,20 @@ def _build_nodes(config: ExperimentConfig) -> tuple[list[str], list[WorkerNode]]
     return lm_ids, nodes
 
 
-def _admissible(task: TaskRequest, nodes: list[WorkerNode]) -> bool:
-    return any(n.machine_constraints.issuperset(task.constraints)
-               and n.capacity.geq(task.demand) for n in nodes)
+def _eligible(nodes: list[WorkerNode], members: list, tasks: list[TaskRequest]
+              ) -> dict[frozenset[int], list]:
+    """For each distinct task constraint set, the members whose node carries it.
+
+    `members[i]` stands for `nodes[i]`, and every list keeps node order.
+    Machine constraints never change, so this is the only constraint scan.
+    """
+    eligible: dict[frozenset[int], list] = {}
+    for task in tasks:
+        ids = task.constraints.ids
+        if ids not in eligible:
+            eligible[ids] = [m for m, n in zip(members, nodes)
+                             if n.machine_constraints.ids >= ids]
+    return eligible
 
 
 def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
@@ -165,8 +182,11 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
     for gm in gms:
         for queue in gm.queues.queues:
             gm_of_user[queue.user_id] = gm
+    # every node starts with the full worker capacity
+    eligible = _eligible(nodes, nodes, tasks)
     for task in tasks:
-        if not _admissible(task, nodes):
+        if not (eligible[task.constraints.ids]
+                and config.worker_capacity.geq(task.demand)):
             collector.mark_unschedulable(task.task_id)
             continue
         run = collector.new_run(task)
@@ -184,27 +204,25 @@ def build_sparrow(config: ExperimentConfig, tasks: list[TaskRequest]):
     collector = MetricsCollector()
     _, nodes = _build_nodes(config)
 
-    if config.slot_demand is None:
-        slots = 1
-        workers = [FifoWorker(n.node_id, n.machine_constraints, slots, loop, collector)
-                   for n in nodes]
-    else:
+    slots = 1
+    if config.slot_demand is not None:
         per_dim = [cap // d if d > 0 else 0
                    for cap, d in zip(config.worker_capacity, config.slot_demand)]
         slots = min(q for q in per_dim if q > 0) if any(per_dim) else 0
         if slots < 1:
             raise ConfigurationError("slot_demand leaves workers with zero slots")
-        workers = [FifoWorker(n.node_id, n.machine_constraints, slots, loop, collector)
-                   for n in nodes]
+    workers = [FifoWorker(n.node_id, n.machine_constraints, slots, loop, collector)
+               for n in nodes]
 
-    schedulers = [ProbeScheduler(f"s{i:02d}", loop, network, workers, config.costs,
+    eligible = _eligible(nodes, workers, tasks)
+    schedulers = [ProbeScheduler(f"s{i:02d}", loop, network, eligible, config.costs,
                                  collector, probe_count=config.probe_count,
                                  seed=config.seed)
                   for i in range(config.sparrow_scheduler_count)]
 
     job_home: dict[str, ProbeScheduler] = {}
     for task in tasks:
-        if not any(w.constraints.issuperset(task.constraints) for w in workers):
+        if not eligible[task.constraints.ids]:
             collector.mark_unschedulable(task.task_id)
             continue
         if task.job_id not in job_home:

@@ -59,12 +59,8 @@ class QueueSet:
     # re-insertion at the tail is how rescheduling and fairness failures retry
     reinsert = enqueue
 
-    def next_request(self) -> TaskRun | None:
-        """Pop the head of the next non-empty queue in round-robin order."""
-        return self.next_eligible(None)
-
-    def next_eligible(self, tried_version: int | None) -> TaskRun | None:
-        """Like next_request, but skip heads already tried at this view version."""
+    def next_eligible(self, tried_version: int) -> TaskRun | None:
+        """Pop the next round-robin queue head not yet tried at this view version."""
         n = len(self.queues)
         for offset in range(n):
             idx = (self._cursor + offset) % n
@@ -72,7 +68,7 @@ class QueueSet:
             if not queue.pending:
                 continue
             head = queue.pending[0]
-            if tried_version is not None and head.tried_version == tried_version:
+            if head.tried_version == tried_version:
                 continue
             queue.pending.popleft()
             self._cursor = (idx + 1) % n
@@ -245,12 +241,12 @@ def _victims_for_user(
     scanned = 0
     for key in sorted(view.partitions):
         part = view.partitions[key]
-        for ordinal, running in enumerate(part.running):
-            if part.logical[ordinal]:
+        for ordinal, node in enumerate(part.nodes):
+            if node.is_logical:
                 # killing a logical node's task returns capacity to its
                 # parent, not to this node, so plan against physical nodes only
                 continue
-            owned = [info for info in running if info.user_id == victim_user]
+            owned = [info for info in node.running if info.user_id == victim_user]
             if not owned:
                 continue
             scanned += 1
@@ -265,6 +261,6 @@ def _victims_for_user(
                 freed = freed + info.demand
                 victims.append(info.task_id)
             if freed.geq(demand) and victims:
-                return (part.lm_id, part.partition_id, part.node_ids[ordinal],
+                return (part.lm_id, part.partition_id, node.node_id,
                         ordinal, tuple(victims)), scanned
     return None, scanned

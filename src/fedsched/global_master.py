@@ -53,7 +53,6 @@ class GlobalMaster:
         self.view: ClusterView | None = None
         self.queues: QueueSet | None = None
         self.shares: dict[str, tuple[float, ...]] = {}
-        self.lms: list = []
         self.lm_ids: list[str] = []
         self.internal: list[tuple[str, str]] = []
         self.external: dict[str, list[str]] = {}
@@ -71,7 +70,6 @@ class GlobalMaster:
         self.view = view
         self.queues = queues
         self.shares = shares
-        self.lms = list(lms)
         self.lm_ids = [lm.lm_id for lm in lms]
         self.internal = []
         self.external = {}
@@ -172,7 +170,7 @@ class GlobalMaster:
         if kind == "launch" or kind == "repartition":
             _, lm_id, pid, ordinal = action
             part = self.view.partitions[(lm_id, pid)]
-            node_id = part.node_ids[ordinal]
+            node_id = part.nodes[ordinal].node_id
             part.deduct(ordinal, request.demand)
             lm = self._lm_by_id[lm_id]
             self._inflight[request.task_id] = run
@@ -314,10 +312,9 @@ class GlobalMaster:
         for (vlm, pid), part in self.view.partitions.items():
             if vlm != lm_id:
                 continue
-            try:
-                return pid, part.node_ids.index(node_id)
-            except ValueError:
-                continue
+            for ordinal, node in enumerate(part.nodes):
+                if node.node_id == node_id:
+                    return pid, ordinal
         return None
 
     # -- notifications ------------------------------------------------------------

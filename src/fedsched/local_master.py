@@ -18,8 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .core import (ConstraintSet, Partition, ResourceVector, WorkerNode,
-                   constraint_superset)
+from .core import Partition, ResourceVector, WorkerNode
 from .engine import (HEARTBEAT, LAUNCH_RESPONSE, PREEMPT_RESPONSE, TASK_COMPLETION,
                      TASK_LAUNCH, TASK_PREEMPTED, ActorClock, CostModel, EventLoop,
                      Network)
@@ -76,7 +75,6 @@ class LocalMaster:
         self.running_on: dict[str, dict[str, RunningTaskInfo]] = {}
         self.node_snapshots: dict[str, NodeSnapshot] = {}
         self.consumed: dict[str, ResourceVector] = {}
-        self.children: dict[str, list[str]] = {}
         self.gms: list = []  # GlobalMaster handles, wired by the experiment builder
         self._logical_seq = 0
 
@@ -169,7 +167,7 @@ class LocalMaster:
         owner_ok = (node is not None
                     and self.partitions[node.partition_id].owner_gm_id == req.gm_id)
         constraints_ok = (node is not None
-                          and constraint_superset(node.machine_constraints, req.constraints))
+                          and node.machine_constraints.issuperset(req.constraints))
         resources_ok = node is not None and node.available.geq(req.demand)
         ok = bool(owner_ok and constraints_ok and resources_ok)
 
@@ -232,7 +230,6 @@ class LocalMaster:
             node_id=node_id, state_timestamp=done,
             piggyback=tuple(self.partition_snapshot(pid) for pid in partitions),
             user_consumed=self._consumed_snapshot(),
-            full_state=False,
         )
         self.network.send(done, LAUNCH_RESPONSE, lambda t: gm.on_launch_response(response, t))
 
@@ -246,7 +243,6 @@ class LocalMaster:
             node_id=None, state_timestamp=done,
             piggyback=full.partitions,
             user_consumed=full.user_consumed,
-            full_state=True,
         )
         self.network.send(done, LAUNCH_RESPONSE,
                           lambda t: gm.on_launch_response(response, t),
@@ -270,7 +266,7 @@ class LocalMaster:
         source = self.nodes.get(req.source_node_id)
         ok = (source is not None
               and not source.is_logical  # never carve a logical node further
-              and constraint_superset(source.machine_constraints, req.constraints)
+              and source.machine_constraints.issuperset(req.constraints)
               and source.available.geq(req.demand))
 
         self.collector.audit_launches.append({
@@ -305,7 +301,6 @@ class LocalMaster:
         self.node_snapshots.pop(source.node_id, None)
         self.nodes[logical.node_id] = logical
         target.append_node(logical.node_id, logical.machine_constraints)
-        self.children.setdefault(source.node_id, []).append(logical.node_id)
         self.collector.bump("repartitions")
         run.metrics.repartitioned = True
 
@@ -391,7 +386,6 @@ class LocalMaster:
             self.node_snapshots.pop(parent.node_id, None)
             self.partitions[node.partition_id].remove_node(node.node_id)
             del self.nodes[node.node_id]
-            self.children[parent.node_id].remove(node.node_id)
             touched.append(parent.partition_id)
         else:
             node.available = node.available + rt.demand

@@ -49,7 +49,6 @@ class LaunchResponse:
     state_timestamp: float
     piggyback: tuple[PartitionSnapshot, ...]
     user_consumed: tuple[tuple[str, ResourceVector], ...]
-    full_state: bool
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Probe-based baseline: sample d workers per task, enqueue at the shortest queue.
 
 Each task triggers d probes to distinct workers chosen uniformly among those
-satisfying its constraints.  Workers answer with an estimated queue wait (sum
-of queued task durations over slot count); the task is sent to the lowest
-estimate, ties broken by lower node id.  Workers run a fixed number of slots
-and queue the rest FIFO, so allocation time includes worker-side queuing --
-the component the federated design eliminates by validating before launch.
+satisfying its constraints.  Worker constraints never change, so eligibility
+is computed once per distinct task constraint set when the cluster is built:
+each scheduler is handed that map, with every list in worker (node id) order.
+Workers answer with an estimated queue wait (sum of queued task durations
+over slot count); the task is sent to the lowest estimate, ties broken by
+lower node id.  Workers run a fixed number of slots and queue the rest FIFO,
+so allocation time includes worker-side queuing -- the component the
+federated design eliminates by validating before launch.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ class ProbeScheduler:
         scheduler_id: str,
         loop: EventLoop,
         network: Network,
-        workers: list[FifoWorker],
+        eligible: dict[frozenset[int], list[FifoWorker]],
         costs: CostModel,
         collector: MetricsCollector,
         *,
@@ -37,7 +40,7 @@ class ProbeScheduler:
         self.scheduler_id = scheduler_id
         self.loop = loop
         self.network = network
-        self.workers = workers  # ordered by node_id by the builder
+        self.eligible = eligible  # constraint ids -> workers in node_id order
         self.costs = costs
         self.collector = collector
         self.probe_count = probe_count
@@ -51,11 +54,7 @@ class ProbeScheduler:
         run.metrics.add_processing(self.costs.probe_handling)
         run.metrics.attempts += 1
 
-        eligible = [w for w in self.workers
-                    if w.constraints.issuperset(run.request.constraints)]
-        if not eligible:
-            self.collector.mark_unschedulable(run.request.task_id)
-            return
+        eligible = self.eligible[run.request.constraints.ids]
         sample = (self.rng.sample(eligible, self.probe_count)
                   if len(eligible) > self.probe_count else eligible)
 

@@ -40,10 +40,6 @@ class PartitionSnapshot:
     bits: tuple[int, ...]
     constraint_count: int
 
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.node_id for n in self.nodes)
-
 
 @dataclass(frozen=True)
 class LMStateSnapshot:
@@ -67,14 +63,17 @@ class ViewPartition:
     the same resources twice.  The next snapshot from the LM overwrites the
     guesswork with authority.
 
+    `nodes` is the LM's snapshot of each node, kept as received; `available`
+    is the GM's mutable copy of their availability, which deductions shrink.
+
     Misses of `match` are memoised per (constraint ids, demand) until the
     next `refresh`.  Between refreshes the bitmap is fixed and `deduct` only
     shrinks availability, so a miss stays a miss over the same candidates
     and the memo returns exactly the counts a rescan would.
     """
 
-    __slots__ = ("partition_id", "lm_id", "owner_gm_id", "node_ids", "available",
-                 "running", "logical", "bitmap", "misses")
+    __slots__ = ("partition_id", "lm_id", "owner_gm_id", "nodes", "available",
+                 "bitmap", "misses")
 
     def __init__(self, snapshot: PartitionSnapshot) -> None:
         self.partition_id = snapshot.partition_id
@@ -83,10 +82,8 @@ class ViewPartition:
         self.refresh(snapshot)
 
     def refresh(self, snapshot: PartitionSnapshot) -> None:
-        self.node_ids = [n.node_id for n in snapshot.nodes]
+        self.nodes = snapshot.nodes
         self.available = [n.available for n in snapshot.nodes]
-        self.running = [n.running for n in snapshot.nodes]
-        self.logical = [n.is_logical for n in snapshot.nodes]
         self.bitmap = ConstraintBitmap(
             snapshot.constraint_count, len(snapshot.nodes), list(snapshot.bits)
         )
@@ -138,34 +135,17 @@ class ClusterView:
         self.last_update_time: dict[str, float] = {}
         self.lm_user_consumed: dict[str, dict[str, ResourceVector]] = {}
         for snapshot in snapshots:
-            self._replace_lm(snapshot)
+            self._merge(snapshot.lm_id, snapshot.timestamp, snapshot.partitions,
+                        snapshot.user_consumed)
 
-    def _replace_lm(self, snapshot: LMStateSnapshot) -> None:
-        for part in snapshot.partitions:
-            key = (snapshot.lm_id, part.partition_id)
-            existing = self.partitions.get(key)
-            if existing is None:
-                self.partitions[key] = ViewPartition(part)
-            else:
-                existing.refresh(part)
-        self.lm_user_consumed[snapshot.lm_id] = dict(snapshot.user_consumed)
-        self.last_update_time[snapshot.lm_id] = snapshot.timestamp
-
-    def apply_heartbeat(self, snapshot: LMStateSnapshot) -> bool:
-        """Replace an LM's slice of the view; stale snapshots are discarded."""
-        if snapshot.timestamp < self.last_update_time.get(snapshot.lm_id, float("-inf")):
-            return False
-        self._replace_lm(snapshot)
-        return True
-
-    def merge_partitions(
+    def _merge(
         self,
         lm_id: str,
         timestamp: float,
         partitions: tuple[PartitionSnapshot, ...],
-        user_consumed: tuple[tuple[str, ResourceVector], ...] | None = None,
+        user_consumed: tuple[tuple[str, ResourceVector], ...] | None,
     ) -> bool:
-        """Merge a partial (piggybacked) update covering only some partitions."""
+        """Overwrite the named partitions unless the update is older than the view."""
         if timestamp < self.last_update_time.get(lm_id, float("-inf")):
             return False
         for part in partitions:
@@ -179,6 +159,21 @@ class ClusterView:
             self.lm_user_consumed[lm_id] = dict(user_consumed)
         self.last_update_time[lm_id] = timestamp
         return True
+
+    def apply_heartbeat(self, snapshot: LMStateSnapshot) -> bool:
+        """Replace an LM's slice of the view; stale snapshots are discarded."""
+        return self._merge(snapshot.lm_id, snapshot.timestamp, snapshot.partitions,
+                           snapshot.user_consumed)
+
+    def merge_partitions(
+        self,
+        lm_id: str,
+        timestamp: float,
+        partitions: tuple[PartitionSnapshot, ...],
+        user_consumed: tuple[tuple[str, ResourceVector], ...] | None = None,
+    ) -> bool:
+        """Merge a partial (piggybacked) update covering only some partitions."""
+        return self._merge(lm_id, timestamp, partitions, user_consumed)
 
     def viewed_consumed(self, user_id: str) -> ResourceVector:
         """Sum of the user's consumption as last reported by each LM."""

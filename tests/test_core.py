@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsched.config import config_from_dict
 from fedsched.core import (ConstraintBitmap, ConstraintSet, Partition,
-                           ResourceVector, TaskRequest, WorkerNode,
-                           constraint_superset, iter_ordinals, resource_geq)
+                           ResourceVector, TaskRequest, WorkerNode, iter_ordinals)
 from fedsched.errors import ConfigurationError
 
 from oracles import brute_force_match
@@ -14,17 +14,20 @@ from oracles import brute_force_match
 
 class TestResourceVector:
     def test_dominates(self):
-        assert resource_geq(ResourceVector.of(8, 16384), ResourceVector.of(2, 4096))
+        assert ResourceVector.of(8, 16384).geq(ResourceVector.of(2, 4096))
 
     def test_equality_boundary_dominates(self):
-        assert resource_geq(ResourceVector.of(8, 16384), ResourceVector.of(8, 16384))
+        assert ResourceVector.of(8, 16384).geq(ResourceVector.of(8, 16384))
 
     def test_one_dimension_insufficient(self):
-        assert not resource_geq(ResourceVector.of(8, 2048), ResourceVector.of(2, 4096))
+        assert not ResourceVector.of(8, 2048).geq(ResourceVector.of(2, 4096))
 
     def test_dimension_mismatch_rejected(self):
+        # checked where vectors enter, not by each operation: a demand with
+        # more dimensions than the workers' capacity is a config error
         with pytest.raises(ConfigurationError):
-            ResourceVector.of(1, 2).geq(ResourceVector.of(1, 2, 3))
+            config_from_dict({"worker_capacity": [1, 2],
+                              "workload": {"demand": [1, 2, 3]}})
 
     def test_add_subtract(self):
         a = ResourceVector.of(6, 12288)
@@ -44,7 +47,7 @@ class TestResourceVector:
 
     def test_needs_a_dimension(self):
         with pytest.raises(ConfigurationError):
-            ResourceVector(())
+            ResourceVector.of()
 
     def test_zeros_and_iteration(self):
         z = ResourceVector.zeros(3)
@@ -55,13 +58,13 @@ class TestResourceVector:
 
 class TestConstraintSet:
     def test_superset(self):
-        assert constraint_superset(ConstraintSet.of(1, 4, 7), ConstraintSet.of(4))
+        assert ConstraintSet.of(1, 4, 7).issuperset(ConstraintSet.of(4))
 
     def test_empty_task_matches_any_machine(self):
-        assert constraint_superset(ConstraintSet.of(1, 4, 7), ConstraintSet.empty())
+        assert ConstraintSet.of(1, 4, 7).issuperset(ConstraintSet.empty())
 
     def test_missing_id_fails(self):
-        assert not constraint_superset(ConstraintSet.of(1, 4), ConstraintSet.of(4, 9))
+        assert not ConstraintSet.of(1, 4).issuperset(ConstraintSet.of(4, 9))
 
     def test_iteration_is_sorted(self):
         assert list(ConstraintSet.of(9, 1, 4)) == [1, 4, 9]
@@ -128,11 +131,14 @@ class TestConstraintBitmap:
         assert word_ops == 0
 
     def test_unknown_constraint_id(self):
-        bitmap = bitmap_from_sets(2, [ConstraintSet.empty()])
+        # ids are checked where they enter, so a bitmap never sees one
+        # outside [0, constraint_count): neither a task's nor a machine's
         with pytest.raises(ConfigurationError):
-            bitmap.candidates(ConstraintSet.of(5))
+            config_from_dict({"constraint_count": 2, "workload": {
+                "constraint_probabilities": {"5": 0.5}}})
         with pytest.raises(ConfigurationError):
-            bitmap.append_node(ConstraintSet.of(2))
+            config_from_dict({"constraint_count": 2, "machine_profiles": [
+                {"profile_id": "p", "probabilities": {"2": 1.0}}]})
 
     def test_append_assigns_sequential_ordinals(self):
         bitmap = ConstraintBitmap(4)

@@ -150,6 +150,43 @@ def test_trace_user_must_be_declared(tmp_path):
 # -- config validation -------------------------------------------------------------
 
 
+# Each entry: (top-level keys, workload keys) that make a 1 x 1 x 10 config
+# malformed.  None of these is caught by the resource or bitmap operations
+# any more, so each must be rejected where the config enters.
+MALFORMED = {
+    "task constraint id": ({}, {"constraint_probabilities": {"30": 0.5}}),
+    "machine constraint id": (
+        {"machine_profiles": [{"profile_id": "p", "probabilities": {"40": 0.5}}]}, {}),
+    "demand dimension": ({}, {"demand": [4, 1024, 1]}),
+    "slot_demand dimension": ({"slot_demand": [4, 1024, 1]}, {}),
+}
+
+
+@pytest.mark.parametrize("scheduler", ["megha", "centralized", "sparrow"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_rejected_before_running(case, scheduler, tmp_path, capsys):
+    top, workload = MALFORMED[case]
+    data = base_data(scheduler=scheduler, gm_count=1, lm_count=1, workers_per_lm=10,
+                     workload={"kind": "synthetic", "count": 20, "rate": 100.0,
+                               "duration": 1.0, "demand": [4, 1024], **workload},
+                     **top)
+    with pytest.raises(ConfigurationError):
+        config_from_dict(data)  # no cluster, hence no event, exists yet
+    assert main(["run", "--config", write_config(tmp_path, data),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_trace_demand_dimension_must_match_workers(tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_text(TRACE_HEADER + "\n0.5,j1,t1,400,50,1.0,\n")
+    cfg = base_config(workload={"kind": "trace", "path": str(trace)},
+                      worker_capacity=[64, 16384, 8])
+    with pytest.raises(ConfigurationError, match="dimensions"):
+        build_workload(cfg, effective_users(cfg))
+
+
 def test_shares_may_not_exceed_the_cluster():
     with pytest.raises(ConfigurationError):
         base_config(users=[{"user_id": "a", "share": 0.5},

@@ -36,7 +36,7 @@ def test_round_robin_interleaves_owned_queues():
         qs.enqueue(r)
     order = []
     while True:
-        nxt = qs.next_request()
+        nxt = qs.next_eligible(0)
         if nxt is None:
             break
         order.append(nxt.request.task_id)
@@ -46,12 +46,12 @@ def test_round_robin_interleaves_owned_queues():
 def test_round_robin_skips_empty_queues():
     qs = QueueSet([queue("uA"), queue("uB"), queue("uC")])
     qs.enqueue(run_for("uB", "b1"))
-    assert qs.next_request().request.task_id == "b1"
-    assert qs.next_request() is None
+    assert qs.next_eligible(0).request.task_id == "b1"
+    assert qs.next_eligible(0) is None
 
 
 def test_next_request_on_all_empty():
-    assert QueueSet([queue("uA")]).next_request() is None
+    assert QueueSet([queue("uA")]).next_eligible(0) is None
 
 
 def test_next_eligible_skips_heads_tried_at_this_version():

@@ -163,7 +163,7 @@ def test_orphan_responses_are_dropped():
     gm = cluster.gms[0]
     resp = LaunchResponse(ok=True, gm_id="gm0", lm_id="lm0", task_id="ghost",
                           kind="launch", node_id="n0", state_timestamp=0.0,
-                          piggyback=(), user_consumed=(), full_state=False)
+                          piggyback=(), user_consumed=())
     gm.on_launch_response(resp, 0.0)
     preempt = PreemptResponse(gm_id="gm0", lm_id="lm0", task_id="ghost",
                               node_id="n0", statuses=(), state_timestamp=0.0,

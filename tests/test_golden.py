@@ -3,7 +3,9 @@
 Each config is small enough to run in well under a second.  The digests are
 the sha256 of the `tasks.csv` and `summary.json` the run writes; they were
 recorded once from the simulator before its LM snapshot cache and GM match
-memo existed, and must never be re-recorded to make a change pass.
+memo existed (the `sparrow` ones before the probe baseline computed worker
+eligibility once per constraint set), and must never be re-recorded to
+make a change pass.
 """
 
 import hashlib
@@ -39,6 +41,24 @@ CENTRALIZED = {
     "seed": 3,
 }
 
+# Probe baseline over 10 LMs x 20 workers of 4 slots (800 slots) at 700
+# tasks/s of 1 s: constraint 2 narrows the probes to part of the
+# accelerated cluster, so tasks wait in worker queues, and no machine
+# carries constraint 9, so a few tasks are unschedulable.
+SPARROW = {
+    "scheduler": "sparrow", "lm_count": 10, "workers_per_lm": 20,
+    "worker_capacity": [64, 16384], "slot_demand": [16, 4096],
+    "probe_count": 2, "sparrow_scheduler_count": 2,
+    "machine_profiles": [
+        {"profile_id": "accelerated", "probabilities": {"2": 0.5, "7": 0.9}},
+        {"profile_id": "plain", "probabilities": {"7": 0.9}},
+    ],
+    "workload": {"kind": "synthetic", "count": 600, "rate": 700.0,
+                 "duration": 1.0, "demand": [16, 4096],
+                 "constraint_probabilities": {"2": 0.2, "9": 0.02}},
+    "seed": 11,
+}
+
 GOLDEN = {
     "contended": (CONTENDED, {
         "tasks.csv": "f03ba68ecaf5c371a7555c3522162d002c348676cea387a1d1ea7020ff716141",
@@ -47,6 +67,10 @@ GOLDEN = {
     "centralized": (CENTRALIZED, {
         "tasks.csv": "d06ed3bc2ef24d3bfbb7f50273ee429678947e6a5bf68180114e18a9137bc0d0",
         "summary.json": "64465d0907ca45f7050001ed35aa583fddb87152627345ec0b96ff4a7a7bc35b",
+    }),
+    "sparrow": (SPARROW, {
+        "tasks.csv": "4370aaf24c9d20683444f548e6767b581bc56f2e6744227713d5c1d0d122cc4f",
+        "summary.json": "df583fdb2f4af0f4c51f74af8b82f57347193dcd61a32513adefc1ba85b5da01",
     }),
 }
 
@@ -74,3 +98,9 @@ def test_contended_config_takes_every_rare_path():
 def test_centralized_config_fails_validations():
     counters = run_experiment(config_from_dict(CENTRALIZED)).counters
     assert counters["inconsistency_failures"] >= 1
+
+
+def test_sparrow_config_queues_at_workers_and_rejects_tasks():
+    result = run_experiment(config_from_dict(SPARROW))
+    assert result.unschedulable
+    assert any(r.worker_queuing_delay > 0 for r in result.records)

@@ -119,7 +119,7 @@ def test_launch_deducts_and_starts():
     assert record.allocation_time == record.communication_delay
 
     when, resp = gms["gm0"].launch_responses[0]
-    assert resp.ok and not resp.full_state
+    assert resp.ok
     assert resp.node_id == "n0" and resp.kind == "launch"
     assert len(resp.piggyback) == 1
     assert resp.piggyback[0].partition_id == "lm0-p0"
@@ -155,9 +155,11 @@ def test_launch_wrong_owner_fails_full_state():
     loop.run()
 
     when, resp = gms["gm1"].launch_responses[0]
-    assert not resp.ok and resp.full_state
+    assert not resp.ok
     assert resp.node_id is None
-    assert {p.partition_id for p in resp.piggyback} == {"lm0-p0", "lm0-p1"}
+    # the failure piggyback is the full state: every partition of the LM
+    assert ({p.partition_id for p in resp.piggyback} == set(lm.partitions)
+            == {"lm0-p0", "lm0-p1"})
     assert collector.counters["inconsistency_failures"] == 1
     assert lm.nodes["n0"].available == rv(4, 8192)
     assert run.record is None
@@ -259,7 +261,7 @@ def test_race_internal_launch_beats_external_repartition():
     assert set(lm.nodes) == {"n0", "n1"}
     assert lm.nodes["n0"].available == rv(2, 4096)
     assert lm.nodes["n1"].available == rv(2, 4096)
-    assert all(not kids for kids in lm.children.values())
+    assert all(node.parent_node is None for node in lm.nodes.values())
     check_conservation(lm)
 
 
@@ -278,7 +280,8 @@ def test_repartition_carves_child_then_restores_parent():
         seen["child"] = lm.nodes.get("N.l1")
         seen["parent_avail"] = lm.nodes["N"].available
         seen["target_members"] = tuple(lm.partitions["lm0-p1"].node_ids)
-        seen["children"] = list(lm.children.get("N", ()))
+        seen["children"] = [node_id for node_id, node in lm.nodes.items()
+                            if node.parent_node == "N"]
         check_conservation(lm)
 
     loop.schedule(0.5, probe)
@@ -299,7 +302,7 @@ def test_repartition_carves_child_then_restores_parent():
     assert "N.l1" not in lm.nodes
     assert lm.nodes["N"].available == rv(8, 16384)
     assert lm.partitions["lm0-p1"].node_ids == []
-    assert lm.children["N"] == []
+    assert all(node.parent_node is None for node in lm.nodes.values())
     assert collector.counters["repartitions"] == 1
     assert run.record.repartitioned
     check_conservation(lm)
@@ -316,7 +319,8 @@ def test_repartition_insufficient_resources_fails():
     repartition(lm, loop, collector, source="N", demand=rv(16, 32768))
     loop.run()
     when, resp = gms["gm1"].launch_responses[0]
-    assert not resp.ok and resp.full_state and resp.kind == "repartition"
+    assert not resp.ok and resp.kind == "repartition"
+    assert {p.partition_id for p in resp.piggyback} == set(lm.partitions)
     assert collector.counters["inconsistency_failures"] == 1
     assert lm.nodes["N"].available == rv(8, 16384)
 

@@ -4,11 +4,14 @@ import dataclasses
 
 import pytest
 
+from fedsched.config import ExperimentConfig
 from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.errors import ConfigurationError
+from fedsched.experiment import build_sparrow
 from fedsched.metrics import MetricsCollector, TaskRun
 from fedsched.sparrow import ProbeScheduler
 from fedsched.worker import FifoWorker
+from fedsched.workload import ClusterProfile
 
 from scenarios import ZERO_COSTS, cs, task
 
@@ -16,14 +19,18 @@ HOP = 0.0005
 
 
 def setup(worker_specs, *, probe_count=2, seed=0, costs=ZERO_COSTS, delays=None):
-    """worker_specs: (node_id, constraints, slots), any order."""
+    """worker_specs: (node_id, constraints, slots), any order.
+
+    The tasks submitted here carry no constraints, so every worker is
+    eligible for them.
+    """
     loop = EventLoop()
     network = Network(loop, delays or DelayModel())
     collector = MetricsCollector()
     workers = [FifoWorker(node_id, constraints, slots, loop, collector)
                for node_id, constraints, slots in sorted(worker_specs)]
-    sched = ProbeScheduler("s00", loop, network, workers, costs, collector,
-                           probe_count=probe_count, seed=seed)
+    sched = ProbeScheduler("s00", loop, network, {cs().ids: workers}, costs,
+                           collector, probe_count=probe_count, seed=seed)
     return sched, {w.node_id: w for w in workers}, loop, collector
 
 
@@ -99,12 +106,17 @@ def test_sample_shrinks_to_eligible_pool():
 
 
 def test_constraint_filter_and_unschedulable_marking():
-    sched, workers, loop, collector = setup([("a", cs(1), 1), ("b", cs(1), 1)])
-    good = submit(sched, loop, collector, task("t_ok", constraints=(1,)))
-    bad = submit(sched, loop, collector, task("t_bad", constraints=(2,)))
+    # eligibility is worked out once, when the cluster is built: both
+    # workers carry constraint 1, and a task needing 2 never reaches a
+    # scheduler
+    config = ExperimentConfig(scheduler="sparrow", lm_count=1, workers_per_lm=2,
+                              machine_profiles=[ClusterProfile("p", {1: 1.0})],
+                              costs=ZERO_COSTS)
+    tasks = [task("t_ok", constraints=(1,)), task("t_bad", constraints=(2,))]
+    loop, collector, workers, schedulers = build_sparrow(config, tasks)
+    assert schedulers[0].eligible[cs(1).ids] == workers
     loop.run()
-    assert good.record is not None
-    assert bad.record is None
+    assert [r.task_id for r in collector.records] == ["t_ok"]
     assert collector.unschedulable == ["t_bad"]
 
 
@@ -167,7 +179,7 @@ def test_scheduler_rejects_nonpositive_probe_count():
     loop = EventLoop()
     network = Network(loop, DelayModel())
     with pytest.raises(ConfigurationError):
-        ProbeScheduler("s", loop, network, [], ZERO_COSTS, MetricsCollector(),
+        ProbeScheduler("s", loop, network, {}, ZERO_COSTS, MetricsCollector(),
                        probe_count=0)
 
 
