@@ -14,6 +14,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .config import ExperimentConfig, UserSpec
 from .core import (ConstraintBitmap, ConstraintSet, Partition, ResourceVector,
@@ -382,12 +383,13 @@ def run_experiment(config: ExperimentConfig, *, check_invariants: bool = False
     )
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
+_record_values = attrgetter(*RECORD_FIELDS)
+
+
+def _csv_row(record: AllocationRecord) -> list:
+    """One tasks.csv row.  csv writes str() of every cell, which is repr()
+    for floats; bools are written as 1/0."""
+    return [int(v) if v.__class__ is bool else v for v in _record_values(record)]
 
 
 def write_reports(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> dict[str, str]:
@@ -399,8 +401,7 @@ def write_reports(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> d
         with open(task_path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(RECORD_FIELDS)
-            for record in result.records:
-                writer.writerow([_format_cell(getattr(record, f)) for f in RECORD_FIELDS])
+            writer.writerows(map(_csv_row, result.records))
     elif fmt == "jsonl":
         task_path = os.path.join(out_dir, "tasks.jsonl")
         with open(task_path, "w") as handle:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import TaskRequest
 
@@ -196,6 +197,8 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
+COMPONENT_FIELDS = ("framework_queuing_delay", "processing_delay",
+                    "worker_queuing_delay", "communication_delay")
 SUMMARY_PERCENTILES = (("median", 50.0), ("p90", 90.0), ("p99", 99.0),
                        ("p99.9", 99.9), ("p99.99", 99.99))
 
@@ -209,15 +212,13 @@ def summarize(records: list[AllocationRecord], counters: dict[str, int],
         "counters": dict(counters),
     }
     if records:
-        allocation = [r.allocation_time for r in records]
+        # sorted once, so each percentile's own sort is a linear pass
+        allocation = sorted(r.allocation_time for r in records)
         stats = {"mean": math.fsum(allocation) / len(allocation)}
         for name, q in SUMMARY_PERCENTILES:
             stats[name] = percentile(allocation, q)
         summary["allocation_time"] = stats
         summary["components"] = {
-            "framework_queuing_delay": math.fsum(r.framework_queuing_delay for r in records),
-            "processing_delay": math.fsum(r.processing_delay for r in records),
-            "worker_queuing_delay": math.fsum(r.worker_queuing_delay for r in records),
-            "communication_delay": math.fsum(r.communication_delay for r in records),
+            name: math.fsum(map(attrgetter(name), records)) for name in COMPONENT_FIELDS
         }
     return summary
