@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .core import DEFAULT_CONSTRAINT_COUNT, ResourceVector
@@ -90,9 +91,14 @@ class ExperimentConfig:
         if self.scheduler == "sparrow":
             if self.probe_count < 1 or self.sparrow_scheduler_count < 1:
                 raise ConfigurationError("probe_count and scheduler count must be >= 1")
+        _check_duration(self.workload.duration)
         demand = self.workload.demand
-        vectors = ([demand] if isinstance(demand, ResourceVector)
-                   else [v for v, _ in demand or ()])
+        if isinstance(demand, ResourceVector):
+            vectors = [demand]
+        else:
+            vectors = [v for v, _ in demand or ()]
+            if demand is not None:
+                _check_weights([w for _, w in demand], "demand mixture")
         if self.slot_demand is not None:
             vectors.append(self.slot_demand)
         for vector in vectors:
@@ -126,6 +132,35 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"user shares sum to {total_share}, exceeding the cluster"
             )
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _check_weights(weights: list, what: str) -> None:
+    """Weights a random draw can use: finite, none negative, a positive total."""
+    if not (all(_finite(w) and w >= 0 for w in weights) and sum(weights) > 0):
+        raise ConfigurationError(
+            f"{what} weights {list(weights)} must be finite and >= 0 with a positive total"
+        )
+
+
+def _check_duration(spec) -> None:
+    """A constant, ("exp", mean) or ("choice", values, weights), all positive."""
+    shape = (spec[0], len(spec)) if isinstance(spec, (list, tuple)) and spec else None
+    if _finite(spec):
+        values = [spec]
+    elif shape == ("exp", 2):
+        values = [spec[1]]
+    elif (shape == ("choice", 3) and all(isinstance(p, (list, tuple)) for p in spec[1:])
+          and len(spec[1]) == len(spec[2])):  # an empty choice fails the weight total
+        values = spec[1]
+        _check_weights(spec[2], "duration choice")
+    else:
+        raise ConfigurationError(f"bad duration spec {spec!r}")
+    if not all(_finite(v) and v > 0 for v in values):
+        raise ConfigurationError(f"duration spec {spec!r} needs positive finite values")
 
 
 def _parse_demand(value):

@@ -32,6 +32,9 @@ TASK_PREEMPTED = "task_preempted"
 TASK_LAUNCH = "task_launch"
 PROBE = "probe"
 PROBE_REPLY = "probe_reply"
+MESSAGE_KINDS = (LAUNCH_REQUEST, LAUNCH_RESPONSE, REPARTITION_REQUEST, PREEMPT_REQUEST,
+                 PREEMPT_RESPONSE, HEARTBEAT, TASK_COMPLETION, TASK_PREEMPTED,
+                 TASK_LAUNCH, PROBE, PROBE_REPLY)
 
 
 @dataclass
@@ -40,7 +43,8 @@ class DelayModel:
 
     `network_delay` covers control messages; `launch_delay` covers the task
     launch payload hop and defaults to the network delay.  `overrides` maps a
-    message kind to a specific delay when a scenario needs one.
+    message kind (one of `MESSAGE_KINDS`) to a specific delay when a scenario
+    needs one.
     """
 
     network_delay: float = 0.0005
@@ -48,6 +52,9 @@ class DelayModel:
     overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        unknown = sorted(set(self.overrides) - set(MESSAGE_KINDS))
+        if unknown:
+            raise ConfigurationError(f"unknown message kinds in delay overrides: {unknown}")
         for value in (self.network_delay, self.launch_delay, *self.overrides.values()):
             if value is not None and value < 0:
                 raise ConfigurationError("message delays must be >= 0")

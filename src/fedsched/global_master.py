@@ -21,11 +21,10 @@ from .engine import (LAUNCH_REQUEST, PREEMPT_REQUEST, REPARTITION_REQUEST,
                      ActorClock, CostModel, EventLoop, Network)
 from .errors import ConfigurationError
 from .fairness import (GUARD_FAILURE, PreemptPlan, QueueSet, plan_preemption)
-from .messages import (Heartbeat, LaunchRequest, LaunchResponse, PreemptRequest,
-                       PreemptResponse, RepartitionRequest, TaskCompletion,
-                       TaskPreempted)
+from .messages import (LaunchRequest, LaunchResponse, PreemptRequest, PreemptResponse,
+                       RepartitionRequest, TaskCompletion, TaskPreempted)
 from .metrics import MetricsCollector, TaskRun
-from .state import ClusterView
+from .state import ClusterView, LMStateSnapshot
 
 log = logging.getLogger(__name__)
 
@@ -147,22 +146,26 @@ class GlobalMaster:
 
         # 3: fairness — preempt only under contention, never for an over-share user
         if action is None:
-            guard, plan, audit = plan_preemption(
-                self.view, run, self.queues.by_user[request.user_id], self.shares,
-                self.queues.by_user, self.violation_metric, start, self.gm_id,
-            )
-            self.collector.audit_preemptions.append(audit)
-            cost += audit.nodes_scanned * self.costs.gm_node_check
-            if guard == GUARD_FAILURE or plan is None:
-                action = ("reinsert",)
-            else:
-                action = ("preempt", plan)
+            plan_cost, action = self._plan(run, start)
+            cost += plan_cost
 
         done = self.clock.charge(start, cost)
         run.metrics.add_processing(cost)
         run.metrics.attempts += 1
         self._dispatch(run, action, done)
         self._kick(done)
+
+    def _plan(self, run: TaskRun, at: float) -> tuple[float, tuple]:
+        """The fairness step: (scan cost, a "preempt" or "reinsert" action)."""
+        guard, plan, audit = plan_preemption(
+            self.view, run, self.queues.by_user[run.request.user_id], self.shares,
+            self.queues.by_user, self.violation_metric, at, self.gm_id,
+        )
+        self.collector.audit_preemptions.append(audit)
+        cost = audit.nodes_scanned * self.costs.gm_node_check
+        if guard == GUARD_FAILURE or plan is None:
+            return cost, ("reinsert",)
+        return cost, ("preempt", plan)
 
     def _dispatch(self, run: TaskRun, action: tuple, done: float) -> None:
         request = run.request
@@ -217,9 +220,12 @@ class GlobalMaster:
 
     # -- responses --------------------------------------------------------------
 
-    def _merge_cost(self, piggyback) -> float:
-        nodes = sum(len(p.nodes) for p in piggyback)
-        return nodes * self.costs.gm_merge_per_node
+    def _merge(self, state: LMStateSnapshot) -> float:
+        """Merge a piggybacked state into the view; returns the simulated merge cost."""
+        if self.view.merge_partitions(state.lm_id, state.timestamp, state.partitions,
+                                      state.user_consumed):
+            self.view_version += 1
+        return state.node_count * self.costs.gm_merge_per_node
 
     def on_launch_response(self, response: LaunchResponse, now: float) -> None:
         run = self._inflight.pop(response.task_id, None)
@@ -228,10 +234,7 @@ class GlobalMaster:
                         self.gm_id, response.task_id)
             return
         start = self.clock.begin(now)
-        merge_cost = self._merge_cost(response.piggyback)
-        if self.view.merge_partitions(response.lm_id, response.state_timestamp,
-                                      response.piggyback, response.user_consumed):
-            self.view_version += 1
+        merge_cost = self._merge(response.state)
 
         if response.ok:
             done = self.clock.charge(start, merge_cost)
@@ -260,19 +263,17 @@ class GlobalMaster:
         request = run.request
         start = self.clock.begin(now)
         run.metrics.add_framework_queuing(start - now)
-        merge_cost = self._merge_cost(response.piggyback)
+        merge_cost = self._merge(response.state)
         run.metrics.add_processing(merge_cost)
-        if self.view.merge_partitions(response.lm_id, response.state_timestamp,
-                                      response.piggyback, response.user_consumed):
-            self.view_version += 1
         mid = self.clock.charge(start, merge_cost)
 
+        lm_id = response.state.lm_id
         all_verified = all(s.verified for s in response.statuses)
-        target = self._locate(response.lm_id, response.node_id)
+        target = self._locate(lm_id, response.node_id)
         fits = False
         if target is not None:
             pid, ordinal = target
-            part = self.view.partitions[(response.lm_id, pid)]
+            part = self.view.partitions[(lm_id, pid)]
             fits = (part.available[ordinal].geq(request.demand)
                     and part.node_satisfies(ordinal, request.constraints))
 
@@ -282,7 +283,7 @@ class GlobalMaster:
             done = self.clock.charge(mid, cost)
             run.metrics.add_processing(cost)
             run.metrics.attempts += 1
-            self._dispatch(run, (kind, response.lm_id, pid, ordinal), done)
+            self._dispatch(run, (kind, lm_id, pid, ordinal), done)
             self._kick(done)
             return
 
@@ -292,19 +293,12 @@ class GlobalMaster:
             self._reinsert(run, mid)
             self._kick(mid)
             return
-        guard, plan, audit = plan_preemption(
-            self.view, run, self.queues.by_user[request.user_id], self.shares,
-            self.queues.by_user, self.violation_metric, mid, self.gm_id,
-        )
-        self.collector.audit_preemptions.append(audit)
-        cost = audit.nodes_scanned * self.costs.gm_node_check
+        cost, action = self._plan(run, mid)
         done = self.clock.charge(mid, cost)
         run.metrics.add_processing(cost)
-        if guard == GUARD_FAILURE or plan is None:
-            self._reinsert(run, done)
-        else:
+        if action[0] == "preempt":
             run.metrics.attempts += 1
-            self._dispatch(run, ("preempt", plan), done)
+        self._dispatch(run, action, done)
         self._kick(done)
 
     def _locate(self, lm_id: str, node_id: str) -> tuple[str, int] | None:
@@ -319,30 +313,23 @@ class GlobalMaster:
 
     # -- notifications ------------------------------------------------------------
 
-    def on_heartbeat(self, message: Heartbeat, now: float) -> None:
+    def on_heartbeat(self, state: LMStateSnapshot, now: float) -> None:
         start = self.clock.begin(now)
-        cost = message.snapshot.node_count * self.costs.gm_merge_per_node
-        done = self.clock.charge(start, cost)
-        if self.view.apply_heartbeat(message.snapshot):
+        done = self.clock.charge(start, state.node_count * self.costs.gm_merge_per_node)
+        if self.view.apply_heartbeat(state):
             self.view_version += 1
         self._kick(done)
 
     def on_task_completion(self, message: TaskCompletion, now: float) -> None:
         start = self.clock.begin(now)
-        done = self.clock.charge(start, self._merge_cost(message.piggyback))
-        if self.view.merge_partitions(message.lm_id, message.state_timestamp,
-                                      message.piggyback, message.user_consumed):
-            self.view_version += 1
+        done = self.clock.charge(start, self._merge(message.state))
         self.queues.sub_consumed(message.user_id, message.demand)
         self._kick(done)
 
     def on_task_preempted(self, message: TaskPreempted, now: float) -> None:
         """One of this GM's running tasks was killed; requeue it from scratch."""
         start = self.clock.begin(now)
-        done = self.clock.charge(start, self._merge_cost(message.piggyback))
-        if self.view.merge_partitions(message.lm_id, message.state_timestamp,
-                                      message.piggyback, message.user_consumed):
-            self.view_version += 1
+        done = self.clock.charge(start, self._merge(message.state))
         self.queues.sub_consumed(message.user_id, message.demand)
         run = message.run
         run.consecutive_failures = 0

@@ -1,9 +1,10 @@
 """Local master: authoritative owner of one cluster's workers.
 
 Every launch, repartition, and preemption is validated against true current
-state here, no matter what view the requesting GM acted on.  Failure responses
-carry a full state snapshot so the requester can correct its view immediately;
-success responses piggyback just the partitions that changed.  A periodic
+state here, no matter what view the requesting GM acted on.  Every message to
+a GM carries one `LMStateSnapshot`, built by `_state`: failure responses carry
+the full state so the requester can correct its view immediately, success
+responses and notifications just the partitions that changed, and a periodic
 heartbeat pushes the full state to every GM.
 
 Snapshot state is kept incrementally rather than rebuilt per message: a
@@ -23,9 +24,8 @@ from .engine import (HEARTBEAT, LAUNCH_RESPONSE, PREEMPT_RESPONSE, TASK_COMPLETI
                      TASK_LAUNCH, TASK_PREEMPTED, ActorClock, CostModel, EventLoop,
                      Network)
 from .errors import ConfigurationError
-from .messages import (Heartbeat, LaunchRequest, LaunchResponse, PreemptRequest,
-                       PreemptResponse, RepartitionRequest, TaskCompletion,
-                       TaskPreempted, VictimStatus)
+from .messages import (LaunchRequest, LaunchResponse, PreemptRequest, PreemptResponse,
+                       RepartitionRequest, TaskCompletion, TaskPreempted, VictimStatus)
 from .metrics import MetricsCollector, TaskRun
 from .state import LMStateSnapshot, NodeSnapshot, PartitionSnapshot, RunningTaskInfo
 from .worker import start_task
@@ -124,16 +124,19 @@ class LocalMaster:
         )
 
     def snapshot(self, timestamp: float) -> LMStateSnapshot:
+        """Full state: every partition of this LM."""
+        return self._state(timestamp, sorted(self.partitions))
+
+    def _state(self, timestamp: float, partition_ids) -> LMStateSnapshot:
+        """The named partitions (each once, in first-named order) and user consumption."""
         return LMStateSnapshot(
             lm_id=self.lm_id,
             timestamp=timestamp,
             partitions=tuple(self.partition_snapshot(pid)
-                             for pid in sorted(self.partitions)),
-            user_consumed=self._consumed_snapshot(),
+                             for pid in dict.fromkeys(partition_ids)),
+            user_consumed=tuple((user, self.consumed[user])
+                                for user in sorted(self.consumed)),
         )
-
-    def _consumed_snapshot(self) -> tuple[tuple[str, ResourceVector], ...]:
-        return tuple((user, self.consumed[user]) for user in sorted(self.consumed))
 
     # -- heartbeat ----------------------------------------------------------
 
@@ -141,18 +144,13 @@ class LocalMaster:
         start = self.clock.begin(now)
         cost = self.costs.lm_heartbeat_per_node * len(self.nodes)
         done = self.clock.charge(start, cost)
-        snapshot = self.snapshot(done)
+        state = self.snapshot(done)
         for gm in self.gms:
-            self.network.send(done, HEARTBEAT, self._deliver_heartbeat(gm, snapshot))
+            self.network.send(done, HEARTBEAT, lambda t, g=gm: g.on_heartbeat(state, t))
         self.collector.bump("heartbeats")
         if self.collector.outstanding > 0:
             # fixed cadence from the period, independent of processing time
             self.loop.schedule(now + self.heartbeat_period, self._heartbeat)
-
-    @staticmethod
-    def _deliver_heartbeat(gm, snapshot: LMStateSnapshot):
-        message = Heartbeat(lm_id=snapshot.lm_id, snapshot=snapshot)
-        return lambda t: gm.on_heartbeat(message, t)
 
     # -- launch -------------------------------------------------------------
 
@@ -170,23 +168,27 @@ class LocalMaster:
                           and node.machine_constraints.issuperset(req.constraints))
         resources_ok = node is not None and node.available.geq(req.demand)
         ok = bool(owner_ok and constraints_ok and resources_ok)
+        self._audit(req, "launch", req.node_id, node, ok, done)
 
+        if ok:
+            self._launch(run, node, req.gm_id, done)
+            self._respond_launch(req, "launch", node.node_id,
+                                 self._state(done, (node.partition_id,)))
+        else:
+            self._respond_launch(req, "launch", None, self.snapshot(done))
+
+    def _audit(self, req: LaunchRequest | RepartitionRequest, kind: str, node_id: str,
+               node: WorkerNode | None, ok: bool, done: float) -> None:
+        """Record a launch or repartition validation for the acceptance checks."""
         self.collector.audit_launches.append({
             "time": done, "lm_id": self.lm_id, "gm_id": req.gm_id,
-            "task_id": req.task_id, "node_id": req.node_id, "kind": "launch",
+            "task_id": req.task_id, "node_id": node_id, "kind": kind,
             "ok": ok,
             "available_before": node.available.quantities if node else None,
             "demand": req.demand.quantities,
             "machine_constraints": node.machine_constraints.sorted_ids() if node else None,
             "task_constraints": req.constraints.sorted_ids(),
         })
-
-        if ok:
-            self._launch(run, node, req.gm_id, done)
-            self._respond_launch(req.gm_id, req.task_id, "launch", node.node_id,
-                                 done, ok=True, partitions=(node.partition_id,))
-        else:
-            self._fail(req.gm_id, req.task_id, "launch", done, run)
 
     def _launch(self, run: TaskRun, node: WorkerNode, gm_id: str, done: float) -> None:
         request = run.request
@@ -221,32 +223,22 @@ class LocalMaster:
         start_task(self.loop, rt.run, now,
                    lambda t: self._on_task_complete(task_id, incarnation, t))
 
-    def _respond_launch(self, gm_id: str, task_id: str, kind: str,
-                        node_id: str | None, done: float, *, ok: bool,
-                        partitions: tuple[str, ...]) -> None:
-        gm = self._gm(gm_id)
-        response = LaunchResponse(
-            ok=ok, gm_id=gm_id, lm_id=self.lm_id, task_id=task_id, kind=kind,
-            node_id=node_id, state_timestamp=done,
-            piggyback=tuple(self.partition_snapshot(pid) for pid in partitions),
-            user_consumed=self._consumed_snapshot(),
-        )
-        self.network.send(done, LAUNCH_RESPONSE, lambda t: gm.on_launch_response(response, t))
+    def _respond_launch(self, req: LaunchRequest | RepartitionRequest, kind: str,
+                        node_id: str | None, state: LMStateSnapshot) -> None:
+        """Answer a launch or repartition request; `node_id` None means it failed.
 
-    def _fail(self, gm_id: str, task_id: str, kind: str, done: float, run: TaskRun) -> None:
-        """Failure response: counts as a state inconsistency, carries full state."""
-        self.collector.bump("inconsistency_failures")
-        gm = self._gm(gm_id)
-        full = self.snapshot(done)
-        response = LaunchResponse(
-            ok=False, gm_id=gm_id, lm_id=self.lm_id, task_id=task_id, kind=kind,
-            node_id=None, state_timestamp=done,
-            piggyback=full.partitions,
-            user_consumed=full.user_consumed,
-        )
-        self.network.send(done, LAUNCH_RESPONSE,
+        A failure counts as a state inconsistency and lies on the task's path
+        to starting, so its hop is charged to the task.
+        """
+        ok = node_id is not None
+        if not ok:
+            self.collector.bump("inconsistency_failures")
+        gm = self._gm(req.gm_id)
+        response = LaunchResponse(ok=ok, task_id=req.task_id, kind=kind,
+                                  node_id=node_id, state=state)
+        self.network.send(state.timestamp, LAUNCH_RESPONSE,
                           lambda t: gm.on_launch_response(response, t),
-                          metrics=run.metrics)
+                          metrics=None if ok else req.run.metrics)
 
     def _gm(self, gm_id: str):
         for gm in self.gms:
@@ -268,19 +260,10 @@ class LocalMaster:
               and not source.is_logical  # never carve a logical node further
               and source.machine_constraints.issuperset(req.constraints)
               and source.available.geq(req.demand))
-
-        self.collector.audit_launches.append({
-            "time": done, "lm_id": self.lm_id, "gm_id": req.gm_id,
-            "task_id": req.task_id, "node_id": req.source_node_id,
-            "kind": "repartition", "ok": bool(ok),
-            "available_before": source.available.quantities if source else None,
-            "demand": req.demand.quantities,
-            "machine_constraints": source.machine_constraints.sorted_ids() if source else None,
-            "task_constraints": req.constraints.sorted_ids(),
-        })
+        self._audit(req, "repartition", req.source_node_id, source, bool(ok), done)
 
         if not ok:
-            self._fail(req.gm_id, req.task_id, "repartition", done, run)
+            self._respond_launch(req, "repartition", None, self.snapshot(done))
             return
 
         target = self.partition_by_owner.get(req.gm_id)
@@ -306,17 +289,9 @@ class LocalMaster:
 
         self._launch(run, logical, req.gm_id, done)
         self._respond_launch(
-            req.gm_id, req.task_id, "repartition", logical.node_id, done, ok=True,
-            partitions=self._affected(source.partition_id, target.partition_id),
+            req, "repartition", logical.node_id,
+            self._state(done, (source.partition_id, target.partition_id)),
         )
-
-    @staticmethod
-    def _affected(*partition_ids: str) -> tuple[str, ...]:
-        seen: list[str] = []
-        for pid in partition_ids:
-            if pid not in seen:
-                seen.append(pid)
-        return tuple(seen)
 
     # -- preemption ----------------------------------------------------------
 
@@ -346,25 +321,18 @@ class LocalMaster:
             self.collector.bump("preemptions")
             rt.run.times_preempted += 1
             owner = self._gm(rt.gm_id)
-            note = TaskPreempted(
-                lm_id=self.lm_id, gm_id=rt.gm_id, task_id=victim_id,
-                user_id=rt.user_id, demand=rt.demand, state_timestamp=done,
-                piggyback=(), user_consumed=self._consumed_snapshot(), run=rt.run,
-            )
+            note = TaskPreempted(task_id=victim_id, user_id=rt.user_id, demand=rt.demand,
+                                 state=self._state(done, ()), run=rt.run)
             self.network.send(done, TASK_PREEMPTED,
                               lambda t, n=note, g=owner: g.on_task_preempted(n, t))
 
         run.metrics.preempted_caused += killed
         node = self.nodes.get(req.node_id)
-        partitions = self._affected(*touched) if touched else (
-            (node.partition_id,) if node else ())
+        partitions = touched or ((node.partition_id,) if node else ())
         gm = self._gm(req.gm_id)
-        response = PreemptResponse(
-            gm_id=req.gm_id, lm_id=self.lm_id, task_id=req.task_id,
-            node_id=req.node_id, statuses=tuple(statuses), state_timestamp=done,
-            piggyback=tuple(self.partition_snapshot(pid) for pid in partitions),
-            user_consumed=self._consumed_snapshot(),
-        )
+        response = PreemptResponse(task_id=req.task_id, node_id=req.node_id,
+                                   statuses=tuple(statuses),
+                                   state=self._state(done, partitions))
         self.network.send(done, PREEMPT_RESPONSE,
                           lambda t: gm.on_preempt_response(response, t),
                           metrics=run.metrics)
@@ -401,11 +369,7 @@ class LocalMaster:
         self.collector.note_completed()
         self.loop.note_progress()
         owner = self._gm(rt.gm_id)
-        message = TaskCompletion(
-            lm_id=self.lm_id, gm_id=rt.gm_id, task_id=task_id, user_id=rt.user_id,
-            demand=rt.demand, state_timestamp=now,
-            piggyback=tuple(self.partition_snapshot(pid) for pid in self._affected(*touched)),
-            user_consumed=self._consumed_snapshot(), run=rt.run,
-        )
+        message = TaskCompletion(task_id=task_id, user_id=rt.user_id, demand=rt.demand,
+                                 state=self._state(now, touched), run=rt.run)
         self.network.send(now, TASK_COMPLETION,
                           lambda t: owner.on_task_completion(message, t))

@@ -1,9 +1,11 @@
 """Message payloads exchanged between global masters, local masters, and workers.
 
 These are in-memory stand-ins for the wire: each dataclass mirrors what a real
-deployment would serialize.  Responses and notifications carry piggybacked
-partition snapshots plus the LM-side timestamp they were taken at, so every
-interaction refreshes part of the sender's view of that LM.
+deployment would serialize.  Every message an LM sends to a GM carries one
+`LMStateSnapshot` as `state`: the full state on heartbeats (delivered as the
+bare snapshot) and on validation failures, and just the partitions the
+request touched otherwise, so every interaction refreshes part of the
+receiver's view of that LM.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .core import ConstraintSet, ResourceVector
-from .state import LMStateSnapshot, PartitionSnapshot
+from .state import LMStateSnapshot
 
 if TYPE_CHECKING:
     from .metrics import TaskRun
@@ -41,20 +43,10 @@ class RepartitionRequest:
 @dataclass(frozen=True)
 class LaunchResponse:
     ok: bool
-    gm_id: str
-    lm_id: str
     task_id: str
     kind: str  # "launch" or "repartition"
     node_id: str | None
-    state_timestamp: float
-    piggyback: tuple[PartitionSnapshot, ...]
-    user_consumed: tuple[tuple[str, ResourceVector], ...]
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    lm_id: str
-    snapshot: LMStateSnapshot
+    state: LMStateSnapshot
 
 
 @dataclass(frozen=True)
@@ -75,37 +67,25 @@ class VictimStatus:
 
 @dataclass(frozen=True)
 class PreemptResponse:
-    gm_id: str
-    lm_id: str
     task_id: str
     node_id: str
     statuses: tuple[VictimStatus, ...]
-    state_timestamp: float
-    piggyback: tuple[PartitionSnapshot, ...]
-    user_consumed: tuple[tuple[str, ResourceVector], ...]
+    state: LMStateSnapshot
 
 
 @dataclass(frozen=True)
 class TaskCompletion:
-    lm_id: str
-    gm_id: str
     task_id: str
     user_id: str
     demand: ResourceVector
-    state_timestamp: float
-    piggyback: tuple[PartitionSnapshot, ...]
-    user_consumed: tuple[tuple[str, ResourceVector], ...]
+    state: LMStateSnapshot
     run: "TaskRun" = field(repr=False)
 
 
 @dataclass(frozen=True)
 class TaskPreempted:
-    lm_id: str
-    gm_id: str
     task_id: str
     user_id: str
     demand: ResourceVector
-    state_timestamp: float
-    piggyback: tuple[PartitionSnapshot, ...]
-    user_consumed: tuple[tuple[str, ResourceVector], ...]
+    state: LMStateSnapshot
     run: "TaskRun" = field(repr=False)

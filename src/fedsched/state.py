@@ -1,10 +1,12 @@
 """Cluster-state snapshots carried on the simulated wire, and the per-GM view.
 
 LMs are the authority for their workers.  GMs schedule against a possibly
-stale copy of that state: full snapshots arrive with periodic heartbeats and
-replace an LM's slice of the view wholesale, while request responses piggyback
-just the partitions they touched.  Both carry the LM-side timestamp at which
-the snapshot was taken and merges never move a view backwards in time.
+stale copy of that state.  Every message from an LM to a GM carries one
+`LMStateSnapshot`: periodic heartbeats and validation failures carry every
+partition and replace the LM's slice of the view wholesale, while other
+responses and notifications piggyback just the partitions they touched.  Each
+snapshot carries the LM-side timestamp at which it was taken and the LM's
+per-user consumption, and merges never move a view backwards in time.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class PartitionSnapshot:
 
 @dataclass(frozen=True)
 class LMStateSnapshot:
-    """Full state of one LM as of `timestamp`."""
+    """State of one LM as of `timestamp`: all of its partitions or only some."""
 
     lm_id: str
     timestamp: float

@@ -110,6 +110,10 @@ class TestDelayModel:
         with pytest.raises(ConfigurationError):
             DelayModel(overrides={PROBE: -0.1})
 
+    def test_unknown_override_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="launch-request"):
+            DelayModel(overrides={"launch-request": 5.0})
+
 
 class TestCostModel:
     def test_negative_cost_rejected(self):

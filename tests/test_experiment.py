@@ -159,6 +159,12 @@ MALFORMED = {
         {"machine_profiles": [{"profile_id": "p", "probabilities": {"40": 0.5}}]}, {}),
     "demand dimension": ({}, {"demand": [4, 1024, 1]}),
     "slot_demand dimension": ({"slot_demand": [4, 1024, 1]}, {}),
+    "zero exp duration": ({}, {"duration": ["exp", 0]}),
+    "negative exp duration": ({}, {"duration": ["exp", -1]}),
+    "empty duration choice": ({}, {"duration": ["choice", [], []]}),
+    "demand mixture weight total": (
+        {}, {"demand": [[[4, 1024], 0.0], [[8, 2048], 0.0]]}),
+    "delay override kind": ({"delays": {"overrides": {"launch-request": 5.0}}}, {}),
 }
 
 

@@ -10,9 +10,9 @@ from fedsched.errors import ConfigurationError
 from fedsched.fairness import QueueSet
 from fedsched.global_master import GlobalMaster
 from fedsched.local_master import LocalMaster
-from fedsched.messages import LaunchResponse, PreemptResponse
+from fedsched.messages import LaunchResponse, PreemptResponse, TaskPreempted
 from fedsched.metrics import MetricsCollector
-from fedsched.state import ClusterView
+from fedsched.state import ClusterView, LMStateSnapshot
 
 from scenarios import ZERO_COSTS, build_cluster, build_race_cluster, cs, rv, task
 
@@ -161,15 +161,37 @@ def test_success_merge_cost_busies_clock_but_not_the_task():
 def test_orphan_responses_are_dropped():
     cluster = one_node_cluster()
     gm = cluster.gms[0]
-    resp = LaunchResponse(ok=True, gm_id="gm0", lm_id="lm0", task_id="ghost",
-                          kind="launch", node_id="n0", state_timestamp=0.0,
-                          piggyback=(), user_consumed=())
+    state = LMStateSnapshot(lm_id="lm0", timestamp=0.0, partitions=(), user_consumed=())
+    resp = LaunchResponse(ok=True, task_id="ghost", kind="launch", node_id="n0",
+                          state=state)
     gm.on_launch_response(resp, 0.0)
-    preempt = PreemptResponse(gm_id="gm0", lm_id="lm0", task_id="ghost",
-                              node_id="n0", statuses=(), state_timestamp=0.0,
-                              piggyback=(), user_consumed=())
+    preempt = PreemptResponse(task_id="ghost", node_id="n0", statuses=(), state=state)
     gm.on_preempt_response(preempt, 0.0)
     assert gm._inflight == {}
+
+
+def test_task_preempted_note_requeues_and_refreshes_view():
+    cluster = one_node_cluster()
+    gm = cluster.gms[0]
+    demand = rv(2, 4096)
+    run = cluster.collector.new_run(task("t0", demand=demand))
+    run.tried_version = 3
+    gm.queues.add_consumed("u0", demand)
+    version = gm.view_version
+    state = LMStateSnapshot(lm_id="lm0", timestamp=4.0, partitions=(),
+                            user_consumed=(("u0", rv(1, 100)),))
+    gm.on_task_preempted(
+        TaskPreempted(task_id="t0", user_id="u0", demand=demand, state=state, run=run),
+        4.0)
+
+    # a note with no partitions still refreshes the LM's time and consumption
+    assert gm.view.last_update_time["lm0"] == 4.0
+    assert gm.view.lm_user_consumed["lm0"] == {"u0": rv(1, 100)}
+    assert gm.view_version == version + 1
+    queue = gm.queues.by_user["u0"]
+    assert queue.consumed == rv(0, 0)
+    assert list(queue.pending) == [run]
+    assert run.tried_version == -1
 
 
 def test_seed_requires_exactly_one_partition_per_lm():

@@ -121,8 +121,8 @@ def test_launch_deducts_and_starts():
     when, resp = gms["gm0"].launch_responses[0]
     assert resp.ok
     assert resp.node_id == "n0" and resp.kind == "launch"
-    assert len(resp.piggyback) == 1
-    assert resp.piggyback[0].partition_id == "lm0-p0"
+    assert len(resp.state.partitions) == 1
+    assert resp.state.partitions[0].partition_id == "lm0-p0"
 
     # after completion the node is whole again and the owner was told
     assert lm.nodes["n0"].available == rv(4, 8192)
@@ -158,7 +158,7 @@ def test_launch_wrong_owner_fails_full_state():
     assert not resp.ok
     assert resp.node_id is None
     # the failure piggyback is the full state: every partition of the LM
-    assert ({p.partition_id for p in resp.piggyback} == set(lm.partitions)
+    assert ({p.partition_id for p in resp.state.partitions} == set(lm.partitions)
             == {"lm0-p0", "lm0-p1"})
     assert collector.counters["inconsistency_failures"] == 1
     assert lm.nodes["n0"].available == rv(4, 8192)
@@ -310,7 +310,7 @@ def test_repartition_carves_child_then_restores_parent():
     when, resp = gms["gm1"].launch_responses[0]
     assert resp.ok and resp.kind == "repartition"
     assert resp.node_id == "N.l1"
-    assert {p.partition_id for p in resp.piggyback} == {"lm0-p0", "lm0-p1"}
+    assert {p.partition_id for p in resp.state.partitions} == {"lm0-p0", "lm0-p1"}
 
 
 def test_repartition_insufficient_resources_fails():
@@ -320,7 +320,7 @@ def test_repartition_insufficient_resources_fails():
     loop.run()
     when, resp = gms["gm1"].launch_responses[0]
     assert not resp.ok and resp.kind == "repartition"
-    assert {p.partition_id for p in resp.piggyback} == set(lm.partitions)
+    assert {p.partition_id for p in resp.state.partitions} == set(lm.partitions)
     assert collector.counters["inconsistency_failures"] == 1
     assert lm.nodes["N"].available == rv(8, 16384)
 
@@ -371,17 +371,17 @@ def test_heartbeat_cadence_and_shutdown():
     assert times == [pytest.approx(10.0 + HOP, abs=1e-9),
                      pytest.approx(20.0 + HOP, abs=1e-9),
                      pytest.approx(30.0 + HOP, abs=1e-9)]
-    stamps = [msg.snapshot.timestamp for _, msg in beats]
+    stamps = [msg.timestamp for _, msg in beats]
     assert stamps == [10.0, 20.0, 30.0]
     assert collector.counters["heartbeats"] == 3
 
     # first beat sees the task running, last beat sees the node whole again
-    first = beats[0][1].snapshot.partitions[0].nodes[0]
+    first = beats[0][1].partitions[0].nodes[0]
     assert first.available == rv(2, 4096)
     assert len(first.running) == 1
     assert first.running[0].task_id == "t0"
     assert first.running[0].launch_time == pytest.approx(HOP, abs=1e-12)
-    last = beats[-1][1].snapshot.partitions[0].nodes[0]
+    last = beats[-1][1].partitions[0].nodes[0]
     assert last.available == rv(4, 8192)
     assert last.running == ()
 
@@ -393,7 +393,7 @@ def test_heartbeat_timestamp_follows_processing_charge():
     launch(lm, loop, collector, node_id="n0", duration=12.0)
     lm.start_heartbeats()
     loop.run()
-    stamps = [msg.snapshot.timestamp for _, msg in gms["gm0"].heartbeats]
+    stamps = [msg.timestamp for _, msg in gms["gm0"].heartbeats]
     # snapshot taken after the per-node charge; cadence still period-aligned
     assert stamps[0] == pytest.approx(10.001, abs=1e-12)
     assert stamps[1] == pytest.approx(20.001, abs=1e-12)
@@ -446,7 +446,7 @@ def test_preempt_finished_victim_is_stale():
     assert not resp.statuses[0].verified
     assert collector.counters["preemptions"] == 0
     assert gms["gm0"].preempted == []
-    assert len(resp.piggyback) == 1  # still refreshes the named node's partition
+    assert len(resp.state.partitions) == 1  # still refreshes the named node's partition
 
 
 def test_preempt_moved_victim_is_stale():
@@ -493,7 +493,7 @@ def test_preempt_repartitioned_victim_destroys_logical_node():
     assert "N.l1" not in lm.nodes
     assert lm.nodes["N"].available == rv(8, 16384)
     assert lm.partitions["lm0-p1"].node_ids == []
-    assert {p.partition_id for p in resp.piggyback} == {"lm0-p0", "lm0-p1"}
+    assert {p.partition_id for p in resp.state.partitions} == {"lm0-p0", "lm0-p1"}
     assert victim.times_preempted == 1
     check_conservation(lm)
 
@@ -570,7 +570,7 @@ def test_snapshot_cache_after_preemption():
     assert after["n0"].running == () and after["n0"].available == rv(4, 8192)
     assert after["n1"] is seen["before"]["n1"]
     (when, resp), = gms["gm0"].preempt_responses
-    assert resp.piggyback[0].nodes[0] is after["n0"]
+    assert resp.state.partitions[0].nodes[0] is after["n0"]
 
 
 def test_repartition_of_a_physical_node_invalidates_its_snapshot():
