@@ -1,6 +1,6 @@
 """Command line front end.
 
-    fedsched run --config experiment.json --out-dir results/
+    fedsched run --config experiment.json --out-dir results/ [--audit]
     fedsched sweep --config experiment.json --axis workers --values 1000,5000,10000
     fedsched validate-config --config experiment.json
 
@@ -16,7 +16,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigurationError, LivelockError, SimulationError
-from .experiment import SWEEP_AXES, run_experiment, sweep, write_reports
+from .experiment import SWEEP_AXES, run_experiment, sweep, write_audits, write_reports
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment and write reports")
     _add_common(run_p)
+    run_p.add_argument("--audit", action="store_true",
+                       help="keep an entry per launch validation and preemption "
+                            "decision and write them as audit_*.jsonl")
 
     sweep_p = sub.add_parser("sweep", help="run the experiment once per axis value")
     _add_common(sweep_p)
@@ -78,10 +81,14 @@ def _load(args) -> "ExperimentConfig":
 
 def cmd_run(args) -> int:
     config = _load(args)
-    result = run_experiment(config, check_invariants=args.check_invariants)
+    result = run_experiment(config, check_invariants=args.check_invariants,
+                            audit=args.audit)
     paths = write_reports(result, args.out_dir, fmt=args.format)
     print(_one_line(config.scheduler, result.summary))
     print(f"wrote {paths['tasks']} and {paths['summary']}")
+    if args.audit:
+        audits = write_audits(result, args.out_dir)
+        print(f"wrote {audits['launches']} and {audits['preemptions']}")
     return 0
 
 

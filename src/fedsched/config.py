@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .core import DEFAULT_CONSTRAINT_COUNT, ResourceVector
 from .engine import CostModel, DelayModel
@@ -163,6 +163,34 @@ def _check_duration(spec) -> None:
         raise ConfigurationError(f"duration spec {spec!r} needs positive finite values")
 
 
+def _section(what: str, cls, data) -> dict:
+    """A copy of one config object, its keys checked against `cls`'s fields."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} must be an object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"{what}: unknown keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigurationError(f"{what}: missing keys {missing}")
+    return dict(data)
+
+
+def _list(what: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _probabilities(what: str, value) -> dict[int, float]:
+    try:
+        return {int(k): float(v) for k, v in value.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise ConfigurationError(
+            f"{what} must map constraint ids to probabilities, got {value!r}") from None
+
+
 def _parse_demand(value):
     if value is None:
         return None
@@ -206,31 +234,30 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "slot_demand" in data and data["slot_demand"] is not None:
         config.slot_demand = ResourceVector.of(*data["slot_demand"])
     if "delays" in data:
-        config.delays = DelayModel(**data["delays"])
+        config.delays = DelayModel(**_section("delays", DelayModel, data["delays"]))
     if "costs" in data:
-        config.costs = CostModel(**data["costs"])
+        config.costs = CostModel(**_section("costs", CostModel, data["costs"]))
     if "users" in data:
-        config.users = [UserSpec(**u) for u in data["users"]]
+        config.users = [UserSpec(**_section(f"users[{i}]", UserSpec, u))
+                        for i, u in enumerate(_list("users", data["users"]))]
     if "machine_profiles" in data:
-        config.machine_profiles = [
-            ClusterProfile(p["profile_id"],
-                           {int(k): float(v) for k, v in p["probabilities"].items()})
-            for p in data["machine_profiles"]
-        ]
+        config.machine_profiles = []
+        for i, p in enumerate(_list("machine_profiles", data["machine_profiles"])):
+            what = f"machine_profiles[{i}]"
+            p = _section(what, ClusterProfile, p)
+            p["probabilities"] = _probabilities(f"{what}.probabilities",
+                                                p["probabilities"])
+            config.machine_profiles.append(ClusterProfile(**p))
     if "workload" in data:
-        w = dict(data["workload"])
+        w = _section("workload", WorkloadSpec, data["workload"])
         if "constraint_probabilities" in w:
-            w["constraint_probabilities"] = {
-                int(k): float(v) for k, v in w["constraint_probabilities"].items()
-            }
+            w["constraint_probabilities"] = _probabilities(
+                "workload.constraint_probabilities", w["constraint_probabilities"])
         if "demand" in w:
             w["demand"] = _parse_demand(w["demand"])
         if "duration" in w:
             w["duration"] = _parse_duration(w["duration"])
-        try:
-            config.workload = WorkloadSpec(**w)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad workload spec: {exc}") from None
+        config.workload = WorkloadSpec(**w)
     config.validate()
     return config
 

@@ -13,12 +13,12 @@ import csv
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from operator import attrgetter
 
 from .config import ExperimentConfig, UserSpec
 from .core import (ConstraintBitmap, ConstraintSet, Partition, ResourceVector,
-                   TaskRequest, WorkerNode)
+                   TaskRequest, WorkerNode, iter_ordinals)
 from .engine import EventLoop, Network
 from .errors import ConfigurationError, SimulationError
 from .fairness import QueueSet, UserQueue
@@ -125,10 +125,10 @@ def _eligible(nodes: list[WorkerNode], members: list, tasks: list[TaskRequest]
 
 
 def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
-                users: list[UserSpec]):
+                users: list[UserSpec], *, audit: bool = False):
     loop = EventLoop(event_cap=config.event_cap)
     network = Network(loop, config.delays)
-    collector = MetricsCollector()
+    collector = MetricsCollector(audit=audit)
     label = "centralized" if config.scheduler == "centralized" else "megha"
     dim = config.worker_capacity.dimension
 
@@ -289,7 +289,13 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
 
 
 def check_snapshot_cache(lm: LocalMaster) -> None:
-    """The running index and every cached NodeSnapshot equal a fresh rebuild."""
+    """The running index and every cached snapshot equal a fresh rebuild.
+
+    Cached per-node snapshots must be current.  A cached per-partition list
+    must line up with the partition's node ids and hold, for every node not
+    marked stale, that node's cached snapshot; a stale mark must name a live
+    node of that partition.
+    """
     by_node: dict[str, dict[str, RunningTaskInfo]] = {}
     for task_id in sorted(lm.running):
         rt = lm.running[task_id]
@@ -310,18 +316,59 @@ def check_snapshot_cache(lm: LocalMaster) -> None:
         )
         if cached != fresh:
             raise SimulationError(f"stale cached snapshot of {node_id}")
+    for pid, stale in lm.stale.items():
+        for node_id in stale:
+            node = lm.nodes.get(node_id)
+            if node is None or node.partition_id != pid:
+                raise SimulationError(f"{pid}: stale mark on {node_id}, not a live member")
+    for pid, cached_list in lm.partition_nodes.items():
+        node_ids = lm.partitions[pid].node_ids
+        if len(cached_list) != len(node_ids):
+            raise SimulationError(
+                f"{pid}: cached list has {len(cached_list)} nodes, partition {len(node_ids)}")
+        stale = lm.stale[pid]
+        for node_id, cached in zip(node_ids, cached_list):
+            if node_id not in stale and cached is not lm.node_snapshots.get(node_id):
+                raise SimulationError(f"{pid}: cached list entry of {node_id} is stale")
 
 
-def check_match_memo(gm: GlobalMaster) -> None:
-    """Every memoised match miss is still a miss, with its counts, on the view."""
+def check_view_index(gm: GlobalMaster) -> None:
+    """Every view partition's masks and overlay agree with a rebuild.
+
+    Each cached fit mask must equal one rebuilt from `available`, each
+    candidate mask one rebuilt from the bitmap; outside the deduction
+    overlay `available` must equal the snapshot; and `match` must return
+    what a first-fit walk over the candidates returns, counts included.
+    """
     for (lm_id, pid), part in gm.view.partitions.items():
-        for (ids, quantities), counts in part.misses.items():
-            found = part.scan(ConstraintSet(ids), ResourceVector(quantities))
-            if found != (None, *counts):
-                raise SimulationError(
-                    f"{gm.gm_id}: memoised miss on {lm_id}/{pid} for constraints "
-                    f"{sorted(ids)} demand {quantities} rescans as {found}"
-                )
+        where = f"{gm.gm_id}: view of {lm_id}/{pid}"
+        if part.bitmap.snapshot_bits() != part.bits or part.bitmap.length != len(part.nodes):
+            raise SimulationError(f"{where}: bitmap != snapshot bits")
+        for ordinal, node in enumerate(part.nodes):
+            if ordinal not in part.deducted and part.available[ordinal] != node.available:
+                raise SimulationError(f"{where}: node {node.node_id} differs from its "
+                                      f"snapshot outside the deduction overlay")
+        for want, fit in part.fits.items():
+            demand = ResourceVector(want)
+            if fit != sum(1 << o for o, have in enumerate(part.available)
+                          if have.geq(demand)):
+                raise SimulationError(f"{where}: fit mask for {want} drifted")
+        for ids, cand in part.cands.items():
+            constraints = ConstraintSet(ids)
+            mask, word_ops = part.bitmap.candidates(constraints)
+            if cand != (mask, word_ops + part.bitmap.words):
+                raise SimulationError(f"{where}: candidate mask for {sorted(ids)} drifted")
+            for want, fit in part.fits.items():
+                # walk the candidates; the fit mask was just checked against `available`
+                hit, checked = None, 0
+                for ordinal in iter_ordinals(mask):
+                    checked += 1
+                    if fit >> ordinal & 1:
+                        hit = ordinal
+                        break
+                if part.match(constraints, ResourceVector(want)) != (hit, cand[1], checked):
+                    raise SimulationError(
+                        f"{where}: match for {sorted(ids)} demand {want} != first-fit walk")
 
 
 class InvariantChecker:
@@ -339,14 +386,15 @@ class InvariantChecker:
             check_snapshot_cache(lm)
         check_structure(self.lms, self.gms)
         for gm in self.gms:
-            check_match_memo(gm)
+            check_view_index(gm)
 
 
 # -- running -------------------------------------------------------------------
 
 
-def run_experiment(config: ExperimentConfig, *, check_invariants: bool = False
-                   ) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, *, check_invariants: bool = False,
+                   audit: bool = False) -> ExperimentResult:
+    """Run one simulation; `audit` keeps the launch and preemption audit entries."""
     config.validate()
     users = effective_users(config)
     tasks = build_workload(config, users)
@@ -354,7 +402,7 @@ def run_experiment(config: ExperimentConfig, *, check_invariants: bool = False
     if config.scheduler == "sparrow":
         loop, collector, _, _ = build_sparrow(config, tasks)
     else:
-        loop, collector, lms, gms = build_megha(config, tasks, users)
+        loop, collector, lms, gms = build_megha(config, tasks, users, audit=audit)
         if check_invariants:
             loop.post_event_hook = InvariantChecker(lms, gms)
     loop.run()
@@ -421,11 +469,28 @@ def write_reports(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> d
     return paths
 
 
+def write_audits(result: ExperimentResult, out_dir: str) -> dict[str, str]:
+    """Write the audit entries of a run made with `audit=True`, one JSON line each."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for name, entries in (("launches", result.audit_launches),
+                          ("preemptions", result.audit_preemptions)):
+        paths[name] = os.path.join(out_dir, f"audit_{name}.jsonl")
+        with open(paths[name], "w") as handle:
+            for entry in entries:
+                if is_dataclass(entry):
+                    entry = asdict(entry)
+                handle.write(json.dumps(entry, sort_keys=True))
+                handle.write("\n")
+    return paths
+
+
 SWEEP_AXES = ("workers", "gm_count", "lm_count", "load")
 
 
 def sweep(config: ExperimentConfig, axis: str, values: list[float],
-          *, check_invariants: bool = False) -> list[tuple[float, ExperimentResult]]:
+          *, check_invariants: bool = False, audit: bool = False
+          ) -> list[tuple[float, ExperimentResult]]:
     """Run the config once per value of one axis."""
     if axis not in SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r} (want one of {SWEEP_AXES})")
@@ -440,5 +505,6 @@ def sweep(config: ExperimentConfig, axis: str, values: list[float],
             variant.lm_count = int(value)
         else:
             variant.workload.load_factor = float(value)
-        results.append((value, run_experiment(variant, check_invariants=check_invariants)))
+        results.append((value, run_experiment(variant, check_invariants=check_invariants,
+                                              audit=audit)))
     return results

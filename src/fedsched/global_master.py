@@ -161,7 +161,8 @@ class GlobalMaster:
             self.view, run, self.queues.by_user[run.request.user_id], self.shares,
             self.queues.by_user, self.violation_metric, at, self.gm_id,
         )
-        self.collector.audit_preemptions.append(audit)
+        if self.collector.audit:
+            self.collector.audit_preemptions.append(audit)
         cost = audit.nodes_scanned * self.costs.gm_node_check
         if guard == GUARD_FAILURE or plan is None:
             return cost, ("reinsert",)

@@ -10,8 +10,13 @@ heartbeat pushes the full state to every GM.
 Snapshot state is kept incrementally rather than rebuilt per message: a
 per-node running index (`running_on`) is updated on launch and release, and
 each node's `NodeSnapshot` is cached until a launch, release, or carve-out
-changes that node.  A message therefore rebuilds only the nodes touched
-since the previous one.
+changes that node.  Each partition also keeps its list of node snapshots,
+aligned with `Partition.node_ids`; `_touch` marks a changed node stale, and
+the next snapshot of its partition patches only the stale ordinals.  A
+carve-out or the destruction of a logical node changes the partition's
+node list, so its snapshot list is dropped and rebuilt from the per-node
+cache.  A message therefore rebuilds only the nodes touched since the
+previous one, and untouched nodes keep their `NodeSnapshot` objects.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ class LocalMaster:
         self.running: dict[str, RunningTask] = {}
         self.running_on: dict[str, dict[str, RunningTaskInfo]] = {}
         self.node_snapshots: dict[str, NodeSnapshot] = {}
+        self.partition_nodes: dict[str, list[NodeSnapshot]] = {}
+        self.stale: dict[str, set[str]] = {}  # partition -> touched node ids
         self.consumed: dict[str, ResourceVector] = {}
         self.gms: list = []  # GlobalMaster handles, wired by the experiment builder
         self._logical_seq = 0
@@ -83,6 +90,7 @@ class LocalMaster:
     def add_partition(self, partition: Partition) -> None:
         self.partitions[partition.partition_id] = partition
         self.partition_by_owner[partition.owner_gm_id] = partition
+        self.stale[partition.partition_id] = set()
 
     def add_node(self, node: WorkerNode) -> None:
         self.nodes[node.node_id] = node
@@ -109,11 +117,30 @@ class LocalMaster:
         self.node_snapshots[node_id] = snap
         return snap
 
+    def _touch(self, node: WorkerNode) -> None:
+        """The node changed: forget its snapshot and mark it stale in its partition."""
+        self.node_snapshots.pop(node.node_id, None)
+        self.stale[node.partition_id].add(node.node_id)
+
+    def _reshape(self, partition_id: str) -> None:
+        """The partition's node list changed: its snapshot list is rebuilt next time."""
+        self.partition_nodes.pop(partition_id, None)
+        self.stale[partition_id].clear()
+
     def partition_snapshot(self, partition_id: str) -> PartitionSnapshot:
         partition = self.partitions[partition_id]
-        cached = self.node_snapshots.get
-        nodes = [cached(node_id) or self._node_snapshot(node_id)
-                 for node_id in partition.node_ids]
+        nodes = self.partition_nodes.get(partition_id)
+        stale = self.stale[partition_id]
+        if nodes is None:
+            cached = self.node_snapshots.get
+            nodes = self.partition_nodes[partition_id] = [
+                cached(node_id) or self._node_snapshot(node_id)
+                for node_id in partition.node_ids]
+        elif stale:
+            ordinal = partition.node_ids.index
+            for node_id in stale:
+                nodes[ordinal(node_id)] = self._node_snapshot(node_id)
+        stale.clear()
         return PartitionSnapshot(
             partition_id=partition_id,
             lm_id=self.lm_id,
@@ -179,7 +206,9 @@ class LocalMaster:
 
     def _audit(self, req: LaunchRequest | RepartitionRequest, kind: str, node_id: str,
                node: WorkerNode | None, ok: bool, done: float) -> None:
-        """Record a launch or repartition validation for the acceptance checks."""
+        """Record a launch or repartition validation when auditing is on."""
+        if not self.collector.audit:
+            return
         self.collector.audit_launches.append({
             "time": done, "lm_id": self.lm_id, "gm_id": req.gm_id,
             "task_id": req.task_id, "node_id": node_id, "kind": kind,
@@ -209,7 +238,7 @@ class LocalMaster:
             task_id=request.task_id, user_id=request.user_id, demand=request.demand,
             launch_time=deliver_at,
         )
-        self.node_snapshots.pop(node.node_id, None)
+        self._touch(node)
         self.consumed[request.user_id] = (
             self.consumed.get(request.user_id, ResourceVector.zeros(self.resource_dim))
             + request.demand
@@ -281,9 +310,10 @@ class LocalMaster:
             parent_node=source.node_id,
         )
         source.available = source.available - req.demand
-        self.node_snapshots.pop(source.node_id, None)
+        self._touch(source)
         self.nodes[logical.node_id] = logical
         target.append_node(logical.node_id, logical.machine_constraints)
+        self._reshape(target.partition_id)
         self.collector.bump("repartitions")
         run.metrics.repartitioned = True
 
@@ -347,12 +377,13 @@ class LocalMaster:
         del on_node[rt.run.request.task_id]
         if not on_node:
             del self.running_on[node.node_id]
-        self.node_snapshots.pop(node.node_id, None)  # evicts a logical node for good
+        self._touch(node)  # evicts a logical node for good
         if node.is_logical:
             parent = self.nodes[node.parent_node]
             parent.available = parent.available + node.capacity
-            self.node_snapshots.pop(parent.node_id, None)
+            self._touch(parent)
             self.partitions[node.partition_id].remove_node(node.node_id)
+            self._reshape(node.partition_id)
             del self.nodes[node.node_id]
             touched.append(parent.partition_id)
         else:

@@ -132,11 +132,17 @@ COUNTER_KEYS = (
 
 
 class MetricsCollector:
-    """Accumulates records, counters, and audit entries for one simulation."""
+    """Accumulates records, counters, and audit entries for one simulation.
 
-    def __init__(self) -> None:
+    Audit entries (one per launch or repartition validation and one per
+    preemption decision) are kept only when `audit` is on: a long run would
+    otherwise hold one of each in memory for every decision.
+    """
+
+    def __init__(self, *, audit: bool = False) -> None:
         self.records: list[AllocationRecord] = []
         self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
+        self.audit = audit
         self.audit_launches: list[dict] = []
         self.audit_preemptions: list[dict] = []
         self.unschedulable: list[str] = []

@@ -7,13 +7,22 @@ partition and replace the LM's slice of the view wholesale, while other
 responses and notifications piggyback just the partitions they touched.  Each
 snapshot carries the LM-side timestamp at which it was taken and the LM's
 per-user consumption, and merges never move a view backwards in time.
+
+Both ends keep this state incrementally.  The LM hands over the same
+`NodeSnapshot` object for every node it has not touched since the last
+message, and a GM's `ViewPartition` re-reads only the nodes whose object
+changed, plus those it deducted from itself, so the host cost of a merge
+follows the nodes that changed rather than the partition's size.  The
+simulated merge charge still counts every node carried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ge, is_not
 
-from .core import ConstraintBitmap, ConstraintSet, ResourceVector, iter_ordinals
+from .core import ConstraintBitmap, ConstraintSet, ResourceVector
 
 
 @dataclass(frozen=True)
@@ -67,65 +76,100 @@ class ViewPartition:
 
     `nodes` is the LM's snapshot of each node, kept as received; `available`
     is the GM's mutable copy of their availability, which deductions shrink.
+    `deducted` is the overlay: the ordinals deducted from since the last
+    refresh, the only ones where `available` may differ from `nodes`.
 
-    Misses of `match` are memoised per (constraint ids, demand) until the
-    next `refresh`.  Between refreshes the bitmap is fixed and `deduct` only
-    shrinks availability, so a miss stays a miss over the same candidates
-    and the memo returns exactly the counts a rescan would.
+    `match` answers first-fit with two bit masks instead of a walk:
+    `fits[demand]` has bit j set iff `available[j]` covers that demand, and
+    `cands[constraint ids]` holds the candidate mask and its word-op charge.
+    Both are kept incrementally.  The LM hands over the same `NodeSnapshot`
+    object for a node it has not touched, so `refresh` re-reads only the
+    ordinals whose object changed plus the overlay, which is the same as
+    overwriting the whole partition.  A change in node count or in the
+    constraint bits rebuilds everything.
     """
 
     __slots__ = ("partition_id", "lm_id", "owner_gm_id", "nodes", "available",
-                 "bitmap", "misses")
+                 "bits", "bitmap", "deducted", "fits", "cands")
 
     def __init__(self, snapshot: PartitionSnapshot) -> None:
         self.partition_id = snapshot.partition_id
         self.lm_id = snapshot.lm_id
         self.owner_gm_id = snapshot.owner_gm_id
-        self.refresh(snapshot)
+        self._rebuild(snapshot)
 
-    def refresh(self, snapshot: PartitionSnapshot) -> None:
+    def _rebuild(self, snapshot: PartitionSnapshot) -> None:
         self.nodes = snapshot.nodes
         self.available = [n.available for n in snapshot.nodes]
+        self.bits = snapshot.bits
         self.bitmap = ConstraintBitmap(
             snapshot.constraint_count, len(snapshot.nodes), list(snapshot.bits)
         )
-        self.misses: dict[tuple[frozenset[int], tuple[int, ...]], tuple[int, int]] = {}
+        self.deducted: set[int] = set()
+        self.fits: dict[tuple[int, ...], int] = {}
+        self.cands: dict[frozenset[int], tuple[int, int]] = {}
+
+    def refresh(self, snapshot: PartitionSnapshot) -> None:
+        """Take a newer snapshot: re-read the changed nodes and the overlay."""
+        old, nodes = self.nodes, snapshot.nodes
+        if len(old) != len(nodes) or snapshot.bits != self.bits:
+            self._rebuild(snapshot)
+            return
+        self.nodes = nodes
+        changed = self.deducted
+        changed.update(compress(range(len(nodes)), map(is_not, old, nodes)))
+        self.deducted = set()
+        available = self.available
+        for ordinal in changed:
+            available[ordinal] = have = nodes[ordinal].available
+            self._set_fits(ordinal, have)
+
+    def _set_fits(self, ordinal: int, have: ResourceVector) -> None:
+        """Set or clear this ordinal's bit in every fit mask."""
+        fits = self.fits
+        bit = 1 << ordinal
+        for want, fit in fits.items():
+            fits[want] = fit | bit if _covers(have, want) else fit & ~bit
 
     def match(self, constraints: ConstraintSet, demand: ResourceVector
               ) -> tuple[int | None, int, int]:
         """First node ordinal satisfying constraints and viewed availability.
 
-        Returns (ordinal or None, word_ops, nodes_checked).  Candidates come
-        from intersecting the constraint bit vectors; they are then scanned in
-        ascending ordinal order for sufficient viewed resources.  A repeated
-        miss is answered from the memo with the counts of the original scan.
+        Returns (ordinal or None, word_ops, nodes_checked): the counts of a
+        walk that intersects the constraint bit vectors, then checks the
+        candidates in ascending ordinal order for sufficient viewed
+        resources, stopping at the first that fits.
         """
-        key = (constraints.ids, demand.quantities)
-        miss = self.misses.get(key)
-        if miss is not None:
-            return None, miss[0], miss[1]
-        found = self.scan(constraints, demand)
-        if found[0] is None:
-            self.misses[key] = found[1:]
-        return found
-
-    def scan(self, constraints: ConstraintSet, demand: ResourceVector
-             ) -> tuple[int | None, int, int]:
-        """`match` without the memo: always walks the candidates."""
-        mask, word_ops = self.bitmap.candidates(constraints)
-        word_ops += self.bitmap.words  # one scan pass over the candidate words
-        checked = 0
-        for ordinal in iter_ordinals(mask):
-            checked += 1
-            if self.available[ordinal].geq(demand):
-                return ordinal, word_ops, checked
-        return None, word_ops, checked
+        cand = self.cands.get(constraints.ids)
+        if cand is None:
+            mask, word_ops = self.bitmap.candidates(constraints)
+            # plus one scan pass over the candidate words
+            cand = self.cands[constraints.ids] = (mask, word_ops + self.bitmap.words)
+        mask, word_ops = cand
+        want = demand.quantities
+        fit = self.fits.get(want)
+        if fit is None:
+            fit = self.fits[want] = sum(1 << ordinal
+                                        for ordinal, have in enumerate(self.available)
+                                        if _covers(have, want))
+        hit = mask & fit
+        if hit:
+            low = hit & -hit
+            return low.bit_length() - 1, word_ops, (mask & ((low << 1) - 1)).bit_count()
+        return None, word_ops, mask.bit_count()
 
     def deduct(self, ordinal: int, demand: ResourceVector) -> None:
         self.available[ordinal] = self.available[ordinal] - demand
+        self.deducted.add(ordinal)
+        self._set_fits(ordinal, self.available[ordinal])
 
     def node_satisfies(self, ordinal: int, constraints: ConstraintSet) -> bool:
         return all(self.bitmap.satisfies(cid, ordinal) for cid in constraints)
+
+
+def _covers(have: ResourceVector, want: tuple[int, ...]) -> bool:
+    """`have.geq` against a demand's quantities."""
+    return all(map(ge, have.quantities, want))
 
 
 class ClusterView:

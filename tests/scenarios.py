@@ -88,7 +88,7 @@ def build_cluster(
     """
     loop = EventLoop()
     network = Network(loop, delays or DelayModel())
-    collector = MetricsCollector()
+    collector = MetricsCollector(audit=True)
 
     gm_ids = sorted({gm_id for spec in lm_specs.values() for gm_id in spec})
     lms = []

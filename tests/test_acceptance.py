@@ -74,19 +74,19 @@ def _conservation_runs():
             gm_count=2, lm_count=2, workers_per_lm=8,
             workload=WorkloadSpec(count=300, rate=200.0, duration=0.5,
                                   demand=ResourceVector.of(16, 4096)),
-            seed=29), check_invariants=True)
+            seed=29), check_invariants=True, audit=True)
         fairness = _run(_config(
             gm_count=4, lm_count=2, workers_per_lm=6,
             users=[UserSpec("uA", 0.10, 0), UserSpec("uB", 0.25, 1),
                    UserSpec("uC", 0.15, 2), UserSpec("uD", 0.50, 3)],
             workload=WorkloadSpec(count=400, rate=400.0, duration=1.0,
                                   demand=ResourceVector.of(16, 4096)),
-            seed=31), check_invariants=True)
+            seed=31), check_invariants=True, audit=True)
         central = _run(_config(
             scheduler="centralized", gm_count=1, lm_count=1, workers_per_lm=16,
             workload=WorkloadSpec(count=200, rate=100.0, duration=1.0,
                                   demand=ResourceVector.of(16, 4096)),
-            seed=37), check_invariants=True)
+            seed=37), check_invariants=True, audit=True)
         return [contended, fairness, central]
     return _cached("conservation", build)
 
@@ -149,7 +149,7 @@ def _fairness_sweep():
             workload=WorkloadSpec(count=1000, rate=2000.0, duration=3.0,
                                   demand=ResourceVector.of(16, 4096)),
             seed=17)
-        results = sweep(config, "workers", [50, 125, 250])
+        results = sweep(config, "workers", [50, 125, 250], audit=True)
         _ALL_RUNS.extend(r for _, r in results)
         return results
     return _cached("fairness", build)

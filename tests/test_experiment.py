@@ -165,6 +165,11 @@ MALFORMED = {
     "demand mixture weight total": (
         {}, {"demand": [[[4, 1024], 0.0], [[8, 2048], 0.0]]}),
     "delay override kind": ({"delays": {"overrides": {"launch-request": 5.0}}}, {}),
+    "machine profile without probabilities": (
+        {"machine_profiles": [{"profile_id": "p"}]}, {}),
+    "unknown delays key": ({"delays": {"network_dealy": 0.001}}, {}),
+    "unknown costs key": ({"costs": {"gm_word_opp": 1e-6}}, {}),
+    "user without share": ({"users": [{"user_id": "a"}]}, {}),
 }
 
 
@@ -182,6 +187,14 @@ def test_malformed_config_rejected_before_running(case, scheduler, tmp_path, cap
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_validate_config_names_the_malformed_section(tmp_path, capsys):
+    path = write_config(tmp_path, {"machine_profiles": [{"profile_id": "p"}]})
+    assert main(["validate-config", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "machine_profiles[0]" in err and "probabilities" in err
+    assert "Traceback" not in err
 
 
 def test_trace_demand_dimension_must_match_workers(tmp_path):
@@ -348,7 +361,7 @@ def test_cli_livelock_exits_3(tmp_path, capsys):
 
 
 def test_cli_simulation_error_exits_4(tmp_path, capsys, monkeypatch):
-    def never_completes(config, *, check_invariants=False):
+    def never_completes(config, *, check_invariants=False, audit=False):
         raise SimulationError("3 tasks never completed")
 
     monkeypatch.setattr("fedsched.cli.run_experiment", never_completes)
@@ -356,6 +369,26 @@ def test_cli_simulation_error_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", path, "--out-dir", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err == "simulation error: 3 tasks never completed\n"
+
+
+def test_audits_are_kept_only_when_asked_for(tmp_path, capsys):
+    data = base_data(gm_count=1, lm_count=1, workers_per_lm=2, workload={
+        "kind": "synthetic", "count": 8, "rate": 50.0, "duration": 0.2,
+        "demand": [64, 16384]})
+    assert run_experiment(config_from_dict(data)).audit_launches == []
+    audited = run_experiment(config_from_dict(data), audit=True)
+    assert len([e for e in audited.audit_launches if e["ok"]]) == 8
+
+    path = write_config(tmp_path, data)
+    plain, out = tmp_path / "plain", tmp_path / "audited"
+    assert main(["run", "--config", path, "--out-dir", str(plain)]) == 0
+    assert not list(plain.glob("audit_*"))
+    assert main(["run", "--config", path, "--out-dir", str(out), "--audit"]) == 0
+    assert "audit_launches.jsonl" in capsys.readouterr().out
+    lines = (out / "audit_launches.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == json.loads(json.dumps(
+        audited.audit_launches))
+    assert (out / "audit_preemptions.jsonl").exists()
 
 
 def test_cli_sweep(tmp_path, capsys):

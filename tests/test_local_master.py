@@ -47,7 +47,7 @@ def one_lm(spec, *, costs=ZERO_COSTS, heartbeat_period=10.0, constraint_count=21
     """spec: gm_id -> [(node_id, capacity, machine_constraints)]."""
     loop = EventLoop()
     network = Network(loop, DelayModel())
-    collector = MetricsCollector()
+    collector = MetricsCollector(audit=True)
     lm = LocalMaster("lm0", loop, network, costs, collector,
                      heartbeat_period=heartbeat_period)
     for j, gm_id in enumerate(sorted(spec)):
@@ -587,3 +587,56 @@ def test_repartition_of_a_physical_node_invalidates_its_snapshot():
     assert seen["two"]["N"].available == rv(5, 11264)
     assert seen["two"]["N"] is not seen["one"]["N"]
     assert_snapshots_fresh(lm)
+
+
+def test_partition_list_keeps_untouched_entries_across_messages():
+    lm, gms, loop, collector = one_lm({"gm0": [
+        ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs()), ("n2", rv(4, 8192), cs())]})
+    before = lm.partition_snapshot("lm0-p0").nodes
+    cached = lm.partition_nodes["lm0-p0"]
+    launch(lm, loop, collector, node_id="n1", demand=rv(2, 4096), task_id="t1")
+    loop.run()
+
+    (_, resp), = gms["gm0"].launch_responses
+    (_, done), = gms["gm0"].completions
+    for message in (resp, done):
+        nodes = message.state.partitions[0].nodes
+        assert nodes[0] is before[0] and nodes[2] is before[2]
+        assert nodes[1] is not before[1]
+    assert resp.state.partitions[0].nodes[1].running[0].task_id == "t1"
+    assert done.state.partitions[0].nodes[1].running == ()
+    assert lm.partition_nodes["lm0-p0"] is cached  # patched in place
+    assert lm.stale["lm0-p0"] == set()
+    check_snapshot_cache(lm)
+
+
+def test_carve_out_and_logical_node_destruction_rebuild_the_partition_list():
+    lm, gms, loop, collector = one_lm({
+        "gm0": [("N", rv(8, 16384), cs()), ("M", rv(8, 16384), cs())],
+        "gm1": [("K", rv(8, 16384), cs())]})
+    lm.snapshot(0.0)
+    lists = dict(lm.partition_nodes)
+    k = lists["lm0-p1"][0]
+    repartition(lm, loop, collector, source="N", demand=rv(2, 4096), duration=1.0)
+    seen = {}
+
+    def carved(t):
+        seen["carved"] = lm.partition_nodes["lm0-p1"]
+        check_snapshot_cache(lm)
+
+    loop.schedule(0.5, carved)
+    loop.run()
+
+    (_, resp), = gms["gm1"].launch_responses
+    source, target = resp.state.partitions
+    assert [n.node_id for n in target.nodes] == ["K", "N.l1"]
+    assert target.nodes[0] is k
+    assert seen["carved"] is not lists["lm0-p1"]  # the carve-out dropped the list
+    assert lm.partition_nodes["lm0-p0"] is lists["lm0-p0"]  # the source was patched
+    # the logical node's destruction dropped the carved list in turn
+    assert lm.partition_nodes["lm0-p1"] is not seen["carved"]
+    (_, done), = gms["gm1"].completions
+    assert [n.node_id for n in done.state.partitions[0].nodes] == ["K"]
+    assert done.state.partitions[0].nodes[0] is k
+    assert lm.stale == {"lm0-p0": set(), "lm0-p1": set()}
+    check_snapshot_cache(lm)

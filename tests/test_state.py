@@ -1,5 +1,6 @@
 """Snapshots, the per-GM cluster view, and view merge monotonicity."""
 
+import dataclasses
 import random
 
 from fedsched.core import ConstraintBitmap, ConstraintSet, ResourceVector
@@ -110,47 +111,155 @@ class TestViewPartitionMatch:
         assert ordinal is None
 
 
-def _memo_partition(first=rv(2, 200)):
-    return make_partition_snapshot(nodes=[
-        ("a", ConstraintSet.of(1), first),
-        ("b", ConstraintSet.empty(), rv(8, 800)),
-        ("c", ConstraintSet.of(1, 2), rv(3, 300)),
-    ])
+def first_fit_walk(sets, avail, constraints, demand):
+    """(ordinal, checked) of a naive walk: every node in ordinal order, counting
+    the candidates looked at until the first that fits."""
+    checked = 0
+    for ordinal, (machine, have) in enumerate(zip(sets, avail)):
+        if machine.issuperset(constraints):
+            checked += 1
+            if have.geq(demand):
+                return ordinal, checked
+    return None, checked
 
 
-class TestViewPartitionMissMemo:
-    def test_miss_after_deduct_returns_the_same_counts(self):
-        part = ViewPartition(_memo_partition())
+def assert_matches_oracles(part, sets, avail, queries):
+    """`match` agrees with the brute-force oracle and the naive walk's count."""
+    for constraints, demand in queries:
+        ordinal, _, checked = part.match(constraints, demand)
+        assert ordinal == brute_force_match(sets, avail, constraints, demand)
+        assert (ordinal, checked) == first_fit_walk(sets, avail, constraints, demand)
+
+
+INDEX_SETS = [ConstraintSet.of(1), ConstraintSet.empty(), ConstraintSet.of(1, 2),
+              ConstraintSet.of(2), ConstraintSet.of(1)]
+INDEX_QUERIES = [(c, rv(*d)) for c in (ConstraintSet.empty(), ConstraintSet.of(1),
+                                      ConstraintSet.of(1, 2), ConstraintSet.of(3))
+                 for d in ((1, 100), (3, 300), (4, 400), (9, 900))]
+
+
+def index_snapshot(avail, sets=INDEX_SETS):
+    return make_partition_snapshot(
+        nodes=[(f"n{i}", c, a) for i, (c, a) in enumerate(zip(sets, avail))])
+
+
+class TestViewPartitionIndex:
+    """`match` over the kept fit and candidate masks equals a fresh walk."""
+
+    AVAIL = [rv(2, 200), rv(8, 800), rv(3, 300), rv(4, 400), rv(1, 100)]
+
+    def test_hits_and_misses(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        hit = part.match(ConstraintSet.of(1), rv(3, 300))
         miss = part.match(ConstraintSet.of(1), rv(4, 400))
-        assert miss[0] is None and miss[2] == 2  # a and c are the candidates
-        assert len(part.misses) == 1
-        part.deduct(2, rv(1, 100))
-        assert part.match(ConstraintSet.of(1), rv(4, 400)) == miss
-        assert part.scan(ConstraintSet.of(1), rv(4, 400)) == miss
+        assert (hit[0], hit[2]) == (2, 2)  # n0 too small, n2 fits
+        assert (miss[0], miss[2]) == (None, 3)  # n0, n2 and n4 checked
+        assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
 
-    def test_refresh_that_frees_capacity_turns_the_miss_into_a_hit(self):
-        part = ViewPartition(_memo_partition())
-        assert part.match(ConstraintSet.of(1), rv(4, 400))[0] is None
-        part.refresh(_memo_partition(first=rv(4, 400)))
-        assert part.misses == {}
-        ordinal, _, checked = part.match(ConstraintSet.of(1), rv(4, 400))
-        assert (ordinal, checked) == (0, 1)
+    def test_empty_constraints_check_every_node_in_order(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        ordinal, word_ops, checked = part.match(ConstraintSet.empty(), rv(4, 400))
+        assert (ordinal, word_ops, checked) == (1, 1, 2)  # no AND, one scan word
+        assert part.match(ConstraintSet.empty(), rv(9, 900))[1:] == (1, 5)
 
-    def test_other_demands_are_not_served_from_the_memo(self):
-        part = ViewPartition(_memo_partition())
-        assert part.match(ConstraintSet.of(1), rv(4, 400))[0] is None
-        ordinal, _, checked = part.match(ConstraintSet.of(1), rv(3, 300))
-        assert (ordinal, checked) == (2, 2)
-        ordinal, _, _ = part.match(ConstraintSet.empty(), rv(4, 400))
-        assert ordinal == 1
-        assert list(part.misses) == [(frozenset({1}), (4, 400))]
+    def test_two_demands_share_one_partition(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        assert part.match(ConstraintSet.empty(), rv(3, 300))[0] == 1
+        assert part.match(ConstraintSet.empty(), rv(1, 100))[0] == 0
+        assert sorted(part.fits) == [(1, 100), (3, 300)]
+        part.deduct(1, rv(6, 600))  # n1 now covers (1, 100) but not (3, 300)
+        avail = [*self.AVAIL[:1], rv(2, 200), *self.AVAIL[2:]]
+        assert part.match(ConstraintSet.empty(), rv(3, 300))[0] == 2
+        assert part.match(ConstraintSet.empty(), rv(1, 100))[0] == 0
+        assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
 
-    def test_hits_are_never_memoised(self):
-        part = ViewPartition(_memo_partition())
-        assert part.match(ConstraintSet.of(1), rv(2, 200))[0] == 0
-        part.deduct(0, rv(2, 200))
-        assert part.match(ConstraintSet.of(1), rv(2, 200))[0] == 2
-        assert part.misses == {}
+    def test_deduct_clears_the_bit_in_every_fit_mask(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
+        part.deduct(2, rv(3, 300))
+        part.deduct(1, rv(5, 500))
+        assert part.deducted == {1, 2}
+        avail = [rv(2, 200), rv(3, 300), rv(0, 0), rv(4, 400), rv(1, 100)]
+        assert part.available == avail
+        assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
+
+    def test_refresh_rereads_a_changed_node(self):
+        first = index_snapshot(self.AVAIL)
+        part = ViewPartition(first)
+        assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
+        changed = NodeSnapshot(node_id="n4", available=rv(9, 900), is_logical=False,
+                               parent_node=None, running=())
+        part.refresh(dataclasses.replace(first, nodes=first.nodes[:4] + (changed,)))
+        avail = self.AVAIL[:4] + [rv(9, 900)]
+        assert part.available == avail
+        assert part.match(ConstraintSet.of(1), rv(9, 900))[0] == 4
+        assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
+
+    def test_refresh_without_changed_nodes_undoes_deductions(self):
+        first = index_snapshot(self.AVAIL)
+        part = ViewPartition(first)
+        assert part.match(ConstraintSet.of(1), rv(3, 300))[0] == 2
+        part.deduct(2, rv(3, 300))
+        assert part.match(ConstraintSet.of(1), rv(3, 300))[0] is None
+        # the same node objects again: only the overlay is re-read
+        part.refresh(dataclasses.replace(first, nodes=tuple(first.nodes)))
+        assert part.deducted == set()
+        assert part.available == self.AVAIL
+        assert part.match(ConstraintSet.of(1), rv(3, 300))[0] == 2
+        assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
+
+    def test_refresh_with_a_new_node_count_rebuilds(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
+        part.deduct(0, rv(1, 100))
+        sets = INDEX_SETS + [ConstraintSet.of(3)]
+        avail = self.AVAIL + [rv(9, 900)]
+        part.refresh(index_snapshot(avail, sets))
+        assert part.deducted == set() and part.fits == {} and part.cands == {}
+        assert part.match(ConstraintSet.of(3), rv(9, 900))[0] == 5
+        assert_matches_oracles(part, sets, avail, INDEX_QUERIES)
+        part.refresh(index_snapshot(avail[:3], sets[:3]))
+        assert_matches_oracles(part, sets[:3], avail[:3], INDEX_QUERIES)
+
+    def test_refresh_with_new_constraint_bits_rebuilds(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
+        sets = INDEX_SETS[::-1]  # same node count, other constraint bits
+        part.refresh(index_snapshot(self.AVAIL, sets))
+        assert part.cands == {}
+        assert_matches_oracles(part, sets, self.AVAIL, INDEX_QUERIES)
+
+    def test_random_refresh_and_deduct_sequences_match_the_oracles(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randint(1, 70)
+            sets = [ConstraintSet.of(*[c for c in range(4) if rng.random() < 0.4])
+                    for _ in range(n)]
+            avail = [rv(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(n)]
+            snap = make_partition_snapshot(
+                nodes=[(f"n{i}", sets[i], avail[i]) for i in range(n)])
+            part = ViewPartition(snap)
+            queries = [(ConstraintSet.of(*[c for c in range(4) if rng.random() < 0.3]),
+                        rv(rng.randint(1, 8), rng.randint(1, 8))) for _ in range(4)]
+            for _ in range(6):
+                assert_matches_oracles(part, sets, avail, queries)
+                for _ in range(rng.randint(0, 3)):
+                    constraints, demand = rng.choice(queries)
+                    ordinal = part.match(constraints, demand)[0]
+                    if ordinal is not None:
+                        part.deduct(ordinal, demand)
+                        avail[ordinal] = avail[ordinal] - demand
+                assert_matches_oracles(part, sets, avail, queries)
+                # the LM's next snapshot: a few nodes change, the rest are the
+                # same objects, and every deduction is overwritten
+                nodes = list(snap.nodes)
+                avail = [n.available for n in nodes]
+                for ordinal in rng.sample(range(n), rng.randint(0, min(n, 3))):
+                    avail[ordinal] = rv(rng.randint(0, 8), rng.randint(0, 8))
+                    nodes[ordinal] = dataclasses.replace(nodes[ordinal],
+                                                         available=avail[ordinal])
+                snap = dataclasses.replace(snap, nodes=tuple(nodes))
+                part.refresh(snap)
 
 
 def two_node_snapshot(ts, avail_a, avail_b):
