@@ -17,6 +17,7 @@ bitmap and the vector operations never see either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ge
 from typing import Iterable, Iterator
 
 from .errors import ConfigurationError
@@ -68,7 +69,7 @@ class ResourceVector:
 
     def geq(self, other: "ResourceVector") -> bool:
         """True when every dimension of self is >= the same dimension of other."""
-        return all(a >= b for a, b in zip(self.quantities, other.quantities))
+        return all(map(ge, self.quantities, other.quantities))
 
     def __getitem__(self, index: int) -> int:
         return self.quantities[index]

@@ -26,7 +26,7 @@ from .global_master import GlobalMaster
 from .local_master import LocalMaster
 from .metrics import AllocationRecord, MetricsCollector, RECORD_FIELDS, summarize
 from .sparrow import ProbeScheduler
-from .state import ClusterView, NodeSnapshot, RunningTaskInfo
+from .state import FIT_MASKS, ClusterView, NodeSnapshot, RunningTaskInfo
 from .worker import FifoWorker
 from .workload import (assign_machine_constraints, assign_users,
                        augment_constraints, generate_synthetic, load_trace)
@@ -289,12 +289,11 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
 
 
 def check_snapshot_cache(lm: LocalMaster) -> None:
-    """The running index and every cached snapshot equal a fresh rebuild.
+    """The running index and every cached snapshot list equal a fresh rebuild.
 
-    Cached per-node snapshots must be current.  A cached per-partition list
-    must line up with the partition's node ids and hold, for every node not
-    marked stale, that node's cached snapshot; a stale mark must name a live
-    node of that partition.
+    A cached per-partition list must line up with the partition's node ids
+    and hold, for every node not marked stale, that node's current snapshot;
+    a stale mark must name a live node of that partition.
     """
     by_node: dict[str, dict[str, RunningTaskInfo]] = {}
     for task_id in sorted(lm.running):
@@ -305,17 +304,6 @@ def check_snapshot_cache(lm: LocalMaster) -> None:
         )
     if lm.running_on != by_node:
         raise SimulationError(f"{lm.lm_id}: running index != running tasks by node")
-    for node_id, cached in lm.node_snapshots.items():
-        node = lm.nodes.get(node_id)
-        if node is None:
-            raise SimulationError(f"{lm.lm_id}: snapshot cached for destroyed node {node_id}")
-        fresh = NodeSnapshot(
-            node_id=node_id, available=node.available, is_logical=node.is_logical,
-            parent_node=node.parent_node,
-            running=tuple(by_node.get(node_id, {}).values()),
-        )
-        if cached != fresh:
-            raise SimulationError(f"stale cached snapshot of {node_id}")
     for pid, stale in lm.stale.items():
         for node_id in stale:
             node = lm.nodes.get(node_id)
@@ -328,15 +316,24 @@ def check_snapshot_cache(lm: LocalMaster) -> None:
                 f"{pid}: cached list has {len(cached_list)} nodes, partition {len(node_ids)}")
         stale = lm.stale[pid]
         for node_id, cached in zip(node_ids, cached_list):
-            if node_id not in stale and cached is not lm.node_snapshots.get(node_id):
+            if node_id in stale:
+                continue
+            node = lm.nodes[node_id]
+            fresh = NodeSnapshot(
+                node_id=node_id, available=node.available, is_logical=node.is_logical,
+                parent_node=node.parent_node,
+                running=tuple(by_node.get(node_id, {}).values()),
+            )
+            if cached != fresh:
                 raise SimulationError(f"{pid}: cached list entry of {node_id} is stale")
 
 
 def check_view_index(gm: GlobalMaster) -> None:
     """Every view partition's masks and overlay agree with a rebuild.
 
-    Each cached fit mask must equal one rebuilt from `available`, each
-    candidate mask one rebuilt from the bitmap; outside the deduction
+    The per-dimension columns and each cached fit mask must equal ones
+    rebuilt from `available`, each candidate mask one rebuilt from the
+    bitmap, and at most FIT_MASKS fit masks are kept; outside the deduction
     overlay `available` must equal the snapshot; and `match` must return
     what a first-fit walk over the candidates returns, counts included.
     """
@@ -348,17 +345,22 @@ def check_view_index(gm: GlobalMaster) -> None:
             if ordinal not in part.deducted and part.available[ordinal] != node.available:
                 raise SimulationError(f"{where}: node {node.node_id} differs from its "
                                       f"snapshot outside the deduction overlay")
-        for want, fit in part.fits.items():
-            demand = ResourceVector(want)
+        if part.columns != [list(c) for c in zip(*(a.quantities for a in part.available))]:
+            raise SimulationError(f"{where}: columns != viewed availability")
+        if part.powers != [1 << o for o in range(len(part.nodes))]:
+            raise SimulationError(f"{where}: powers != node count")
+        if len(part.fits) > FIT_MASKS:
+            raise SimulationError(f"{where}: {len(part.fits)} fit masks, cap {FIT_MASKS}")
+        for demand, fit in part.fits.items():
             if fit != sum(1 << o for o, have in enumerate(part.available)
                           if have.geq(demand)):
-                raise SimulationError(f"{where}: fit mask for {want} drifted")
+                raise SimulationError(f"{where}: fit mask for {demand} drifted")
         for ids, cand in part.cands.items():
             constraints = ConstraintSet(ids)
             mask, word_ops = part.bitmap.candidates(constraints)
             if cand != (mask, word_ops + part.bitmap.words):
                 raise SimulationError(f"{where}: candidate mask for {sorted(ids)} drifted")
-            for want, fit in part.fits.items():
+            for demand, fit in part.fits.items():
                 # walk the candidates; the fit mask was just checked against `available`
                 hit, checked = None, 0
                 for ordinal in iter_ordinals(mask):
@@ -366,9 +368,9 @@ def check_view_index(gm: GlobalMaster) -> None:
                     if fit >> ordinal & 1:
                         hit = ordinal
                         break
-                if part.match(constraints, ResourceVector(want)) != (hit, cand[1], checked):
+                if part.match(constraints, demand) != (hit, cand[1], checked):
                     raise SimulationError(
-                        f"{where}: match for {sorted(ids)} demand {want} != first-fit walk")
+                        f"{where}: match for {sorted(ids)} demand {demand} != first-fit walk")
 
 
 class InvariantChecker:
@@ -489,8 +491,7 @@ SWEEP_AXES = ("workers", "gm_count", "lm_count", "load")
 
 
 def sweep(config: ExperimentConfig, axis: str, values: list[float],
-          *, check_invariants: bool = False, audit: bool = False
-          ) -> list[tuple[float, ExperimentResult]]:
+          *, check_invariants: bool = False) -> list[tuple[float, ExperimentResult]]:
     """Run the config once per value of one axis."""
     if axis not in SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r} (want one of {SWEEP_AXES})")
@@ -505,6 +506,5 @@ def sweep(config: ExperimentConfig, axis: str, values: list[float],
             variant.lm_count = int(value)
         else:
             variant.workload.load_factor = float(value)
-        results.append((value, run_experiment(variant, check_invariants=check_invariants,
-                                              audit=audit)))
+        results.append((value, run_experiment(variant, check_invariants=check_invariants)))
     return results

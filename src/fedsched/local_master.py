@@ -9,14 +9,14 @@ heartbeat pushes the full state to every GM.
 
 Snapshot state is kept incrementally rather than rebuilt per message: a
 per-node running index (`running_on`) is updated on launch and release, and
-each node's `NodeSnapshot` is cached until a launch, release, or carve-out
-changes that node.  Each partition also keeps its list of node snapshots,
-aligned with `Partition.node_ids`; `_touch` marks a changed node stale, and
-the next snapshot of its partition patches only the stale ordinals.  A
-carve-out or the destruction of a logical node changes the partition's
-node list, so its snapshot list is dropped and rebuilt from the per-node
-cache.  A message therefore rebuilds only the nodes touched since the
-previous one, and untouched nodes keep their `NodeSnapshot` objects.
+each partition keeps its list of `NodeSnapshot`s, aligned with
+`Partition.node_ids`.  `_touch` marks a node that a launch, release, or
+carve-out changed as stale, and the next snapshot of its partition rebuilds
+only the stale entries.  A carve-out appends to the list and the destruction
+of a logical node deletes its entry, as `Partition.append_node` and
+`remove_node` do to the node ids.  A message therefore rebuilds only the
+nodes touched since the previous one, and untouched nodes keep their
+`NodeSnapshot` objects.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class LocalMaster:
         self.partition_by_owner: dict[str, Partition] = {}
         self.running: dict[str, RunningTask] = {}
         self.running_on: dict[str, dict[str, RunningTaskInfo]] = {}
-        self.node_snapshots: dict[str, NodeSnapshot] = {}
         self.partition_nodes: dict[str, list[NodeSnapshot]] = {}
         self.stale: dict[str, set[str]] = {}  # partition -> touched node ids
         self.consumed: dict[str, ResourceVector] = {}
@@ -107,35 +106,43 @@ class LocalMaster:
     def _node_snapshot(self, node_id: str) -> NodeSnapshot:
         node = self.nodes[node_id]
         running = self.running_on.get(node_id)
-        snap = NodeSnapshot(
+        return NodeSnapshot(
             node_id=node_id,
             available=node.available,
             is_logical=node.is_logical,
             parent_node=node.parent_node,
             running=tuple(running[t] for t in sorted(running)) if running else (),
         )
-        self.node_snapshots[node_id] = snap
-        return snap
 
     def _touch(self, node: WorkerNode) -> None:
-        """The node changed: forget its snapshot and mark it stale in its partition."""
-        self.node_snapshots.pop(node.node_id, None)
+        """The node changed: mark its snapshot stale in its partition."""
         self.stale[node.partition_id].add(node.node_id)
 
-    def _reshape(self, partition_id: str) -> None:
-        """The partition's node list changed: its snapshot list is rebuilt next time."""
-        self.partition_nodes.pop(partition_id, None)
-        self.stale[partition_id].clear()
+    def _add_node(self, node: WorkerNode, partition: Partition) -> None:
+        """Append a carved-out node to the partition and its snapshot list."""
+        self.nodes[node.node_id] = node
+        partition.append_node(node.node_id, node.machine_constraints)
+        nodes = self.partition_nodes.get(partition.partition_id)
+        if nodes is not None:
+            nodes.append(self._node_snapshot(node.node_id))
+
+    def _destroy_node(self, node: WorkerNode) -> None:
+        """Remove a logical node from its partition and its snapshot list."""
+        partition = self.partitions[node.partition_id]
+        nodes = self.partition_nodes.get(partition.partition_id)
+        if nodes is not None:
+            del nodes[partition.node_ids.index(node.node_id)]
+        partition.remove_node(node.node_id)
+        self.stale[partition.partition_id].discard(node.node_id)
+        del self.nodes[node.node_id]
 
     def partition_snapshot(self, partition_id: str) -> PartitionSnapshot:
         partition = self.partitions[partition_id]
         nodes = self.partition_nodes.get(partition_id)
         stale = self.stale[partition_id]
         if nodes is None:
-            cached = self.node_snapshots.get
             nodes = self.partition_nodes[partition_id] = [
-                cached(node_id) or self._node_snapshot(node_id)
-                for node_id in partition.node_ids]
+                self._node_snapshot(node_id) for node_id in partition.node_ids]
         elif stale:
             ordinal = partition.node_ids.index
             for node_id in stale:
@@ -311,9 +318,7 @@ class LocalMaster:
         )
         source.available = source.available - req.demand
         self._touch(source)
-        self.nodes[logical.node_id] = logical
-        target.append_node(logical.node_id, logical.machine_constraints)
-        self._reshape(target.partition_id)
+        self._add_node(logical, target)
         self.collector.bump("repartitions")
         run.metrics.repartitioned = True
 
@@ -377,17 +382,15 @@ class LocalMaster:
         del on_node[rt.run.request.task_id]
         if not on_node:
             del self.running_on[node.node_id]
-        self._touch(node)  # evicts a logical node for good
         if node.is_logical:
             parent = self.nodes[node.parent_node]
             parent.available = parent.available + node.capacity
             self._touch(parent)
-            self.partitions[node.partition_id].remove_node(node.node_id)
-            self._reshape(node.partition_id)
-            del self.nodes[node.node_id]
+            self._destroy_node(node)
             touched.append(parent.partition_id)
         else:
             node.available = node.available + rt.demand
+            self._touch(node)
         self.consumed[rt.user_id] = self.consumed[rt.user_id] - rt.demand
         return touched
 

@@ -19,7 +19,7 @@ simulated merge charge still counts every node carried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import ge, is_not
 
 from .core import ConstraintBitmap, ConstraintSet, ResourceVector
@@ -66,6 +66,13 @@ class LMStateSnapshot:
         return sum(len(p.nodes) for p in self.partitions)
 
 
+# Fit masks kept per view partition.  Every deduction and every re-read node
+# updates each kept mask, so the cap bounds that cost when tasks bring many
+# distinct demands; past it the oldest mask is evicted, and a demand that
+# comes back rebuilds its mask from `columns`.
+FIT_MASKS = 8
+
+
 class ViewPartition:
     """One partition as last reported by its LM, plus optimistic deductions.
 
@@ -78,19 +85,22 @@ class ViewPartition:
     is the GM's mutable copy of their availability, which deductions shrink.
     `deducted` is the overlay: the ordinals deducted from since the last
     refresh, the only ones where `available` may differ from `nodes`.
+    `columns` holds `available` again, one list per resource dimension, so
+    a fit mask is built in one C-level pass per dimension, summing the
+    `powers` (1 << ordinal) of the nodes that pass.
 
     `match` answers first-fit with two bit masks instead of a walk:
     `fits[demand]` has bit j set iff `available[j]` covers that demand, and
     `cands[constraint ids]` holds the candidate mask and its word-op charge.
-    Both are kept incrementally.  The LM hands over the same `NodeSnapshot`
-    object for a node it has not touched, so `refresh` re-reads only the
-    ordinals whose object changed plus the overlay, which is the same as
-    overwriting the whole partition.  A change in node count or in the
-    constraint bits rebuilds everything.
+    Both are kept incrementally, `fits` for at most FIT_MASKS demands.  The
+    LM hands over the same `NodeSnapshot` object for a node it has not
+    touched, so `refresh` re-reads only the ordinals whose object changed
+    plus the overlay, which is the same as overwriting the whole partition.
+    A change in node count or in the constraint bits rebuilds everything.
     """
 
     __slots__ = ("partition_id", "lm_id", "owner_gm_id", "nodes", "available",
-                 "bits", "bitmap", "deducted", "fits", "cands")
+                 "columns", "powers", "bits", "bitmap", "deducted", "fits", "cands")
 
     def __init__(self, snapshot: PartitionSnapshot) -> None:
         self.partition_id = snapshot.partition_id
@@ -101,12 +111,15 @@ class ViewPartition:
     def _rebuild(self, snapshot: PartitionSnapshot) -> None:
         self.nodes = snapshot.nodes
         self.available = [n.available for n in snapshot.nodes]
+        self.columns = [list(column)
+                        for column in zip(*(a.quantities for a in self.available))]
+        self.powers = [1 << ordinal for ordinal in range(len(snapshot.nodes))]
         self.bits = snapshot.bits
         self.bitmap = ConstraintBitmap(
             snapshot.constraint_count, len(snapshot.nodes), list(snapshot.bits)
         )
         self.deducted: set[int] = set()
-        self.fits: dict[tuple[int, ...], int] = {}
+        self.fits: dict[ResourceVector, int] = {}
         self.cands: dict[frozenset[int], tuple[int, int]] = {}
 
     def refresh(self, snapshot: PartitionSnapshot) -> None:
@@ -119,17 +132,19 @@ class ViewPartition:
         changed = self.deducted
         changed.update(compress(range(len(nodes)), map(is_not, old, nodes)))
         self.deducted = set()
-        available = self.available
         for ordinal in changed:
-            available[ordinal] = have = nodes[ordinal].available
-            self._set_fits(ordinal, have)
+            self._set(ordinal, nodes[ordinal].available)
 
-    def _set_fits(self, ordinal: int, have: ResourceVector) -> None:
-        """Set or clear this ordinal's bit in every fit mask."""
+    def _set(self, ordinal: int, have: ResourceVector) -> None:
+        """Record a node's viewed availability: in `available`, in `columns`,
+        and as a set or cleared bit in every fit mask."""
+        self.available[ordinal] = have
+        for column, quantity in zip(self.columns, have.quantities):
+            column[ordinal] = quantity
         fits = self.fits
         bit = 1 << ordinal
-        for want, fit in fits.items():
-            fits[want] = fit | bit if _covers(have, want) else fit & ~bit
+        for demand, fit in fits.items():
+            fits[demand] = fit | bit if have.geq(demand) else fit & ~bit
 
     def match(self, constraints: ConstraintSet, demand: ResourceVector
               ) -> tuple[int | None, int, int]:
@@ -146,30 +161,32 @@ class ViewPartition:
             # plus one scan pass over the candidate words
             cand = self.cands[constraints.ids] = (mask, word_ops + self.bitmap.words)
         mask, word_ops = cand
-        want = demand.quantities
-        fit = self.fits.get(want)
+        fits = self.fits
+        fit = fits.get(demand)
         if fit is None:
-            fit = self.fits[want] = sum(1 << ordinal
-                                        for ordinal, have in enumerate(self.available)
-                                        if _covers(have, want))
+            if len(fits) >= FIT_MASKS:
+                del fits[next(iter(fits))]  # the oldest
+            fit = fits[demand] = self._fit_mask(demand)
         hit = mask & fit
         if hit:
             low = hit & -hit
             return low.bit_length() - 1, word_ops, (mask & ((low << 1) - 1)).bit_count()
         return None, word_ops, mask.bit_count()
 
+    def _fit_mask(self, demand: ResourceVector) -> int:
+        """Bit j set iff `available[j]` covers the demand."""
+        powers = self.powers
+        fit = (1 << len(powers)) - 1
+        for column, want in zip(self.columns, demand.quantities):
+            fit &= sum(compress(powers, map(ge, column, repeat(want))))
+        return fit
+
     def deduct(self, ordinal: int, demand: ResourceVector) -> None:
-        self.available[ordinal] = self.available[ordinal] - demand
         self.deducted.add(ordinal)
-        self._set_fits(ordinal, self.available[ordinal])
+        self._set(ordinal, self.available[ordinal] - demand)
 
     def node_satisfies(self, ordinal: int, constraints: ConstraintSet) -> bool:
         return all(self.bitmap.satisfies(cid, ordinal) for cid in constraints)
-
-
-def _covers(have: ResourceVector, want: tuple[int, ...]) -> bool:
-    """`have.geq` against a demand's quantities."""
-    return all(map(ge, have.quantities, want))
 
 
 class ClusterView:

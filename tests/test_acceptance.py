@@ -142,14 +142,16 @@ def _size_sweep():
 def _fairness_sweep():
     """Burst over four shared queues on growing clusters; smallest contends."""
     def build():
-        config = _config(
-            gm_count=4, lm_count=4, workers_per_lm=50,
-            users=[UserSpec("uA", 0.10, 0), UserSpec("uB", 0.25, 1),
-                   UserSpec("uC", 0.15, 2), UserSpec("uD", 0.50, 3)],
-            workload=WorkloadSpec(count=1000, rate=2000.0, duration=3.0,
-                                  demand=ResourceVector.of(16, 4096)),
-            seed=17)
-        results = sweep(config, "workers", [50, 125, 250], audit=True)
+        results = []
+        for workers in (50, 125, 250):
+            config = _config(
+                gm_count=4, lm_count=4, workers_per_lm=workers,
+                users=[UserSpec("uA", 0.10, 0), UserSpec("uB", 0.25, 1),
+                       UserSpec("uC", 0.15, 2), UserSpec("uD", 0.50, 3)],
+                workload=WorkloadSpec(count=1000, rate=2000.0, duration=3.0,
+                                      demand=ResourceVector.of(16, 4096)),
+                seed=17)
+            results.append((workers, run_experiment(config, audit=True)))
         _ALL_RUNS.extend(r for _, r in results)
         return results
     return _cached("fairness", build)

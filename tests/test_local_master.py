@@ -546,8 +546,10 @@ def test_snapshot_cache_across_repartition_and_logical_node_destruction():
     assert carved["N.l1"].is_logical and carved["N.l1"].parent_node == "N"
     assert [r.task_id for r in carved["N.l1"].running] == ["t0"]
     assert carved["M"] is before["M"]
-    # the destroyed logical node leaves nothing behind in either cache
-    assert "N.l1" not in lm.node_snapshots and "N.l1" not in lm.running_on
+    # the destroyed logical node leaves nothing behind in the caches
+    assert "N.l1" not in lm.running_on
+    assert all(n.node_id != "N.l1" for nodes in lm.partition_nodes.values() for n in nodes)
+    assert all("N.l1" not in stale for stale in lm.stale.values())
     assert after["N"].available == rv(8, 16384)
     assert after["M"] is before["M"]
 
@@ -610,7 +612,7 @@ def test_partition_list_keeps_untouched_entries_across_messages():
     check_snapshot_cache(lm)
 
 
-def test_carve_out_and_logical_node_destruction_rebuild_the_partition_list():
+def test_carve_out_and_logical_node_destruction_patch_the_partition_list():
     lm, gms, loop, collector = one_lm({
         "gm0": [("N", rv(8, 16384), cs()), ("M", rv(8, 16384), cs())],
         "gm1": [("K", rv(8, 16384), cs())]})
@@ -621,7 +623,7 @@ def test_carve_out_and_logical_node_destruction_rebuild_the_partition_list():
     seen = {}
 
     def carved(t):
-        seen["carved"] = lm.partition_nodes["lm0-p1"]
+        seen["carved"] = [n.node_id for n in lm.partition_nodes["lm0-p1"]]
         check_snapshot_cache(lm)
 
     loop.schedule(0.5, carved)
@@ -631,10 +633,11 @@ def test_carve_out_and_logical_node_destruction_rebuild_the_partition_list():
     source, target = resp.state.partitions
     assert [n.node_id for n in target.nodes] == ["K", "N.l1"]
     assert target.nodes[0] is k
-    assert seen["carved"] is not lists["lm0-p1"]  # the carve-out dropped the list
+    assert seen["carved"] == ["K", "N.l1"]  # the carve-out appended to the list
     assert lm.partition_nodes["lm0-p0"] is lists["lm0-p0"]  # the source was patched
-    # the logical node's destruction dropped the carved list in turn
-    assert lm.partition_nodes["lm0-p1"] is not seen["carved"]
+    # the logical node's destruction deleted its entry from the same list
+    assert lm.partition_nodes["lm0-p1"] is lists["lm0-p1"]
+    assert lm.partition_nodes["lm0-p1"] == [k]
     (_, done), = gms["gm1"].completions
     assert [n.node_id for n in done.state.partitions[0].nodes] == ["K"]
     assert done.state.partitions[0].nodes[0] is k

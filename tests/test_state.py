@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 from fedsched.core import ConstraintBitmap, ConstraintSet, ResourceVector
-from fedsched.state import (ClusterView, LMStateSnapshot, NodeSnapshot,
+from fedsched.state import (FIT_MASKS, ClusterView, LMStateSnapshot, NodeSnapshot,
                             PartitionSnapshot, ViewPartition)
 
 from oracles import brute_force_match
@@ -125,6 +125,7 @@ def first_fit_walk(sets, avail, constraints, demand):
 
 def assert_matches_oracles(part, sets, avail, queries):
     """`match` agrees with the brute-force oracle and the naive walk's count."""
+    assert part.columns == [list(c) for c in zip(*(a.quantities for a in avail))]
     for constraints, demand in queries:
         ordinal, _, checked = part.match(constraints, demand)
         assert ordinal == brute_force_match(sets, avail, constraints, demand)
@@ -166,7 +167,7 @@ class TestViewPartitionIndex:
         part = ViewPartition(index_snapshot(self.AVAIL))
         assert part.match(ConstraintSet.empty(), rv(3, 300))[0] == 1
         assert part.match(ConstraintSet.empty(), rv(1, 100))[0] == 0
-        assert sorted(part.fits) == [(1, 100), (3, 300)]
+        assert list(part.fits) == [rv(3, 300), rv(1, 100)]
         part.deduct(1, rv(6, 600))  # n1 now covers (1, 100) but not (3, 300)
         avail = [*self.AVAIL[:1], rv(2, 200), *self.AVAIL[2:]]
         assert part.match(ConstraintSet.empty(), rv(3, 300))[0] == 2
@@ -182,6 +183,18 @@ class TestViewPartitionIndex:
         avail = [rv(2, 200), rv(3, 300), rv(0, 0), rv(4, 400), rv(1, 100)]
         assert part.available == avail
         assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
+
+    def test_more_demands_than_fit_masks_evict_the_oldest(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        demands = [rv(d, 100 * d) for d in range(1, FIT_MASKS + 4)]
+        queries = [(c, d) for c in (ConstraintSet.empty(), ConstraintSet.of(1))
+                   for d in demands]
+        assert_matches_oracles(part, INDEX_SETS, self.AVAIL, queries)
+        assert list(part.fits) == demands[-FIT_MASKS:]
+        part.deduct(1, rv(5, 500))
+        avail = [self.AVAIL[0], rv(3, 300), *self.AVAIL[2:]]
+        assert_matches_oracles(part, INDEX_SETS, avail, queries)
+        assert len(part.fits) == FIT_MASKS
 
     def test_refresh_rereads_a_changed_node(self):
         first = index_snapshot(self.AVAIL)
@@ -240,7 +253,8 @@ class TestViewPartitionIndex:
                 nodes=[(f"n{i}", sets[i], avail[i]) for i in range(n)])
             part = ViewPartition(snap)
             queries = [(ConstraintSet.of(*[c for c in range(4) if rng.random() < 0.3]),
-                        rv(rng.randint(1, 8), rng.randint(1, 8))) for _ in range(4)]
+                        rv(rng.randint(1, 8), rng.randint(1, 8)))
+                       for _ in range(rng.randint(1, FIT_MASKS + 4))]
             for _ in range(6):
                 assert_matches_oracles(part, sets, avail, queries)
                 for _ in range(rng.randint(0, 3)):
