@@ -163,8 +163,25 @@ def _check_duration(spec) -> None:
         raise ConfigurationError(f"duration spec {spec!r} needs positive finite values")
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a JSON value must be for each field annotation checked here; bools are
+# never numbers.  Other fields (nested sections, probability maps, demand and
+# duration specs) are checked where they are parsed.
+_TYPES = {
+    "int": ("an integer", lambda v: _number(v) and isinstance(v, int)),
+    "float": ("a number", _number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "ResourceVector": ("a list of integers", lambda v: isinstance(v, list)),
+    "dict[str, float]": ("an object of numbers",
+                         lambda v: isinstance(v, dict) and all(map(_number, v.values()))),
+}
+
+
 def _section(what: str, cls, data) -> dict:
-    """A copy of one config object, its keys checked against `cls`'s fields."""
+    """A copy of one config object, its keys and scalar types checked against `cls`."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{what} must be an object, got {data!r}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -174,6 +191,14 @@ def _section(what: str, cls, data) -> dict:
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigurationError(f"{what}: missing keys {missing}")
+    for f in fields(cls):
+        kind = f.type.removesuffix(" | None")
+        if f.name not in data or kind not in _TYPES:
+            continue
+        value = data[f.name]
+        name, ok = _TYPES[kind]
+        if not (ok(value) or (value is None and kind != f.type)):
+            raise ConfigurationError(f"{what}.{f.name} must be {name}, got {value!r}")
     return dict(data)
 
 
@@ -194,6 +219,8 @@ def _probabilities(what: str, value) -> dict[int, float]:
 def _parse_demand(value):
     if value is None:
         return None
+    if not isinstance(value, list):
+        raise ConfigurationError(f"workload.demand must be a list, got {value!r}")
     if isinstance(value, list) and value and isinstance(value[0], list) and len(value[0]) == 2 \
             and isinstance(value[0][0], list):
         return [(ResourceVector.of(*v), w) for v, w in value]
@@ -210,18 +237,7 @@ def _parse_duration(value):
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from plain JSON data, applying defaults for absent keys."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("config root must be an object")
-    known = {
-        "scheduler", "gm_count", "lm_count", "workers_per_lm", "worker_capacity",
-        "heartbeat_period", "delays", "costs", "workload", "users",
-        "machine_profiles", "seed", "constraint_count", "retry_limit", "event_cap",
-        "violation_metric", "probe_count", "sparrow_scheduler_count", "slot_demand",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-
+    data = _section("config", ExperimentConfig, data)
     config = ExperimentConfig()
     for key in ("scheduler", "gm_count", "lm_count", "workers_per_lm",
                 "heartbeat_period", "seed", "constraint_count", "retry_limit",

@@ -48,7 +48,7 @@ class DelayModel:
     """
 
     network_delay: float = 0.0005
-    launch_delay: Optional[float] = None
+    launch_delay: float | None = None
     overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -243,7 +243,8 @@ def check_conservation(lm: LocalMaster) -> None:
     running_sum: dict[str, ResourceVector] = {}
     for rt in lm.running.values():
         prev = running_sum.get(rt.node_id)
-        running_sum[rt.node_id] = rt.demand if prev is None else prev + rt.demand
+        demand = rt.info.demand
+        running_sum[rt.node_id] = demand if prev is None else prev + demand
     child_sum: dict[str, ResourceVector] = {}
     for node in lm.nodes.values():
         if node.is_logical:
@@ -289,43 +290,19 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
 
 
 def check_snapshot_cache(lm: LocalMaster) -> None:
-    """The running index and every cached snapshot list equal a fresh rebuild.
-
-    A cached per-partition list must line up with the partition's node ids
-    and hold, for every node not marked stale, that node's current snapshot;
-    a stale mark must name a live node of that partition.
-    """
-    by_node: dict[str, dict[str, RunningTaskInfo]] = {}
+    """Every partition's snapshot list equals a rebuild from the nodes and tasks."""
+    by_node: dict[str, list[RunningTaskInfo]] = {}
     for task_id in sorted(lm.running):
         rt = lm.running[task_id]
-        by_node.setdefault(rt.node_id, {})[task_id] = RunningTaskInfo(
-            task_id=task_id, user_id=rt.user_id, demand=rt.demand,
-            launch_time=rt.start_time,
-        )
-    if lm.running_on != by_node:
-        raise SimulationError(f"{lm.lm_id}: running index != running tasks by node")
-    for pid, stale in lm.stale.items():
-        for node_id in stale:
-            node = lm.nodes.get(node_id)
-            if node is None or node.partition_id != pid:
-                raise SimulationError(f"{pid}: stale mark on {node_id}, not a live member")
-    for pid, cached_list in lm.partition_nodes.items():
-        node_ids = lm.partitions[pid].node_ids
-        if len(cached_list) != len(node_ids):
-            raise SimulationError(
-                f"{pid}: cached list has {len(cached_list)} nodes, partition {len(node_ids)}")
-        stale = lm.stale[pid]
-        for node_id, cached in zip(node_ids, cached_list):
-            if node_id in stale:
-                continue
-            node = lm.nodes[node_id]
-            fresh = NodeSnapshot(
-                node_id=node_id, available=node.available, is_logical=node.is_logical,
-                parent_node=node.parent_node,
-                running=tuple(by_node.get(node_id, {}).values()),
-            )
-            if cached != fresh:
-                raise SimulationError(f"{pid}: cached list entry of {node_id} is stale")
+        by_node.setdefault(rt.node_id, []).append(rt.info)
+    for pid, partition in lm.partitions.items():
+        nodes = [lm.nodes[node_id] for node_id in partition.node_ids]
+        fresh = [NodeSnapshot(node_id=node.node_id, available=node.available,
+                              is_logical=node.is_logical, parent_node=node.parent_node,
+                              running=tuple(by_node.get(node.node_id, ())))
+                 for node in nodes]
+        if lm.partition_nodes[pid] != fresh:
+            raise SimulationError(f"{pid}: snapshot list != rebuild from its nodes")
 
 
 def check_view_index(gm: GlobalMaster) -> None:

@@ -7,15 +7,14 @@ the full state so the requester can correct its view immediately, success
 responses and notifications just the partitions that changed, and a periodic
 heartbeat pushes the full state to every GM.
 
-Snapshot state is kept incrementally rather than rebuilt per message: a
-per-node running index (`running_on`) is updated on launch and release, and
-each partition keeps its list of `NodeSnapshot`s, aligned with
-`Partition.node_ids`.  `_touch` marks a node that a launch, release, or
-carve-out changed as stale, and the next snapshot of its partition rebuilds
-only the stale entries.  A carve-out appends to the list and the destruction
-of a logical node deletes its entry, as `Partition.append_node` and
-`remove_node` do to the node ids.  A message therefore rebuilds only the
-nodes touched since the previous one, and untouched nodes keep their
+Snapshot state is kept incrementally rather than rebuilt per message: each
+partition keeps its list of `NodeSnapshot`s, aligned with
+`Partition.node_ids`, and every change publishes its node's new snapshot
+there at once.  `_publish` replaces the node's entry on a launch, a release
+or a carve-out, adding or removing the one `RunningTaskInfo` it concerns; a
+carve-out appends to the list and the destruction of a logical node deletes
+its entry, as `Partition.append_node` and `remove_node` do to the node ids.
+A message carries the list as it stands, so untouched nodes keep their
 `NodeSnapshot` objects.
 """
 
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import Partition, ResourceVector, WorkerNode
 from .engine import (HEARTBEAT, LAUNCH_RESPONSE, PREEMPT_RESPONSE, TASK_COMPLETION,
@@ -37,16 +37,22 @@ from .worker import start_task
 
 log = logging.getLogger(__name__)
 
+_TASK_ID = attrgetter("task_id")
+
+
+def _snapshot(node: WorkerNode, running: tuple[RunningTaskInfo, ...] = ()) -> NodeSnapshot:
+    return NodeSnapshot(node_id=node.node_id, available=node.available,
+                        is_logical=node.is_logical, parent_node=node.parent_node,
+                        running=running)
+
 
 @dataclass
 class RunningTask:
     run: TaskRun
     node_id: str
-    demand: ResourceVector
-    user_id: str
     gm_id: str
-    start_time: float  # when execution begins (payload delivery)
     incarnation: int
+    info: RunningTaskInfo  # as published; launch_time is when execution begins
 
 
 class LocalMaster:
@@ -77,9 +83,7 @@ class LocalMaster:
         self.partitions: dict[str, Partition] = {}
         self.partition_by_owner: dict[str, Partition] = {}
         self.running: dict[str, RunningTask] = {}
-        self.running_on: dict[str, dict[str, RunningTaskInfo]] = {}
         self.partition_nodes: dict[str, list[NodeSnapshot]] = {}
-        self.stale: dict[str, set[str]] = {}  # partition -> touched node ids
         self.consumed: dict[str, ResourceVector] = {}
         self.gms: list = []  # GlobalMaster handles, wired by the experiment builder
         self._logical_seq = 0
@@ -89,7 +93,8 @@ class LocalMaster:
     def add_partition(self, partition: Partition) -> None:
         self.partitions[partition.partition_id] = partition
         self.partition_by_owner[partition.owner_gm_id] = partition
-        self.stale[partition.partition_id] = set()
+        self.partition_nodes[partition.partition_id] = [
+            _snapshot(self.nodes[node_id]) for node_id in partition.node_ids]
 
     def add_node(self, node: WorkerNode) -> None:
         self.nodes[node.node_id] = node
@@ -103,56 +108,39 @@ class LocalMaster:
 
     # -- snapshots ----------------------------------------------------------
 
-    def _node_snapshot(self, node_id: str) -> NodeSnapshot:
-        node = self.nodes[node_id]
-        running = self.running_on.get(node_id)
-        return NodeSnapshot(
-            node_id=node_id,
-            available=node.available,
-            is_logical=node.is_logical,
-            parent_node=node.parent_node,
-            running=tuple(running[t] for t in sorted(running)) if running else (),
-        )
-
-    def _touch(self, node: WorkerNode) -> None:
-        """The node changed: mark its snapshot stale in its partition."""
-        self.stale[node.partition_id].add(node.node_id)
+    def _publish(self, node: WorkerNode, *, add: RunningTaskInfo | None = None,
+                 remove: RunningTaskInfo | None = None) -> None:
+        """The node changed: replace its entry in its partition's list."""
+        nodes = self.partition_nodes[node.partition_id]
+        ordinal = self.partitions[node.partition_id].node_ids.index(node.node_id)
+        running = nodes[ordinal].running
+        if remove is not None:
+            running = tuple(info for info in running if info is not remove)
+        if add is not None:
+            running = tuple(sorted((*running, add), key=_TASK_ID))
+        nodes[ordinal] = _snapshot(node, running)
 
     def _add_node(self, node: WorkerNode, partition: Partition) -> None:
         """Append a carved-out node to the partition and its snapshot list."""
         self.nodes[node.node_id] = node
         partition.append_node(node.node_id, node.machine_constraints)
-        nodes = self.partition_nodes.get(partition.partition_id)
-        if nodes is not None:
-            nodes.append(self._node_snapshot(node.node_id))
+        self.partition_nodes[partition.partition_id].append(_snapshot(node))
 
     def _destroy_node(self, node: WorkerNode) -> None:
         """Remove a logical node from its partition and its snapshot list."""
         partition = self.partitions[node.partition_id]
-        nodes = self.partition_nodes.get(partition.partition_id)
-        if nodes is not None:
-            del nodes[partition.node_ids.index(node.node_id)]
+        del self.partition_nodes[partition.partition_id][
+            partition.node_ids.index(node.node_id)]
         partition.remove_node(node.node_id)
-        self.stale[partition.partition_id].discard(node.node_id)
         del self.nodes[node.node_id]
 
     def partition_snapshot(self, partition_id: str) -> PartitionSnapshot:
         partition = self.partitions[partition_id]
-        nodes = self.partition_nodes.get(partition_id)
-        stale = self.stale[partition_id]
-        if nodes is None:
-            nodes = self.partition_nodes[partition_id] = [
-                self._node_snapshot(node_id) for node_id in partition.node_ids]
-        elif stale:
-            ordinal = partition.node_ids.index
-            for node_id in stale:
-                nodes[ordinal(node_id)] = self._node_snapshot(node_id)
-        stale.clear()
         return PartitionSnapshot(
             partition_id=partition_id,
             lm_id=self.lm_id,
             owner_gm_id=partition.owner_gm_id,
-            nodes=tuple(nodes),
+            nodes=tuple(self.partition_nodes[partition_id]),
             bits=partition.bitmap.snapshot_bits(),
             constraint_count=partition.bitmap.constraint_count,
         )
@@ -236,16 +224,13 @@ class LocalMaster:
             lambda t: self._begin_execution(request.task_id, incarnation, t),
             metrics=run.metrics,
         )
+        info = RunningTaskInfo(task_id=request.task_id, user_id=request.user_id,
+                               demand=request.demand, launch_time=deliver_at)
         self.running[request.task_id] = RunningTask(
-            run=run, node_id=node.node_id, demand=request.demand,
-            user_id=request.user_id, gm_id=gm_id,
-            start_time=deliver_at, incarnation=incarnation,
+            run=run, node_id=node.node_id, gm_id=gm_id, incarnation=incarnation,
+            info=info,
         )
-        self.running_on.setdefault(node.node_id, {})[request.task_id] = RunningTaskInfo(
-            task_id=request.task_id, user_id=request.user_id, demand=request.demand,
-            launch_time=deliver_at,
-        )
-        self._touch(node)
+        self._publish(node, add=info)
         self.consumed[request.user_id] = (
             self.consumed.get(request.user_id, ResourceVector.zeros(self.resource_dim))
             + request.demand
@@ -317,7 +302,7 @@ class LocalMaster:
             parent_node=source.node_id,
         )
         source.available = source.available - req.demand
-        self._touch(source)
+        self._publish(source)
         self._add_node(logical, target)
         self.collector.bump("repartitions")
         run.metrics.repartitioned = True
@@ -346,7 +331,7 @@ class LocalMaster:
             # a victim must still be running on the named node; one that
             # finished, moved, or has not begun executing yet is stale
             verified = (rt is not None and rt.node_id == req.node_id
-                        and rt.start_time <= start)
+                        and rt.info.launch_time <= start)
             statuses.append(VictimStatus(task_id=victim_id, verified=verified))
             if not verified:
                 continue
@@ -356,8 +341,9 @@ class LocalMaster:
             self.collector.bump("preemptions")
             rt.run.times_preempted += 1
             owner = self._gm(rt.gm_id)
-            note = TaskPreempted(task_id=victim_id, user_id=rt.user_id, demand=rt.demand,
-                                 state=self._state(done, ()), run=rt.run)
+            note = TaskPreempted(task_id=victim_id, user_id=rt.info.user_id,
+                                 demand=rt.info.demand, state=self._state(done, ()),
+                                 run=rt.run)
             self.network.send(done, TASK_PREEMPTED,
                               lambda t, n=note, g=owner: g.on_task_preempted(n, t))
 
@@ -377,21 +363,18 @@ class LocalMaster:
     def _release(self, rt: RunningTask, now: float) -> list[str]:
         """Return resources for a finished or killed task; destroys logical nodes."""
         node = self.nodes[rt.node_id]
+        info = rt.info
         touched = [node.partition_id]
-        on_node = self.running_on[node.node_id]
-        del on_node[rt.run.request.task_id]
-        if not on_node:
-            del self.running_on[node.node_id]
         if node.is_logical:
             parent = self.nodes[node.parent_node]
             parent.available = parent.available + node.capacity
-            self._touch(parent)
+            self._publish(parent)
             self._destroy_node(node)
             touched.append(parent.partition_id)
         else:
-            node.available = node.available + rt.demand
-            self._touch(node)
-        self.consumed[rt.user_id] = self.consumed[rt.user_id] - rt.demand
+            node.available = node.available + info.demand
+            self._publish(node, remove=info)
+        self.consumed[info.user_id] = self.consumed[info.user_id] - info.demand
         return touched
 
     def _on_task_complete(self, task_id: str, incarnation: int, now: float) -> None:
@@ -403,7 +386,8 @@ class LocalMaster:
         self.collector.note_completed()
         self.loop.note_progress()
         owner = self._gm(rt.gm_id)
-        message = TaskCompletion(task_id=task_id, user_id=rt.user_id, demand=rt.demand,
-                                 state=self._state(now, touched), run=rt.run)
+        message = TaskCompletion(task_id=task_id, user_id=rt.info.user_id,
+                                 demand=rt.info.demand, state=self._state(now, touched),
+                                 run=rt.run)
         self.network.send(now, TASK_COMPLETION,
                           lambda t: owner.on_task_completion(message, t))

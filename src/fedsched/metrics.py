@@ -12,7 +12,7 @@ back to the total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .core import TaskRequest
@@ -78,22 +78,7 @@ class AllocationRecord:
     preempted_count_caused: int
 
 
-RECORD_FIELDS = (
-    "task_id",
-    "job_id",
-    "user_id",
-    "scheduler",
-    "arrival",
-    "task_start",
-    "allocation_time",
-    "framework_queuing_delay",
-    "processing_delay",
-    "worker_queuing_delay",
-    "communication_delay",
-    "attempts",
-    "repartitioned",
-    "preempted_count_caused",
-)
+RECORD_FIELDS = tuple(f.name for f in fields(AllocationRecord))
 
 
 class TaskRun:

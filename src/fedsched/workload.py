@@ -170,7 +170,6 @@ def generate_synthetic(
     seed: int,
     arrival: str = "poisson",
     constraint_probabilities: dict[int, float] | None = None,
-    user_ids: list[str] | None = None,
 ) -> list[TaskRequest]:
     """Generate `count` tasks at a mean arrival rate of `rate` tasks/second.
 
@@ -226,8 +225,6 @@ def generate_synthetic(
         ))
     if constraint_probabilities:
         tasks = augment_constraints(tasks, constraint_probabilities, seed)
-    if user_ids:
-        tasks = assign_users(tasks, user_ids)
     return tasks
 
 

@@ -203,9 +203,10 @@ def _preemption_replay():
             consumed: dict[str, tuple] = {}
             for lm in cluster.lms:
                 for rt in lm.running.values():
-                    prev = consumed.get(rt.user_id)
-                    total = rt.demand if prev is None else prev + rt.demand
-                    consumed[rt.user_id] = total
+                    info = rt.info
+                    prev = consumed.get(info.user_id)
+                    total = info.demand if prev is None else prev + info.demand
+                    consumed[info.user_id] = total
             timeline.append((now, {u: v.quantities for u, v in consumed.items()}))
 
         cluster.loop.post_event_hook = hook

@@ -170,6 +170,12 @@ MALFORMED = {
     "unknown delays key": ({"delays": {"network_dealy": 0.001}}, {}),
     "unknown costs key": ({"costs": {"gm_word_opp": 1e-6}}, {}),
     "user without share": ({"users": [{"user_id": "a"}]}, {}),
+    "string workload count": ({}, {"count": "x"}),
+    "string gm_count": ({"gm_count": "2"}, {}),
+    "bool gm_count": ({"gm_count": True}, {}),
+    "delay overrides not an object": ({"delays": {"overrides": 5}}, {}),
+    "scalar worker_capacity": ({"worker_capacity": 5}, {}),
+    "scalar workload demand": ({}, {"demand": 5}),
 }
 
 
@@ -177,10 +183,11 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_config_rejected_before_running(case, scheduler, tmp_path, capsys):
     top, workload = MALFORMED[case]
-    data = base_data(scheduler=scheduler, gm_count=1, lm_count=1, workers_per_lm=10,
-                     workload={"kind": "synthetic", "count": 20, "rate": 100.0,
-                               "duration": 1.0, "demand": [4, 1024], **workload},
-                     **top)
+    data = base_data(**{"scheduler": scheduler, "gm_count": 1, "lm_count": 1,
+                        "workers_per_lm": 10,
+                        "workload": {"kind": "synthetic", "count": 20, "rate": 100.0,
+                                     "duration": 1.0, "demand": [4, 1024], **workload},
+                        **top})
     with pytest.raises(ConfigurationError):
         config_from_dict(data)  # no cluster, hence no event, exists yet
     assert main(["run", "--config", write_config(tmp_path, data),
@@ -190,11 +197,14 @@ def test_malformed_config_rejected_before_running(case, scheduler, tmp_path, cap
 
 
 def test_validate_config_names_the_malformed_section(tmp_path, capsys):
-    path = write_config(tmp_path, {"machine_profiles": [{"profile_id": "p"}]})
-    assert main(["validate-config", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert "machine_profiles[0]" in err and "probabilities" in err
-    assert "Traceback" not in err
+    for data, named in (({"machine_profiles": [{"profile_id": "p"}]},
+                         ("machine_profiles[0]", "probabilities")),
+                        ({"workload": {"count": "x"}}, ("workload.count", "integer"))):
+        path = write_config(tmp_path, data)
+        assert main(["validate-config", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in named), err
+        assert "Traceback" not in err
 
 
 def test_trace_demand_dimension_must_match_workers(tmp_path):

@@ -528,7 +528,8 @@ def test_snapshot_cache_after_launch_and_completion():
     assert [r.task_id for r in seen["one_done"]["n0"].running] == ["t0"]
     assert after["n0"].running == () and after["n0"].available == rv(4, 8192)
     assert after["n1"] is before["n1"]
-    assert lm.running_on == {}
+    assert lm.running == {}
+    assert all(n.running == () for n in lm.partition_nodes["lm0-p0"])
 
 
 def test_snapshot_cache_across_repartition_and_logical_node_destruction():
@@ -546,33 +547,35 @@ def test_snapshot_cache_across_repartition_and_logical_node_destruction():
     assert carved["N.l1"].is_logical and carved["N.l1"].parent_node == "N"
     assert [r.task_id for r in carved["N.l1"].running] == ["t0"]
     assert carved["M"] is before["M"]
-    # the destroyed logical node leaves nothing behind in the caches
-    assert "N.l1" not in lm.running_on
+    # the destroyed logical node is in no partition's snapshot list
     assert all(n.node_id != "N.l1" for nodes in lm.partition_nodes.values() for n in nodes)
-    assert all("N.l1" not in stale for stale in lm.stale.values())
     assert after["N"].available == rv(8, 16384)
     assert after["M"] is before["M"]
 
 
 def test_snapshot_cache_after_preemption():
-    lm, gms, loop, collector = one_lm({"gm0": [
-        ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs())]})
-    launch(lm, loop, collector, node_id="n0", demand=rv(4, 8192), task_id="tv",
-           duration=100.0, user="uV")
-    launch(lm, loop, collector, node_id="n1", demand=rv(1, 1024), task_id="tk",
-           duration=100.0)
-    seen = {}
-    loop.schedule(0.5, lambda t: seen.setdefault("before", assert_snapshots_fresh(lm)))
-    preempt(lm, loop, collector, node_id="n0", victim_ids=["tv"], at=1.0)
-    loop.schedule(1.5, lambda t: seen.setdefault("after", assert_snapshots_fresh(lm)))
-    loop.run()
+    # two victims on one node publish that node twice before the response
+    for victims in ({"tv": rv(4, 8192)}, {"tv": rv(2, 4096), "tw": rv(2, 4096)}):
+        lm, gms, loop, collector = one_lm({"gm0": [
+            ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs())]})
+        for task_id, demand in victims.items():
+            launch(lm, loop, collector, node_id="n0", demand=demand, task_id=task_id,
+                   duration=100.0, user="uV")
+        launch(lm, loop, collector, node_id="n1", demand=rv(1, 1024), task_id="tk",
+               duration=100.0)
+        seen = {}
+        loop.schedule(0.5, lambda t: seen.setdefault("before", assert_snapshots_fresh(lm)))
+        preempt(lm, loop, collector, node_id="n0", victim_ids=sorted(victims), at=1.0)
+        loop.schedule(1.5, lambda t: seen.setdefault("after", assert_snapshots_fresh(lm)))
+        loop.run()
 
-    assert collector.counters["preemptions"] == 1
-    after = seen["after"]
-    assert after["n0"].running == () and after["n0"].available == rv(4, 8192)
-    assert after["n1"] is seen["before"]["n1"]
-    (when, resp), = gms["gm0"].preempt_responses
-    assert resp.state.partitions[0].nodes[0] is after["n0"]
+        assert collector.counters["preemptions"] == len(victims)
+        assert [r.task_id for r in seen["before"]["n0"].running] == sorted(victims)
+        after = seen["after"]
+        assert after["n0"].running == () and after["n0"].available == rv(4, 8192)
+        assert after["n1"] is seen["before"]["n1"]
+        (when, resp), = gms["gm0"].preempt_responses
+        assert resp.state.partitions[0].nodes[0] is after["n0"]
 
 
 def test_repartition_of_a_physical_node_invalidates_its_snapshot():
@@ -608,7 +611,7 @@ def test_partition_list_keeps_untouched_entries_across_messages():
     assert resp.state.partitions[0].nodes[1].running[0].task_id == "t1"
     assert done.state.partitions[0].nodes[1].running == ()
     assert lm.partition_nodes["lm0-p0"] is cached  # patched in place
-    assert lm.stale["lm0-p0"] == set()
+    assert tuple(cached) == done.state.partitions[0].nodes
     check_snapshot_cache(lm)
 
 
@@ -641,5 +644,5 @@ def test_carve_out_and_logical_node_destruction_patch_the_partition_list():
     (_, done), = gms["gm1"].completions
     assert [n.node_id for n in done.state.partitions[0].nodes] == ["K"]
     assert done.state.partitions[0].nodes[0] is k
-    assert lm.stale == {"lm0-p0": set(), "lm0-p1": set()}
+    assert lm.partition_nodes["lm0-p0"][0].available == rv(8, 16384)  # N got it back
     check_snapshot_cache(lm)
