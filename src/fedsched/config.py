@@ -9,7 +9,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .core import DEFAULT_CONSTRAINT_COUNT, ResourceVector
 from .engine import CostModel, DelayModel
 from .errors import ConfigurationError
-from .workload import ClusterProfile
+from .workload import ARRIVALS, ClusterProfile
 
 SCHEDULER_KINDS = ("megha", "sparrow", "centralized")
 
@@ -86,8 +86,22 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown workload kind {self.workload.kind!r}")
         if self.workload.kind == "trace" and not self.workload.path:
             raise ConfigurationError("trace workload needs a path")
+        if self.workload.kind == "synthetic":
+            if self.workload.count < 1 or self.workload.rate <= 0:
+                raise ConfigurationError("workload count and rate must be positive")
+            if self.workload.arrival not in ARRIVALS:
+                raise ConfigurationError(
+                    f"unknown arrival process {self.workload.arrival!r} (want one of {ARRIVALS})")
+        if self.workload.cpu_divisor <= 0 or self.workload.mem_divisor <= 0:
+            raise ConfigurationError("workload cpu_divisor and mem_divisor must be positive")
         if self.workload.load_factor <= 0:
             raise ConfigurationError("load_factor must be positive")
+        for cid, p in self.workload.constraint_probabilities.items():
+            if not 0.0 <= p <= 1.0:  # also rejects NaN
+                raise ConfigurationError(
+                    f"workload constraint {cid}: probability {p} outside [0, 1]")
+        if self.event_cap < 1:
+            raise ConfigurationError("event_cap must be >= 1")
         if self.scheduler == "sparrow":
             if self.probe_count < 1 or self.sparrow_scheduler_count < 1:
                 raise ConfigurationError("probe_count and scheduler count must be >= 1")
@@ -107,6 +121,8 @@ class ExperimentConfig:
                     f"resource vector {vector.quantities} does not have the "
                     f"{self.worker_capacity.dimension} dimensions of worker_capacity"
                 )
+        if self.worker_slots() < 1:
+            raise ConfigurationError("slot_demand leaves workers with zero slots")
         ids = [cid for p in self.machine_profiles for cid in p.probabilities]
         for cid in ids + list(self.workload.constraint_probabilities):
             if not 0 <= cid < self.constraint_count:
@@ -132,6 +148,14 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"user shares sum to {total_share}, exceeding the cluster"
             )
+
+    def worker_slots(self) -> int:
+        """Probe-baseline slots per worker: the fewest slot demands that fit in
+        any dimension where at least one fits; 1 without a slot demand."""
+        if self.slot_demand is None:
+            return 1
+        per_dim = [cap // d for cap, d in zip(self.worker_capacity, self.slot_demand) if d > 0]
+        return min((q for q in per_dim if q > 0), default=0)
 
 
 def _finite(value) -> bool:
@@ -168,11 +192,11 @@ def _number(value) -> bool:
 
 
 # What a JSON value must be for each field annotation checked here; bools are
-# never numbers.  Other fields (nested sections, probability maps, demand and
-# duration specs) are checked where they are parsed.
+# never numbers and a float is finite.  Other fields (nested sections,
+# probability maps, demand and duration specs) are checked where they are parsed.
 _TYPES = {
     "int": ("an integer", lambda v: _number(v) and isinstance(v, int)),
-    "float": ("a number", _number),
+    "float": ("a finite number", lambda v: _number(v) and math.isfinite(v)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "ResourceVector": ("a list of integers", lambda v: isinstance(v, list)),
     "dict[str, float]": ("an object of numbers",

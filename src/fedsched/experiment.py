@@ -205,13 +205,7 @@ def build_sparrow(config: ExperimentConfig, tasks: list[TaskRequest]):
     collector = MetricsCollector()
     _, nodes = _build_nodes(config)
 
-    slots = 1
-    if config.slot_demand is not None:
-        per_dim = [cap // d if d > 0 else 0
-                   for cap, d in zip(config.worker_capacity, config.slot_demand)]
-        slots = min(q for q in per_dim if q > 0) if any(per_dim) else 0
-        if slots < 1:
-            raise ConfigurationError("slot_demand leaves workers with zero slots")
+    slots = config.worker_slots()
     workers = [FifoWorker(n.node_id, n.machine_constraints, slots, loop, collector)
                for n in nodes]
 
@@ -266,7 +260,8 @@ def check_conservation(lm: LocalMaster) -> None:
 
 
 def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
-    """Every LM holds one partition per GM; every GM one internal slice per LM."""
+    """Every LM holds one partition per GM, listing its physical nodes before its
+    logical ones; every GM searches its own partition on each LM."""
     gm_ids = {gm.gm_id for gm in gms}
     for lm in lms:
         owners = [p.owner_gm_id for p in lm.partitions.values()]
@@ -276,6 +271,9 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
         for part in lm.partitions.values():
             if part.bitmap.length != len(part.node_ids):
                 raise SimulationError(f"{part.partition_id}: bitmap length drift")
+            logical = [lm.nodes[node_id].is_logical for node_id in part.node_ids]
+            if logical != sorted(logical):  # a GM keeps a plan's ordinal across merges
+                raise SimulationError(f"{part.partition_id}: physical node after a logical one")
             for node_id in part.node_ids:
                 if node_id in seen:
                     raise SimulationError(f"node {node_id} in two partitions")
@@ -285,8 +283,8 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
         if seen != set(lm.nodes):
             raise SimulationError(f"{lm.lm_id}: partition membership != node set")
     for gm in gms:
-        if len(gm.internal) != len(lms):
-            raise SimulationError(f"{gm.gm_id}: internal partition count != LM count")
+        if sorted(p.lm_id for p in gm.own_orders[0]) != sorted(lm.lm_id for lm in lms):
+            raise SimulationError(f"{gm.gm_id}: own partitions != one per LM")
 
 
 def check_snapshot_cache(lm: LocalMaster) -> None:

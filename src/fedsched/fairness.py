@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .core import ConstraintSet, ResourceVector
 from .errors import ConfigurationError
 from .metrics import TaskRun
-from .state import ClusterView
+from .state import ClusterView, ViewPartition
 
 VIOLATION_METRIC_CPU = "cpu"
 VIOLATION_METRIC_MAX = "max"
@@ -108,13 +108,14 @@ def over_share(consumed: ResourceVector, share: tuple[float, ...], metric: str) 
 
 @dataclass(frozen=True)
 class PreemptPlan:
-    lm_id: str
-    partition_id: str
+    """Kill `victim_ids` on the physical node `node_id`, at `ordinal` of the
+    viewed `partition`; a physical node keeps its ordinal for good."""
+
+    partition: ViewPartition
     node_id: str
     ordinal: int
     victim_user: str
     victim_ids: tuple[str, ...]
-    nodes_scanned: int
 
 
 @dataclass(frozen=True)
@@ -204,12 +205,9 @@ def plan_preemption(
             share=shares[user_id], ratio=ratio, yielded_victims=yielded,
         ))
         if yielded:
-            lm_id, partition_id, node_id, ordinal, victim_ids = found[0]
-            plan = PreemptPlan(
-                lm_id=lm_id, partition_id=partition_id, node_id=node_id,
-                ordinal=ordinal, victim_user=user_id, victim_ids=victim_ids,
-                nodes_scanned=scanned,
-            )
+            part, node_id, ordinal, victim_ids = found[0]
+            plan = PreemptPlan(partition=part, node_id=node_id, ordinal=ordinal,
+                               victim_user=user_id, victim_ids=victim_ids)
             break
 
     audit = PreemptDecisionAudit(
@@ -231,12 +229,12 @@ def _victims_for_user(
     victim_user: str,
     constraints: ConstraintSet,
     demand: ResourceVector,
-) -> tuple[tuple[str, str, str, int, tuple[str, ...]] | None, int]:
+) -> tuple[tuple[ViewPartition, str, int, tuple[str, ...]] | None, int]:
     """Find one node where killing this user's tasks frees enough for demand.
 
     Victims are taken most-recently-launched first and must cover the demand
     on a single node; tasks on different nodes are never combined.  Returns
-    ((lm, partition, node, ordinal, victim_ids) or None, nodes_scanned).
+    ((partition, node, ordinal, victim_ids) or None, nodes_scanned).
     """
     scanned = 0
     for key in sorted(view.partitions):
@@ -261,6 +259,5 @@ def _victims_for_user(
                 freed = freed + info.demand
                 victims.append(info.task_id)
             if freed.geq(demand) and victims:
-                return (part.lm_id, part.partition_id, node.node_id,
-                        ordinal, tuple(victims)), scanned
+                return (part, node.node_id, ordinal, tuple(victims)), scanned
     return None, scanned

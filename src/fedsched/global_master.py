@@ -6,25 +6,32 @@ the next queue head.  Failure responses (state inconsistencies) merge the
 LM's authoritative snapshot and retry the task immediately; after a run of
 consecutive failures the task goes back to the tail of its queue.
 
-The decision flow for one request:
-  1. internal partitions, round-robin starting position, bitmap match
-  2. other GMs' partitions (round-robin over LMs) -> repartition request
-  3. fairness: preempt a task of an over-share user, else reinsert at tail
+The decision flow for one request (`_attempt`):
+  1. first fit over the GM's own partition on each LM, the starting LM
+     rotating per request -> launch request
+  2. first fit over the other GMs' partitions, LM by LM, the starting LM
+     rotating per search -> launch request on a node of another GM's
+     partition, which the LM carves out (a repartition)
+  3. fairness: a preemption plan -> preempt request, else reinsert at tail
+Both searches walk lists of the view's `ViewPartition` objects, one list per
+starting LM, built once in `seed`: the view refreshes each partition in
+place, so the lists stay current.  A verified preemption launches on the
+node the plan named, by the plan's partition and ordinal.
 """
 
 from __future__ import annotations
 
 import logging
 
-from .core import ResourceVector
+from .core import TaskRequest
 from .engine import (LAUNCH_REQUEST, PREEMPT_REQUEST, REPARTITION_REQUEST,
                      ActorClock, CostModel, EventLoop, Network)
 from .errors import ConfigurationError
-from .fairness import (GUARD_FAILURE, PreemptPlan, QueueSet, plan_preemption)
+from .fairness import PreemptPlan, QueueSet, plan_preemption
 from .messages import (LaunchRequest, LaunchResponse, PreemptRequest, PreemptResponse,
-                       RepartitionRequest, TaskCompletion, TaskPreempted)
+                       TaskCompletion, TaskPreempted)
 from .metrics import MetricsCollector, TaskRun
-from .state import ClusterView, LMStateSnapshot
+from .state import ClusterView, LMStateSnapshot, ViewPartition
 
 log = logging.getLogger(__name__)
 
@@ -52,14 +59,15 @@ class GlobalMaster:
         self.view: ClusterView | None = None
         self.queues: QueueSet | None = None
         self.shares: dict[str, tuple[float, ...]] = {}
-        self.lm_ids: list[str] = []
-        self.internal: list[tuple[str, str]] = []
-        self.external: dict[str, list[str]] = {}
+        # search orders per starting LM: own partitions, then others' partitions
+        self.own_orders: list[list[ViewPartition]] = []
+        self.other_orders: list[list[ViewPartition]] = []
         self.rr_internal = 0
         self.rr_external = 0
         self.view_version = 0
         self._tick_pending = False
         self._inflight: dict[str, TaskRun] = {}
+        self._preempting: dict[str, tuple[TaskRun, PreemptPlan]] = {}
 
     # -- wiring --------------------------------------------------------------
 
@@ -69,20 +77,22 @@ class GlobalMaster:
         self.view = view
         self.queues = queues
         self.shares = shares
-        self.lm_ids = [lm.lm_id for lm in lms]
-        self.internal = []
-        self.external = {}
+        own: list[ViewPartition] = []
+        others: list[list[ViewPartition]] = []
         for lm in lms:
-            mine = [pid for pid, part in sorted(lm.partitions.items())
-                    if part.owner_gm_id == self.gm_id]
+            parts = [view.partitions[(lm.lm_id, pid)] for pid in sorted(lm.partitions)]
+            mine = [part for part in parts if part.owner_gm_id == self.gm_id]
             if len(mine) != 1:
                 raise ConfigurationError(
                     f"GM {self.gm_id} must own exactly one partition on {lm.lm_id}, "
                     f"found {len(mine)}"
                 )
-            self.internal.append((lm.lm_id, mine[0]))
-            self.external[lm.lm_id] = [pid for pid, part in sorted(lm.partitions.items())
-                                       if part.owner_gm_id != self.gm_id]
+            own.extend(mine)
+            others.append([part for part in parts if part.owner_gm_id != self.gm_id])
+        n = len(lms)
+        self.own_orders = [[own[(first + i) % n] for i in range(n)] for first in range(n)]
+        self.other_orders = [[part for i in range(n) for part in others[(first + i) % n]]
+                             for first in range(n)]
         self._lm_by_id = {lm.lm_id: lm for lm in lms}
 
     # -- arrivals and the scheduling loop -------------------------------------
@@ -111,105 +121,84 @@ class GlobalMaster:
     def _attempt(self, run: TaskRun, start: float) -> None:
         """Run one full decision pass for a request, charging simulated time."""
         request = run.request
-        cost = self.costs.gm_request_overhead
-        action = None
-
-        # 1: own partitions, starting position rotates per request
-        n = len(self.internal)
-        first = self.rr_internal
+        n = len(self.own_orders)
+        cost, part, ordinal = self._first_fit(
+            self.costs.gm_request_overhead, request, self.own_orders[self.rr_internal])
         self.rr_internal = (self.rr_internal + 1) % n
-        for i in range(n):
-            lm_id, pid = self.internal[(first + i) % n]
-            part = self.view.partitions[(lm_id, pid)]
-            ordinal, word_ops, checked = part.match(request.constraints, request.demand)
-            cost += word_ops * self.costs.gm_word_op + checked * self.costs.gm_node_check
-            if ordinal is not None:
-                action = ("launch", lm_id, pid, ordinal)
-                break
-
-        # 2: everyone else's partitions -> repartition
-        if action is None:
-            lm_count = len(self.lm_ids)
-            first_lm = self.rr_external
-            self.rr_external = (self.rr_external + 1) % lm_count
-            for i in range(lm_count):
-                lm_id = self.lm_ids[(first_lm + i) % lm_count]
-                for pid in self.external[lm_id]:
-                    part = self.view.partitions[(lm_id, pid)]
-                    ordinal, word_ops, checked = part.match(request.constraints, request.demand)
-                    cost += word_ops * self.costs.gm_word_op + checked * self.costs.gm_node_check
-                    if ordinal is not None:
-                        action = ("repartition", lm_id, pid, ordinal)
-                        break
-                if action is not None:
-                    break
-
-        # 3: fairness — preempt only under contention, never for an over-share user
-        if action is None:
-            plan_cost, action = self._plan(run, start)
+        if part is None:
+            cost, part, ordinal = self._first_fit(
+                cost, request, self.other_orders[self.rr_external])
+            self.rr_external = (self.rr_external + 1) % n
+        plan = None
+        if part is None:
+            # fairness: preempt only under contention, never for an over-share user
+            plan_cost, plan = self._plan(run, start)
             cost += plan_cost
 
         done = self.clock.charge(start, cost)
         run.metrics.add_processing(cost)
         run.metrics.attempts += 1
-        self._dispatch(run, action, done)
+        if part is not None:
+            self._request_launch(run, part, ordinal, done)
+        elif plan is not None:
+            self._request_preempt(run, plan, done)
+        else:
+            self._reinsert(run, done)
         self._kick(done)
 
-    def _plan(self, run: TaskRun, at: float) -> tuple[float, tuple]:
-        """The fairness step: (scan cost, a "preempt" or "reinsert" action)."""
-        guard, plan, audit = plan_preemption(
+    def _first_fit(self, cost: float, request: TaskRequest, parts: list[ViewPartition]
+                   ) -> tuple[float, ViewPartition | None, int | None]:
+        """The first partition in `parts` with a fitting node, and that node's
+        ordinal, or None; `cost` plus the charge for every partition searched."""
+        constraints, demand = request.constraints, request.demand
+        word_op, node_check = self.costs.gm_word_op, self.costs.gm_node_check
+        for part in parts:
+            ordinal, word_ops, checked = part.match(constraints, demand)
+            cost += word_ops * word_op + checked * node_check
+            if ordinal is not None:
+                return cost, part, ordinal
+        return cost, None, None
+
+    def _plan(self, run: TaskRun, at: float) -> tuple[float, PreemptPlan | None]:
+        """The fairness step: (scan cost, a preemption plan or None)."""
+        _, plan, audit = plan_preemption(
             self.view, run, self.queues.by_user[run.request.user_id], self.shares,
             self.queues.by_user, self.violation_metric, at, self.gm_id,
         )
         if self.collector.audit:
             self.collector.audit_preemptions.append(audit)
-        cost = audit.nodes_scanned * self.costs.gm_node_check
-        if guard == GUARD_FAILURE or plan is None:
-            return cost, ("reinsert",)
-        return cost, ("preempt", plan)
+        return audit.nodes_scanned * self.costs.gm_node_check, plan
 
-    def _dispatch(self, run: TaskRun, action: tuple, done: float) -> None:
+    def _request_launch(self, run: TaskRun, part: ViewPartition, ordinal: int,
+                        done: float) -> None:
+        """Deduct from the view and ask the LM to launch on the node; on another
+        GM's partition the request is a carve-out of that node."""
         request = run.request
-        kind = action[0]
-        if kind == "launch" or kind == "repartition":
-            _, lm_id, pid, ordinal = action
-            part = self.view.partitions[(lm_id, pid)]
-            node_id = part.nodes[ordinal].node_id
-            part.deduct(ordinal, request.demand)
-            lm = self._lm_by_id[lm_id]
-            self._inflight[request.task_id] = run
-            if kind == "launch":
-                message = LaunchRequest(
-                    gm_id=self.gm_id, task_id=request.task_id, node_id=node_id,
-                    demand=request.demand, constraints=request.constraints, run=run,
-                )
-                self.network.send(done, LAUNCH_REQUEST,
-                                  lambda t: lm.on_launch_request(message, t),
-                                  metrics=run.metrics)
-            else:
-                message = RepartitionRequest(
-                    gm_id=self.gm_id, task_id=request.task_id, source_node_id=node_id,
-                    demand=request.demand, constraints=request.constraints, run=run,
-                )
-                self.network.send(done, REPARTITION_REQUEST,
-                                  lambda t: lm.on_repartition_request(message, t),
-                                  metrics=run.metrics)
-        elif kind == "preempt":
-            plan: PreemptPlan = action[1]
-            lm = self._lm_by_id[plan.lm_id]
-            self._inflight[request.task_id] = run
-            self.collector.bump("preempt_attempts")
-            message = PreemptRequest(
-                gm_id=self.gm_id, task_id=request.task_id, node_id=plan.node_id,
-                victim_ids=plan.victim_ids, demand=request.demand, run=run,
-            )
-            self.network.send(done, PREEMPT_REQUEST,
-                              lambda t: lm.on_preempt_request(message, t),
-                              metrics=run.metrics)
-        elif kind == "reinsert":
-            self._reinsert(run, done)
-        else:  # pragma: no cover - defensive
-            raise AssertionError(f"unknown action {kind!r}")
+        message = LaunchRequest(
+            gm_id=self.gm_id, task_id=request.task_id, node_id=part.nodes[ordinal].node_id,
+            demand=request.demand, constraints=request.constraints, run=run,
+        )
+        part.deduct(ordinal, request.demand)
+        lm = self._lm_by_id[part.lm_id]
+        self._inflight[request.task_id] = run
+        if part.owner_gm_id == self.gm_id:
+            kind, handler = LAUNCH_REQUEST, lm.on_launch_request
+        else:
+            kind, handler = REPARTITION_REQUEST, lm.on_repartition_request
+        self.network.send(done, kind, lambda t: handler(message, t), metrics=run.metrics)
+
+    def _request_preempt(self, run: TaskRun, plan: PreemptPlan, done: float) -> None:
+        request = run.request
+        lm = self._lm_by_id[plan.partition.lm_id]
+        self._preempting[request.task_id] = (run, plan)
+        self.collector.bump("preempt_attempts")
+        message = PreemptRequest(
+            gm_id=self.gm_id, task_id=request.task_id, node_id=plan.node_id,
+            victim_ids=plan.victim_ids, demand=request.demand, run=run,
+        )
+        self.network.send(done, PREEMPT_REQUEST,
+                          lambda t: lm.on_preempt_request(message, t),
+                          metrics=run.metrics)
 
     def _reinsert(self, run: TaskRun, at: float) -> None:
         """Rescheduling: back to the tail of the task's own queue."""
@@ -256,11 +245,12 @@ class GlobalMaster:
             self._attempt(run, mid)
 
     def on_preempt_response(self, response: PreemptResponse, now: float) -> None:
-        run = self._inflight.pop(response.task_id, None)
-        if run is None:
+        entry = self._preempting.pop(response.task_id, None)
+        if entry is None:
             log.warning("GM %s: dropping orphan preempt response for task %s",
                         self.gm_id, response.task_id)
             return
+        run, plan = entry
         request = run.request
         start = self.clock.begin(now)
         run.metrics.add_framework_queuing(start - now)
@@ -268,23 +258,15 @@ class GlobalMaster:
         run.metrics.add_processing(merge_cost)
         mid = self.clock.charge(start, merge_cost)
 
-        lm_id = response.state.lm_id
-        all_verified = all(s.verified for s in response.statuses)
-        target = self._locate(lm_id, response.node_id)
-        fits = False
-        if target is not None:
-            pid, ordinal = target
-            part = self.view.partitions[(lm_id, pid)]
-            fits = (part.available[ordinal].geq(request.demand)
-                    and part.node_satisfies(ordinal, request.constraints))
-
-        if all_verified and fits:
-            kind = "launch" if part.owner_gm_id == self.gm_id else "repartition"
+        part, ordinal = plan.partition, plan.ordinal
+        if (all(s.verified for s in response.statuses)
+                and part.available[ordinal].geq(request.demand)
+                and part.node_satisfies(ordinal, request.constraints)):
             cost = self.costs.gm_request_overhead
             done = self.clock.charge(mid, cost)
             run.metrics.add_processing(cost)
             run.metrics.attempts += 1
-            self._dispatch(run, (kind, lm_id, pid, ordinal), done)
+            self._request_launch(run, part, ordinal, done)
             self._kick(done)
             return
 
@@ -294,23 +276,15 @@ class GlobalMaster:
             self._reinsert(run, mid)
             self._kick(mid)
             return
-        cost, action = self._plan(run, mid)
+        cost, plan = self._plan(run, mid)
         done = self.clock.charge(mid, cost)
         run.metrics.add_processing(cost)
-        if action[0] == "preempt":
+        if plan is not None:
             run.metrics.attempts += 1
-        self._dispatch(run, action, done)
+            self._request_preempt(run, plan, done)
+        else:
+            self._reinsert(run, done)
         self._kick(done)
-
-    def _locate(self, lm_id: str, node_id: str) -> tuple[str, int] | None:
-        """Find a node's (partition, ordinal) in the current view by id."""
-        for (vlm, pid), part in self.view.partitions.items():
-            if vlm != lm_id:
-                continue
-            for ordinal, node in enumerate(part.nodes):
-                if node.node_id == node_id:
-                    return pid, ordinal
-        return None
 
     # -- notifications ------------------------------------------------------------
 

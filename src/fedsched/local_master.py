@@ -30,7 +30,7 @@ from .engine import (HEARTBEAT, LAUNCH_RESPONSE, PREEMPT_RESPONSE, TASK_COMPLETI
                      Network)
 from .errors import ConfigurationError
 from .messages import (LaunchRequest, LaunchResponse, PreemptRequest, PreemptResponse,
-                       RepartitionRequest, TaskCompletion, TaskPreempted, VictimStatus)
+                       TaskCompletion, TaskPreempted, VictimStatus)
 from .metrics import MetricsCollector, TaskRun
 from .state import LMStateSnapshot, NodeSnapshot, PartitionSnapshot, RunningTaskInfo
 from .worker import start_task
@@ -176,37 +176,43 @@ class LocalMaster:
 
     # -- launch -------------------------------------------------------------
 
-    def on_launch_request(self, req: LaunchRequest, now: float) -> None:
-        run = req.run
+    def _begin(self, run: TaskRun, now: float, cost: float) -> tuple[float, float]:
+        """Take a request in turn on the LM clock and charge `cost` to the LM
+        and to the task; returns (start, done)."""
         start = self.clock.begin(now)
         run.metrics.add_framework_queuing(start - now)
-        done = self.clock.charge(start, self.costs.lm_validate)
-        run.metrics.add_processing(self.costs.lm_validate)
+        done = self.clock.charge(start, cost)
+        run.metrics.add_processing(cost)
+        return start, done
 
+    @staticmethod
+    def _fits(node: WorkerNode | None, req: LaunchRequest) -> bool:
+        """The node exists, carries the task's constraints and has its demand."""
+        return (node is not None and node.machine_constraints.issuperset(req.constraints)
+                and node.available.geq(req.demand))
+
+    def on_launch_request(self, req: LaunchRequest, now: float) -> None:
+        _, done = self._begin(req.run, now, self.costs.lm_validate)
         node = self.nodes.get(req.node_id)
-        owner_ok = (node is not None
-                    and self.partitions[node.partition_id].owner_gm_id == req.gm_id)
-        constraints_ok = (node is not None
-                          and node.machine_constraints.issuperset(req.constraints))
-        resources_ok = node is not None and node.available.geq(req.demand)
-        ok = bool(owner_ok and constraints_ok and resources_ok)
-        self._audit(req, "launch", req.node_id, node, ok, done)
+        ok = (self._fits(node, req)
+              and self.partitions[node.partition_id].owner_gm_id == req.gm_id)
+        self._audit(req, "launch", node, ok, done)
 
         if ok:
-            self._launch(run, node, req.gm_id, done)
+            self._launch(req.run, node, req.gm_id, done)
             self._respond_launch(req, "launch", node.node_id,
                                  self._state(done, (node.partition_id,)))
         else:
             self._respond_launch(req, "launch", None, self.snapshot(done))
 
-    def _audit(self, req: LaunchRequest | RepartitionRequest, kind: str, node_id: str,
-               node: WorkerNode | None, ok: bool, done: float) -> None:
+    def _audit(self, req: LaunchRequest, kind: str, node: WorkerNode | None, ok: bool,
+               done: float) -> None:
         """Record a launch or repartition validation when auditing is on."""
         if not self.collector.audit:
             return
         self.collector.audit_launches.append({
             "time": done, "lm_id": self.lm_id, "gm_id": req.gm_id,
-            "task_id": req.task_id, "node_id": node_id, "kind": kind,
+            "task_id": req.task_id, "node_id": req.node_id, "kind": kind,
             "ok": ok,
             "available_before": node.available.quantities if node else None,
             "demand": req.demand.quantities,
@@ -244,7 +250,7 @@ class LocalMaster:
         start_task(self.loop, rt.run, now,
                    lambda t: self._on_task_complete(task_id, incarnation, t))
 
-    def _respond_launch(self, req: LaunchRequest | RepartitionRequest, kind: str,
+    def _respond_launch(self, req: LaunchRequest, kind: str,
                         node_id: str | None, state: LMStateSnapshot) -> None:
         """Answer a launch or repartition request; `node_id` None means it failed.
 
@@ -269,19 +275,14 @@ class LocalMaster:
 
     # -- repartition ---------------------------------------------------------
 
-    def on_repartition_request(self, req: RepartitionRequest, now: float) -> None:
+    def on_repartition_request(self, req: LaunchRequest, now: float) -> None:
+        """Carve `req.demand` out of the physical node `req.node_id` into a
+        logical node of the requesting GM's partition, and launch there."""
         run = req.run
-        start = self.clock.begin(now)
-        run.metrics.add_framework_queuing(start - now)
-        done = self.clock.charge(start, self.costs.lm_repartition)
-        run.metrics.add_processing(self.costs.lm_repartition)
-
-        source = self.nodes.get(req.source_node_id)
-        ok = (source is not None
-              and not source.is_logical  # never carve a logical node further
-              and source.machine_constraints.issuperset(req.constraints)
-              and source.available.geq(req.demand))
-        self._audit(req, "repartition", req.source_node_id, source, bool(ok), done)
+        _, done = self._begin(run, now, self.costs.lm_repartition)
+        source = self.nodes.get(req.node_id)
+        ok = self._fits(source, req) and not source.is_logical  # never carve a logical node
+        self._audit(req, "repartition", source, ok, done)
 
         if not ok:
             self._respond_launch(req, "repartition", None, self.snapshot(done))
@@ -317,11 +318,9 @@ class LocalMaster:
 
     def on_preempt_request(self, req: PreemptRequest, now: float) -> None:
         run = req.run
-        start = self.clock.begin(now)
-        run.metrics.add_framework_queuing(start - now)
-        cost = self.costs.lm_validate + self.costs.lm_preempt_per_victim * len(req.victim_ids)
-        done = self.clock.charge(start, cost)
-        run.metrics.add_processing(cost)
+        start, done = self._begin(
+            run, now,
+            self.costs.lm_validate + self.costs.lm_preempt_per_victim * len(req.victim_ids))
 
         statuses = []
         touched: list[str] = []
@@ -337,7 +336,7 @@ class LocalMaster:
                 continue
             killed += 1
             del self.running[victim_id]
-            touched.extend(self._release(rt, done))
+            touched.extend(self._release(rt))
             self.collector.bump("preemptions")
             rt.run.times_preempted += 1
             owner = self._gm(rt.gm_id)
@@ -360,7 +359,7 @@ class LocalMaster:
 
     # -- completion ----------------------------------------------------------
 
-    def _release(self, rt: RunningTask, now: float) -> list[str]:
+    def _release(self, rt: RunningTask) -> list[str]:
         """Return resources for a finished or killed task; destroys logical nodes."""
         node = self.nodes[rt.node_id]
         info = rt.info
@@ -382,7 +381,7 @@ class LocalMaster:
         if rt is None or rt.incarnation != incarnation:
             return  # stale completion from a preempted incarnation
         del self.running[task_id]
-        touched = self._release(rt, now)
+        touched = self._release(rt)
         self.collector.note_completed()
         self.loop.note_progress()
         owner = self._gm(rt.gm_id)

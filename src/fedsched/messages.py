@@ -6,6 +6,11 @@ deployment would serialize.  Every message an LM sends to a GM carries one
 bare snapshot) and on validation failures, and just the partitions the
 request touched otherwise, so every interaction refreshes part of the
 receiver's view of that LM.
+
+One request type serves launches and carve-outs: a `LaunchRequest` sent as a
+launch request names the node to launch on, and sent as a repartition
+request it names the physical node of another GM's partition to carve the
+task's demand out of.  The LM answers both with a `LaunchResponse`.
 """
 
 from __future__ import annotations
@@ -25,16 +30,6 @@ class LaunchRequest:
     gm_id: str
     task_id: str
     node_id: str
-    demand: ResourceVector
-    constraints: ConstraintSet
-    run: "TaskRun" = field(repr=False)
-
-
-@dataclass(frozen=True)
-class RepartitionRequest:
-    gm_id: str
-    task_id: str
-    source_node_id: str
     demand: ResourceVector
     constraints: ConstraintSet
     run: "TaskRun" = field(repr=False)

@@ -23,6 +23,8 @@ from .errors import ConfigurationError, TraceFormatError
 TRACE_COLUMNS = ("arrival_s", "job_id", "task_id", "cpu", "mem_mb", "duration_s",
                  "constraints")
 
+ARRIVALS = ("poisson", "uniform")
+
 DEFAULT_CPU_DIVISOR = 400
 DEFAULT_MEM_DIVISOR = 50
 
@@ -43,7 +45,11 @@ def load_trace(
     if cpu_divisor <= 0 or mem_divisor <= 0:
         raise ConfigurationError("scaling divisors must be positive")
     tasks: list[TaskRequest] = []
-    with open(path, newline="") as handle:
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise TraceFormatError(f"cannot read trace {path}: {exc.strerror}") from None
+    with handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

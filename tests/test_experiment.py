@@ -1,6 +1,7 @@
 """Config-driven experiment runs, report files, sweeps, and the CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from fedsched.experiment import (build_workload, effective_users,
 from fedsched.metrics import RECORD_FIELDS
 
 TRACE_HEADER = "arrival_s,job_id,task_id,cpu,mem_mb,duration_s,constraints"
+SAMPLE_TRACE = str(Path(__file__).resolve().parent.parent / "configs" / "sample-trace.csv")
 
 
 def base_data(**over):
@@ -176,6 +178,18 @@ MALFORMED = {
     "delay overrides not an object": ({"delays": {"overrides": 5}}, {}),
     "scalar worker_capacity": ({"worker_capacity": 5}, {}),
     "scalar workload demand": ({}, {"demand": 5}),
+    "zero workload count": ({}, {"count": 0}),
+    "negative workload rate": ({}, {"rate": -1}),
+    "unknown arrival process": ({}, {"arrival": "bursty"}),
+    "zero event_cap": ({"event_cap": 0}, {}),
+    "zero-slot slot_demand": ({"slot_demand": [0, 0]}, {}),
+    "task constraint probability above one": (
+        {}, {"constraint_probabilities": {"1": 2.0}}),
+    "NaN task constraint probability": ({}, {"constraint_probabilities": {"1": "nan"}}),
+    "zero trace cpu_divisor": (
+        {}, {"kind": "trace", "path": SAMPLE_TRACE, "cpu_divisor": 0}),
+    "NaN network delay": ({"delays": {"network_delay": float("nan")}}, {}),
+    "infinite workload rate": ({}, {"rate": float("inf")}),
 }
 
 
@@ -205,6 +219,16 @@ def test_validate_config_names_the_malformed_section(tmp_path, capsys):
         err = capsys.readouterr().err
         assert all(word in err for word in named), err
         assert "Traceback" not in err
+
+
+def test_missing_trace_file_exits_2_without_a_traceback(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    data = base_data(workload={"kind": "trace", "path": missing})
+    assert main(["run", "--config", write_config(tmp_path, data),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and missing in err
+    assert "Traceback" not in err
 
 
 def test_trace_demand_dimension_must_match_workers(tmp_path):
@@ -265,9 +289,8 @@ def test_default_users_are_one_equal_share_per_gm():
 def test_sparrow_knob_validation():
     with pytest.raises(ConfigurationError):
         base_config(scheduler="sparrow", probe_count=0)
-    cfg = base_config(scheduler="sparrow", slot_demand=[128, 999999])
     with pytest.raises(ConfigurationError):
-        run_experiment(cfg)  # capacity divides to zero slots
+        base_config(scheduler="sparrow", slot_demand=[128, 999999])  # zero slots
 
 
 def test_sparrow_small_run():

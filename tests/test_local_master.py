@@ -8,7 +8,7 @@ from fedsched.core import ConstraintBitmap, Partition, WorkerNode
 from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.experiment import check_conservation, check_snapshot_cache
 from fedsched.local_master import LocalMaster
-from fedsched.messages import LaunchRequest, PreemptRequest, RepartitionRequest
+from fedsched.messages import LaunchRequest, PreemptRequest
 from fedsched.metrics import MetricsCollector
 
 from scenarios import ZERO_COSTS, build_race_cluster, cs, rv, task
@@ -82,9 +82,8 @@ def repartition(lm, loop, collector, *, source, gm_id="gm1", demand=None,
     request = task(task_id, user=user, demand=demand, constraints=constraints,
                    arrival=at, duration=duration)
     run = collector.new_run(request)
-    req = RepartitionRequest(gm_id=gm_id, task_id=task_id, source_node_id=source,
-                             demand=request.demand, constraints=request.constraints,
-                             run=run)
+    req = LaunchRequest(gm_id=gm_id, task_id=task_id, node_id=source,
+                        demand=request.demand, constraints=request.constraints, run=run)
     loop.schedule(at, lambda t: lm.on_repartition_request(req, t))
     return run
 
@@ -646,3 +645,37 @@ def test_carve_out_and_logical_node_destruction_patch_the_partition_list():
     assert done.state.partitions[0].nodes[0] is k
     assert lm.partition_nodes["lm0-p0"][0].available == rv(8, 16384)  # N got it back
     check_snapshot_cache(lm)
+
+
+def test_physical_nodes_keep_their_ordinals_across_carve_outs_and_destruction():
+    # a GM's preemption plan names a physical node by partition and ordinal
+    lm, gms, loop, collector = one_lm({
+        "gm0": [("N", rv(8, 16384), cs()), ("M", rv(8, 16384), cs())],
+        "gm1": [("K", rv(8, 16384), cs()), ("J", rv(8, 16384), cs())]})
+    repartition(lm, loop, collector, source="N", demand=rv(2, 4096), task_id="a",
+                duration=1.0)
+    repartition(lm, loop, collector, source="M", demand=rv(2, 4096), task_id="b",
+                duration=2.0)
+    seen = []
+
+    def layout(t):
+        seen.append({pid: list(part.node_ids) for pid, part in lm.partitions.items()})
+        for pid, part in lm.partitions.items():
+            assert [n.node_id for n in lm.partition_nodes[pid]] == part.node_ids
+
+    loop.schedule(0.5, layout)
+    loop.schedule(1.5, layout)
+    loop.run()
+    layout(loop.now())
+
+    both, one, none = seen
+    assert both == {"lm0-p0": ["N", "M"], "lm0-p1": ["K", "J", "N.l1", "M.l2"]}
+    assert one == {"lm0-p0": ["N", "M"], "lm0-p1": ["K", "J", "M.l2"]}
+    assert none == {"lm0-p0": ["N", "M"], "lm0-p1": ["K", "J"]}
+    # every message laid the partition out the same way
+    for _, resp in gms["gm1"].launch_responses + gms["gm1"].completions:
+        for part in resp.state.partitions:
+            ids = [n.node_id for n in part.nodes]
+            physical = [n.node_id for n in part.nodes if not n.is_logical]
+            assert ids[:len(physical)] == physical == (
+                ["N", "M"] if part.partition_id == "lm0-p0" else ["K", "J"])
