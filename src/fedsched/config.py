@@ -118,7 +118,7 @@ class ExperimentConfig:
         for vector in vectors:
             if vector.dimension != self.worker_capacity.dimension:
                 raise ConfigurationError(
-                    f"resource vector {vector.quantities} does not have the "
+                    f"resource vector {tuple(vector)} does not have the "
                     f"{self.worker_capacity.dimension} dimensions of worker_capacity"
                 )
         if self.worker_slots() < 1:
@@ -150,12 +150,14 @@ class ExperimentConfig:
             )
 
     def worker_slots(self) -> int:
-        """Probe-baseline slots per worker: the fewest slot demands that fit in
-        any dimension where at least one fits; 1 without a slot demand."""
+        """Probe-baseline slots per worker: how many slot demands fit in every
+        dimension with a positive demand at once, 0 when some such dimension
+        cannot hold one or none has a positive demand; 1 without a slot
+        demand."""
         if self.slot_demand is None:
             return 1
-        per_dim = [cap // d for cap, d in zip(self.worker_capacity, self.slot_demand) if d > 0]
-        return min((q for q in per_dim if q > 0), default=0)
+        return min((cap // d for cap, d in zip(self.worker_capacity, self.slot_demand)
+                    if d > 0), default=0)
 
 
 def _finite(value) -> bool:

@@ -1,10 +1,13 @@
 """Core value types: resource vectors, constraint sets, tasks, nodes, partitions.
 
 Resources are exact integer quantities (whole CPU cores, memory in MB by
-default).  Constraints are small integer ids; a machine satisfies a task when
-its constraint set is a superset of the task's.  Partition membership is
-indexed per constraint with bit vectors so a scheduler can intersect them with
-bitwise AND instead of walking every node.
+default).  A `ResourceVector` is stored as a tuple subclass holding those
+quantities, because the simulator builds one on nearly every event: the
+tuple's C code then hashes, compares and indexes it.  Constraints are small
+integer ids; a machine satisfies a task when its constraint set is a superset
+of the task's.  Partition membership is indexed per constraint with bit
+vectors so a scheduler can intersect them with bitwise AND instead of walking
+every node.
 
 Input is validated where it enters, not in every operation.  `ResourceVector.of`
 checks each vector built from outside input (config, trace, default demand);
@@ -17,7 +20,7 @@ bitmap and the vector operations never see either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import ge
+from operator import add, ge, sub
 from typing import Iterable, Iterator
 
 from .errors import ConfigurationError
@@ -27,16 +30,20 @@ DEFAULT_CONSTRAINT_COUNT = 21
 WORD_BITS = 64
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+class ResourceVector(tuple):
     """Element-wise non-negative integer resource amounts.
+
+    The vector is the tuple of its quantities, so hashing, equality, indexing
+    and iteration run as the tuple's own C code.  A vector therefore also
+    equals a plain tuple of the same quantities, and `<` compares
+    lexicographically; neither means anything for resources.
 
     Invariants:
       - at least one dimension
       - every quantity is an int >= 0 (checked by `of`, kept by arithmetic)
     """
 
-    quantities: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, *quantities: int) -> "ResourceVector":
@@ -55,30 +62,32 @@ class ResourceVector:
         return cls((0,) * dimension)
 
     @property
+    def quantities(self) -> tuple[int, ...]:
+        """The quantities, read-only: the vector itself."""
+        return self
+
+    @property
     def dimension(self) -> int:
-        return len(self.quantities)
+        return len(self)
+
+    def __repr__(self) -> str:
+        return f"ResourceVector(quantities={tuple.__repr__(self)})"
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(tuple(a + b for a, b in zip(self.quantities, other.quantities)))
+        return ResourceVector(map(add, self, other))
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        out = tuple(a - b for a, b in zip(self.quantities, other.quantities))
-        if any(q < 0 for q in out):
-            raise ValueError(f"resource underflow: {self.quantities} - {other.quantities}")
-        return ResourceVector(out)
+        out = ResourceVector(map(sub, self, other))
+        if min(out) < 0:
+            raise ValueError(f"resource underflow: {tuple(self)} - {tuple(other)}")
+        return out
 
     def geq(self, other: "ResourceVector") -> bool:
         """True when every dimension of self is >= the same dimension of other."""
-        return all(map(ge, self.quantities, other.quantities))
-
-    def __getitem__(self, index: int) -> int:
-        return self.quantities[index]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.quantities)
+        return all(map(ge, self, other))
 
     def is_zero(self) -> bool:
-        return all(q == 0 for q in self.quantities)
+        return not any(self)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import json
 import logging
 import os
 from dataclasses import asdict, dataclass, field, is_dataclass
-from operator import attrgetter
 
 from .config import ExperimentConfig, UserSpec
 from .core import (ConstraintBitmap, ConstraintSet, Partition, ResourceVector,
@@ -85,7 +84,7 @@ def build_workload(config: ExperimentConfig, users: list[UserSpec]) -> list[Task
             )
         if task.demand.dimension != dim:
             raise ConfigurationError(
-                f"task {task.task_id}: demand {task.demand.quantities} does not "
+                f"task {task.task_id}: demand {tuple(task.demand)} does not "
                 f"have the {dim} dimensions of worker_capacity"
             )
     return tasks
@@ -252,10 +251,10 @@ def check_conservation(lm: LocalMaster) -> None:
             expected = expected + child_sum.get(node.node_id, zero)
         elif node.node_id in child_sum:
             raise SimulationError(f"logical node {node.node_id} has children")
-        if expected.quantities != node.capacity.quantities:
+        if expected != node.capacity:
             raise SimulationError(
                 f"conservation violated on {node.node_id}: capacity "
-                f"{node.capacity.quantities}, accounted {expected.quantities}"
+                f"{tuple(node.capacity)}, accounted {tuple(expected)}"
             )
 
 
@@ -320,7 +319,7 @@ def check_view_index(gm: GlobalMaster) -> None:
             if ordinal not in part.deducted and part.available[ordinal] != node.available:
                 raise SimulationError(f"{where}: node {node.node_id} differs from its "
                                       f"snapshot outside the deduction overlay")
-        if part.columns != [list(c) for c in zip(*(a.quantities for a in part.available))]:
+        if part.columns != [list(c) for c in zip(*part.available)]:
             raise SimulationError(f"{where}: columns != viewed availability")
         if part.powers != [1 << o for o in range(len(part.nodes))]:
             raise SimulationError(f"{where}: powers != node count")
@@ -408,13 +407,10 @@ def run_experiment(config: ExperimentConfig, *, check_invariants: bool = False,
     )
 
 
-_record_values = attrgetter(*RECORD_FIELDS)
-
-
 def _csv_row(record: AllocationRecord) -> list:
     """One tasks.csv row.  csv writes str() of every cell, which is repr()
     for floats; bools are written as 1/0."""
-    return [int(v) if v.__class__ is bool else v for v in _record_values(record)]
+    return [int(v) if v.__class__ is bool else v for v in record]
 
 
 def write_reports(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> dict[str, str]:
@@ -431,8 +427,7 @@ def write_reports(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> d
         task_path = os.path.join(out_dir, "tasks.jsonl")
         with open(task_path, "w") as handle:
             for record in result.records:
-                handle.write(json.dumps(
-                    {f: getattr(record, f) for f in RECORD_FIELDS}, sort_keys=True))
+                handle.write(json.dumps(record._asdict(), sort_keys=True))
                 handle.write("\n")
     else:
         raise ConfigurationError(f"unknown report format {fmt!r}")

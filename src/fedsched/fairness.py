@@ -103,7 +103,7 @@ def metric_value(amounts, share: tuple[float, ...], metric: str) -> float:
 
 def over_share(consumed: ResourceVector, share: tuple[float, ...], metric: str) -> bool:
     """Strictly over its share; consumption exactly at the share is allowed."""
-    return metric_value(consumed.quantities, share, metric) > 1.0
+    return metric_value(consumed, share, metric) > 1.0
 
 
 @dataclass(frozen=True)
@@ -155,62 +155,61 @@ def plan_preemption(
     metric: str,
     now: float,
     gm_id: str,
-) -> tuple[str | None, PreemptPlan | None, PreemptDecisionAudit]:
+    *,
+    audit: bool = True,
+) -> tuple[str | None, PreemptPlan | None, PreemptDecisionAudit | int]:
     """Decide whether and whom to preempt for `run`.
 
     Returns (guard_failure, plan, audit).  guard_failure is set when the
     requesting user is already over its share, in which case the request must
     go back to the tail of its queue.  plan is None when no over-share user
     has victims that would free enough resources on a single eligible node.
+    With `audit` off no audit record is built, and the third element is just
+    the record's `nodes_scanned`, the one figure the caller charges for.
     """
     request = run.request
     requester_user = request.user_id
     requester_consumed = requester_queue.consumed
     requester_share = requester_queue.share
 
-    if over_share(requester_consumed, requester_share, metric):
-        audit = PreemptDecisionAudit(
-            time=now, gm_id=gm_id, task_id=request.task_id,
-            requester_user=requester_user,
-            requester_consumed=requester_consumed.quantities,
-            requester_share=requester_share, metric=metric,
-            candidates=(), chosen_user=None, victim_ids=(), node_id=None,
-            nodes_scanned=0,
-        )
-        return GUARD_FAILURE, None, audit
-
     # rank other users by how far over their share the view says they are
     candidates: list[tuple[float, str, ResourceVector]] = []
-    for user_id, share in shares.items():
-        if user_id == requester_user:
-            continue
-        if user_id in own_queues:
-            consumed = own_queues[user_id].consumed
-        else:
-            consumed = view.viewed_consumed(user_id)
-        ratio = metric_value(consumed.quantities, share, metric)
-        if ratio > 1.0:
-            candidates.append((ratio, user_id, consumed))
-    candidates.sort(key=lambda item: (-item[0], item[1]))
+    if over_share(requester_consumed, requester_share, metric):
+        guard = GUARD_FAILURE
+    else:
+        guard = None
+        for user_id, share in shares.items():
+            if user_id == requester_user:
+                continue
+            if user_id in own_queues:
+                consumed = own_queues[user_id].consumed
+            else:
+                consumed = view.viewed_consumed(user_id)
+            ratio = metric_value(consumed, share, metric)
+            if ratio > 1.0:
+                candidates.append((ratio, user_id, consumed))
+        candidates.sort(key=lambda item: (-item[0], item[1]))
 
     audit_entries: list[CandidateAudit] = []
     plan: PreemptPlan | None = None
     scanned = 0
     for ratio, user_id, consumed in candidates:
-        found = _victims_for_user(view, user_id, request.constraints, request.demand)
-        scanned += found[1]
-        yielded = found[0] is not None
-        audit_entries.append(CandidateAudit(
-            user_id=user_id, viewed_consumed=consumed.quantities,
-            share=shares[user_id], ratio=ratio, yielded_victims=yielded,
-        ))
-        if yielded:
-            part, node_id, ordinal, victim_ids = found[0]
+        found, checked = _victims_for_user(view, user_id, request.constraints, request.demand)
+        scanned += checked
+        if audit:
+            audit_entries.append(CandidateAudit(
+                user_id=user_id, viewed_consumed=consumed.quantities,
+                share=shares[user_id], ratio=ratio, yielded_victims=found is not None,
+            ))
+        if found is not None:
+            part, node_id, ordinal, victim_ids = found
             plan = PreemptPlan(partition=part, node_id=node_id, ordinal=ordinal,
                                victim_user=user_id, victim_ids=victim_ids)
             break
 
-    audit = PreemptDecisionAudit(
+    if not audit:
+        return guard, plan, scanned
+    return guard, plan, PreemptDecisionAudit(
         time=now, gm_id=gm_id, task_id=request.task_id,
         requester_user=requester_user,
         requester_consumed=requester_consumed.quantities,
@@ -221,7 +220,6 @@ def plan_preemption(
         node_id=plan.node_id if plan else None,
         nodes_scanned=scanned,
     )
-    return None, plan, audit
 
 
 def _victims_for_user(

@@ -161,13 +161,17 @@ class GlobalMaster:
 
     def _plan(self, run: TaskRun, at: float) -> tuple[float, PreemptPlan | None]:
         """The fairness step: (scan cost, a preemption plan or None)."""
-        _, plan, audit = plan_preemption(
+        audit = self.collector.audit
+        _, plan, record = plan_preemption(
             self.view, run, self.queues.by_user[run.request.user_id], self.shares,
-            self.queues.by_user, self.violation_metric, at, self.gm_id,
+            self.queues.by_user, self.violation_metric, at, self.gm_id, audit=audit,
         )
-        if self.collector.audit:
-            self.collector.audit_preemptions.append(audit)
-        return audit.nodes_scanned * self.costs.gm_node_check, plan
+        if audit:
+            self.collector.audit_preemptions.append(record)
+            scanned = record.nodes_scanned
+        else:
+            scanned = record
+        return scanned * self.costs.gm_node_check, plan
 
     def _request_launch(self, run: TaskRun, part: ViewPartition, ordinal: int,
                         done: float) -> None:

@@ -41,9 +41,8 @@ _TASK_ID = attrgetter("task_id")
 
 
 def _snapshot(node: WorkerNode, running: tuple[RunningTaskInfo, ...] = ()) -> NodeSnapshot:
-    return NodeSnapshot(node_id=node.node_id, available=node.available,
-                        is_logical=node.is_logical, parent_node=node.parent_node,
-                        running=running)
+    return NodeSnapshot(node.node_id, node.available, node.is_logical, node.parent_node,
+                        running)
 
 
 @dataclass
@@ -137,12 +136,12 @@ class LocalMaster:
     def partition_snapshot(self, partition_id: str) -> PartitionSnapshot:
         partition = self.partitions[partition_id]
         return PartitionSnapshot(
-            partition_id=partition_id,
-            lm_id=self.lm_id,
-            owner_gm_id=partition.owner_gm_id,
-            nodes=tuple(self.partition_nodes[partition_id]),
-            bits=partition.bitmap.snapshot_bits(),
-            constraint_count=partition.bitmap.constraint_count,
+            partition_id,
+            self.lm_id,
+            partition.owner_gm_id,
+            tuple(self.partition_nodes[partition_id]),
+            partition.bitmap.snapshot_bits(),
+            partition.bitmap.constraint_count,
         )
 
     def snapshot(self, timestamp: float) -> LMStateSnapshot:
@@ -152,12 +151,10 @@ class LocalMaster:
     def _state(self, timestamp: float, partition_ids) -> LMStateSnapshot:
         """The named partitions (each once, in first-named order) and user consumption."""
         return LMStateSnapshot(
-            lm_id=self.lm_id,
-            timestamp=timestamp,
-            partitions=tuple(self.partition_snapshot(pid)
-                             for pid in dict.fromkeys(partition_ids)),
-            user_consumed=tuple((user, self.consumed[user])
-                                for user in sorted(self.consumed)),
+            self.lm_id,
+            timestamp,
+            tuple(self.partition_snapshot(pid) for pid in dict.fromkeys(partition_ids)),
+            tuple((user, self.consumed[user]) for user in sorted(self.consumed)),
         )
 
     # -- heartbeat ----------------------------------------------------------
@@ -230,8 +227,7 @@ class LocalMaster:
             lambda t: self._begin_execution(request.task_id, incarnation, t),
             metrics=run.metrics,
         )
-        info = RunningTaskInfo(task_id=request.task_id, user_id=request.user_id,
-                               demand=request.demand, launch_time=deliver_at)
+        info = RunningTaskInfo(request.task_id, request.user_id, request.demand, deliver_at)
         self.running[request.task_id] = RunningTask(
             run=run, node_id=node.node_id, gm_id=gm_id, incarnation=incarnation,
             info=info,

@@ -1,7 +1,9 @@
 """Message payloads exchanged between global masters, local masters, and workers.
 
-These are in-memory stand-ins for the wire: each dataclass mirrors what a real
-deployment would serialize.  Every message an LM sends to a GM carries one
+These are in-memory stand-ins for the wire: each `NamedTuple` mirrors what a
+real deployment would serialize, immutable once sent.  The `run` field is
+host-side bookkeeping that rides along with the task; it is not part of the
+simulated wire.  Every message an LM sends to a GM carries one
 `LMStateSnapshot` as `state`: the full state on heartbeats (delivered as the
 bare snapshot) and on validation failures, and just the partitions the
 request touched otherwise, so every interaction refreshes part of the
@@ -15,8 +17,7 @@ task's demand out of.  The LM answers both with a `LaunchResponse`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import ConstraintSet, ResourceVector
 from .state import LMStateSnapshot
@@ -25,18 +26,16 @@ if TYPE_CHECKING:
     from .metrics import TaskRun
 
 
-@dataclass(frozen=True)
-class LaunchRequest:
+class LaunchRequest(NamedTuple):
     gm_id: str
     task_id: str
     node_id: str
     demand: ResourceVector
     constraints: ConstraintSet
-    run: "TaskRun" = field(repr=False)
+    run: "TaskRun"
 
 
-@dataclass(frozen=True)
-class LaunchResponse:
+class LaunchResponse(NamedTuple):
     ok: bool
     task_id: str
     kind: str  # "launch" or "repartition"
@@ -44,43 +43,38 @@ class LaunchResponse:
     state: LMStateSnapshot
 
 
-@dataclass(frozen=True)
-class PreemptRequest:
+class PreemptRequest(NamedTuple):
     gm_id: str
     task_id: str  # the task preemption is on behalf of
     node_id: str
     victim_ids: tuple[str, ...]
     demand: ResourceVector
-    run: "TaskRun" = field(repr=False)
+    run: "TaskRun"
 
 
-@dataclass(frozen=True)
-class VictimStatus:
+class VictimStatus(NamedTuple):
     task_id: str
     verified: bool
 
 
-@dataclass(frozen=True)
-class PreemptResponse:
+class PreemptResponse(NamedTuple):
     task_id: str
     node_id: str
     statuses: tuple[VictimStatus, ...]
     state: LMStateSnapshot
 
 
-@dataclass(frozen=True)
-class TaskCompletion:
+class TaskCompletion(NamedTuple):
     task_id: str
     user_id: str
     demand: ResourceVector
     state: LMStateSnapshot
-    run: "TaskRun" = field(repr=False)
+    run: "TaskRun"
 
 
-@dataclass(frozen=True)
-class TaskPreempted:
+class TaskPreempted(NamedTuple):
     task_id: str
     user_id: str
     demand: ResourceVector
     state: LMStateSnapshot
-    run: "TaskRun" = field(repr=False)
+    run: "TaskRun"

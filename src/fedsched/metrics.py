@@ -7,13 +7,18 @@ decision and validation work), communication (message hops on the task's
 path), and worker queuing (baseline-only waiting at a worker).  Every segment
 of the span is attributed to exactly one bucket so the components always sum
 back to the total.
+
+A task's `AllocationRecord` is a `NamedTuple` whose field order is the
+`tasks.csv` column order; the per-task accumulator behind it, `TaskMetrics`,
+is a mutable dataclass until the task starts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .core import TaskRequest
 
@@ -58,9 +63,8 @@ class TaskMetrics:
         self.task_start = task_start
 
 
-@dataclass(frozen=True)
-class AllocationRecord:
-    """One task's allocation outcome."""
+class AllocationRecord(NamedTuple):
+    """One task's allocation outcome, in `tasks.csv` column order."""
 
     task_id: str
     job_id: str
@@ -78,7 +82,7 @@ class AllocationRecord:
     preempted_count_caused: int
 
 
-RECORD_FIELDS = tuple(f.name for f in fields(AllocationRecord))
+RECORD_FIELDS = AllocationRecord._fields
 
 
 class TaskRun:
@@ -149,20 +153,20 @@ class MetricsCollector:
         m.finalize(task_start)
         request = run.request
         run.record = AllocationRecord(
-            task_id=request.task_id,
-            job_id=request.job_id,
-            user_id=request.user_id,
-            scheduler=scheduler,
-            arrival=request.arrival_time,
-            task_start=task_start,
-            allocation_time=task_start - request.arrival_time,
-            framework_queuing_delay=m.framework_queuing,
-            processing_delay=m.processing,
-            worker_queuing_delay=m.worker_queuing,
-            communication_delay=m.communication,
-            attempts=m.attempts,
-            repartitioned=m.repartitioned,
-            preempted_count_caused=m.preempted_caused,
+            request.task_id,
+            request.job_id,
+            request.user_id,
+            scheduler,
+            request.arrival_time,
+            task_start,
+            task_start - request.arrival_time,
+            m.framework_queuing,
+            m.processing,
+            m.worker_queuing,
+            m.communication,
+            m.attempts,
+            m.repartitioned,
+            m.preempted_caused,
         )
         self.records.append(run.record)
 

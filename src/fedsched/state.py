@@ -14,27 +14,29 @@ message, and a GM's `ViewPartition` re-reads only the nodes whose object
 changed, plus those it deducted from itself, so the host cost of a merge
 follows the nodes that changed rather than the partition's size.  The
 simulated merge charge still counts every node carried.
+
+The snapshot records are `NamedTuple`s: immutable, as the GM's identity diff
+requires of a published `NodeSnapshot`, and built at tuple speed, since every
+message carries several.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ge, is_not
+from typing import NamedTuple
 
 from .core import ConstraintBitmap, ConstraintSet, ResourceVector
 
 
-@dataclass(frozen=True)
-class RunningTaskInfo:
+class RunningTaskInfo(NamedTuple):
     task_id: str
     user_id: str
     demand: ResourceVector
     launch_time: float
 
 
-@dataclass(frozen=True)
-class NodeSnapshot:
+class NodeSnapshot(NamedTuple):
     node_id: str
     available: ResourceVector
     is_logical: bool
@@ -42,8 +44,7 @@ class NodeSnapshot:
     running: tuple[RunningTaskInfo, ...]
 
 
-@dataclass(frozen=True)
-class PartitionSnapshot:
+class PartitionSnapshot(NamedTuple):
     partition_id: str
     lm_id: str
     owner_gm_id: str
@@ -52,8 +53,7 @@ class PartitionSnapshot:
     constraint_count: int
 
 
-@dataclass(frozen=True)
-class LMStateSnapshot:
+class LMStateSnapshot(NamedTuple):
     """State of one LM as of `timestamp`: all of its partitions or only some."""
 
     lm_id: str
@@ -111,8 +111,7 @@ class ViewPartition:
     def _rebuild(self, snapshot: PartitionSnapshot) -> None:
         self.nodes = snapshot.nodes
         self.available = [n.available for n in snapshot.nodes]
-        self.columns = [list(column)
-                        for column in zip(*(a.quantities for a in self.available))]
+        self.columns = [list(column) for column in zip(*self.available)]
         self.powers = [1 << ordinal for ordinal in range(len(snapshot.nodes))]
         self.bits = snapshot.bits
         self.bitmap = ConstraintBitmap(
@@ -139,7 +138,7 @@ class ViewPartition:
         """Record a node's viewed availability: in `available`, in `columns`,
         and as a set or cleared bit in every fit mask."""
         self.available[ordinal] = have
-        for column, quantity in zip(self.columns, have.quantities):
+        for column, quantity in zip(self.columns, have):
             column[ordinal] = quantity
         fits = self.fits
         bit = 1 << ordinal
@@ -177,7 +176,7 @@ class ViewPartition:
         """Bit j set iff `available[j]` covers the demand."""
         powers = self.powers
         fit = (1 << len(powers)) - 1
-        for column, want in zip(self.columns, demand.quantities):
+        for column, want in zip(self.columns, demand):
             fit &= sum(compress(powers, map(ge, column, repeat(want))))
         return fit
 

@@ -1,5 +1,8 @@
 """Value types: resource vectors, constraint sets, and constraint bitmaps."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,10 @@ from fedsched.config import config_from_dict
 from fedsched.core import (ConstraintBitmap, ConstraintSet, Partition,
                            ResourceVector, TaskRequest, WorkerNode, iter_ordinals)
 from fedsched.errors import ConfigurationError
+from fedsched.messages import LaunchRequest
+from fedsched.metrics import RECORD_FIELDS, AllocationRecord
+from fedsched.state import (LMStateSnapshot, NodeSnapshot, PartitionSnapshot,
+                            RunningTaskInfo)
 
 from oracles import brute_force_match
 
@@ -44,6 +51,8 @@ class TestResourceVector:
             ResourceVector.of(-1, 5)
         with pytest.raises(ConfigurationError):
             ResourceVector.of(1.5, 5)
+        with pytest.raises(ConfigurationError):
+            ResourceVector.of(True, 5)
 
     def test_needs_a_dimension(self):
         with pytest.raises(ConfigurationError):
@@ -54,6 +63,64 @@ class TestResourceVector:
         assert list(z) == [0, 0, 0]
         assert z.is_zero()
         assert not ResourceVector.of(0, 1).is_zero()
+
+    def test_repr(self):
+        # error messages print vectors, so the repr is part of their text
+        assert repr(ResourceVector.of(4, 8)) == "ResourceVector(quantities=(4, 8))"
+        assert repr(ResourceVector.of(4)) == "ResourceVector(quantities=(4,))"
+
+    def test_copy_and_pickle_round_trip(self):
+        v = ResourceVector.of(4, 8192)
+        config = config_from_dict({"worker_capacity": [4, 8192]})
+        for copied in (copy.deepcopy(v), pickle.loads(pickle.dumps(v)),
+                       copy.deepcopy(config).worker_capacity):  # as `sweep` copies
+            assert copied == v
+            assert type(copied) is ResourceVector
+
+
+quantity = st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=2 ** 40)
+vector_pairs = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(st.tuples(*[quantity] * n), st.tuples(*[quantity] * n)))
+
+
+@given(vector_pairs)
+@settings(max_examples=300, derandomize=True)
+def test_vector_operations_agree_with_tuple_arithmetic(pair):
+    a, b = pair
+    va, vb = ResourceVector.of(*a), ResourceVector.of(*b)
+    total = va + vb
+    assert total == tuple(x + y for x, y in zip(a, b))
+    assert type(total) is ResourceVector
+    diff = tuple(x - y for x, y in zip(a, b))
+    if min(diff) < 0:
+        with pytest.raises(ValueError):
+            va - vb
+    else:
+        assert va - vb == diff
+        assert type(va - vb) is ResourceVector
+    assert va.geq(vb) == all(x >= y for x, y in zip(a, b))
+    assert va.is_zero() == (a == (0,) * len(a))
+    assert (va == vb) == (a == b)
+    assert hash(va) == hash(a)
+    assert va.quantities == a
+    assert va.dimension == len(a)
+
+
+def test_wire_and_record_types_are_immutable():
+    """A GM's identity diff relies on a published snapshot never changing."""
+    demand = ResourceVector.of(1, 1)
+    info = RunningTaskInfo("t", "u", demand, 0.0)
+    node = NodeSnapshot("n", demand, False, None, (info,))
+    part = PartitionSnapshot("p", "lm", "gm", (node,), (1,), 1)
+    state = LMStateSnapshot("lm", 0.0, (part,), (("u", demand),))
+    request = LaunchRequest("gm", "t", "n", demand, ConstraintSet.empty(), None)
+    record = AllocationRecord(*range(len(RECORD_FIELDS)))
+    for value in (info, node, part, state, request, record):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        demand.quantities = (2, 2)
 
 
 class TestConstraintSet:

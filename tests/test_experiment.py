@@ -183,6 +183,8 @@ MALFORMED = {
     "unknown arrival process": ({}, {"arrival": "bursty"}),
     "zero event_cap": ({"event_cap": 0}, {}),
     "zero-slot slot_demand": ({"slot_demand": [0, 0]}, {}),
+    "slot_demand over capacity in one dimension": (
+        {"worker_capacity": [64, 16384], "slot_demand": [128, 4096]}, {}),
     "task constraint probability above one": (
         {}, {"constraint_probabilities": {"1": 2.0}}),
     "NaN task constraint probability": ({}, {"constraint_probabilities": {"1": "nan"}}),

@@ -1,6 +1,5 @@
 """Snapshots, the per-GM cluster view, and view merge monotonicity."""
 
-import dataclasses
 import random
 
 from fedsched.core import ConstraintBitmap, ConstraintSet, ResourceVector
@@ -202,7 +201,7 @@ class TestViewPartitionIndex:
         assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
         changed = NodeSnapshot(node_id="n4", available=rv(9, 900), is_logical=False,
                                parent_node=None, running=())
-        part.refresh(dataclasses.replace(first, nodes=first.nodes[:4] + (changed,)))
+        part.refresh(first._replace(nodes=first.nodes[:4] + (changed,)))
         avail = self.AVAIL[:4] + [rv(9, 900)]
         assert part.available == avail
         assert part.match(ConstraintSet.of(1), rv(9, 900))[0] == 4
@@ -215,7 +214,7 @@ class TestViewPartitionIndex:
         part.deduct(2, rv(3, 300))
         assert part.match(ConstraintSet.of(1), rv(3, 300))[0] is None
         # the same node objects again: only the overlay is re-read
-        part.refresh(dataclasses.replace(first, nodes=tuple(first.nodes)))
+        part.refresh(first._replace(nodes=tuple(first.nodes)))
         assert part.deducted == set()
         assert part.available == self.AVAIL
         assert part.match(ConstraintSet.of(1), rv(3, 300))[0] == 2
@@ -270,9 +269,8 @@ class TestViewPartitionIndex:
                 avail = [n.available for n in nodes]
                 for ordinal in rng.sample(range(n), rng.randint(0, min(n, 3))):
                     avail[ordinal] = rv(rng.randint(0, 8), rng.randint(0, 8))
-                    nodes[ordinal] = dataclasses.replace(nodes[ordinal],
-                                                         available=avail[ordinal])
-                snap = dataclasses.replace(snap, nodes=tuple(nodes))
+                    nodes[ordinal] = nodes[ordinal]._replace(available=avail[ordinal])
+                snap = snap._replace(nodes=tuple(nodes))
                 part.refresh(snap)
 
 
