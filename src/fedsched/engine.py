@@ -41,30 +41,24 @@ MESSAGE_KINDS = (LAUNCH_REQUEST, LAUNCH_RESPONSE, REPARTITION_REQUEST, PREEMPT_R
 class DelayModel:
     """Per-message-kind one-way delays, in seconds.
 
-    `network_delay` covers control messages; `launch_delay` covers the task
-    launch payload hop and defaults to the network delay.  `overrides` maps a
-    message kind (one of `MESSAGE_KINDS`) to a specific delay when a scenario
-    needs one.
+    `network_delay` covers every message kind; `overrides` maps a message
+    kind (one of `MESSAGE_KINDS`) to a specific delay when a scenario needs
+    one, e.g. `{"task_launch": 0.002}` for a slower launch payload hop.
     """
 
     network_delay: float = 0.0005
-    launch_delay: float | None = None
     overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         unknown = sorted(set(self.overrides) - set(MESSAGE_KINDS))
         if unknown:
             raise ConfigurationError(f"unknown message kinds in delay overrides: {unknown}")
-        for value in (self.network_delay, self.launch_delay, *self.overrides.values()):
-            if value is not None and value < 0:
+        for value in (self.network_delay, *self.overrides.values()):
+            if value < 0:
                 raise ConfigurationError("message delays must be >= 0")
 
     def delay_for(self, kind: str) -> float:
-        if kind in self.overrides:
-            return self.overrides[kind]
-        if kind == TASK_LAUNCH:
-            return self.launch_delay if self.launch_delay is not None else self.network_delay
-        return self.network_delay
+        return self.overrides.get(kind, self.network_delay)
 
 
 @dataclass
@@ -168,20 +162,20 @@ class Network:
 
     When a message lies on a task's path to starting (launch and repartition
     requests, failure responses, preemption round trips, the launch payload),
-    pass the task's metrics so the hop is accumulated; accumulation is a no-op
-    once the task has started.  Off-path messages pass metrics=None.
+    pass the task's run so the hop is added to its communication sum.
+    Off-path messages pass run=None.
     """
 
     def __init__(self, loop: EventLoop, delays: DelayModel) -> None:
         self.loop = loop
         self.delays = delays
 
-    def send(self, send_time: float, kind: str, handler: Action, *, metrics=None) -> float:
+    def send(self, send_time: float, kind: str, handler: Action, *, run=None) -> float:
         if send_time < self.loop.now():
             raise SimulationError(f"message sent at {send_time} before now {self.loop.now()}")
         delay = self.delays.delay_for(kind)
-        if metrics is not None:
-            metrics.add_communication(delay)
+        if run is not None:
+            run.communication += delay
         deliver_at = send_time + delay
         self.loop.schedule(deliver_at, handler)
         return deliver_at

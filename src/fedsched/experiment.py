@@ -127,8 +127,7 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
                 users: list[UserSpec], *, audit: bool = False):
     loop = EventLoop(event_cap=config.event_cap)
     network = Network(loop, config.delays)
-    collector = MetricsCollector(audit=audit)
-    label = "centralized" if config.scheduler == "centralized" else "megha"
+    collector = MetricsCollector(scheduler=config.scheduler, audit=audit)
     dim = config.worker_capacity.dimension
 
     lm_ids, nodes = _build_nodes(config)
@@ -137,7 +136,7 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
     for lm_id in lm_ids:
         lm = LocalMaster(lm_id, loop, network, config.costs, collector,
                          heartbeat_period=config.heartbeat_period,
-                         resource_dim=dim, scheduler_label=label)
+                         resource_dim=dim)
         # every LM carries one partition per GM; workers dealt round-robin
         partitions = {gm_id: Partition(
             partition_id=f"{lm_id}-p{j:02d}", lm_id=lm_id, owner_gm_id=gm_id,
@@ -201,7 +200,7 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
 def build_sparrow(config: ExperimentConfig, tasks: list[TaskRequest]):
     loop = EventLoop(event_cap=config.event_cap)
     network = Network(loop, config.delays)
-    collector = MetricsCollector()
+    collector = MetricsCollector(scheduler=config.scheduler)
     _, nodes = _build_nodes(config)
 
     slots = config.worker_slots()

@@ -113,7 +113,7 @@ class GlobalMaster:
         if run is None:
             return
         start = self.clock.begin(now)
-        run.metrics.add_framework_queuing(start - run.queued_since)
+        run.framework_queuing += start - run.queued_since
         self._attempt(run, start)
 
     # -- the decision flow -----------------------------------------------------
@@ -136,8 +136,8 @@ class GlobalMaster:
             cost += plan_cost
 
         done = self.clock.charge(start, cost)
-        run.metrics.add_processing(cost)
-        run.metrics.attempts += 1
+        run.processing += cost
+        run.attempts += 1
         if part is not None:
             self._request_launch(run, part, ordinal, done)
         elif plan is not None:
@@ -189,7 +189,7 @@ class GlobalMaster:
             kind, handler = LAUNCH_REQUEST, lm.on_launch_request
         else:
             kind, handler = REPARTITION_REQUEST, lm.on_repartition_request
-        self.network.send(done, kind, lambda t: handler(message, t), metrics=run.metrics)
+        self.network.send(done, kind, lambda t: handler(message, t), run=run)
 
     def _request_preempt(self, run: TaskRun, plan: PreemptPlan, done: float) -> None:
         request = run.request
@@ -201,8 +201,7 @@ class GlobalMaster:
             victim_ids=plan.victim_ids, demand=request.demand, run=run,
         )
         self.network.send(done, PREEMPT_REQUEST,
-                          lambda t: lm.on_preempt_request(message, t),
-                          metrics=run.metrics)
+                          lambda t: lm.on_preempt_request(message, t), run=run)
 
     def _reinsert(self, run: TaskRun, at: float) -> None:
         """Rescheduling: back to the tail of the task's own queue."""
@@ -238,8 +237,8 @@ class GlobalMaster:
             return
 
         # validation failed: the view was stale; retry immediately on merged state
-        run.metrics.add_framework_queuing(start - now)
-        run.metrics.add_processing(merge_cost)
+        run.framework_queuing += start - now
+        run.processing += merge_cost
         mid = self.clock.charge(start, merge_cost)
         run.consecutive_failures += 1
         if run.consecutive_failures >= self.retry_limit:
@@ -257,9 +256,9 @@ class GlobalMaster:
         run, plan = entry
         request = run.request
         start = self.clock.begin(now)
-        run.metrics.add_framework_queuing(start - now)
+        run.framework_queuing += start - now
         merge_cost = self._merge(response.state)
-        run.metrics.add_processing(merge_cost)
+        run.processing += merge_cost
         mid = self.clock.charge(start, merge_cost)
 
         part, ordinal = plan.partition, plan.ordinal
@@ -268,8 +267,8 @@ class GlobalMaster:
                 and part.node_satisfies(ordinal, request.constraints)):
             cost = self.costs.gm_request_overhead
             done = self.clock.charge(mid, cost)
-            run.metrics.add_processing(cost)
-            run.metrics.attempts += 1
+            run.processing += cost
+            run.attempts += 1
             self._request_launch(run, part, ordinal, done)
             self._kick(done)
             return
@@ -282,9 +281,9 @@ class GlobalMaster:
             return
         cost, plan = self._plan(run, mid)
         done = self.clock.charge(mid, cost)
-        run.metrics.add_processing(cost)
+        run.processing += cost
         if plan is not None:
-            run.metrics.attempts += 1
+            run.attempts += 1
             self._request_preempt(run, plan, done)
         else:
             self._reinsert(run, done)

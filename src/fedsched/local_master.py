@@ -65,7 +65,6 @@ class LocalMaster:
         *,
         heartbeat_period: float = 10.0,
         resource_dim: int = 2,
-        scheduler_label: str = "megha",
     ) -> None:
         if heartbeat_period <= 0:
             raise ConfigurationError("heartbeat period must be positive")
@@ -76,7 +75,6 @@ class LocalMaster:
         self.collector = collector
         self.heartbeat_period = heartbeat_period
         self.resource_dim = resource_dim
-        self.scheduler_label = scheduler_label
         self.clock = ActorClock()
         self.nodes: dict[str, WorkerNode] = {}
         self.partitions: dict[str, Partition] = {}
@@ -177,9 +175,9 @@ class LocalMaster:
         """Take a request in turn on the LM clock and charge `cost` to the LM
         and to the task; returns (start, done)."""
         start = self.clock.begin(now)
-        run.metrics.add_framework_queuing(start - now)
+        run.framework_queuing += start - now
         done = self.clock.charge(start, cost)
-        run.metrics.add_processing(cost)
+        run.processing += cost
         return start, done
 
     @staticmethod
@@ -225,7 +223,7 @@ class LocalMaster:
         deliver_at = self.network.send(
             done, TASK_LAUNCH,
             lambda t: self._begin_execution(request.task_id, incarnation, t),
-            metrics=run.metrics,
+            run=run,
         )
         info = RunningTaskInfo(request.task_id, request.user_id, request.demand, deliver_at)
         self.running[request.task_id] = RunningTask(
@@ -242,7 +240,7 @@ class LocalMaster:
         rt = self.running.get(task_id)
         if rt is None or rt.incarnation != incarnation:
             return  # preempted before the payload landed
-        self.collector.finalize(rt.run, now, scheduler=self.scheduler_label)
+        self.collector.finalize(rt.run, now)
         start_task(self.loop, rt.run, now,
                    lambda t: self._on_task_complete(task_id, incarnation, t))
 
@@ -261,7 +259,7 @@ class LocalMaster:
                                   node_id=node_id, state=state)
         self.network.send(state.timestamp, LAUNCH_RESPONSE,
                           lambda t: gm.on_launch_response(response, t),
-                          metrics=None if ok else req.run.metrics)
+                          run=None if ok else req.run)
 
     def _gm(self, gm_id: str):
         for gm in self.gms:
@@ -302,7 +300,7 @@ class LocalMaster:
         self._publish(source)
         self._add_node(logical, target)
         self.collector.bump("repartitions")
-        run.metrics.repartitioned = True
+        run.repartitioned = True
 
         self._launch(run, logical, req.gm_id, done)
         self._respond_launch(
@@ -342,7 +340,7 @@ class LocalMaster:
             self.network.send(done, TASK_PREEMPTED,
                               lambda t, n=note, g=owner: g.on_task_preempted(n, t))
 
-        run.metrics.preempted_caused += killed
+        run.preempted_caused += killed
         node = self.nodes.get(req.node_id)
         partitions = touched or ((node.partition_id,) if node else ())
         gm = self._gm(req.gm_id)
@@ -350,8 +348,7 @@ class LocalMaster:
                                    statuses=tuple(statuses),
                                    state=self._state(done, partitions))
         self.network.send(done, PREEMPT_RESPONSE,
-                          lambda t: gm.on_preempt_response(response, t),
-                          metrics=run.metrics)
+                          lambda t: gm.on_preempt_response(response, t), run=run)
 
     # -- completion ----------------------------------------------------------
 

@@ -8,59 +8,22 @@ path), and worker queuing (baseline-only waiting at a worker).  Every segment
 of the span is attributed to exactly one bucket so the components always sum
 back to the total.
 
-A task's `AllocationRecord` is a `NamedTuple` whose field order is the
-`tasks.csv` column order; the per-task accumulator behind it, `TaskMetrics`,
-is a mutable dataclass until the task starts.
+A task's `TaskRun` accumulates the four sums plus its attempt, repartition
+and preemption tallies while it is simulated.  `MetricsCollector.finalize`
+copies them, once, into an `AllocationRecord` when the task first starts:
+that record is the freeze.  A preempted task is requeued and its run's sums
+keep growing, but nothing reads them again, so the accumulators carry no
+guard of their own.  The record is a `NamedTuple` whose field order is the
+`tasks.csv` column order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
 from .core import TaskRequest
-
-
-@dataclass
-class TaskMetrics:
-    """Mutable per-task accumulator; freezes once the task starts."""
-
-    arrival: float
-    framework_queuing: float = 0.0
-    processing: float = 0.0
-    worker_queuing: float = 0.0
-    communication: float = 0.0
-    attempts: int = 0
-    repartitioned: bool = False
-    preempted_caused: int = 0
-    task_start: float | None = None
-
-    @property
-    def finalized(self) -> bool:
-        return self.task_start is not None
-
-    def add_framework_queuing(self, dt: float) -> None:
-        if not self.finalized:
-            self.framework_queuing += dt
-
-    def add_processing(self, dt: float) -> None:
-        if not self.finalized:
-            self.processing += dt
-
-    def add_worker_queuing(self, dt: float) -> None:
-        if not self.finalized:
-            self.worker_queuing += dt
-
-    def add_communication(self, dt: float) -> None:
-        if not self.finalized:
-            self.communication += dt
-
-    def finalize(self, task_start: float) -> None:
-        if self.finalized:
-            return
-        self.task_start = task_start
 
 
 class AllocationRecord(NamedTuple):
@@ -86,11 +49,17 @@ RECORD_FIELDS = AllocationRecord._fields
 
 
 class TaskRun:
-    """Mutable simulation-side state for one task."""
+    """Mutable simulation-side state for one task, its allocation sums included."""
 
     __slots__ = (
         "request",
-        "metrics",
+        "framework_queuing",
+        "processing",
+        "worker_queuing",
+        "communication",
+        "attempts",
+        "repartitioned",
+        "preempted_caused",
         "queued_since",
         "tried_version",
         "consecutive_failures",
@@ -101,7 +70,13 @@ class TaskRun:
 
     def __init__(self, request: TaskRequest) -> None:
         self.request = request
-        self.metrics = TaskMetrics(arrival=request.arrival_time)
+        self.framework_queuing = 0.0
+        self.processing = 0.0
+        self.worker_queuing = 0.0
+        self.communication = 0.0
+        self.attempts = 0
+        self.repartitioned = False
+        self.preempted_caused = 0
         self.queued_since = request.arrival_time
         self.tried_version = -1
         self.consecutive_failures = 0
@@ -123,12 +98,14 @@ COUNTER_KEYS = (
 class MetricsCollector:
     """Accumulates records, counters, and audit entries for one simulation.
 
-    Audit entries (one per launch or repartition validation and one per
-    preemption decision) are kept only when `audit` is on: a long run would
-    otherwise hold one of each in memory for every decision.
+    `scheduler` is the label every record of the run carries.  Audit entries
+    (one per launch or repartition validation and one per preemption
+    decision) are kept only when `audit` is on: a long run would otherwise
+    hold one of each in memory for every decision.
     """
 
-    def __init__(self, *, audit: bool = False) -> None:
+    def __init__(self, *, scheduler: str = "megha", audit: bool = False) -> None:
+        self.scheduler = scheduler
         self.records: list[AllocationRecord] = []
         self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
         self.audit = audit
@@ -145,28 +122,26 @@ class MetricsCollector:
     def bump(self, counter: str, amount: int = 1) -> None:
         self.counters[counter] += amount
 
-    def finalize(self, run: TaskRun, task_start: float, scheduler: str) -> None:
+    def finalize(self, run: TaskRun, task_start: float) -> None:
         """Freeze a task's record at its first execution start."""
         if run.record is not None:
             return
-        m = run.metrics
-        m.finalize(task_start)
         request = run.request
         run.record = AllocationRecord(
             request.task_id,
             request.job_id,
             request.user_id,
-            scheduler,
+            self.scheduler,
             request.arrival_time,
             task_start,
             task_start - request.arrival_time,
-            m.framework_queuing,
-            m.processing,
-            m.worker_queuing,
-            m.communication,
-            m.attempts,
-            m.repartitioned,
-            m.preempted_caused,
+            run.framework_queuing,
+            run.processing,
+            run.worker_queuing,
+            run.communication,
+            run.attempts,
+            run.repartitioned,
+            run.preempted_caused,
         )
         self.records.append(run.record)
 

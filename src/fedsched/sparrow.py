@@ -49,10 +49,10 @@ class ProbeScheduler:
 
     def on_task_arrival(self, run: TaskRun, now: float) -> None:
         start = self.clock.begin(now)
-        run.metrics.add_framework_queuing(start - now)
+        run.framework_queuing += start - now
         done = self.clock.charge(start, self.costs.probe_handling)
-        run.metrics.add_processing(self.costs.probe_handling)
-        run.metrics.attempts += 1
+        run.processing += self.costs.probe_handling
+        run.attempts += 1
 
         eligible = self.eligible[run.request.constraints.ids]
         sample = (self.rng.sample(eligible, self.probe_count)
@@ -61,7 +61,7 @@ class ProbeScheduler:
         # probes fan out in parallel: one round trip sits on the critical
         # path, so the task is charged two hops rather than two per probe
         round_trip = 2 * self.network.delays.delay_for(PROBE)
-        run.metrics.add_communication(round_trip)
+        run.communication += round_trip
         state = {"waiting": len(sample), "best": None}
         for worker in sample:
             self.network.send(done, PROBE, self._probe(run, worker, state))
@@ -81,6 +81,5 @@ class ProbeScheduler:
             if state["waiting"] == 0:
                 chosen = state["best"][1]
                 self.network.send(now, TASK_LAUNCH,
-                                  lambda t: chosen.enqueue(run, t),
-                                  metrics=run.metrics)
+                                  lambda t: chosen.enqueue(run, t), run=run)
         return deliver

@@ -56,8 +56,8 @@ class FifoWorker:
             self.queue.append((run, now))
 
     def _start(self, run: TaskRun, enqueued_at: float, now: float) -> None:
-        run.metrics.add_worker_queuing(now - enqueued_at)
-        self.collector.finalize(run, now, scheduler="sparrow")
+        run.worker_queuing += now - enqueued_at
+        self.collector.finalize(run, now)
         self.active += 1
         start_task(self.loop, run, now, lambda t, r=run: self._complete(r, t))
 

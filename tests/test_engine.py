@@ -5,7 +5,9 @@ import pytest
 from fedsched.engine import (HEARTBEAT, PROBE, TASK_LAUNCH, ActorClock,
                              CostModel, DelayModel, EventLoop, Network)
 from fedsched.errors import ConfigurationError, LivelockError, SimulationError
-from fedsched.metrics import TaskMetrics
+from fedsched.metrics import TaskRun
+
+from scenarios import task
 
 
 class TestEventLoop:
@@ -95,9 +97,11 @@ class TestDelayModel:
     def test_default_network_delay(self):
         assert DelayModel().delay_for(HEARTBEAT) == 0.0005
 
-    def test_launch_delay_falls_back_to_network_delay(self):
+    def test_launch_delay_is_an_override_of_network_delay(self):
         assert DelayModel().delay_for(TASK_LAUNCH) == 0.0005
-        assert DelayModel(launch_delay=0.002).delay_for(TASK_LAUNCH) == 0.002
+        model = DelayModel(overrides={TASK_LAUNCH: 0.002})
+        assert model.delay_for(TASK_LAUNCH) == 0.002
+        assert model.delay_for(HEARTBEAT) == 0.0005
 
     def test_per_kind_override(self):
         model = DelayModel(overrides={PROBE: 0.0001})
@@ -130,14 +134,13 @@ class TestNetwork:
         loop.run()
         assert seen == [10.0005]
 
-    def test_send_accrues_communication_to_metrics(self):
+    def test_send_accrues_communication_to_run(self):
         loop = EventLoop()
         network = Network(loop, DelayModel(network_delay=0.003))
-        metrics = TaskMetrics(arrival=0.0)
-        loop.schedule(0.0, lambda t: network.send(t, HEARTBEAT, lambda t2: None,
-                                                  metrics=metrics))
+        run = TaskRun(task("t1"))
+        loop.schedule(0.0, lambda t: network.send(t, HEARTBEAT, lambda t2: None, run=run))
         loop.run()
-        assert metrics.communication == 0.003
+        assert run.communication == 0.003
 
     def test_send_without_metrics_charges_nothing(self):
         loop = EventLoop()

@@ -170,6 +170,7 @@ MALFORMED = {
     "machine profile without probabilities": (
         {"machine_profiles": [{"profile_id": "p"}]}, {}),
     "unknown delays key": ({"delays": {"network_dealy": 0.001}}, {}),
+    "launch_delay key": ({"delays": {"launch_delay": 0.001}}, {}),
     "unknown costs key": ({"costs": {"gm_word_opp": 1e-6}}, {}),
     "user without share": ({"users": [{"user_id": "a"}]}, {}),
     "string workload count": ({}, {"count": "x"}),
@@ -215,6 +216,7 @@ def test_malformed_config_rejected_before_running(case, scheduler, tmp_path, cap
 def test_validate_config_names_the_malformed_section(tmp_path, capsys):
     for data, named in (({"machine_profiles": [{"profile_id": "p"}]},
                          ("machine_profiles[0]", "probabilities")),
+                        ({"delays": {"launch_delay": 0.001}}, ("delays", "launch_delay")),
                         ({"workload": {"count": "x"}}, ("workload.count", "integer"))):
         path = write_config(tmp_path, data)
         assert main(["validate-config", "--config", path]) == 2

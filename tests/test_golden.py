@@ -5,7 +5,8 @@ the sha256 of the `tasks.csv` and `summary.json` the run writes; they were
 recorded once from the simulator before its LM snapshot cache and GM match
 memo existed (the `sparrow` ones before the probe baseline computed worker
 eligibility once per constraint set), and must never be re-recorded to
-make a change pass.
+make a change pass.  The contended config's `tasks.jsonl` and audit files
+have digests of their own, recorded the same way.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import hashlib
 import pytest
 
 from fedsched.config import config_from_dict
-from fedsched.experiment import run_experiment, write_reports
+from fedsched.experiment import run_experiment, write_audits, write_reports
 
 # 3 GMs x 2 LMs x 12 workers (96 slots) under a burst of 240 tasks of 2 s:
 # GMs carve logical nodes out of each other's partitions, those nodes are
@@ -75,9 +76,19 @@ GOLDEN = {
 }
 
 
-def _digests(out_dir) -> dict[str, str]:
+# The contended run's jsonl task records and its audit files, recorded from
+# the simulator while each task still kept its sums in a separate
+# accumulator object beside its run.
+CONTENDED_JSONL_AUDITS = {
+    "tasks.jsonl": "8ce9ca0f5750ea9622868abec7525dc1f9f6b1ca970db7b5898c6f032f01393e",
+    "audit_launches.jsonl": "d1468e756be46e3285f8616a85b30cca8a5bc8dd986e0ade149635b970036ce5",
+    "audit_preemptions.jsonl": "26cf41b8db55386ac7afa31231e34a3a10678439630eb17e9b44df177183529c",
+}
+
+
+def _digests(out_dir, names=("tasks.csv", "summary.json")) -> dict[str, str]:
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-            for name in ("tasks.csv", "summary.json")}
+            for name in names}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -86,6 +97,13 @@ def test_reports_match_golden_digests(name, tmp_path):
     result = run_experiment(config_from_dict(data))
     write_reports(result, str(tmp_path))
     assert _digests(tmp_path) == expected
+
+
+def test_contended_jsonl_and_audits_match_golden_digests(tmp_path):
+    result = run_experiment(config_from_dict(CONTENDED), audit=True)
+    write_reports(result, str(tmp_path), fmt="jsonl")
+    write_audits(result, str(tmp_path))
+    assert _digests(tmp_path, CONTENDED_JSONL_AUDITS) == CONTENDED_JSONL_AUDITS
 
 
 def test_contended_config_takes_every_rare_path():

@@ -163,7 +163,7 @@ def test_launch_wrong_owner_fails_full_state():
     assert lm.nodes["n0"].available == rv(4, 8192)
     assert run.record is None
     # the failure response is on the task's path and is charged to it
-    assert run.metrics.communication == pytest.approx(HOP, abs=1e-12)
+    assert run.communication == pytest.approx(HOP, abs=1e-12)
 
 
 def test_launch_unknown_node_fails():
@@ -422,7 +422,7 @@ def test_preempt_verified_victim_is_killed():
     assert resp.statuses[0].task_id == "tv"
     assert collector.counters["preemptions"] == 1
     assert victim.times_preempted == 1
-    assert run.metrics.preempted_caused == 1
+    assert run.preempted_caused == 1
     assert lm.nodes["n0"].available == rv(4, 8192)
     assert lm.consumed["uV"] == rv(0, 0)
     assert "tv" not in lm.running
@@ -433,6 +433,23 @@ def test_preempt_verified_victim_is_killed():
     # the victim's record is never rewritten by the kill
     assert victim.record is not None
     assert victim.record.task_start == pytest.approx(HOP, abs=1e-12)
+    check_conservation(lm)
+
+    # relaunched, the victim's run keeps summing its path, but the record
+    # frozen at its first start stays the same object with the same fields
+    record, fields = victim.record, tuple(victim.record)
+    communication = victim.communication
+    relaunch = LaunchRequest(gm_id="gm0", task_id="tv", node_id="n0",
+                             demand=victim.request.demand,
+                             constraints=victim.request.constraints, run=victim)
+    loop.schedule(loop.now() + 1.0, lambda t: lm.on_launch_request(relaunch, t))
+    loop.run()
+    assert victim.incarnation == 2
+    assert [msg.task_id for _, msg in gms["gm0"].completions] == ["tv"]
+    assert victim.communication == communication + HOP
+    assert victim.record is record
+    assert len(fields) == 14 and tuple(victim.record) == fields
+    assert collector.records.count(record) == 1
     check_conservation(lm)
 
 

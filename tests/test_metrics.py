@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsched.core import ConstraintSet, ResourceVector, TaskRequest
-from fedsched.metrics import (MetricsCollector, SUMMARY_PERCENTILES, TaskMetrics,
-                              percentile, summarize)
+from fedsched.metrics import MetricsCollector, SUMMARY_PERCENTILES, percentile, summarize
 
 from oracles import sort_percentile
 
@@ -52,43 +51,13 @@ class TestPercentile:
         assert percentile(values, q) == sort_percentile(values, q)
 
 
-class TestTaskMetrics:
-    def test_components_accumulate(self):
-        m = TaskMetrics(arrival=1.0)
-        m.add_framework_queuing(0.5)
-        m.add_processing(0.25)
-        m.add_communication(0.125)
-        m.add_worker_queuing(0.0625)
-        assert (m.framework_queuing, m.processing, m.worker_queuing,
-                m.communication) == (0.5, 0.25, 0.0625, 0.125)
-
-    def test_finalize_freezes_accumulators(self):
-        m = TaskMetrics(arrival=0.0)
-        m.add_processing(0.1)
-        m.finalize(2.0)
-        assert m.finalized
-        assert m.task_start == 2.0
-        m.add_processing(5.0)
-        m.add_communication(5.0)
-        m.add_framework_queuing(5.0)
-        m.add_worker_queuing(5.0)
-        assert m.processing == 0.1
-        assert m.communication == 0.0
-
-    def test_finalize_is_idempotent(self):
-        m = TaskMetrics(arrival=0.0)
-        m.finalize(1.0)
-        m.finalize(9.0)
-        assert m.task_start == 1.0
-
-
 class TestCollector:
     def test_record_built_from_run(self):
         collector = MetricsCollector()
         run = collector.new_run(make_request(arrival=100.0))
-        run.metrics.add_communication(0.001)
-        run.metrics.add_framework_queuing(5.299)
-        collector.finalize(run, 105.3, scheduler="megha")
+        run.communication += 0.001
+        run.framework_queuing += 5.299
+        collector.finalize(run, 105.3)
         record = collector.records[0]
         assert record.allocation_time == pytest.approx(5.3)
         assert record.task_start == 105.3
@@ -98,9 +67,11 @@ class TestCollector:
     def test_finalize_only_once_per_run(self):
         collector = MetricsCollector()
         run = collector.new_run(make_request())
-        collector.finalize(run, 1.0, scheduler="megha")
-        collector.finalize(run, 2.0, scheduler="megha")
+        collector.finalize(run, 1.0)
+        collector.finalize(run, 2.0)
         assert len(collector.records) == 1
+        assert collector.records[0] is run.record
+        assert run.record.task_start == 1.0
 
     def test_outstanding_tracks_admissions_and_completions(self):
         collector = MetricsCollector()
@@ -128,8 +99,8 @@ class TestSummarize:
         collector = MetricsCollector()
         for i in range(10):
             run = collector.new_run(make_request(f"t{i}", arrival=0.0))
-            run.metrics.add_communication(0.001 * (i + 1))
-            collector.finalize(run, 0.001 * (i + 1), scheduler="megha")
+            run.communication += 0.001 * (i + 1)
+            collector.finalize(run, 0.001 * (i + 1))
         summary = summarize(collector.records, collector.counters, 2)
         stats = summary["allocation_time"]
         for name, _ in SUMMARY_PERCENTILES:
