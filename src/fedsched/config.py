@@ -9,7 +9,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .core import DEFAULT_CONSTRAINT_COUNT, ResourceVector
 from .engine import CostModel, DelayModel
 from .errors import ConfigurationError
-from .workload import ARRIVALS, ClusterProfile
+from .workload import ARRIVALS, ClusterProfile, _check_demand, _check_duration
 
 SCHEDULER_KINDS = ("megha", "sparrow", "centralized")
 
@@ -107,12 +107,7 @@ class ExperimentConfig:
                 raise ConfigurationError("probe_count and scheduler count must be >= 1")
         _check_duration(self.workload.duration)
         demand = self.workload.demand
-        if isinstance(demand, ResourceVector):
-            vectors = [demand]
-        else:
-            vectors = [v for v, _ in demand or ()]
-            if demand is not None:
-                _check_weights([w for _, w in demand], "demand mixture")
+        vectors = [] if demand is None else _check_demand(demand, "workload.demand")
         if self.slot_demand is not None:
             vectors.append(self.slot_demand)
         for vector in vectors:
@@ -158,35 +153,6 @@ class ExperimentConfig:
             return 1
         return min((cap // d for cap, d in zip(self.worker_capacity, self.slot_demand)
                     if d > 0), default=0)
-
-
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
-
-
-def _check_weights(weights: list, what: str) -> None:
-    """Weights a random draw can use: finite, none negative, a positive total."""
-    if not (all(_finite(w) and w >= 0 for w in weights) and sum(weights) > 0):
-        raise ConfigurationError(
-            f"{what} weights {list(weights)} must be finite and >= 0 with a positive total"
-        )
-
-
-def _check_duration(spec) -> None:
-    """A constant, ("exp", mean) or ("choice", values, weights), all positive."""
-    shape = (spec[0], len(spec)) if isinstance(spec, (list, tuple)) and spec else None
-    if _finite(spec):
-        values = [spec]
-    elif shape == ("exp", 2):
-        values = [spec[1]]
-    elif (shape == ("choice", 3) and all(isinstance(p, (list, tuple)) for p in spec[1:])
-          and len(spec[1]) == len(spec[2])):  # an empty choice fails the weight total
-        values = spec[1]
-        _check_weights(spec[2], "duration choice")
-    else:
-        raise ConfigurationError(f"bad duration spec {spec!r}")
-    if not all(_finite(v) and v > 0 for v in values):
-        raise ConfigurationError(f"duration spec {spec!r} needs positive finite values")
 
 
 def _number(value) -> bool:
@@ -247,10 +213,13 @@ def _parse_demand(value):
         return None
     if not isinstance(value, list):
         raise ConfigurationError(f"workload.demand must be a list, got {value!r}")
-    if isinstance(value, list) and value and isinstance(value[0], list) and len(value[0]) == 2 \
-            and isinstance(value[0][0], list):
-        return [(ResourceVector.of(*v), w) for v, w in value]
-    return ResourceVector.of(*value)
+    if not (value and isinstance(value[0], list)):
+        return ResourceVector.of(*value)
+    for entry in value:  # a mixture: every entry a [vector, weight] pair
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
+            raise ConfigurationError(
+                f"workload.demand mixture entries must be [vector, weight] pairs, got {entry!r}")
+    return [(ResourceVector.of(*v), w) for v, w in value]
 
 
 def _parse_duration(value):

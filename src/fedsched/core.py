@@ -15,13 +15,18 @@ arithmetic trusts its operands.  `ExperimentConfig.validate` and
 `build_workload` reject constraint ids outside `[0, constraint_count)` and
 demand vectors whose dimension differs from the worker capacity's, so the
 bitmap and the vector operations never see either.
+
+A `TaskRequest` is a plain record, checked where its fields enter: each trace
+row by `load_trace`, the duration and demand specs by `generate_synthetic`
+(once per call, so duration > 0 and demand non-zero), each task's user and
+demand dimension by `build_workload`.  Copies made with `_replace` keep that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add, ge, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError
 
@@ -126,9 +131,10 @@ class ConstraintSet:
 _EMPTY_CONSTRAINTS = ConstraintSet(frozenset())
 
 
-@dataclass(frozen=True)
-class TaskRequest:
-    """One schedulable unit of work."""
+class TaskRequest(NamedTuple):
+    """One schedulable unit of work: duration > 0, arrival >= 0, demand non-zero,
+    as checked where the workload enters.  Being a tuple, it equals a plain
+    tuple of the same fields."""
 
     task_id: str
     job_id: str
@@ -137,14 +143,6 @@ class TaskRequest:
     constraints: ConstraintSet
     arrival_time: float
     duration: float
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ConfigurationError(f"task {self.task_id}: duration must be > 0")
-        if self.arrival_time < 0:
-            raise ConfigurationError(f"task {self.task_id}: arrival must be >= 0")
-        if self.demand.is_zero():
-            raise ConfigurationError(f"task {self.task_id}: demand must be non-zero")
 
 
 @dataclass

@@ -69,11 +69,7 @@ def build_workload(config: ExperimentConfig, users: list[UserSpec]) -> list[Task
             constraint_probabilities=spec.constraint_probabilities or None,
         )
     if spec.load_factor != 1.0:
-        tasks = [TaskRequest(
-            task_id=t.task_id, job_id=t.job_id, user_id=t.user_id,
-            demand=t.demand, constraints=t.constraints,
-            arrival_time=t.arrival_time / spec.load_factor, duration=t.duration,
-        ) for t in tasks]
+        tasks = [t._replace(arrival_time=t.arrival_time / spec.load_factor) for t in tasks]
     tasks = assign_users(tasks, [u.user_id for u in users])
     known = {u.user_id for u in users}
     dim = config.worker_capacity.dimension

@@ -50,7 +50,6 @@ class RunningTask:
     run: TaskRun
     node_id: str
     gm_id: str
-    incarnation: int
     info: RunningTaskInfo  # as published; launch_time is when execution begins
 
 
@@ -218,31 +217,24 @@ class LocalMaster:
     def _launch(self, run: TaskRun, node: WorkerNode, gm_id: str, done: float) -> None:
         request = run.request
         node.available = node.available - request.demand
-        run.incarnation += 1
-        incarnation = run.incarnation
-        deliver_at = self.network.send(
-            done, TASK_LAUNCH,
-            lambda t: self._begin_execution(request.task_id, incarnation, t),
-            run=run,
-        )
+        # `rt` is bound below, before the payload can land
+        deliver_at = self.network.send(done, TASK_LAUNCH,
+                                       lambda t: self._begin_execution(rt, t), run=run)
         info = RunningTaskInfo(request.task_id, request.user_id, request.demand, deliver_at)
-        self.running[request.task_id] = RunningTask(
-            run=run, node_id=node.node_id, gm_id=gm_id, incarnation=incarnation,
-            info=info,
-        )
+        rt = self.running[request.task_id] = RunningTask(
+            run=run, node_id=node.node_id, gm_id=gm_id, info=info)
         self._publish(node, add=info)
         self.consumed[request.user_id] = (
             self.consumed.get(request.user_id, ResourceVector.zeros(self.resource_dim))
             + request.demand
         )
 
-    def _begin_execution(self, task_id: str, incarnation: int, now: float) -> None:
-        rt = self.running.get(task_id)
-        if rt is None or rt.incarnation != incarnation:
+    def _begin_execution(self, rt: RunningTask, now: float) -> None:
+        # every launch makes a new RunningTask, so a preempted launch's is gone
+        if self.running.get(rt.info.task_id) is not rt:
             return  # preempted before the payload landed
         self.collector.finalize(rt.run, now)
-        start_task(self.loop, rt.run, now,
-                   lambda t: self._on_task_complete(task_id, incarnation, t))
+        start_task(self.loop, rt.run, now, lambda t: self._on_task_complete(rt, t))
 
     def _respond_launch(self, req: LaunchRequest, kind: str,
                         node_id: str | None, state: LMStateSnapshot) -> None:
@@ -332,7 +324,6 @@ class LocalMaster:
             del self.running[victim_id]
             touched.extend(self._release(rt))
             self.collector.bump("preemptions")
-            rt.run.times_preempted += 1
             owner = self._gm(rt.gm_id)
             note = TaskPreempted(task_id=victim_id, user_id=rt.info.user_id,
                                  demand=rt.info.demand, state=self._state(done, ()),
@@ -369,10 +360,10 @@ class LocalMaster:
         self.consumed[info.user_id] = self.consumed[info.user_id] - info.demand
         return touched
 
-    def _on_task_complete(self, task_id: str, incarnation: int, now: float) -> None:
-        rt = self.running.get(task_id)
-        if rt is None or rt.incarnation != incarnation:
-            return  # stale completion from a preempted incarnation
+    def _on_task_complete(self, rt: RunningTask, now: float) -> None:
+        task_id = rt.info.task_id
+        if self.running.get(task_id) is not rt:
+            return  # stale completion from a preempted launch
         del self.running[task_id]
         touched = self._release(rt)
         self.collector.note_completed()

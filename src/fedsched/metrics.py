@@ -63,9 +63,7 @@ class TaskRun:
         "queued_since",
         "tried_version",
         "consecutive_failures",
-        "incarnation",
         "record",
-        "times_preempted",
     )
 
     def __init__(self, request: TaskRequest) -> None:
@@ -80,9 +78,7 @@ class TaskRun:
         self.queued_since = request.arrival_time
         self.tried_version = -1
         self.consecutive_failures = 0
-        self.incarnation = 0
         self.record: AllocationRecord | None = None
-        self.times_preempted = 0
 
 
 COUNTER_KEYS = (

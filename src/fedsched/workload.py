@@ -7,6 +7,12 @@ optional trailing user_id column pins tasks to users.  Raw traces record
 demands at data-center scale, so loading divides cpu and mem_mb by configured
 divisors (defaults 400 and 50) and clamps anything that lands at zero up to
 one unit, keeping demands exact integers.
+
+Task requests check nothing themselves; their fields are checked here, where
+they enter.  `load_trace` checks each row (UTF-8 text, finite numbers,
+constraint ids in range, duration > 0, arrival >= 0).  `generate_synthetic`
+checks its duration and demand specs once per call, so every duration it
+draws is > 0 and every demand is non-zero.
 """
 
 from __future__ import annotations
@@ -15,10 +21,55 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import (DEFAULT_CONSTRAINT_COUNT, ConstraintSet, ResourceVector,
                    TaskRequest, WorkerNode)
 from .errors import ConfigurationError, TraceFormatError
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _check_weights(weights: list, what: str) -> None:
+    """Weights a random draw can use: finite, none negative, a positive total."""
+    if not (all(_finite(w) and w >= 0 for w in weights) and sum(weights) > 0):
+        raise ConfigurationError(
+            f"{what} weights {list(weights)} must be finite and >= 0 with a positive total"
+        )
+
+
+def _check_duration(spec) -> None:
+    """A constant, ("exp", mean) or ("choice", values, weights), all positive."""
+    shape = (spec[0], len(spec)) if isinstance(spec, (list, tuple)) and spec else None
+    if _finite(spec):
+        values = [spec]
+    elif shape == ("exp", 2):
+        values = [spec[1]]
+    elif (shape == ("choice", 3) and all(isinstance(p, (list, tuple)) for p in spec[1:])
+          and len(spec[1]) == len(spec[2])):  # an empty choice fails the weight total
+        values = spec[1]
+        _check_weights(spec[2], "duration choice")
+    else:
+        raise ConfigurationError(f"bad duration spec {spec!r}")
+    if not all(_finite(v) and v > 0 for v in values):
+        raise ConfigurationError(f"duration spec {spec!r} needs positive finite values")
+
+
+def _check_demand(spec, what: str = "demand") -> list[ResourceVector]:
+    """The vectors of a constant demand or a [(vector, weight), ...] mixture,
+    each non-zero, the mixture's weights usable by a draw."""
+    if isinstance(spec, ResourceVector):
+        vectors = [spec]
+    else:
+        vectors = [v for v, _ in spec]
+        _check_weights([w for _, w in spec], f"{what} mixture")
+    for vector in vectors:
+        if vector.is_zero():
+            raise ConfigurationError(f"{what} vector {tuple(vector)} must be non-zero")
+    return vectors
+
 
 TRACE_COLUMNS = ("arrival_s", "job_id", "task_id", "cpu", "mem_mb", "duration_s",
                  "constraints")
@@ -34,6 +85,14 @@ def _scale(value: float, divisor: float) -> int:
     return scaled if scaled > 0 else 1
 
 
+def _utf8_lines(handle, path: str):
+    """The lines of a trace opened as UTF-8 text; any other bytes are an error."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+
+
 def load_trace(
     path: str,
     *,
@@ -46,11 +105,11 @@ def load_trace(
         raise ConfigurationError("scaling divisors must be positive")
     tasks: list[TaskRequest] = []
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc.strerror}") from None
     with handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_utf8_lines(handle, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -76,6 +135,8 @@ def load_trace(
                 user_id = row[7].strip() if has_user and len(row) > 7 else ""
             except (ValueError, IndexError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
+            if not all(map(math.isfinite, (arrival, cpu, mem, duration))):
+                raise TraceFormatError(f"{path}:{lineno}: numbers must be finite")
             if any(cid < 0 or cid >= constraint_count for cid in ids):
                 raise TraceFormatError(
                     f"{path}:{lineno}: constraint id outside [0, {constraint_count})"
@@ -85,10 +146,9 @@ def load_trace(
             if arrival < 0:
                 raise TraceFormatError(f"{path}:{lineno}: arrival must be >= 0")
             tasks.append(TaskRequest(
-                task_id=task_id, job_id=job_id, user_id=user_id,
-                demand=ResourceVector.of(_scale(cpu, cpu_divisor), _scale(mem, mem_divisor)),
-                constraints=ConstraintSet.of(*ids),
-                arrival_time=arrival, duration=duration,
+                task_id, job_id, user_id,
+                ResourceVector.of(_scale(cpu, cpu_divisor), _scale(mem, mem_divisor)),
+                ConstraintSet.of(*ids), arrival, duration,
             ))
     tasks.sort(key=lambda t: (t.arrival_time, t.task_id))
     return tasks
@@ -114,11 +174,7 @@ def augment_constraints(
         for cid in sorted(probabilities):
             if rng.random() < probabilities[cid]:
                 ids.add(cid)
-        out.append(TaskRequest(
-            task_id=task.task_id, job_id=task.job_id, user_id=task.user_id,
-            demand=task.demand, constraints=ConstraintSet(frozenset(ids)),
-            arrival_time=task.arrival_time, duration=task.duration,
-        ))
+        out.append(task._replace(constraints=ConstraintSet(frozenset(ids))))
     return out
 
 
@@ -189,6 +245,8 @@ def generate_synthetic(
         raise ConfigurationError("synthetic count must be positive")
     if rate <= 0:
         raise ConfigurationError("synthetic rate must be positive")
+    _check_duration(duration)
+    vectors = _check_demand(demand)
     rng = random.Random(f"{seed}/synthetic")
 
     if arrival == "uniform":
@@ -207,28 +265,23 @@ def generate_synthetic(
     def draw_duration() -> float:
         if isinstance(duration, (int, float)):
             return float(duration)
-        kind = duration[0]
-        if kind == "exp":
-            value = rng.expovariate(1.0 / duration[1])
-            return max(value, 1e-6)
-        if kind == "choice":
-            return rng.choices(duration[1], weights=duration[2])[0]
-        raise ConfigurationError(f"unknown duration spec {duration!r}")
+        if duration[0] == "exp":
+            return max(rng.expovariate(1.0 / duration[1]), 1e-6)
+        return rng.choices(duration[1], weights=duration[2])[0]
+
+    cum_weights = (None if isinstance(demand, ResourceVector)
+                   else list(accumulate(w for _, w in demand)))
 
     def draw_demand() -> ResourceVector:
-        if isinstance(demand, ResourceVector):
+        if cum_weights is None:
             return demand
-        vectors = [v for v, _ in demand]
-        weights = [w for _, w in demand]
-        return rng.choices(vectors, weights=weights)[0]
+        return rng.choices(vectors, cum_weights=cum_weights)[0]
 
-    tasks = []
-    for i in range(count):
-        tasks.append(TaskRequest(
-            task_id=f"t{i:06d}", job_id=f"j{i // 10:05d}", user_id="",
-            demand=draw_demand(), constraints=ConstraintSet.empty(),
-            arrival_time=arrivals[i], duration=draw_duration(),
-        ))
+    no_constraints = ConstraintSet.empty()
+    # demand is drawn before duration for each task, as the seed's stream expects
+    tasks = [TaskRequest(f"t{i:06d}", f"j{i // 10:05d}", "", draw_demand(), no_constraints,
+                         arrivals[i], draw_duration())
+             for i in range(count)]
     if constraint_probabilities:
         tasks = augment_constraints(tasks, constraint_probabilities, seed)
     return tasks
@@ -249,9 +302,5 @@ def assign_users(tasks: list[TaskRequest], user_ids: list[str]) -> list[TaskRequ
             continue
         if task.job_id not in job_user:
             job_user[task.job_id] = user_ids[len(job_user) % len(user_ids)]
-        out.append(TaskRequest(
-            task_id=task.task_id, job_id=task.job_id, user_id=job_user[task.job_id],
-            demand=task.demand, constraints=task.constraints,
-            arrival_time=task.arrival_time, duration=task.duration,
-        ))
+        out.append(task._replace(user_id=job_user[task.job_id]))
     return out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedsched.config import config_from_dict
 from fedsched.core import (ConstraintBitmap, ConstraintSet, Partition,
-                           ResourceVector, TaskRequest, WorkerNode, iter_ordinals)
+                           ResourceVector, WorkerNode, iter_ordinals)
 from fedsched.errors import ConfigurationError
 from fedsched.messages import LaunchRequest
 from fedsched.metrics import RECORD_FIELDS, AllocationRecord
@@ -139,23 +139,6 @@ class TestConstraintSet:
     def test_negative_id_rejected(self):
         with pytest.raises(ConfigurationError):
             ConstraintSet.of(-1)
-
-
-class TestTaskRequestValidation:
-    def test_duration_positive(self):
-        with pytest.raises(ConfigurationError):
-            TaskRequest("t", "j", "u", ResourceVector.of(1, 1),
-                        ConstraintSet.empty(), 0.0, 0.0)
-
-    def test_arrival_non_negative(self):
-        with pytest.raises(ConfigurationError):
-            TaskRequest("t", "j", "u", ResourceVector.of(1, 1),
-                        ConstraintSet.empty(), -1.0, 1.0)
-
-    def test_demand_non_zero(self):
-        with pytest.raises(ConfigurationError):
-            TaskRequest("t", "j", "u", ResourceVector.zeros(2),
-                        ConstraintSet.empty(), 0.0, 1.0)
 
 
 class TestWorkerNodeValidation:

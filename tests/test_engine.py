@@ -144,9 +144,15 @@ class TestNetwork:
 
     def test_send_without_metrics_charges_nothing(self):
         loop = EventLoop()
-        network = Network(loop, DelayModel())
-        loop.schedule(0.0, lambda t: network.send(t, HEARTBEAT, lambda t2: None))
+        network = Network(loop, DelayModel(network_delay=0.003))
+        live = TaskRun(task("t1"))
+        seen = []
+        # the live run is charged for its own send only, not for the later one
+        loop.schedule(0.0, lambda t: network.send(t, HEARTBEAT, lambda t2: None, run=live))
+        loop.schedule(1.0, lambda t: network.send(t, HEARTBEAT, seen.append, run=None))
         loop.run()
+        assert seen == [1.003]
+        assert live.communication == 0.003
 
     def test_zero_delay_orders_by_sequence(self):
         loop = EventLoop()

@@ -166,6 +166,11 @@ MALFORMED = {
     "empty duration choice": ({}, {"duration": ["choice", [], []]}),
     "demand mixture weight total": (
         {}, {"demand": [[[4, 1024], 0.0], [[8, 2048], 0.0]]}),
+    "zero workload demand": ({}, {"demand": [0, 0]}),
+    "zero vector in demand mixture": ({}, {"demand": [[[4, 1024], 1.0], [[0, 0], 1.0]]}),
+    "demand mixture entry of three": (
+        {}, {"demand": [[[1, 256], 1.0], [[1, 256], 1.0, 3]]}),
+    "demand mixture entry not a pair": ({}, {"demand": [[[1, 256], 1.0], 5]}),
     "delay override kind": ({"delays": {"overrides": {"launch-request": 5.0}}}, {}),
     "machine profile without probabilities": (
         {"machine_profiles": [{"profile_id": "p"}]}, {}),
@@ -217,12 +222,27 @@ def test_validate_config_names_the_malformed_section(tmp_path, capsys):
     for data, named in (({"machine_profiles": [{"profile_id": "p"}]},
                          ("machine_profiles[0]", "probabilities")),
                         ({"delays": {"launch_delay": 0.001}}, ("delays", "launch_delay")),
-                        ({"workload": {"count": "x"}}, ("workload.count", "integer"))):
+                        ({"workload": {"count": "x"}}, ("workload.count", "integer")),
+                        ({"workload": {"demand": [0, 0]}}, ("workload.demand", "non-zero")),
+                        ({"workload": {"demand": [[[1, 256], 1.0], [[1, 256], 1.0, 3]]}},
+                         ("workload.demand", "pairs")),
+                        ({"workload": {"demand": [[[1, 256], 1.0], 5]}},
+                         ("workload.demand", "pairs"))):
         path = write_config(tmp_path, data)
         assert main(["validate-config", "--config", path]) == 2
         err = capsys.readouterr().err
         assert all(word in err for word in named), err
         assert "Traceback" not in err
+
+
+def test_non_utf8_trace_exits_2_naming_the_file(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(TRACE_HEADER.encode() + b"\n0.5,j1,t\xff,400,50,1.0,\n")
+    data = base_data(workload={"kind": "trace", "path": str(trace)})
+    assert main(["run", "--config", write_config(tmp_path, data),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{trace}: not valid UTF-8" in err and "Traceback" not in err, err
 
 
 def test_missing_trace_file_exits_2_without_a_traceback(tmp_path, capsys):

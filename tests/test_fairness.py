@@ -273,12 +273,12 @@ def test_preemption_flow_end_to_end():
     # victims keep their original records; the kill costs them their work
     assert records["c1"].task_start == pytest.approx(2 * HOP, abs=1e-9)
     assert records["c2"].task_start == pytest.approx(0.5 + 2 * HOP, abs=1e-9)
-    assert cluster.runs["c1"].times_preempted == 1
-    assert cluster.runs["c2"].times_preempted == 1
 
-    # displaced work lands on the other constraint-compatible node
+    # displaced work lands on the other constraint-compatible node: each
+    # victim, killed once, is requeued and launched a second time, no more
     relaunches = [e for e in collector.audit_launches
                   if e["task_id"] in ("c1", "c2") and e["ok"]]
+    assert sorted(e["task_id"] for e in relaunches) == ["c1", "c1", "c2", "c2"]
     assert [e["node_id"] for e in relaunches[2:]] == ["n4", "n4"]
 
     assert collector.completed == 9

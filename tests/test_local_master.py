@@ -415,13 +415,14 @@ def test_preempt_verified_victim_is_killed():
                     task_id="tv", duration=100.0, user="uV")
     run = preempt(lm, loop, collector, node_id="n0", victim_ids=["tv"],
                   demand=rv(2, 4096), at=1.0)
+    running = []
+    loop.schedule(0.5, lambda t: running.append(lm.running["tv"]))
     loop.run()
 
     when, resp = gms["gm0"].preempt_responses[0]
     assert len(resp.statuses) == 1 and resp.statuses[0].verified
     assert resp.statuses[0].task_id == "tv"
     assert collector.counters["preemptions"] == 1
-    assert victim.times_preempted == 1
     assert run.preempted_caused == 1
     assert lm.nodes["n0"].available == rv(4, 8192)
     assert lm.consumed["uV"] == rv(0, 0)
@@ -430,6 +431,7 @@ def test_preempt_verified_victim_is_killed():
     (note_when, note), = gms["gm0"].preempted
     assert note.task_id == "tv" and note.user_id == "uV"
     assert note.demand == rv(4, 8192)
+    assert note.run is victim  # the run the GM requeues
     # the victim's record is never rewritten by the kill
     assert victim.record is not None
     assert victim.record.task_start == pytest.approx(HOP, abs=1e-12)
@@ -443,8 +445,10 @@ def test_preempt_verified_victim_is_killed():
                              demand=victim.request.demand,
                              constraints=victim.request.constraints, run=victim)
     loop.schedule(loop.now() + 1.0, lambda t: lm.on_launch_request(relaunch, t))
+    loop.schedule(loop.now() + 2.0, lambda t: running.append(lm.running["tv"]))
     loop.run()
-    assert victim.incarnation == 2
+    first, second = running
+    assert second is not first and second.run is first.run is victim
     assert [msg.task_id for _, msg in gms["gm0"].completions] == ["tv"]
     assert victim.communication == communication + HOP
     assert victim.record is record
@@ -510,7 +514,50 @@ def test_preempt_repartitioned_victim_destroys_logical_node():
     assert lm.nodes["N"].available == rv(8, 16384)
     assert lm.partitions["lm0-p1"].node_ids == []
     assert {p.partition_id for p in resp.state.partitions} == {"lm0-p0", "lm0-p1"}
-    assert victim.times_preempted == 1
+    assert collector.counters["preemptions"] == 1
+    (_, note), = gms["gm1"].preempted
+    assert note.run is victim
+    check_conservation(lm)
+
+
+def test_payload_of_a_launch_killed_as_it_lands_is_dropped_after_relaunch():
+    # kill and relaunch are both due at the instant the first payload lands,
+    # and are dispatched before it: that payload then finds the relaunch's
+    # RunningTask under the same task id and must not start the task
+    lm, gms, loop, collector = one_lm({"gm0": [("n0", rv(4, 8192), cs())]})
+    victim = launch(lm, loop, collector, node_id="n0", demand=rv(4, 8192),
+                    task_id="tv", duration=10.0)
+    preempt(lm, loop, collector, node_id="n0", victim_ids=["tv"], at=HOP)
+    relaunch = LaunchRequest(gm_id="gm0", task_id="tv", node_id="n0",
+                             demand=victim.request.demand,
+                             constraints=victim.request.constraints, run=victim)
+    loop.schedule(HOP, lambda t: lm.on_launch_request(relaunch, t))
+    loop.run()
+    assert collector.counters["preemptions"] == 1
+    assert victim.record.task_start == pytest.approx(2 * HOP, abs=1e-12)
+    (when, msg), = gms["gm0"].completions
+    assert when == pytest.approx(10.0 + 3 * HOP, abs=1e-9)
+    check_conservation(lm)
+
+
+def test_relaunch_before_the_killed_launch_ends_ignores_its_completion():
+    lm, gms, loop, collector = one_lm({"gm0": [("n0", rv(4, 8192), cs())]})
+    victim = launch(lm, loop, collector, node_id="n0", demand=rv(4, 8192),
+                    task_id="tv", duration=10.0)
+    preempt(lm, loop, collector, node_id="n0", victim_ids=["tv"], at=1.0)
+    relaunch = LaunchRequest(gm_id="gm0", task_id="tv", node_id="n0",
+                             demand=victim.request.demand,
+                             constraints=victim.request.constraints, run=victim)
+    loop.schedule(2.0, lambda t: lm.on_launch_request(relaunch, t))
+    loop.run()
+    # the killed launch's completion, due at 10 + HOP, finds the relaunch's
+    # RunningTask under the same task id and is dropped
+    (when, msg), = gms["gm0"].completions
+    assert msg.task_id == "tv"
+    assert when == pytest.approx(12.0 + 2 * HOP, abs=1e-9)
+    assert collector.completed == 1
+    assert "tv" not in lm.running
+    assert lm.nodes["n0"].available == rv(4, 8192)
     check_conservation(lm)
 
 

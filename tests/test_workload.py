@@ -1,6 +1,7 @@
 """Trace parsing and scaling, constraint assignment, synthetic generation."""
 
 import math
+import re
 
 import pytest
 
@@ -78,6 +79,25 @@ class TestLoadTrace:
         path = write_trace(tmp_path, ["0.0,j1,t1,400,50,0.0,\n"])
         with pytest.raises(TraceFormatError, match=":2"):
             load_trace(path)
+
+    def test_negative_arrival_rejected(self, tmp_path):
+        path = write_trace(tmp_path, ["0.0,j1,t1,400,50,1.0,\n",
+                                      "-1.0,j1,t2,400,50,1.0,\n"])
+        with pytest.raises(TraceFormatError, match=":3: arrival"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("row", ["nan,j1,t2,400,50,1.0,\n", "0.0,j1,t2,400,50,nan,\n",
+                                     "0.0,j1,t2,400,50,inf,\n", "0.0,j1,t2,nan,50,1.0,\n"])
+    def test_non_finite_number_rejected(self, tmp_path, row):
+        path = write_trace(tmp_path, ["0.0,j1,t1,400,50,1.0,\n", row])
+        with pytest.raises(TraceFormatError, match=":3: numbers must be finite"):
+            load_trace(path)
+
+    def test_non_utf8_trace_rejected_naming_its_path(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(HEADER.encode() + b"0.0,j1,t1,400,50,1.0,\n0.0,j\xff,t2,400,50,1.0,\n")
+        with pytest.raises(TraceFormatError, match=re.escape(f"{path}: not valid UTF-8")):
+            load_trace(str(path))
 
     def test_scaling_preserves_everything_else(self, tmp_path):
         rows = [f"{i * 0.5},j{i},t{i},800,100,3.5,2;4\n" for i in range(5)]
@@ -238,6 +258,21 @@ class TestGenerateSynthetic:
             synthetic(10, rate=0.0)
         with pytest.raises(ConfigurationError):
             synthetic(10, arrival="bursts")
+
+    @pytest.mark.parametrize("demand", [
+        ResourceVector.zeros(2),
+        [(ResourceVector.of(1, 256), 0.5), (ResourceVector.zeros(2), 0.5)],
+    ])
+    def test_zero_demand_rejected(self, demand):
+        with pytest.raises(ConfigurationError, match="non-zero"):
+            synthetic(10, demand=demand)
+
+    @pytest.mark.parametrize("duration", [
+        0.0, -1.0, ("exp", 0.0), ("choice", [1.0, 0.0], [0.5, 0.5]), ("uniform", 1.0),
+    ])
+    def test_non_positive_duration_rejected(self, duration):
+        with pytest.raises(ConfigurationError, match="duration"):
+            synthetic(10, duration=duration)
 
 
 class TestAssignUsers:
