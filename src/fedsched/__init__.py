@@ -7,7 +7,7 @@ all driven by the same workload definitions.
 """
 
 from .config import ExperimentConfig, UserSpec, WorkloadSpec, config_from_dict, load_config
-from .core import ConstraintSet, ResourceVector, TaskRequest
+from .core import ResourceVector, TaskRequest
 from .errors import ConfigurationError, LivelockError, SimulationError, TraceFormatError
 from .experiment import ExperimentResult, run_experiment, sweep, write_reports
 from .metrics import AllocationRecord, percentile, summarize
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationRecord",
     "ConfigurationError",
-    "ConstraintSet",
     "ExperimentConfig",
     "ExperimentResult",
     "LivelockError",

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .core import DEFAULT_CONSTRAINT_COUNT, ResourceVector
 from .engine import CostModel, DelayModel
 from .errors import ConfigurationError
-from .workload import ARRIVALS, ClusterProfile, _check_demand, _check_duration
+from .workload import (ARRIVALS, ClusterProfile, _check_demand, _check_duration, _finite,
+                       _number)
 
 SCHEDULER_KINDS = ("megha", "sparrow", "centralized")
 
@@ -155,20 +155,16 @@ class ExperimentConfig:
                     if d > 0), default=0)
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # What a JSON value must be for each field annotation checked here; bools are
 # never numbers and a float is finite.  Other fields (nested sections,
 # probability maps, demand and duration specs) are checked where they are parsed.
 _TYPES = {
     "int": ("an integer", lambda v: _number(v) and isinstance(v, int)),
-    "float": ("a finite number", lambda v: _number(v) and math.isfinite(v)),
+    "float": ("a finite number", _finite),
     "str": ("a string", lambda v: isinstance(v, str)),
     "ResourceVector": ("a list of integers", lambda v: isinstance(v, list)),
-    "dict[str, float]": ("an object of numbers",
-                         lambda v: isinstance(v, dict) and all(map(_number, v.values()))),
+    "dict[str, float]": ("an object of finite numbers",
+                         lambda v: isinstance(v, dict) and all(map(_finite, v.values()))),
 }
 
 
@@ -201,11 +197,14 @@ def _list(what: str, value) -> list:
 
 
 def _probabilities(what: str, value) -> dict[int, float]:
+    """Integer constraint ids mapped to numbers; a bool or a string is not one."""
     try:
-        return {int(k): float(v) for k, v in value.items()}
+        if all(map(_number, value.values())):
+            return {int(k): float(v) for k, v in value.items()}
     except (AttributeError, TypeError, ValueError):
-        raise ConfigurationError(
-            f"{what} must map constraint ids to probabilities, got {value!r}") from None
+        pass
+    raise ConfigurationError(
+        f"{what} must map constraint ids to probabilities, got {value!r}")
 
 
 def _parse_demand(value):
@@ -223,7 +222,7 @@ def _parse_demand(value):
 
 
 def _parse_duration(value):
-    if isinstance(value, (int, float)):
+    if _number(value):
         return float(value)
     if isinstance(value, list):
         return tuple(value[0:1] + [tuple(v) if isinstance(v, list) else v for v in value[1:]])

@@ -1,20 +1,23 @@
-"""Core value types: resource vectors, constraint sets, tasks, nodes, partitions.
+"""Core value types: resource vectors, tasks, nodes, partitions.
 
 Resources are exact integer quantities (whole CPU cores, memory in MB by
 default).  A `ResourceVector` is stored as a tuple subclass holding those
 quantities, because the simulator builds one on nearly every event: the
 tuple's C code then hashes, compares and indexes it.  Constraints are small
-integer ids; a machine satisfies a task when its constraint set is a superset
-of the task's.  Partition membership is indexed per constraint with bit
+integer ids, and a task's or a machine's constraints are a plain
+`frozenset[int]`; a machine satisfies a task when its set is a superset of
+the task's.  Partition membership is indexed per constraint with bit
 vectors so a scheduler can intersect them with bitwise AND instead of walking
 every node.
 
 Input is validated where it enters, not in every operation.  `ResourceVector.of`
 checks each vector built from outside input (config, trace, default demand);
 arithmetic trusts its operands.  `ExperimentConfig.validate` and
-`build_workload` reject constraint ids outside `[0, constraint_count)` and
-demand vectors whose dimension differs from the worker capacity's, so the
-bitmap and the vector operations never see either.
+`load_trace` reject constraint ids outside `[0, constraint_count)`,
+`augment_constraints` any id that is not a non-negative int, and
+`ExperimentConfig.validate` and `build_workload` demand vectors whose
+dimension differs from the worker capacity's, so the bitmap and the vector
+operations never see either.
 
 A `TaskRequest` is a plain record, checked where its fields enter: each trace
 row by `load_trace`, the duration and demand specs by `generate_synthetic`
@@ -95,42 +98,6 @@ class ResourceVector(tuple):
         return not any(self)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """An immutable set of integer constraint ids."""
-
-    ids: frozenset[int]
-
-    def __post_init__(self) -> None:
-        for cid in self.ids:
-            if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
-                raise ConfigurationError(f"constraint ids must be non-negative ints, got {cid!r}")
-
-    @classmethod
-    def of(cls, *ids: int) -> "ConstraintSet":
-        return cls(frozenset(ids))
-
-    @classmethod
-    def empty(cls) -> "ConstraintSet":
-        return _EMPTY_CONSTRAINTS
-
-    def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.ids))
-
-    def issuperset(self, other: "ConstraintSet") -> bool:
-        return self.ids >= other.ids
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self) -> Iterator[int]:
-        # sorted so that iteration order never depends on set internals
-        return iter(self.sorted_ids())
-
-
-_EMPTY_CONSTRAINTS = ConstraintSet(frozenset())
-
-
 class TaskRequest(NamedTuple):
     """One schedulable unit of work: duration > 0, arrival >= 0, demand non-zero,
     as checked where the workload enters.  Being a tuple, it equals a plain
@@ -140,7 +107,7 @@ class TaskRequest(NamedTuple):
     job_id: str
     user_id: str
     demand: ResourceVector
-    constraints: ConstraintSet
+    constraints: frozenset[int]
     arrival_time: float
     duration: float
 
@@ -160,7 +127,7 @@ class WorkerNode:
     partition_id: str
     capacity: ResourceVector
     available: ResourceVector
-    machine_constraints: ConstraintSet
+    machine_constraints: frozenset[int]
     is_logical: bool = False
     parent_node: str | None = None
 
@@ -195,7 +162,7 @@ class ConstraintBitmap:
 
     @classmethod
     def from_constraint_sets(
-        cls, constraint_count: int, sets: Iterable[ConstraintSet]
+        cls, constraint_count: int, sets: Iterable[frozenset[int]]
     ) -> "ConstraintBitmap":
         bitmap = cls(constraint_count)
         for cs in sets:
@@ -207,7 +174,7 @@ class ConstraintBitmap:
         """Number of 64-bit words each vector spans."""
         return (self.length + WORD_BITS - 1) // WORD_BITS
 
-    def append_node(self, constraints: ConstraintSet) -> int:
+    def append_node(self, constraints: frozenset[int]) -> int:
         """Add a node at the next ordinal; returns that ordinal."""
         ordinal = self.length
         for cid in constraints:
@@ -228,7 +195,7 @@ class ConstraintBitmap:
     def satisfies(self, cid: int, ordinal: int) -> bool:
         return bool(self.bits[cid] >> ordinal & 1)
 
-    def candidates(self, constraints: ConstraintSet) -> tuple[int, int]:
+    def candidates(self, constraints: frozenset[int]) -> tuple[int, int]:
         """Intersect the constraint vectors for a task.
 
         Returns (candidate mask, word operation count).  With no constraints
@@ -260,19 +227,17 @@ class Partition:
     partition_id: str
     lm_id: str
     owner_gm_id: str
-    node_ids: list[str] = field(default_factory=list)
-    bitmap: ConstraintBitmap | None = None
+    node_ids: list[str]
+    bitmap: ConstraintBitmap
 
     def __post_init__(self) -> None:
-        if self.bitmap is None:
-            self.bitmap = ConstraintBitmap(DEFAULT_CONSTRAINT_COUNT)
         if self.bitmap.length != len(self.node_ids):
             raise ConfigurationError(
                 f"partition {self.partition_id}: bitmap length {self.bitmap.length} "
                 f"!= node count {len(self.node_ids)}"
             )
 
-    def append_node(self, node_id: str, constraints: ConstraintSet) -> int:
+    def append_node(self, node_id: str, constraints: frozenset[int]) -> int:
         ordinal = self.bitmap.append_node(constraints)
         self.node_ids.append(node_id)
         return ordinal

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -54,8 +55,8 @@ class DelayModel:
         if unknown:
             raise ConfigurationError(f"unknown message kinds in delay overrides: {unknown}")
         for value in (self.network_delay, *self.overrides.values()):
-            if value < 0:
-                raise ConfigurationError("message delays must be >= 0")
+            if not 0 <= value < math.inf:  # also rejects NaN
+                raise ConfigurationError("message delays must be finite and >= 0")
 
     def delay_for(self, kind: str) -> float:
         return self.overrides.get(kind, self.network_delay)

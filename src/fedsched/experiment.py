@@ -16,8 +16,8 @@ import os
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 from .config import ExperimentConfig, UserSpec
-from .core import (ConstraintBitmap, ConstraintSet, Partition, ResourceVector,
-                   TaskRequest, WorkerNode, iter_ordinals)
+from .core import (ConstraintBitmap, Partition, ResourceVector, TaskRequest,
+                   WorkerNode, iter_ordinals)
 from .engine import EventLoop, Network
 from .errors import ConfigurationError, SimulationError
 from .fairness import QueueSet, UserQueue
@@ -97,7 +97,7 @@ def _build_nodes(config: ExperimentConfig) -> tuple[list[str], list[WorkerNode]]
                 partition_id="",  # assigned below
                 capacity=config.worker_capacity,
                 available=config.worker_capacity,
-                machine_constraints=ConstraintSet.empty(),
+                machine_constraints=frozenset(),
             ))
     assign_machine_constraints(nodes, config.machine_profiles, config.seed)
     return lm_ids, nodes
@@ -112,10 +112,10 @@ def _eligible(nodes: list[WorkerNode], members: list, tasks: list[TaskRequest]
     """
     eligible: dict[frozenset[int], list] = {}
     for task in tasks:
-        ids = task.constraints.ids
+        ids = task.constraints
         if ids not in eligible:
             eligible[ids] = [m for m, n in zip(members, nodes)
-                             if n.machine_constraints.ids >= ids]
+                             if n.machine_constraints >= ids]
     return eligible
 
 
@@ -180,7 +180,7 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
     # every node starts with the full worker capacity
     eligible = _eligible(nodes, nodes, tasks)
     for task in tasks:
-        if not (eligible[task.constraints.ids]
+        if not (eligible[task.constraints]
                 and config.worker_capacity.geq(task.demand)):
             collector.mark_unschedulable(task.task_id)
             continue
@@ -200,8 +200,7 @@ def build_sparrow(config: ExperimentConfig, tasks: list[TaskRequest]):
     _, nodes = _build_nodes(config)
 
     slots = config.worker_slots()
-    workers = [FifoWorker(n.node_id, n.machine_constraints, slots, loop, collector)
-               for n in nodes]
+    workers = [FifoWorker(n.node_id, slots, loop, collector) for n in nodes]
 
     eligible = _eligible(nodes, workers, tasks)
     schedulers = [ProbeScheduler(f"s{i:02d}", loop, network, eligible, config.costs,
@@ -211,7 +210,7 @@ def build_sparrow(config: ExperimentConfig, tasks: list[TaskRequest]):
 
     job_home: dict[str, ProbeScheduler] = {}
     for task in tasks:
-        if not eligible[task.constraints.ids]:
+        if not eligible[task.constraints]:
             collector.mark_unschedulable(task.task_id)
             continue
         if task.job_id not in job_home:
@@ -325,8 +324,7 @@ def check_view_index(gm: GlobalMaster) -> None:
                           if have.geq(demand)):
                 raise SimulationError(f"{where}: fit mask for {demand} drifted")
         for ids, cand in part.cands.items():
-            constraints = ConstraintSet(ids)
-            mask, word_ops = part.bitmap.candidates(constraints)
+            mask, word_ops = part.bitmap.candidates(ids)
             if cand != (mask, word_ops + part.bitmap.words):
                 raise SimulationError(f"{where}: candidate mask for {sorted(ids)} drifted")
             for demand, fit in part.fits.items():
@@ -337,7 +335,7 @@ def check_view_index(gm: GlobalMaster) -> None:
                     if fit >> ordinal & 1:
                         hit = ordinal
                         break
-                if part.match(constraints, demand) != (hit, cand[1], checked):
+                if part.match(ids, demand) != (hit, cand[1], checked):
                     raise SimulationError(
                         f"{where}: match for {sorted(ids)} demand {demand} != first-fit walk")
 

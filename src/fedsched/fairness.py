@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import ConstraintSet, ResourceVector
+from .core import ResourceVector
 from .errors import ConfigurationError
 from .metrics import TaskRun
 from .state import ClusterView, ViewPartition
@@ -225,7 +225,7 @@ def plan_preemption(
 def _victims_for_user(
     view: ClusterView,
     victim_user: str,
-    constraints: ConstraintSet,
+    constraints: frozenset[int],
     demand: ResourceVector,
 ) -> tuple[tuple[ViewPartition, str, int, tuple[str, ...]] | None, int]:
     """Find one node where killing this user's tasks frees enough for demand.

@@ -182,7 +182,7 @@ class LocalMaster:
     @staticmethod
     def _fits(node: WorkerNode | None, req: LaunchRequest) -> bool:
         """The node exists, carries the task's constraints and has its demand."""
-        return (node is not None and node.machine_constraints.issuperset(req.constraints)
+        return (node is not None and node.machine_constraints >= req.constraints
                 and node.available.geq(req.demand))
 
     def on_launch_request(self, req: LaunchRequest, now: float) -> None:
@@ -210,8 +210,8 @@ class LocalMaster:
             "ok": ok,
             "available_before": node.available.quantities if node else None,
             "demand": req.demand.quantities,
-            "machine_constraints": node.machine_constraints.sorted_ids() if node else None,
-            "task_constraints": req.constraints.sorted_ids(),
+            "machine_constraints": tuple(sorted(node.machine_constraints)) if node else None,
+            "task_constraints": tuple(sorted(req.constraints)),
         })
 
     def _launch(self, run: TaskRun, node: WorkerNode, gm_id: str, done: float) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import ConstraintSet, ResourceVector
+from .core import ResourceVector
 from .state import LMStateSnapshot
 
 if TYPE_CHECKING:
@@ -31,7 +31,7 @@ class LaunchRequest(NamedTuple):
     task_id: str
     node_id: str
     demand: ResourceVector
-    constraints: ConstraintSet
+    constraints: frozenset[int]
     run: "TaskRun"
 
 

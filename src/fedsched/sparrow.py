@@ -54,7 +54,7 @@ class ProbeScheduler:
         run.processing += self.costs.probe_handling
         run.attempts += 1
 
-        eligible = self.eligible[run.request.constraints.ids]
+        eligible = self.eligible[run.request.constraints]
         sample = (self.rng.sample(eligible, self.probe_count)
                   if len(eligible) > self.probe_count else eligible)
 

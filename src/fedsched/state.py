@@ -26,7 +26,7 @@ from itertools import compress, repeat
 from operator import ge, is_not
 from typing import NamedTuple
 
-from .core import ConstraintBitmap, ConstraintSet, ResourceVector
+from .core import ConstraintBitmap, ResourceVector
 
 
 class RunningTaskInfo(NamedTuple):
@@ -145,7 +145,7 @@ class ViewPartition:
         for demand, fit in fits.items():
             fits[demand] = fit | bit if have.geq(demand) else fit & ~bit
 
-    def match(self, constraints: ConstraintSet, demand: ResourceVector
+    def match(self, constraints: frozenset[int], demand: ResourceVector
               ) -> tuple[int | None, int, int]:
         """First node ordinal satisfying constraints and viewed availability.
 
@@ -154,11 +154,11 @@ class ViewPartition:
         candidates in ascending ordinal order for sufficient viewed
         resources, stopping at the first that fits.
         """
-        cand = self.cands.get(constraints.ids)
+        cand = self.cands.get(constraints)
         if cand is None:
             mask, word_ops = self.bitmap.candidates(constraints)
             # plus one scan pass over the candidate words
-            cand = self.cands[constraints.ids] = (mask, word_ops + self.bitmap.words)
+            cand = self.cands[constraints] = (mask, word_ops + self.bitmap.words)
         mask, word_ops = cand
         fits = self.fits
         fit = fits.get(demand)
@@ -184,7 +184,7 @@ class ViewPartition:
         self.deducted.add(ordinal)
         self._set(ordinal, self.available[ordinal] - demand)
 
-    def node_satisfies(self, ordinal: int, constraints: ConstraintSet) -> bool:
+    def node_satisfies(self, ordinal: int, constraints: frozenset[int]) -> bool:
         return all(self.bitmap.satisfies(cid, ordinal) for cid in constraints)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from .core import ConstraintSet
 from .engine import EventLoop
 from .errors import ConfigurationError
 from .metrics import MetricsCollector, TaskRun
@@ -34,12 +33,11 @@ class FifoWorker:
     the slot count.
     """
 
-    def __init__(self, node_id: str, constraints: ConstraintSet, slots: int,
-                 loop: EventLoop, collector: MetricsCollector) -> None:
+    def __init__(self, node_id: str, slots: int, loop: EventLoop,
+                 collector: MetricsCollector) -> None:
         if slots <= 0:
             raise ConfigurationError(f"worker {node_id}: slot count must be positive")
         self.node_id = node_id
-        self.constraints = constraints
         self.slots = slots
         self.loop = loop
         self.collector = collector

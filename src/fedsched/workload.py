@@ -12,7 +12,9 @@ Task requests check nothing themselves; their fields are checked here, where
 they enter.  `load_trace` checks each row (UTF-8 text, finite numbers,
 constraint ids in range, duration > 0, arrival >= 0).  `generate_synthetic`
 checks its duration and demand specs once per call, so every duration it
-draws is > 0 and every demand is non-zero.
+draws is > 0 and every demand is non-zero; a bool is never a number there.
+`augment_constraints` rejects a constraint id that is not a non-negative int,
+so the plain `frozenset` of ids each task carries needs no check of its own.
 """
 
 from __future__ import annotations
@@ -23,13 +25,17 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import (DEFAULT_CONSTRAINT_COUNT, ConstraintSet, ResourceVector,
-                   TaskRequest, WorkerNode)
+from .core import DEFAULT_CONSTRAINT_COUNT, ResourceVector, TaskRequest, WorkerNode
 from .errors import ConfigurationError, TraceFormatError
 
 
+def _number(value) -> bool:
+    """An int or a float; a bool is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    return _number(value) and math.isfinite(value)
 
 
 def _check_weights(weights: list, what: str) -> None:
@@ -148,7 +154,7 @@ def load_trace(
             tasks.append(TaskRequest(
                 task_id, job_id, user_id,
                 ResourceVector.of(_scale(cpu, cpu_divisor), _scale(mem, mem_divisor)),
-                ConstraintSet.of(*ids), arrival, duration,
+                frozenset(ids), arrival, duration,
             ))
     tasks.sort(key=lambda t: (t.arrival_time, t.task_id))
     return tasks
@@ -165,16 +171,18 @@ def augment_constraints(
     preserved; the same seed always produces the same assignment.
     """
     for cid, p in probabilities.items():
+        if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
+            raise ConfigurationError(f"constraint ids must be non-negative ints, got {cid!r}")
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"constraint {cid}: probability {p} outside [0, 1]")
     rng = random.Random(f"{seed}/task-constraints")
     out: list[TaskRequest] = []
     for task in tasks:
-        ids = set(task.constraints.ids)
+        ids = set(task.constraints)
         for cid in sorted(probabilities):
             if rng.random() < probabilities[cid]:
                 ids.add(cid)
-        out.append(task._replace(constraints=ConstraintSet(frozenset(ids))))
+        out.append(task._replace(constraints=frozenset(ids)))
     return out
 
 
@@ -219,7 +227,7 @@ def assign_machine_constraints(
         for node in by_lm[lm_id]:
             ids = {cid for cid in sorted(profile.probabilities)
                    if rng.random() < profile.probabilities[cid]}
-            node.machine_constraints = ConstraintSet(frozenset(ids))
+            node.machine_constraints = frozenset(ids)
     return chosen
 
 
@@ -277,7 +285,7 @@ def generate_synthetic(
             return demand
         return rng.choices(vectors, cum_weights=cum_weights)[0]
 
-    no_constraints = ConstraintSet.empty()
+    no_constraints = frozenset()
     # demand is drawn before duration for each task, as the seed's stream expects
     tasks = [TaskRequest(f"t{i:06d}", f"j{i // 10:05d}", "", draw_demand(), no_constraints,
                          arrivals[i], draw_duration())

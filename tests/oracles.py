@@ -8,19 +8,19 @@ from __future__ import annotations
 
 import math
 
-from fedsched.core import ConstraintSet, ResourceVector
+from fedsched.core import ResourceVector
 
 
 def brute_force_match(
-    node_constraints: list[ConstraintSet],
+    node_constraints: list[frozenset[int]],
     node_available: list[ResourceVector],
-    task_constraints: ConstraintSet,
+    task_constraints: frozenset[int],
     demand: ResourceVector,
 ) -> int | None:
     """Lowest ordinal whose machine constraints cover the task's and whose
     availability dominates the demand; None when no node qualifies."""
     for ordinal in range(len(node_constraints)):
-        if not node_constraints[ordinal].issuperset(task_constraints):
+        if not node_constraints[ordinal] >= task_constraints:
             continue
         if node_available[ordinal].geq(demand):
             return ordinal

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from fedsched.core import (ConstraintBitmap, ConstraintSet, Partition,
-                           ResourceVector, TaskRequest, WorkerNode)
+from fedsched.core import (ConstraintBitmap, Partition, ResourceVector,
+                           TaskRequest, WorkerNode)
 from fedsched.engine import CostModel, DelayModel, EventLoop, Network
 from fedsched.fairness import QueueSet, UserQueue
 from fedsched.global_master import GlobalMaster
@@ -28,8 +28,8 @@ def rv(*qs: int) -> ResourceVector:
     return ResourceVector.of(*qs)
 
 
-def cs(*ids: int) -> ConstraintSet:
-    return ConstraintSet.of(*ids)
+def cs(*ids: int) -> frozenset[int]:
+    return frozenset(ids)
 
 
 def task(task_id: str, *, user="u0", demand=None, constraints=(), arrival=0.0,
@@ -69,7 +69,7 @@ class MiniCluster:
 
 
 def build_cluster(
-    lm_specs: dict[str, dict[str, list[tuple[str, ResourceVector, ConstraintSet]]]],
+    lm_specs: dict[str, dict[str, list[tuple[str, ResourceVector, frozenset[int]]]]],
     users: dict[str, tuple[str, float]],
     *,
     constraint_count: int = 21,

@@ -1,4 +1,4 @@
-"""Value types: resource vectors, constraint sets, and constraint bitmaps."""
+"""Value types: resource vectors and constraint bitmaps."""
 
 import copy
 import pickle
@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsched
 from fedsched.config import config_from_dict
-from fedsched.core import (ConstraintBitmap, ConstraintSet, Partition,
-                           ResourceVector, WorkerNode, iter_ordinals)
+from fedsched.core import (ConstraintBitmap, Partition, ResourceVector,
+                           WorkerNode, iter_ordinals)
 from fedsched.errors import ConfigurationError
 from fedsched.messages import LaunchRequest
 from fedsched.metrics import RECORD_FIELDS, AllocationRecord
@@ -106,6 +107,11 @@ def test_vector_operations_agree_with_tuple_arithmetic(pair):
     assert va.dimension == len(a)
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in fedsched.__all__ if not hasattr(fedsched, name)]
+    assert not missing
+
+
 def test_wire_and_record_types_are_immutable():
     """A GM's identity diff relies on a published snapshot never changing."""
     demand = ResourceVector.of(1, 1)
@@ -113,7 +119,7 @@ def test_wire_and_record_types_are_immutable():
     node = NodeSnapshot("n", demand, False, None, (info,))
     part = PartitionSnapshot("p", "lm", "gm", (node,), (1,), 1)
     state = LMStateSnapshot("lm", 0.0, (part,), (("u", demand),))
-    request = LaunchRequest("gm", "t", "n", demand, ConstraintSet.empty(), None)
+    request = LaunchRequest("gm", "t", "n", demand, frozenset(), None)
     record = AllocationRecord(*range(len(RECORD_FIELDS)))
     for value in (info, node, part, state, request, record):
         for name in value._fields:
@@ -123,36 +129,18 @@ def test_wire_and_record_types_are_immutable():
         demand.quantities = (2, 2)
 
 
-class TestConstraintSet:
-    def test_superset(self):
-        assert ConstraintSet.of(1, 4, 7).issuperset(ConstraintSet.of(4))
-
-    def test_empty_task_matches_any_machine(self):
-        assert ConstraintSet.of(1, 4, 7).issuperset(ConstraintSet.empty())
-
-    def test_missing_id_fails(self):
-        assert not ConstraintSet.of(1, 4).issuperset(ConstraintSet.of(4, 9))
-
-    def test_iteration_is_sorted(self):
-        assert list(ConstraintSet.of(9, 1, 4)) == [1, 4, 9]
-
-    def test_negative_id_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConstraintSet.of(-1)
-
-
 class TestWorkerNodeValidation:
     def test_available_bounded_by_capacity(self):
         with pytest.raises(ConfigurationError):
             WorkerNode("n", "lm", "p", capacity=ResourceVector.of(1, 1),
                        available=ResourceVector.of(2, 1),
-                       machine_constraints=ConstraintSet.empty())
+                       machine_constraints=frozenset())
 
     def test_logical_requires_parent(self):
         with pytest.raises(ConfigurationError):
             WorkerNode("n", "lm", "p", capacity=ResourceVector.of(1, 1),
                        available=ResourceVector.of(1, 1),
-                       machine_constraints=ConstraintSet.empty(), is_logical=True)
+                       machine_constraints=frozenset(), is_logical=True)
 
 
 def bitmap_from_sets(m, sets):
@@ -164,19 +152,19 @@ class TestConstraintBitmap:
         # node membership: c0 on nodes {0,2}, c1 on nodes {1,2}; the only
         # common node is ordinal 2
         bitmap = bitmap_from_sets(2, [
-            ConstraintSet.of(0), ConstraintSet.of(1),
-            ConstraintSet.of(0, 1), ConstraintSet.empty(),
+            frozenset({0}), frozenset({1}),
+            frozenset({0, 1}), frozenset(),
         ])
         assert bitmap.bits[0] == 0b0101
         assert bitmap.bits[1] == 0b0110
-        mask, word_ops = bitmap.candidates(ConstraintSet.of(0, 1))
+        mask, word_ops = bitmap.candidates(frozenset({0, 1}))
         assert mask == 0b0100
         assert list(iter_ordinals(mask)) == [2]
         assert word_ops == 2  # two constraint vectors of one word each
 
     def test_no_constraints_all_candidates_no_word_ops(self):
-        bitmap = bitmap_from_sets(3, [ConstraintSet.empty()] * 5)
-        mask, word_ops = bitmap.candidates(ConstraintSet.empty())
+        bitmap = bitmap_from_sets(3, [frozenset()] * 5)
+        mask, word_ops = bitmap.candidates(frozenset())
         assert mask == 0b11111
         assert word_ops == 0
 
@@ -192,14 +180,14 @@ class TestConstraintBitmap:
 
     def test_append_assigns_sequential_ordinals(self):
         bitmap = ConstraintBitmap(4)
-        assert bitmap.append_node(ConstraintSet.of(1)) == 0
-        assert bitmap.append_node(ConstraintSet.of(2)) == 1
+        assert bitmap.append_node(frozenset({1})) == 0
+        assert bitmap.append_node(frozenset({2})) == 1
         assert bitmap.length == 2
         assert bitmap.satisfies(1, 0) and not bitmap.satisfies(1, 1)
 
     def test_remove_ordinal_splices_bits(self):
-        sets = [ConstraintSet.of(0), ConstraintSet.of(1), ConstraintSet.of(0, 1),
-                ConstraintSet.empty(), ConstraintSet.of(0)]
+        sets = [frozenset({0}), frozenset({1}), frozenset({0, 1}),
+                frozenset(), frozenset({0})]
         bitmap = bitmap_from_sets(2, sets)
         bitmap.remove_ordinal(2)
         survivors = [sets[i] for i in (0, 1, 3, 4)]
@@ -208,7 +196,7 @@ class TestConstraintBitmap:
         assert bitmap.length == 4
 
     def test_remove_out_of_range(self):
-        bitmap = bitmap_from_sets(2, [ConstraintSet.empty()])
+        bitmap = bitmap_from_sets(2, [frozenset()])
         with pytest.raises(ConfigurationError):
             bitmap.remove_ordinal(1)
 
@@ -216,14 +204,14 @@ class TestConstraintBitmap:
         bitmap = ConstraintBitmap(1)
         assert bitmap.words == 0
         for _ in range(64):
-            bitmap.append_node(ConstraintSet.empty())
+            bitmap.append_node(frozenset())
         assert bitmap.words == 1
-        bitmap.append_node(ConstraintSet.empty())
+        bitmap.append_node(frozenset())
         assert bitmap.words == 2
 
 
 node_sets = st.lists(
-    st.sets(st.integers(min_value=0, max_value=7)).map(lambda s: ConstraintSet.of(*s)),
+    st.frozensets(st.integers(min_value=0, max_value=7)),
     min_size=0, max_size=40,
 )
 
@@ -231,11 +219,11 @@ node_sets = st.lists(
 @given(sets=node_sets, task_ids=st.sets(st.integers(min_value=0, max_value=7)))
 @settings(max_examples=200)
 def test_candidates_match_per_node_superset_oracle(sets, task_ids):
-    task_constraints = ConstraintSet.of(*task_ids)
+    task_constraints = frozenset(task_ids)
     bitmap = bitmap_from_sets(8, sets)
     mask, _ = bitmap.candidates(task_constraints)
     expected = {i for i, machine in enumerate(sets)
-                if machine.issuperset(task_constraints)}
+                if machine >= task_constraints}
     assert set(iter_ordinals(mask)) == expected
 
 
@@ -246,7 +234,7 @@ def test_candidates_match_per_node_superset_oracle(sets, task_ids):
 @settings(max_examples=200)
 def test_masked_scan_equals_brute_force(sets, task_ids, cpus, demand_cpu):
     """Bitmap AND + ordered availability scan == naive per-node oracle."""
-    task_constraints = ConstraintSet.of(*task_ids)
+    task_constraints = frozenset(task_ids)
     available = [ResourceVector.of(c, 1024) for c in cpus[:len(sets)]]
     demand = ResourceVector.of(demand_cpu, 512)
     bitmap = bitmap_from_sets(8, sets)
@@ -277,8 +265,8 @@ def test_remove_matches_rebuild(sets, drop):
 class TestPartition:
     def test_bitmap_length_tracks_membership(self):
         part = Partition("p", "lm", "gm", node_ids=[], bitmap=ConstraintBitmap(3))
-        part.append_node("a", ConstraintSet.of(1))
-        part.append_node("b", ConstraintSet.of(2))
+        part.append_node("a", frozenset({1}))
+        part.append_node("b", frozenset({2}))
         assert part.bitmap.length == 2
         part.remove_node("a")
         assert part.node_ids == ["b"]

@@ -113,6 +113,9 @@ class TestDelayModel:
             DelayModel(network_delay=-1.0)
         with pytest.raises(ConfigurationError):
             DelayModel(overrides={PROBE: -0.1})
+        for delay in (float("nan"), float("inf")):  # a NaN fails `< 0` too
+            with pytest.raises(ConfigurationError):
+                DelayModel(overrides={PROBE: delay})
 
     def test_unknown_override_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="launch-request"):

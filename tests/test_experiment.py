@@ -198,6 +198,18 @@ MALFORMED = {
         {}, {"kind": "trace", "path": SAMPLE_TRACE, "cpu_divisor": 0}),
     "NaN network delay": ({"delays": {"network_delay": float("nan")}}, {}),
     "infinite workload rate": ({}, {"rate": float("inf")}),
+    "negative constraint id": ({}, {"constraint_probabilities": {"-1": 0.5}}),
+    "bool workload duration": ({}, {"duration": True}),
+    "bool exp mean": ({}, {"duration": ["exp", True]}),
+    "bool demand mixture weight": ({}, {"demand": [[[4, 1024], True]]}),
+    "bool task constraint probability": ({}, {"constraint_probabilities": {"1": True}}),
+    "string task constraint probability": ({}, {"constraint_probabilities": {"1": "0.5"}}),
+    "bool machine profile probability": (
+        {"machine_profiles": [{"profile_id": "p", "probabilities": {"1": True}}]}, {}),
+    "string machine profile probability": (
+        {"machine_profiles": [{"profile_id": "p", "probabilities": {"1": "0.5"}}]}, {}),
+    "NaN delay override": ({"delays": {"overrides": {"task_launch": float("nan")}}}, {}),
+    "infinite delay override": ({"delays": {"overrides": {"task_launch": float("inf")}}}, {}),
 }
 
 
@@ -227,7 +239,9 @@ def test_validate_config_names_the_malformed_section(tmp_path, capsys):
                         ({"workload": {"demand": [[[1, 256], 1.0], [[1, 256], 1.0, 3]]}},
                          ("workload.demand", "pairs")),
                         ({"workload": {"demand": [[[1, 256], 1.0], 5]}},
-                         ("workload.demand", "pairs"))):
+                         ("workload.demand", "pairs")),
+                        ({"delays": {"overrides": {"task_launch": float("nan")}}},
+                         ("delays.overrides", "finite"))):
         path = write_config(tmp_path, data)
         assert main(["validate-config", "--config", path]) == 2
         err = capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fedsched.core import ConstraintBitmap, ConstraintSet, ResourceVector
+from fedsched.core import ConstraintBitmap
 from fedsched.errors import ConfigurationError
 from fedsched.experiment import check_conservation
 from fedsched.fairness import (GUARD_FAILURE, QueueSet, UserQueue, metric_value,

@@ -291,7 +291,7 @@ def test_repartition_carves_child_then_restores_parent():
     assert child.parent_node == "N"
     assert child.capacity == rv(2, 4096)
     assert child.available == rv(0, 0)  # fully consumed by its one task
-    assert child.machine_constraints.sorted_ids() == (3,)
+    assert child.machine_constraints == {3}
     assert child.partition_id == "lm0-p1"
     assert seen["parent_avail"] == rv(6, 12288)
     assert seen["target_members"] == ("N.l1",)

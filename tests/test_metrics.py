@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsched.core import ConstraintSet, ResourceVector, TaskRequest
+from fedsched.core import ResourceVector, TaskRequest
 from fedsched.metrics import MetricsCollector, SUMMARY_PERCENTILES, percentile, summarize
 
 from oracles import sort_percentile
@@ -14,7 +14,7 @@ from oracles import sort_percentile
 
 def make_request(task_id="t0", arrival=0.0):
     return TaskRequest(task_id, "j0", "u0", ResourceVector.of(1, 1),
-                       ConstraintSet.empty(), arrival, 1.0)
+                       frozenset(), arrival, 1.0)
 
 
 class TestPercentile:

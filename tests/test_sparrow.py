@@ -19,7 +19,7 @@ HOP = 0.0005
 
 
 def setup(worker_specs, *, probe_count=2, seed=0, costs=ZERO_COSTS, delays=None):
-    """worker_specs: (node_id, constraints, slots), any order.
+    """worker_specs: (node_id, slots), any order.
 
     The tasks submitted here carry no constraints, so every worker is
     eligible for them.
@@ -27,9 +27,9 @@ def setup(worker_specs, *, probe_count=2, seed=0, costs=ZERO_COSTS, delays=None)
     loop = EventLoop()
     network = Network(loop, delays or DelayModel())
     collector = MetricsCollector()
-    workers = [FifoWorker(node_id, constraints, slots, loop, collector)
-               for node_id, constraints, slots in sorted(worker_specs)]
-    sched = ProbeScheduler("s00", loop, network, {cs().ids: workers}, costs,
+    workers = [FifoWorker(node_id, slots, loop, collector)
+               for node_id, slots in sorted(worker_specs)]
+    sched = ProbeScheduler("s00", loop, network, {cs(): workers}, costs,
                            collector, probe_count=probe_count, seed=seed)
     return sched, {w.node_id: w for w in workers}, loop, collector
 
@@ -42,7 +42,7 @@ def submit(sched, loop, collector, request):
 
 
 def test_idle_worker_starts_after_probe_round_trip_and_payload():
-    sched, workers, loop, collector = setup([("a", cs(), 1), ("b", cs(), 1)])
+    sched, workers, loop, collector = setup([("a", 1), ("b", 1)])
     run = submit(sched, loop, collector, task("t0"))
     loop.run()
     record = run.record
@@ -58,7 +58,7 @@ def test_idle_worker_starts_after_probe_round_trip_and_payload():
 
 
 def test_single_slot_worker_queues_second_task_fifo():
-    sched, workers, loop, collector = setup([("a", cs(), 1)])
+    sched, workers, loop, collector = setup([("a", 1)])
     first = submit(sched, loop, collector, task("t1", duration=1.0))
     second = submit(sched, loop, collector, task("t2", duration=1.0))
     loop.run()
@@ -72,7 +72,7 @@ def test_single_slot_worker_queues_second_task_fifo():
 
 
 def test_lowest_estimate_wins():
-    sched, workers, loop, collector = setup([("a", cs(), 1), ("b", cs(), 1)])
+    sched, workers, loop, collector = setup([("a", 1), ("b", 1)])
     # preload worker a: one task running, one queued for 9 more seconds
     for tid in ("x1", "x2"):
         workers["a"].enqueue(TaskRun(task(tid, duration=9.0)), 0.0)
@@ -87,8 +87,7 @@ def test_lowest_estimate_wins():
 
 
 def test_equal_estimates_tie_break_on_lower_node_id():
-    sched, workers, loop, collector = setup([("a", cs(), 1), ("b", cs(), 1)],
-                                            seed=13)
+    sched, workers, loop, collector = setup([("a", 1), ("b", 1)], seed=13)
     submit(sched, loop, collector, task("t0", duration=1.0))
     seen = {}
     loop.schedule(0.002, lambda t: seen.update(
@@ -99,7 +98,7 @@ def test_equal_estimates_tie_break_on_lower_node_id():
 
 def test_sample_shrinks_to_eligible_pool():
     sched, workers, loop, collector = setup(
-        [("a", cs(), 1), ("b", cs(), 1), ("c", cs(), 1)], probe_count=5)
+        [("a", 1), ("b", 1), ("c", 1)], probe_count=5)
     run = submit(sched, loop, collector, task("t0"))
     loop.run()
     assert run.record is not None  # three probes, no sampling error
@@ -114,7 +113,7 @@ def test_constraint_filter_and_unschedulable_marking():
                               costs=ZERO_COSTS)
     tasks = [task("t_ok", constraints=(1,)), task("t_bad", constraints=(2,))]
     loop, collector, workers, schedulers = build_sparrow(config, tasks)
-    assert schedulers[0].eligible[cs(1).ids] == workers
+    assert schedulers[0].eligible[cs(1)] == workers
     loop.run()
     assert [r.task_id for r in collector.records] == ["t_ok"]
     assert collector.unschedulable == ["t_bad"]
@@ -122,8 +121,7 @@ def test_constraint_filter_and_unschedulable_marking():
 
 def test_probe_handling_cost_serializes_the_scheduler():
     costs = dataclasses.replace(ZERO_COSTS, probe_handling=0.01)
-    sched, workers, loop, collector = setup([("a", cs(), 1), ("b", cs(), 1)],
-                                            costs=costs)
+    sched, workers, loop, collector = setup([("a", 1), ("b", 1)], costs=costs)
     r1 = submit(sched, loop, collector, task("t1"))
     r2 = submit(sched, loop, collector, task("t2"))
     loop.run()
@@ -136,7 +134,7 @@ def test_probe_handling_cost_serializes_the_scheduler():
 def test_same_seed_reproduces_identical_records():
     def once():
         sched, workers, loop, collector = setup(
-            [(f"w{i}", cs(), 1) for i in range(6)], seed=7)
+            [(f"w{i}", 1) for i in range(6)], seed=7)
         for i in range(20):
             submit(sched, loop, collector,
                    task(f"t{i:02d}", arrival=i * 0.1, duration=0.5))
@@ -149,7 +147,7 @@ def test_same_seed_reproduces_identical_records():
 def test_estimated_wait_is_queued_durations_over_slots():
     loop = EventLoop()
     collector = MetricsCollector()
-    worker = FifoWorker("w", cs(), 2, loop, collector)
+    worker = FifoWorker("w", 2, loop, collector)
     for tid in ("t1", "t2"):  # fill both slots
         worker.enqueue(TaskRun(task(tid, duration=5.0)), 0.0)
     assert worker.estimated_wait() == 0.0  # running work is not queued work
@@ -160,7 +158,7 @@ def test_estimated_wait_is_queued_durations_over_slots():
 
 
 def test_slots_run_concurrently():
-    sched, workers, loop, collector = setup([("a", cs(), 2)])
+    sched, workers, loop, collector = setup([("a", 2)])
     runs = [submit(sched, loop, collector, task(f"t{i}", duration=1.0))
             for i in range(3)]
     loop.run()
@@ -172,7 +170,7 @@ def test_slots_run_concurrently():
 def test_worker_rejects_nonpositive_slots():
     loop = EventLoop()
     with pytest.raises(ConfigurationError):
-        FifoWorker("w", cs(), 0, loop, MetricsCollector())
+        FifoWorker("w", 0, loop, MetricsCollector())
 
 
 def test_scheduler_rejects_nonpositive_probe_count():

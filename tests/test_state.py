@@ -2,7 +2,7 @@
 
 import random
 
-from fedsched.core import ConstraintBitmap, ConstraintSet, ResourceVector
+from fedsched.core import ConstraintBitmap, ResourceVector
 from fedsched.state import (FIT_MASKS, ClusterView, LMStateSnapshot, NodeSnapshot,
                             PartitionSnapshot, ViewPartition)
 
@@ -41,41 +41,41 @@ def make_lm_snapshot(lm_id="lm0", ts=0.0, partitions=(), consumed=()):
 class TestViewPartitionMatch:
     def test_first_qualifying_ordinal(self):
         part = ViewPartition(make_partition_snapshot(nodes=[
-            ("a", ConstraintSet.of(1), rv(1, 100)),
-            ("b", ConstraintSet.of(1), rv(8, 800)),
-            ("c", ConstraintSet.of(1), rv(8, 800)),
+            ("a", frozenset({1}), rv(1, 100)),
+            ("b", frozenset({1}), rv(8, 800)),
+            ("c", frozenset({1}), rv(8, 800)),
         ]))
-        ordinal, _, checked = part.match(ConstraintSet.of(1), rv(4, 400))
+        ordinal, _, checked = part.match(frozenset({1}), rv(4, 400))
         assert ordinal == 1
         assert checked == 2  # a failed the resource check, b passed
 
     def test_empty_constraints_but_no_resources(self):
         part = ViewPartition(make_partition_snapshot(nodes=[
-            ("a", ConstraintSet.empty(), rv(1, 100)),
-            ("b", ConstraintSet.empty(), rv(1, 100)),
+            ("a", frozenset(), rv(1, 100)),
+            ("b", frozenset(), rv(1, 100)),
         ]))
-        ordinal, _, checked = part.match(ConstraintSet.empty(), rv(4, 400))
+        ordinal, _, checked = part.match(frozenset(), rv(4, 400))
         assert ordinal is None
         assert checked == 2
 
     def test_constraint_filter_excludes_nodes(self):
         part = ViewPartition(make_partition_snapshot(nodes=[
-            ("a", ConstraintSet.empty(), rv(8, 800)),
-            ("b", ConstraintSet.of(2), rv(8, 800)),
+            ("a", frozenset(), rv(8, 800)),
+            ("b", frozenset({2}), rv(8, 800)),
         ]))
-        ordinal, _, _ = part.match(ConstraintSet.of(2), rv(1, 1))
+        ordinal, _, _ = part.match(frozenset({2}), rv(1, 1))
         assert ordinal == 1
 
     def test_random_instances_match_brute_force_oracle(self):
         rng = random.Random(99)
         for _ in range(300):
             n = rng.randint(0, 64)
-            sets = [ConstraintSet.of(*[c for c in range(8) if rng.random() < 0.4])
+            sets = [frozenset([c for c in range(8) if rng.random() < 0.4])
                     for _ in range(n)]
             avail = [rv(rng.randint(0, 16), rng.randint(0, 4096)) for _ in range(n)]
             nodes = [(f"n{i}", sets[i], avail[i]) for i in range(n)]
             part = ViewPartition(make_partition_snapshot(nodes=nodes))
-            t_cs = ConstraintSet.of(*[c for c in range(8) if rng.random() < 0.25])
+            t_cs = frozenset([c for c in range(8) if rng.random() < 0.25])
             demand = rv(rng.randint(1, 16), rng.randint(1, 4096))
             got, _, _ = part.match(t_cs, demand)
             assert got == brute_force_match(sets, avail, t_cs, demand)
@@ -88,12 +88,11 @@ class TestViewPartitionMatch:
         for _ in range(200):
             n = rng.randint(1, 300)
             nodes = [(f"n{i}",
-                      ConstraintSet.of(*(c for c in range(m) if rng.random() < 0.4)),
+                      frozenset(c for c in range(m) if rng.random() < 0.4),
                       rv(rng.randint(0, 4), rng.randint(0, 4)))
                      for i in range(n)]
             part = ViewPartition(make_partition_snapshot(nodes=nodes, m=m))
-            wanted = ConstraintSet.of(
-                *(rng.randrange(m) for _ in range(rng.randint(0, 3))))
+            wanted = frozenset(rng.randrange(m) for _ in range(rng.randint(0, 3)))
             _, word_ops, checked = part.match(wanted, rv(2, 2))
             words = -(-n // 64)
             assert word_ops == (len(wanted) + 1) * words
@@ -102,11 +101,11 @@ class TestViewPartitionMatch:
 
     def test_deduct_shrinks_viewed_availability(self):
         part = ViewPartition(make_partition_snapshot(nodes=[
-            ("a", ConstraintSet.empty(), rv(8, 800)),
+            ("a", frozenset(), rv(8, 800)),
         ]))
         part.deduct(0, rv(3, 300))
         assert part.available[0].quantities == (5, 500)
-        ordinal, _, _ = part.match(ConstraintSet.empty(), rv(6, 100))
+        ordinal, _, _ = part.match(frozenset(), rv(6, 100))
         assert ordinal is None
 
 
@@ -115,7 +114,7 @@ def first_fit_walk(sets, avail, constraints, demand):
     the candidates looked at until the first that fits."""
     checked = 0
     for ordinal, (machine, have) in enumerate(zip(sets, avail)):
-        if machine.issuperset(constraints):
+        if machine >= constraints:
             checked += 1
             if have.geq(demand):
                 return ordinal, checked
@@ -131,10 +130,10 @@ def assert_matches_oracles(part, sets, avail, queries):
         assert (ordinal, checked) == first_fit_walk(sets, avail, constraints, demand)
 
 
-INDEX_SETS = [ConstraintSet.of(1), ConstraintSet.empty(), ConstraintSet.of(1, 2),
-              ConstraintSet.of(2), ConstraintSet.of(1)]
-INDEX_QUERIES = [(c, rv(*d)) for c in (ConstraintSet.empty(), ConstraintSet.of(1),
-                                      ConstraintSet.of(1, 2), ConstraintSet.of(3))
+INDEX_SETS = [frozenset({1}), frozenset(), frozenset({1, 2}),
+              frozenset({2}), frozenset({1})]
+INDEX_QUERIES = [(c, rv(*d)) for c in (frozenset(), frozenset({1}),
+                                      frozenset({1, 2}), frozenset({3}))
                  for d in ((1, 100), (3, 300), (4, 400), (9, 900))]
 
 
@@ -150,27 +149,27 @@ class TestViewPartitionIndex:
 
     def test_hits_and_misses(self):
         part = ViewPartition(index_snapshot(self.AVAIL))
-        hit = part.match(ConstraintSet.of(1), rv(3, 300))
-        miss = part.match(ConstraintSet.of(1), rv(4, 400))
+        hit = part.match(frozenset({1}), rv(3, 300))
+        miss = part.match(frozenset({1}), rv(4, 400))
         assert (hit[0], hit[2]) == (2, 2)  # n0 too small, n2 fits
         assert (miss[0], miss[2]) == (None, 3)  # n0, n2 and n4 checked
         assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
 
     def test_empty_constraints_check_every_node_in_order(self):
         part = ViewPartition(index_snapshot(self.AVAIL))
-        ordinal, word_ops, checked = part.match(ConstraintSet.empty(), rv(4, 400))
+        ordinal, word_ops, checked = part.match(frozenset(), rv(4, 400))
         assert (ordinal, word_ops, checked) == (1, 1, 2)  # no AND, one scan word
-        assert part.match(ConstraintSet.empty(), rv(9, 900))[1:] == (1, 5)
+        assert part.match(frozenset(), rv(9, 900))[1:] == (1, 5)
 
     def test_two_demands_share_one_partition(self):
         part = ViewPartition(index_snapshot(self.AVAIL))
-        assert part.match(ConstraintSet.empty(), rv(3, 300))[0] == 1
-        assert part.match(ConstraintSet.empty(), rv(1, 100))[0] == 0
+        assert part.match(frozenset(), rv(3, 300))[0] == 1
+        assert part.match(frozenset(), rv(1, 100))[0] == 0
         assert list(part.fits) == [rv(3, 300), rv(1, 100)]
         part.deduct(1, rv(6, 600))  # n1 now covers (1, 100) but not (3, 300)
         avail = [*self.AVAIL[:1], rv(2, 200), *self.AVAIL[2:]]
-        assert part.match(ConstraintSet.empty(), rv(3, 300))[0] == 2
-        assert part.match(ConstraintSet.empty(), rv(1, 100))[0] == 0
+        assert part.match(frozenset(), rv(3, 300))[0] == 2
+        assert part.match(frozenset(), rv(1, 100))[0] == 0
         assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
 
     def test_deduct_clears_the_bit_in_every_fit_mask(self):
@@ -186,7 +185,7 @@ class TestViewPartitionIndex:
     def test_more_demands_than_fit_masks_evict_the_oldest(self):
         part = ViewPartition(index_snapshot(self.AVAIL))
         demands = [rv(d, 100 * d) for d in range(1, FIT_MASKS + 4)]
-        queries = [(c, d) for c in (ConstraintSet.empty(), ConstraintSet.of(1))
+        queries = [(c, d) for c in (frozenset(), frozenset({1}))
                    for d in demands]
         assert_matches_oracles(part, INDEX_SETS, self.AVAIL, queries)
         assert list(part.fits) == demands[-FIT_MASKS:]
@@ -204,31 +203,31 @@ class TestViewPartitionIndex:
         part.refresh(first._replace(nodes=first.nodes[:4] + (changed,)))
         avail = self.AVAIL[:4] + [rv(9, 900)]
         assert part.available == avail
-        assert part.match(ConstraintSet.of(1), rv(9, 900))[0] == 4
+        assert part.match(frozenset({1}), rv(9, 900))[0] == 4
         assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
 
     def test_refresh_without_changed_nodes_undoes_deductions(self):
         first = index_snapshot(self.AVAIL)
         part = ViewPartition(first)
-        assert part.match(ConstraintSet.of(1), rv(3, 300))[0] == 2
+        assert part.match(frozenset({1}), rv(3, 300))[0] == 2
         part.deduct(2, rv(3, 300))
-        assert part.match(ConstraintSet.of(1), rv(3, 300))[0] is None
+        assert part.match(frozenset({1}), rv(3, 300))[0] is None
         # the same node objects again: only the overlay is re-read
         part.refresh(first._replace(nodes=tuple(first.nodes)))
         assert part.deducted == set()
         assert part.available == self.AVAIL
-        assert part.match(ConstraintSet.of(1), rv(3, 300))[0] == 2
+        assert part.match(frozenset({1}), rv(3, 300))[0] == 2
         assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
 
     def test_refresh_with_a_new_node_count_rebuilds(self):
         part = ViewPartition(index_snapshot(self.AVAIL))
         assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
         part.deduct(0, rv(1, 100))
-        sets = INDEX_SETS + [ConstraintSet.of(3)]
+        sets = INDEX_SETS + [frozenset({3})]
         avail = self.AVAIL + [rv(9, 900)]
         part.refresh(index_snapshot(avail, sets))
         assert part.deducted == set() and part.fits == {} and part.cands == {}
-        assert part.match(ConstraintSet.of(3), rv(9, 900))[0] == 5
+        assert part.match(frozenset({3}), rv(9, 900))[0] == 5
         assert_matches_oracles(part, sets, avail, INDEX_QUERIES)
         part.refresh(index_snapshot(avail[:3], sets[:3]))
         assert_matches_oracles(part, sets[:3], avail[:3], INDEX_QUERIES)
@@ -245,13 +244,13 @@ class TestViewPartitionIndex:
         rng = random.Random(7)
         for _ in range(60):
             n = rng.randint(1, 70)
-            sets = [ConstraintSet.of(*[c for c in range(4) if rng.random() < 0.4])
+            sets = [frozenset([c for c in range(4) if rng.random() < 0.4])
                     for _ in range(n)]
             avail = [rv(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(n)]
             snap = make_partition_snapshot(
                 nodes=[(f"n{i}", sets[i], avail[i]) for i in range(n)])
             part = ViewPartition(snap)
-            queries = [(ConstraintSet.of(*[c for c in range(4) if rng.random() < 0.3]),
+            queries = [(frozenset([c for c in range(4) if rng.random() < 0.3]),
                         rv(rng.randint(1, 8), rng.randint(1, 8)))
                        for _ in range(rng.randint(1, FIT_MASKS + 4))]
             for _ in range(6):
@@ -276,8 +275,8 @@ class TestViewPartitionIndex:
 
 def two_node_snapshot(ts, avail_a, avail_b):
     part = make_partition_snapshot(nodes=[
-        ("a", ConstraintSet.empty(), avail_a),
-        ("b", ConstraintSet.empty(), avail_b),
+        ("a", frozenset(), avail_a),
+        ("b", frozenset(), avail_b),
     ])
     return make_lm_snapshot(ts=ts, partitions=[part],
                             consumed=[("u0", rv(1, 100))])
@@ -304,10 +303,10 @@ class TestClusterViewMerges:
         assert view.partitions[("lm0", "p0")].available[1].quantities == (3, 300)
 
     def test_partial_merge_updates_only_named_partitions(self):
-        p0 = make_partition_snapshot("p0", nodes=[("a", ConstraintSet.empty(), rv(8, 800))])
-        p1 = make_partition_snapshot("p1", nodes=[("b", ConstraintSet.empty(), rv(8, 800))])
+        p0 = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(8, 800))])
+        p1 = make_partition_snapshot("p1", nodes=[("b", frozenset(), rv(8, 800))])
         view = ClusterView([make_lm_snapshot(ts=0.0, partitions=[p0, p1])], 2)
-        newer_p0 = make_partition_snapshot("p0", nodes=[("a", ConstraintSet.empty(), rv(1, 100))])
+        newer_p0 = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(1, 100))])
         assert view.merge_partitions("lm0", 5.0, (newer_p0,))
         assert view.partitions[("lm0", "p0")].available[0].quantities == (1, 100)
         assert view.partitions[("lm0", "p1")].available[0].quantities == (8, 800)
@@ -317,8 +316,8 @@ class TestClusterViewMerges:
         """A full snapshot taken before an already-merged response is dropped."""
         view = ClusterView([two_node_snapshot(0.0, rv(8, 800), rv(8, 800))], 2)
         newer = make_partition_snapshot("p0", nodes=[
-            ("a", ConstraintSet.empty(), rv(0, 0)),
-            ("b", ConstraintSet.empty(), rv(8, 800)),
+            ("a", frozenset(), rv(0, 0)),
+            ("b", frozenset(), rv(8, 800)),
         ])
         assert view.merge_partitions("lm0", 15.0, (newer,))
         stale_heartbeat = two_node_snapshot(12.0, rv(8, 800), rv(8, 800))
@@ -331,7 +330,7 @@ class TestClusterViewMerges:
 
     def test_stale_partial_merge_discarded(self):
         view = ClusterView([two_node_snapshot(10.0, rv(8, 800), rv(8, 800))], 2)
-        older = make_partition_snapshot("p0", nodes=[("a", ConstraintSet.empty(), rv(1, 1))])
+        older = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(1, 1))])
         assert not view.merge_partitions("lm0", 9.0, (older,))
         assert view.partitions[("lm0", "p0")].available[0].quantities == (8, 800)
 
@@ -356,6 +355,6 @@ class TestClusterViewMerges:
     def test_consumed_replaced_by_merge(self):
         view = ClusterView([two_node_snapshot(0.0, rv(8, 800), rv(8, 800))], 2)
         assert view.viewed_consumed("u0").quantities == (1, 100)
-        p = make_partition_snapshot("p0", nodes=[("a", ConstraintSet.empty(), rv(8, 800))])
+        p = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(8, 800))])
         view.merge_partitions("lm0", 1.0, (p,), user_consumed=(("u0", rv(9, 900)),))
         assert view.viewed_consumed("u0").quantities == (9, 900)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from fedsched.core import ConstraintSet, ResourceVector, WorkerNode
+from fedsched.core import ResourceVector, WorkerNode
 from fedsched.errors import ConfigurationError, TraceFormatError
 from fedsched.workload import (ClusterProfile, assign_machine_constraints,
                                assign_users, augment_constraints,
@@ -48,7 +48,7 @@ class TestLoadTrace:
     def test_constraint_column_parsed(self, tmp_path):
         path = write_trace(tmp_path, ["0.0,j1,t1,400,50,1.0,3;7\n"])
         (task,) = load_trace(path)
-        assert set(task.constraints.ids) == {3, 7}
+        assert task.constraints == {3, 7}
 
     def test_optional_user_column(self, tmp_path):
         path = write_trace(tmp_path, ["0.0,j1,t1,400,50,1.0,,alice\n"],
@@ -120,20 +120,20 @@ class TestAugmentConstraints:
     def test_probability_zero_changes_nothing(self):
         tasks = synthetic(50)
         out = augment_constraints(tasks, {3: 0.0}, seed=1)
-        assert all(not t.constraints.ids for t in out)
+        assert all(not t.constraints for t in out)
 
     def test_probability_one_hits_every_task(self):
         out = augment_constraints(synthetic(50), {7: 1.0}, seed=1)
-        assert all(7 in t.constraints.ids for t in out)
+        assert all(7 in t.constraints for t in out)
 
     def test_existing_constraints_preserved(self):
         tasks = synthetic(20, constraint_probabilities={2: 1.0})
         out = augment_constraints(tasks, {5: 1.0}, seed=9)
-        assert all({2, 5} <= set(t.constraints.ids) for t in out)
+        assert all({2, 5} <= t.constraints for t in out)
 
     def test_empirical_frequency_tracks_probability(self):
         out = augment_constraints(synthetic(10000), {4: 0.5}, seed=11)
-        freq = sum(4 in t.constraints.ids for t in out) / len(out)
+        freq = sum(4 in t.constraints for t in out) / len(out)
         assert abs(freq - 0.5) <= 0.02
 
     def test_deterministic_per_seed(self):
@@ -146,6 +146,14 @@ class TestAugmentConstraints:
         with pytest.raises(ConfigurationError):
             augment_constraints([], {1: 1.5}, seed=0)
 
+    @pytest.mark.parametrize("cid", [-1, True, "1", 1.0],
+                             ids=["negative", "bool", "str", "float"])
+    def test_bad_constraint_id_rejected(self, cid):
+        # the one entry taking ids from a caller: config and trace ids are
+        # checked where they are read
+        with pytest.raises(ConfigurationError, match="constraint ids"):
+            synthetic(10, constraint_probabilities={cid: 0.5})
+
 
 def make_nodes(lm_ids, per_lm):
     nodes = []
@@ -155,7 +163,7 @@ def make_nodes(lm_ids, per_lm):
                 node_id=f"{lm_id}-n{k:04d}", lm_id=lm_id, partition_id="p",
                 capacity=ResourceVector.of(64, 16384),
                 available=ResourceVector.of(64, 16384),
-                machine_constraints=ConstraintSet.empty(),
+                machine_constraints=frozenset(),
             ))
     return nodes
 
@@ -164,17 +172,17 @@ class TestAssignMachineConstraints:
     def test_all_ones_profile(self):
         nodes = make_nodes(["lm0"], 20)
         assign_machine_constraints(nodes, [ClusterProfile("A", {0: 1.0, 1: 1.0})], 0)
-        assert all(set(n.machine_constraints.ids) == {0, 1} for n in nodes)
+        assert all(n.machine_constraints == {0, 1} for n in nodes)
 
     def test_all_zeros_profile(self):
         nodes = make_nodes(["lm0"], 20)
         assign_machine_constraints(nodes, [ClusterProfile("A", {0: 0.0})], 0)
-        assert all(not n.machine_constraints.ids for n in nodes)
+        assert all(not n.machine_constraints for n in nodes)
 
     def test_no_profiles_is_a_no_op(self):
         nodes = make_nodes(["lm0"], 3)
         assert assign_machine_constraints(nodes, [], 0) == {}
-        assert all(not n.machine_constraints.ids for n in nodes)
+        assert all(not n.machine_constraints for n in nodes)
 
     def test_per_cluster_frequencies_track_profiles(self):
         # two clusters forced onto distinct profiles: frequencies must follow
@@ -190,7 +198,7 @@ class TestAssignMachineConstraints:
         expected = {"A": 0.2, "B": 0.8}
         for lm_id in ("lm0", "lm1"):
             members = [n for n in nodes if n.lm_id == lm_id]
-            freq = sum(0 in n.machine_constraints.ids for n in members) / len(members)
+            freq = sum(0 in n.machine_constraints for n in members) / len(members)
             assert abs(freq - expected[chosen[lm_id]]) <= 0.02
 
     def test_deterministic_per_seed(self):
@@ -269,6 +277,7 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize("duration", [
         0.0, -1.0, ("exp", 0.0), ("choice", [1.0, 0.0], [0.5, 0.5]), ("uniform", 1.0),
+        True, ("exp", True), ("choice", [1.0], [True]),
     ])
     def test_non_positive_duration_rejected(self, duration):
         with pytest.raises(ConfigurationError, match="duration"):
