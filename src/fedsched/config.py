@@ -197,14 +197,18 @@ def _list(what: str, value) -> list:
 
 
 def _probabilities(what: str, value) -> dict[int, float]:
-    """Integer constraint ids mapped to numbers; a bool or a string is not one."""
+    """Constraint ids mapped to numbers; a bool or a string is not a number.
+
+    Each id must be a canonical decimal string, so no two keys name one id.
+    """
     try:
-        if all(map(_number, value.values())):
+        if all(map(_number, value.values())) and all(str(int(k)) == k for k in value):
             return {int(k): float(v) for k, v in value.items()}
     except (AttributeError, TypeError, ValueError):
         pass
     raise ConfigurationError(
-        f"{what} must map constraint ids to probabilities, got {value!r}")
+        f"{what} must map constraint ids, written as plain decimal integers, "
+        f"to probabilities, got {value!r}")
 
 
 def _parse_demand(value):

@@ -7,8 +7,10 @@ tuple's C code then hashes, compares and indexes it.  Constraints are small
 integer ids, and a task's or a machine's constraints are a plain
 `frozenset[int]`; a machine satisfies a task when its set is a superset of
 the task's.  Partition membership is indexed per constraint with bit
-vectors so a scheduler can intersect them with bitwise AND instead of walking
-every node.
+vectors, an immutable tuple built by `constraint_bits`, so a scheduler can
+intersect them with bitwise AND (`candidates`) instead of walking every node.
+The LM's `Partition.bits` is the only copy: snapshots ship it and GM views
+read it as it stands.
 
 Input is validated where it enters, not in every operation.  `ResourceVector.of`
 checks each vector built from outside input (config, trace, default demand);
@@ -16,8 +18,8 @@ arithmetic trusts its operands.  `ExperimentConfig.validate` and
 `load_trace` reject constraint ids outside `[0, constraint_count)`,
 `augment_constraints` any id that is not a non-negative int, and
 `ExperimentConfig.validate` and `build_workload` demand vectors whose
-dimension differs from the worker capacity's, so the bitmap and the vector
-operations never see either.
+dimension differs from the worker capacity's, so the constraint bits and the
+vector operations never see either.
 
 A `TaskRequest` is a plain record, checked where its fields enter: each trace
 row by `load_trace`, the duration and demand specs by `generate_synthetic`
@@ -27,7 +29,7 @@ demand dimension by `build_workload`.  Copies made with `_replace` keep that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, ge, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -138,78 +140,33 @@ class WorkerNode:
             raise ConfigurationError(f"logical node {self.node_id} needs a parent node")
 
 
-@dataclass
-class ConstraintBitmap:
-    """Per-constraint membership bit vectors for one partition.
+def constraint_bits(count: int, sets: Iterable[frozenset[int]]) -> tuple[int, ...]:
+    """Per-constraint membership bit vectors for nodes with these constraint sets.
 
     Vector c has bit j set iff the node at ordinal j satisfies constraint c.
     Python ints act as unbounded bitsets, so intersecting constraint vectors
-    is a single AND per constraint.  `word_ops` counts are reported in units
-    of 64-bit words so callers can charge simulated processing time.
+    is a single AND per constraint.
     """
-
-    constraint_count: int
-    length: int = 0
-    bits: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.constraint_count <= 0:
-            raise ConfigurationError("constraint_count must be positive")
-        if not self.bits:
-            self.bits = [0] * self.constraint_count
-        elif len(self.bits) != self.constraint_count:
-            raise ConfigurationError("bitmap vector count must equal constraint_count")
-
-    @classmethod
-    def from_constraint_sets(
-        cls, constraint_count: int, sets: Iterable[frozenset[int]]
-    ) -> "ConstraintBitmap":
-        bitmap = cls(constraint_count)
-        for cs in sets:
-            bitmap.append_node(cs)
-        return bitmap
-
-    @property
-    def words(self) -> int:
-        """Number of 64-bit words each vector spans."""
-        return (self.length + WORD_BITS - 1) // WORD_BITS
-
-    def append_node(self, constraints: frozenset[int]) -> int:
-        """Add a node at the next ordinal; returns that ordinal."""
-        ordinal = self.length
+    bits = [0] * count
+    for ordinal, constraints in enumerate(sets):
         for cid in constraints:
-            self.bits[cid] |= 1 << ordinal
-        self.length += 1
-        return ordinal
+            bits[cid] |= 1 << ordinal
+    return tuple(bits)
 
-    def remove_ordinal(self, ordinal: int) -> None:
-        """Drop one node position, shifting higher ordinals down by one."""
-        if ordinal < 0 or ordinal >= self.length:
-            raise ConfigurationError(f"ordinal {ordinal} out of range (length {self.length})")
-        low_mask = (1 << ordinal) - 1
-        for cid in range(self.constraint_count):
-            v = self.bits[cid]
-            self.bits[cid] = ((v >> (ordinal + 1)) << ordinal) | (v & low_mask)
-        self.length -= 1
 
-    def satisfies(self, cid: int, ordinal: int) -> bool:
-        return bool(self.bits[cid] >> ordinal & 1)
+def candidates(bits: tuple[int, ...], length: int, constraints: frozenset[int]
+               ) -> tuple[int, int]:
+    """Intersect the constraint vectors of `length` nodes for a task.
 
-    def candidates(self, constraints: frozenset[int]) -> tuple[int, int]:
-        """Intersect the constraint vectors for a task.
-
-        Returns (candidate mask, word operation count).  With no constraints
-        every node is a candidate and no AND work is charged.
-        """
-        mask = (1 << self.length) - 1
-        word_ops = 0
-        for cid in constraints:
-            mask &= self.bits[cid]
-            word_ops += self.words
-        return mask, word_ops
-
-    def snapshot_bits(self) -> tuple[int, ...]:
-        return tuple(self.bits)
+    Returns (candidate mask, word operation count).  The count is in 64-bit
+    words, so callers can charge simulated processing time: one AND pass per
+    constraint plus one scan pass over the candidates.  With no constraints
+    every node is a candidate and only the scan is charged.
+    """
+    mask = (1 << length) - 1
+    for cid in constraints:
+        mask &= bits[cid]
+    return mask, (len(constraints) + 1) * ((length + WORD_BITS - 1) // WORD_BITS)
 
 
 def iter_ordinals(mask: int) -> Iterator[int]:
@@ -222,27 +179,28 @@ def iter_ordinals(mask: int) -> Iterator[int]:
 
 @dataclass
 class Partition:
-    """A logical slice of one LM's workers, owned by exactly one GM."""
+    """A logical slice of one LM's workers, owned by exactly one GM.
+
+    `bits` is the `constraint_bits` of the nodes in `node_ids` order.  It is
+    an immutable tuple, replaced on every membership change, so a snapshot
+    carries it as it stands.
+    """
 
     partition_id: str
     lm_id: str
     owner_gm_id: str
     node_ids: list[str]
-    bitmap: ConstraintBitmap
+    bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.bitmap.length != len(self.node_ids):
-            raise ConfigurationError(
-                f"partition {self.partition_id}: bitmap length {self.bitmap.length} "
-                f"!= node count {len(self.node_ids)}"
-            )
-
-    def append_node(self, node_id: str, constraints: frozenset[int]) -> int:
-        ordinal = self.bitmap.append_node(constraints)
+    def append_node(self, node_id: str, constraints: frozenset[int]) -> None:
+        bit = 1 << len(self.node_ids)
+        self.bits = tuple(v | bit if cid in constraints else v
+                          for cid, v in enumerate(self.bits))
         self.node_ids.append(node_id)
-        return ordinal
 
     def remove_node(self, node_id: str) -> None:
+        """Drop the node's position, shifting higher ordinals down by one."""
         ordinal = self.node_ids.index(node_id)
-        self.bitmap.remove_ordinal(ordinal)
+        low = (1 << ordinal) - 1
+        self.bits = tuple((v >> (ordinal + 1) << ordinal) | (v & low) for v in self.bits)
         del self.node_ids[ordinal]

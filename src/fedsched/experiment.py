@@ -16,8 +16,8 @@ import os
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 from .config import ExperimentConfig, UserSpec
-from .core import (ConstraintBitmap, Partition, ResourceVector, TaskRequest,
-                   WorkerNode, iter_ordinals)
+from .core import (Partition, ResourceVector, TaskRequest, WorkerNode, candidates,
+                   constraint_bits, iter_ordinals)
 from .engine import EventLoop, Network
 from .errors import ConfigurationError, SimulationError
 from .fairness import QueueSet, UserQueue
@@ -133,22 +133,21 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
         lm = LocalMaster(lm_id, loop, network, config.costs, collector,
                          heartbeat_period=config.heartbeat_period,
                          resource_dim=dim)
-        # every LM carries one partition per GM; workers dealt round-robin
-        partitions = {gm_id: Partition(
-            partition_id=f"{lm_id}-p{j:02d}", lm_id=lm_id, owner_gm_id=gm_id,
-            node_ids=[], bitmap=ConstraintBitmap(config.constraint_count),
-        ) for j, gm_id in enumerate(gm_ids)}
-        k = 0
-        for node in nodes:
-            if node.lm_id != lm_id:
-                continue
-            part = partitions[gm_ids[k % config.gm_count]]
-            node.partition_id = part.partition_id
-            part.append_node(node.node_id, node.machine_constraints)
+        lm_nodes = [node for node in nodes if node.lm_id == lm_id]
+        for node in lm_nodes:
             lm.add_node(node)
-            k += 1
-        for part in partitions.values():
-            lm.add_partition(part)
+        # every LM carries one partition per GM; workers dealt round-robin
+        for j, gm_id in enumerate(gm_ids):
+            members = lm_nodes[j::config.gm_count]
+            partition_id = f"{lm_id}-p{j:02d}"
+            for node in members:
+                node.partition_id = partition_id
+            lm.add_partition(Partition(
+                partition_id=partition_id, lm_id=lm_id, owner_gm_id=gm_id,
+                node_ids=[node.node_id for node in members],
+                bits=constraint_bits(config.constraint_count,
+                                     [node.machine_constraints for node in members]),
+            ))
         lms.append(lm)
 
     total = ResourceVector.of(*[q * config.lm_count * config.workers_per_lm
@@ -159,10 +158,8 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
     queue_sets: dict[str, list[UserQueue]] = {gm_id: [] for gm_id in gm_ids}
     for i, user in enumerate(users):
         gm_id = gm_ids[user.gm_index if user.gm_index is not None else i % len(gm_ids)]
-        queue_sets[gm_id].append(UserQueue(
-            user_id=user.user_id, share_fraction=user.share, gm_id=gm_id,
-            share=shares[user.user_id],
-        ))
+        queue_sets[gm_id].append(UserQueue(user_id=user.user_id,
+                                           share=shares[user.user_id]))
     initial = [lm.snapshot(0.0) for lm in lms]
     for gm_id in gm_ids:
         gm = GlobalMaster(gm_id, loop, network, config.costs, collector,
@@ -262,8 +259,9 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
             raise SimulationError(f"{lm.lm_id}: partition owners {owners} != GMs")
         seen: set[str] = set()
         for part in lm.partitions.values():
-            if part.bitmap.length != len(part.node_ids):
-                raise SimulationError(f"{part.partition_id}: bitmap length drift")
+            machines = [lm.nodes[node_id].machine_constraints for node_id in part.node_ids]
+            if part.bits != constraint_bits(len(part.bits), machines):
+                raise SimulationError(f"{part.partition_id}: constraint bits != its nodes'")
             logical = [lm.nodes[node_id].is_logical for node_id in part.node_ids]
             if logical != sorted(logical):  # a GM keeps a plan's ordinal across merges
                 raise SimulationError(f"{part.partition_id}: physical node after a logical one")
@@ -300,15 +298,14 @@ def check_view_index(gm: GlobalMaster) -> None:
     """Every view partition's masks and overlay agree with a rebuild.
 
     The per-dimension columns and each cached fit mask must equal ones
-    rebuilt from `available`, each candidate mask one rebuilt from the
-    bitmap, and at most FIT_MASKS fit masks are kept; outside the deduction
-    overlay `available` must equal the snapshot; and `match` must return
-    what a first-fit walk over the candidates returns, counts included.
+    rebuilt from `available`, each candidate mask and charge what
+    `candidates` returns for the snapshot's bits, and at most FIT_MASKS fit
+    masks are kept; outside the deduction overlay `available` must equal the
+    snapshot; and `match` must return what a first-fit walk over the
+    candidates returns, counts included.
     """
     for (lm_id, pid), part in gm.view.partitions.items():
         where = f"{gm.gm_id}: view of {lm_id}/{pid}"
-        if part.bitmap.snapshot_bits() != part.bits or part.bitmap.length != len(part.nodes):
-            raise SimulationError(f"{where}: bitmap != snapshot bits")
         for ordinal, node in enumerate(part.nodes):
             if ordinal not in part.deducted and part.available[ordinal] != node.available:
                 raise SimulationError(f"{where}: node {node.node_id} differs from its "
@@ -324,9 +321,9 @@ def check_view_index(gm: GlobalMaster) -> None:
                           if have.geq(demand)):
                 raise SimulationError(f"{where}: fit mask for {demand} drifted")
         for ids, cand in part.cands.items():
-            mask, word_ops = part.bitmap.candidates(ids)
-            if cand != (mask, word_ops + part.bitmap.words):
+            if cand != candidates(part.bits, len(part.nodes), ids):
                 raise SimulationError(f"{where}: candidate mask for {sorted(ids)} drifted")
+            mask, word_ops = cand
             for demand, fit in part.fits.items():
                 # walk the candidates; the fit mask was just checked against `available`
                 hit, checked = None, 0
@@ -335,7 +332,7 @@ def check_view_index(gm: GlobalMaster) -> None:
                     if fit >> ordinal & 1:
                         hit = ordinal
                         break
-                if part.match(ids, demand) != (hit, cand[1], checked):
+                if part.match(ids, demand) != (hit, word_ops, checked):
                     raise SimulationError(
                         f"{where}: match for {sorted(ids)} demand {demand} != first-fit walk")
 

@@ -27,17 +27,11 @@ class UserQueue:
     """One user's FIFO request queue, owned by a single GM."""
 
     user_id: str
-    share_fraction: float
-    gm_id: str
     share: tuple[float, ...]  # absolute units: fraction * total cluster capacity
     pending: deque[TaskRun] = field(default_factory=deque)
     consumed: ResourceVector | None = None  # authoritative at the owner GM
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.share_fraction <= 1.0:
-            raise ConfigurationError(
-                f"user {self.user_id}: share fraction {self.share_fraction} outside [0, 1]"
-            )
         if self.consumed is None:
             self.consumed = ResourceVector.zeros(len(self.share))
 

@@ -13,7 +13,8 @@ partition keeps its list of `NodeSnapshot`s, aligned with
 there at once.  `_publish` replaces the node's entry on a launch, a release
 or a carve-out, adding or removing the one `RunningTaskInfo` it concerns; a
 carve-out appends to the list and the destruction of a logical node deletes
-its entry, as `Partition.append_node` and `remove_node` do to the node ids.
+its entry, as `Partition.append_node` and `remove_node` do to the node ids
+and the constraint bits.
 A message carries the list as it stands, so untouched nodes keep their
 `NodeSnapshot` objects.
 """
@@ -137,8 +138,7 @@ class LocalMaster:
             self.lm_id,
             partition.owner_gm_id,
             tuple(self.partition_nodes[partition_id]),
-            partition.bitmap.snapshot_bits(),
-            partition.bitmap.constraint_count,
+            partition.bits,
         )
 
     def snapshot(self, timestamp: float) -> LMStateSnapshot:

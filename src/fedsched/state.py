@@ -13,7 +13,9 @@ Both ends keep this state incrementally.  The LM hands over the same
 message, and a GM's `ViewPartition` re-reads only the nodes whose object
 changed, plus those it deducted from itself, so the host cost of a merge
 follows the nodes that changed rather than the partition's size.  The
-simulated merge charge still counts every node carried.
+simulated merge charge still counts every node carried.  A partition's
+constraint bits travel as the LM's own immutable `Partition.bits` tuple, which
+the view reads as it stands, so neither end copies them per message.
 
 The snapshot records are `NamedTuple`s: immutable, as the GM's identity diff
 requires of a published `NodeSnapshot`, and built at tuple speed, since every
@@ -26,7 +28,7 @@ from itertools import compress, repeat
 from operator import ge, is_not
 from typing import NamedTuple
 
-from .core import ConstraintBitmap, ResourceVector
+from .core import ResourceVector, candidates
 
 
 class RunningTaskInfo(NamedTuple):
@@ -49,8 +51,7 @@ class PartitionSnapshot(NamedTuple):
     lm_id: str
     owner_gm_id: str
     nodes: tuple[NodeSnapshot, ...]
-    bits: tuple[int, ...]
-    constraint_count: int
+    bits: tuple[int, ...]  # the LM's `Partition.bits`, shared, never copied
 
 
 class LMStateSnapshot(NamedTuple):
@@ -91,7 +92,8 @@ class ViewPartition:
 
     `match` answers first-fit with two bit masks instead of a walk:
     `fits[demand]` has bit j set iff `available[j]` covers that demand, and
-    `cands[constraint ids]` holds the candidate mask and its word-op charge.
+    `cands[constraint ids]` holds what `candidates` returns for the snapshot's
+    `bits`: the candidate mask and its word-op charge.
     Both are kept incrementally, `fits` for at most FIT_MASKS demands.  The
     LM hands over the same `NodeSnapshot` object for a node it has not
     touched, so `refresh` re-reads only the ordinals whose object changed
@@ -100,7 +102,7 @@ class ViewPartition:
     """
 
     __slots__ = ("partition_id", "lm_id", "owner_gm_id", "nodes", "available",
-                 "columns", "powers", "bits", "bitmap", "deducted", "fits", "cands")
+                 "columns", "powers", "bits", "deducted", "fits", "cands")
 
     def __init__(self, snapshot: PartitionSnapshot) -> None:
         self.partition_id = snapshot.partition_id
@@ -114,9 +116,6 @@ class ViewPartition:
         self.columns = [list(column) for column in zip(*self.available)]
         self.powers = [1 << ordinal for ordinal in range(len(snapshot.nodes))]
         self.bits = snapshot.bits
-        self.bitmap = ConstraintBitmap(
-            snapshot.constraint_count, len(snapshot.nodes), list(snapshot.bits)
-        )
         self.deducted: set[int] = set()
         self.fits: dict[ResourceVector, int] = {}
         self.cands: dict[frozenset[int], tuple[int, int]] = {}
@@ -156,9 +155,8 @@ class ViewPartition:
         """
         cand = self.cands.get(constraints)
         if cand is None:
-            mask, word_ops = self.bitmap.candidates(constraints)
-            # plus one scan pass over the candidate words
-            cand = self.cands[constraints] = (mask, word_ops + self.bitmap.words)
+            cand = candidates(self.bits, len(self.nodes), constraints)
+            self.cands[constraints] = cand
         mask, word_ops = cand
         fits = self.fits
         fit = fits.get(demand)
@@ -185,7 +183,8 @@ class ViewPartition:
         self._set(ordinal, self.available[ordinal] - demand)
 
     def node_satisfies(self, ordinal: int, constraints: frozenset[int]) -> bool:
-        return all(self.bitmap.satisfies(cid, ordinal) for cid in constraints)
+        bits = self.bits
+        return all(bits[cid] >> ordinal & 1 for cid in constraints)
 
 
 class ClusterView:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from fedsched.core import (ConstraintBitmap, Partition, ResourceVector,
-                           TaskRequest, WorkerNode)
+from fedsched.core import (Partition, ResourceVector, TaskRequest, WorkerNode,
+                           constraint_bits)
 from fedsched.engine import CostModel, DelayModel, EventLoop, Network
 from fedsched.fairness import QueueSet, UserQueue
 from fedsched.global_master import GlobalMaster
@@ -98,29 +98,28 @@ def build_cluster(
                          heartbeat_period=heartbeat_period,
                          resource_dim=resource_dim)
         for j, gm_id in enumerate(gm_ids):
-            part = Partition(
-                partition_id=f"{lm_id}-p{j}", lm_id=lm_id, owner_gm_id=gm_id,
-                node_ids=[], bitmap=ConstraintBitmap(constraint_count),
-            )
-            for node_id, capacity, machine in lm_specs[lm_id].get(gm_id, []):
-                node = WorkerNode(
-                    node_id=node_id, lm_id=lm_id, partition_id=part.partition_id,
+            partition_id = f"{lm_id}-p{j}"
+            specs = lm_specs[lm_id].get(gm_id, [])
+            for node_id, capacity, machine in specs:
+                lm.add_node(WorkerNode(
+                    node_id=node_id, lm_id=lm_id, partition_id=partition_id,
                     capacity=capacity, available=capacity,
                     machine_constraints=machine,
-                )
-                part.append_node(node_id, machine)
-                lm.add_node(node)
+                ))
                 total = total + capacity
-            lm.add_partition(part)
+            lm.add_partition(Partition(
+                partition_id=partition_id, lm_id=lm_id, owner_gm_id=gm_id,
+                node_ids=[spec[0] for spec in specs],
+                bits=constraint_bits(constraint_count, [spec[2] for spec in specs]),
+            ))
         lms.append(lm)
 
     shares = {uid: tuple(frac * q for q in total)
               for uid, (_, frac) in users.items()}
     gms = []
     for gm_id in gm_ids:
-        owned = [UserQueue(user_id=uid, share_fraction=frac, gm_id=gm_id,
-                           share=shares[uid])
-                 for uid, (home, frac) in sorted(users.items()) if home == gm_id]
+        owned = [UserQueue(user_id=uid, share=shares[uid])
+                 for uid, (home, _) in sorted(users.items()) if home == gm_id]
         gm = GlobalMaster(gm_id, loop, network, costs, collector,
                           retry_limit=retry_limit,
                           violation_metric=violation_metric)

@@ -10,7 +10,7 @@ import random
 import time
 
 from fedsched.config import ExperimentConfig, UserSpec, WorkloadSpec
-from fedsched.core import ConstraintBitmap, ResourceVector
+from fedsched.core import ResourceVector, constraint_bits
 from fedsched.experiment import (InvariantChecker, build_megha, build_workload,
                                  check_structure, effective_users,
                                  run_experiment, sweep, write_reports)
@@ -233,14 +233,13 @@ def test_c01_bitmap_match_equals_exhaustive_scan():
             rng.randrange(m) for _ in range(rng.randint(1, 3)))
         demand = rv(rng.randint(0, 6), rng.randint(0, 6))
 
-        bitmap = ConstraintBitmap.from_constraint_sets(m, node_cons)
         snapshot = PartitionSnapshot(
             partition_id="p0", lm_id="lm0", owner_gm_id="gm0",
             nodes=tuple(NodeSnapshot(node_id=f"n{i}", available=avail[i],
                                      is_logical=False, parent_node=None,
                                      running=())
                         for i in range(n)),
-            bits=bitmap.snapshot_bits(), constraint_count=m)
+            bits=constraint_bits(m, node_cons))
         got, _, _ = ViewPartition(snapshot).match(cs(*want_cons), demand)
         want = brute_force_match(node_cons, avail, cs(*want_cons), demand)
         if got != want:

@@ -1,4 +1,4 @@
-"""Value types: resource vectors and constraint bitmaps."""
+"""Value types: resource vectors, constraint bits and partitions."""
 
 import copy
 import pickle
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import fedsched
 from fedsched.config import config_from_dict
-from fedsched.core import (ConstraintBitmap, Partition, ResourceVector,
-                           WorkerNode, iter_ordinals)
+from fedsched.core import (Partition, ResourceVector, WorkerNode, candidates,
+                           constraint_bits, iter_ordinals)
 from fedsched.errors import ConfigurationError
 from fedsched.messages import LaunchRequest
 from fedsched.metrics import RECORD_FIELDS, AllocationRecord
@@ -117,7 +117,7 @@ def test_wire_and_record_types_are_immutable():
     demand = ResourceVector.of(1, 1)
     info = RunningTaskInfo("t", "u", demand, 0.0)
     node = NodeSnapshot("n", demand, False, None, (info,))
-    part = PartitionSnapshot("p", "lm", "gm", (node,), (1,), 1)
+    part = PartitionSnapshot("p", "lm", "gm", (node,), (1,))
     state = LMStateSnapshot("lm", 0.0, (part,), (("u", demand),))
     request = LaunchRequest("gm", "t", "n", demand, frozenset(), None)
     record = AllocationRecord(*range(len(RECORD_FIELDS)))
@@ -143,33 +143,30 @@ class TestWorkerNodeValidation:
                        machine_constraints=frozenset(), is_logical=True)
 
 
-def bitmap_from_sets(m, sets):
-    return ConstraintBitmap.from_constraint_sets(m, sets)
-
-
-class TestConstraintBitmap:
+class TestConstraintBits:
     def test_two_constraint_intersection_example(self):
         # node membership: c0 on nodes {0,2}, c1 on nodes {1,2}; the only
         # common node is ordinal 2
-        bitmap = bitmap_from_sets(2, [
+        bits = constraint_bits(2, [
             frozenset({0}), frozenset({1}),
             frozenset({0, 1}), frozenset(),
         ])
-        assert bitmap.bits[0] == 0b0101
-        assert bitmap.bits[1] == 0b0110
-        mask, word_ops = bitmap.candidates(frozenset({0, 1}))
+        assert bits == (0b0101, 0b0110)
+        mask, word_ops = candidates(bits, 4, frozenset({0, 1}))
         assert mask == 0b0100
         assert list(iter_ordinals(mask)) == [2]
-        assert word_ops == 2  # two constraint vectors of one word each
+        assert word_ops == 3  # two constraint vectors and the scan, one word each
 
     def test_no_constraints_all_candidates_no_word_ops(self):
-        bitmap = bitmap_from_sets(3, [frozenset()] * 5)
-        mask, word_ops = bitmap.candidates(frozenset())
+        # no AND is charged: only the one scan pass over the candidates
+        bits = constraint_bits(3, [frozenset()] * 5)
+        assert bits == (0, 0, 0)
+        mask, word_ops = candidates(bits, 5, frozenset())
         assert mask == 0b11111
-        assert word_ops == 0
+        assert word_ops == 1
 
     def test_unknown_constraint_id(self):
-        # ids are checked where they enter, so a bitmap never sees one
+        # ids are checked where they enter, so the bits never see one
         # outside [0, constraint_count): neither a task's nor a machine's
         with pytest.raises(ConfigurationError):
             config_from_dict({"constraint_count": 2, "workload": {
@@ -178,36 +175,14 @@ class TestConstraintBitmap:
             config_from_dict({"constraint_count": 2, "machine_profiles": [
                 {"profile_id": "p", "probabilities": {"2": 1.0}}]})
 
-    def test_append_assigns_sequential_ordinals(self):
-        bitmap = ConstraintBitmap(4)
-        assert bitmap.append_node(frozenset({1})) == 0
-        assert bitmap.append_node(frozenset({2})) == 1
-        assert bitmap.length == 2
-        assert bitmap.satisfies(1, 0) and not bitmap.satisfies(1, 1)
-
-    def test_remove_ordinal_splices_bits(self):
-        sets = [frozenset({0}), frozenset({1}), frozenset({0, 1}),
-                frozenset(), frozenset({0})]
-        bitmap = bitmap_from_sets(2, sets)
-        bitmap.remove_ordinal(2)
-        survivors = [sets[i] for i in (0, 1, 3, 4)]
-        expected = bitmap_from_sets(2, survivors)
-        assert bitmap.bits == expected.bits
-        assert bitmap.length == 4
-
-    def test_remove_out_of_range(self):
-        bitmap = bitmap_from_sets(2, [frozenset()])
-        with pytest.raises(ConfigurationError):
-            bitmap.remove_ordinal(1)
-
     def test_words_spans_64_bit_boundaries(self):
-        bitmap = ConstraintBitmap(1)
-        assert bitmap.words == 0
-        for _ in range(64):
-            bitmap.append_node(frozenset())
-        assert bitmap.words == 1
-        bitmap.append_node(frozenset())
-        assert bitmap.words == 2
+        one = frozenset({0})
+        assert candidates(constraint_bits(1, []), 0, one) == (0, 0)
+        bits = constraint_bits(1, [one] * 64)
+        assert candidates(bits, 64, one) == ((1 << 64) - 1, 2)
+        assert candidates(bits, 64, frozenset()) == ((1 << 64) - 1, 1)
+        bits = constraint_bits(1, [one] * 65)
+        assert candidates(bits, 65, one) == ((1 << 65) - 1, 4)
 
 
 node_sets = st.lists(
@@ -220,8 +195,7 @@ node_sets = st.lists(
 @settings(max_examples=200)
 def test_candidates_match_per_node_superset_oracle(sets, task_ids):
     task_constraints = frozenset(task_ids)
-    bitmap = bitmap_from_sets(8, sets)
-    mask, _ = bitmap.candidates(task_constraints)
+    mask, _ = candidates(constraint_bits(8, sets), len(sets), task_constraints)
     expected = {i for i, machine in enumerate(sets)
                 if machine >= task_constraints}
     assert set(iter_ordinals(mask)) == expected
@@ -233,12 +207,11 @@ def test_candidates_match_per_node_superset_oracle(sets, task_ids):
        demand_cpu=st.integers(min_value=1, max_value=8))
 @settings(max_examples=200)
 def test_masked_scan_equals_brute_force(sets, task_ids, cpus, demand_cpu):
-    """Bitmap AND + ordered availability scan == naive per-node oracle."""
+    """Constraint-bit AND + ordered availability scan == naive per-node oracle."""
     task_constraints = frozenset(task_ids)
     available = [ResourceVector.of(c, 1024) for c in cpus[:len(sets)]]
     demand = ResourceVector.of(demand_cpu, 512)
-    bitmap = bitmap_from_sets(8, sets)
-    mask, _ = bitmap.candidates(task_constraints)
+    mask, _ = candidates(constraint_bits(8, sets), len(sets), task_constraints)
     hit = next((o for o in iter_ordinals(mask) if available[o].geq(demand)), None)
     assert hit == brute_force_match(sets, available, task_constraints, demand)
 
@@ -248,31 +221,41 @@ def test_iter_ordinals_enumerates_set_bits(mask):
     assert list(iter_ordinals(mask)) == [i for i in range(70) if mask >> i & 1]
 
 
+def partition_of(sets, m=8):
+    """A partition built by appending one node per constraint set."""
+    part = Partition("p", "lm", "gm", node_ids=[], bits=constraint_bits(m, []))
+    for i, machine in enumerate(sets):
+        part.append_node(f"n{i}", machine)
+    return part
+
+
 @given(sets=node_sets, drop=st.integers(min_value=0, max_value=39))
 @settings(max_examples=200)
 def test_remove_matches_rebuild(sets, drop):
-    """Removing an ordinal leaves exactly the bitmap of the survivors."""
-    if drop >= len(sets):
-        drop = drop % len(sets) if sets else 0
+    """Appending builds the bits of the members; removing a node leaves exactly
+    the bits of the survivors."""
     if not sets:
         return
-    bitmap = bitmap_from_sets(8, sets)
-    bitmap.remove_ordinal(drop)
-    survivors = sets[:drop] + sets[drop + 1:]
-    assert bitmap.bits == bitmap_from_sets(8, survivors).bits
+    drop %= len(sets)
+    part = partition_of(sets)
+    assert part.bits == constraint_bits(8, sets)
+    part.remove_node(f"n{drop}")
+    assert part.bits == constraint_bits(8, sets[:drop] + sets[drop + 1:])
 
 
 class TestPartition:
-    def test_bitmap_length_tracks_membership(self):
-        part = Partition("p", "lm", "gm", node_ids=[], bitmap=ConstraintBitmap(3))
-        part.append_node("a", frozenset({1}))
-        part.append_node("b", frozenset({2}))
-        assert part.bitmap.length == 2
-        part.remove_node("a")
-        assert part.node_ids == ["b"]
-        assert part.bitmap.length == 1
-        assert part.bitmap.satisfies(2, 0)
+    def test_bits_track_membership(self):
+        part = partition_of([frozenset({1}), frozenset({2})], m=3)
+        assert part.node_ids == ["n0", "n1"]
+        assert part.bits == (0b00, 0b01, 0b10)
+        part.remove_node("n0")
+        assert part.node_ids == ["n1"]
+        assert part.bits == (0, 0, 0b1)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Partition("p", "lm", "gm", node_ids=["a"], bitmap=ConstraintBitmap(3))
+    def test_remove_node_splices_bits(self):
+        sets = [frozenset({0}), frozenset({1}), frozenset({0, 1}),
+                frozenset(), frozenset({0})]
+        part = partition_of(sets, m=2)
+        part.remove_node("n2")
+        assert part.node_ids == ["n0", "n1", "n3", "n4"]
+        assert part.bits == constraint_bits(2, [sets[i] for i in (0, 1, 3, 4)])

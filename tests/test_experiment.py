@@ -79,6 +79,28 @@ def test_megha_tasks_never_wait_at_workers_and_components_close():
     assert result.events_dispatched > 0
 
 
+def test_constrained_carve_outs_and_preemptions_pass_the_checker():
+    """Carve-outs and preemptions on partitions with constraint bits, checked
+    after every event: each carve-out appends a logical node to a partition
+    and each release removes one, so the bits must be spliced to match."""
+    data = base_data(
+        gm_count=4, lm_count=2, workers_per_lm=6,
+        users=[{"user_id": "uA", "share": 0.10, "gm_index": 0},
+               {"user_id": "uB", "share": 0.25, "gm_index": 1},
+               {"user_id": "uC", "share": 0.15, "gm_index": 2},
+               {"user_id": "uD", "share": 0.50, "gm_index": 3}],
+        machine_profiles=[
+            {"profile_id": "accelerated", "probabilities": {"2": 0.5, "7": 0.9}},
+            {"profile_id": "plain", "probabilities": {"7": 0.9}}],
+        workload={"kind": "synthetic", "count": 60, "rate": 400.0, "duration": 1.0,
+                  "demand": [16, 4096], "constraint_probabilities": {"7": 0.2, "2": 0.1}},
+        seed=31)
+    result = run_experiment(config_from_dict(data), check_invariants=True)
+    assert len(result.records) == 60
+    assert result.counters["repartitions"] > 0
+    assert result.counters["preemptions"] > 0
+
+
 def test_centralized_is_the_single_master_configuration():
     with pytest.raises(ConfigurationError):
         base_config(scheduler="centralized")  # gm_count=2 in the base
@@ -210,6 +232,14 @@ MALFORMED = {
         {"machine_profiles": [{"profile_id": "p", "probabilities": {"1": "0.5"}}]}, {}),
     "NaN delay override": ({"delays": {"overrides": {"task_launch": float("nan")}}}, {}),
     "infinite delay override": ({"delays": {"overrides": {"task_launch": float("inf")}}}, {}),
+    "zero-padded task constraint id": (
+        {}, {"constraint_probabilities": {"1": 0.2, "01": 0.9}}),
+    "underscored task constraint id": ({}, {"constraint_probabilities": {"1_0": 0.2}}),
+    "space-padded machine profile constraint id": (
+        {"machine_profiles": [{"profile_id": "p", "probabilities": {"3": 0.1, " 3": 1.0}}]},
+        {}),
+    "negative user share": ({"users": [{"user_id": "a", "share": -0.1}]}, {}),
+    "user share above one": ({"users": [{"user_id": "a", "share": 1.5}]}, {}),
 }
 
 
@@ -228,6 +258,17 @@ def test_malformed_config_rejected_before_running(case, scheduler, tmp_path, cap
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_shipped_configs_validate(path, monkeypatch, capsys):
+    root = path.parent.parent
+    monkeypatch.chdir(root)  # a trace path is relative to the repo root
+    assert main(["validate-config", "--config", str(path.relative_to(root))]) == 0
+    assert "ok" in capsys.readouterr().out
 
 
 def test_validate_config_names_the_malformed_section(tmp_path, capsys):

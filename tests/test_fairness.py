@@ -2,7 +2,7 @@
 
 import pytest
 
-from fedsched.core import ConstraintBitmap
+from fedsched.core import constraint_bits
 from fedsched.errors import ConfigurationError
 from fedsched.experiment import check_conservation
 from fedsched.fairness import (GUARD_FAILURE, QueueSet, UserQueue, metric_value,
@@ -17,9 +17,8 @@ from scenarios import build_cluster, cs, rv, task
 HOP = 0.0005
 
 
-def queue(user, *, fraction=0.25, share=(100.0, 100000.0), consumed=None):
-    return UserQueue(user_id=user, share_fraction=fraction, gm_id="gm0",
-                     share=share, consumed=consumed)
+def queue(user, *, share=(100.0, 100000.0), consumed=None):
+    return UserQueue(user_id=user, share=share, consumed=consumed)
 
 
 def run_for(user, task_id, **kwargs):
@@ -73,11 +72,6 @@ def test_enqueue_unknown_user_rejected():
         qs.enqueue(run_for("uZ", "z1"))
 
 
-def test_share_fraction_must_be_a_fraction():
-    with pytest.raises(ConfigurationError):
-        queue("uA", fraction=1.5)
-
-
 # -- share arithmetic -----------------------------------------------------------
 
 
@@ -109,7 +103,6 @@ def info(task_id, user, demand, launch_time):
 
 def view_of(nodes, m=8):
     """nodes: (node_id, constraints, available[, running[, is_logical]])."""
-    bitmap = ConstraintBitmap.from_constraint_sets(m, [n[1] for n in nodes])
     snaps = []
     for spec in nodes:
         node_id, _, available = spec[:3]
@@ -119,8 +112,8 @@ def view_of(nodes, m=8):
                                   is_logical=logical, parent_node=None,
                                   running=running))
     part = PartitionSnapshot(partition_id="p0", lm_id="lm0", owner_gm_id="gmX",
-                             nodes=tuple(snaps), bits=bitmap.snapshot_bits(),
-                             constraint_count=m)
+                             nodes=tuple(snaps),
+                             bits=constraint_bits(m, [n[1] for n in nodes]))
     snap = LMStateSnapshot(lm_id="lm0", timestamp=0.0, partitions=(part,),
                            user_consumed=())
     return ClusterView([snap], 2)

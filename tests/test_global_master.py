@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from fedsched.core import ConstraintBitmap, Partition
+from fedsched.core import Partition, constraint_bits
 from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.errors import ConfigurationError
 from fedsched.fairness import QueueSet
@@ -202,7 +202,7 @@ def test_seed_requires_exactly_one_partition_per_lm():
     for j in range(2):
         lm.add_partition(Partition(partition_id=f"p{j}", lm_id="lm0",
                                    owner_gm_id="gm0", node_ids=[],
-                                   bitmap=ConstraintBitmap(21)))
+                                   bits=constraint_bits(21, [])))
     gm = GlobalMaster("gm0", loop, network, ZERO_COSTS, collector)
     with pytest.raises(ConfigurationError):
         gm.seed(ClusterView([lm.snapshot(0.0)], 2), QueueSet([]), [lm], {})

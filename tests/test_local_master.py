@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from fedsched.core import ConstraintBitmap, Partition, WorkerNode
+from fedsched.core import Partition, WorkerNode, constraint_bits
 from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.experiment import check_conservation, check_snapshot_cache
 from fedsched.local_master import LocalMaster
@@ -51,15 +51,15 @@ def one_lm(spec, *, costs=ZERO_COSTS, heartbeat_period=10.0, constraint_count=21
     lm = LocalMaster("lm0", loop, network, costs, collector,
                      heartbeat_period=heartbeat_period)
     for j, gm_id in enumerate(sorted(spec)):
-        part = Partition(partition_id=f"lm0-p{j}", lm_id="lm0", owner_gm_id=gm_id,
-                         node_ids=[], bitmap=ConstraintBitmap(constraint_count))
+        partition_id = f"lm0-p{j}"
         for node_id, capacity, machine in spec[gm_id]:
-            node = WorkerNode(node_id=node_id, lm_id="lm0",
-                              partition_id=part.partition_id, capacity=capacity,
-                              available=capacity, machine_constraints=machine)
-            part.append_node(node_id, machine)
-            lm.add_node(node)
-        lm.add_partition(part)
+            lm.add_node(WorkerNode(node_id=node_id, lm_id="lm0",
+                                   partition_id=partition_id, capacity=capacity,
+                                   available=capacity, machine_constraints=machine))
+        lm.add_partition(Partition(
+            partition_id=partition_id, lm_id="lm0", owner_gm_id=gm_id,
+            node_ids=[node[0] for node in spec[gm_id]],
+            bits=constraint_bits(constraint_count, [node[2] for node in spec[gm_id]])))
     gms = {gm_id: FakeGM(gm_id) for gm_id in sorted(spec)}
     lm.wire_gms(list(gms.values()))
     return lm, gms, loop, collector

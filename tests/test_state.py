@@ -2,7 +2,7 @@
 
 import random
 
-from fedsched.core import ConstraintBitmap, ResourceVector
+from fedsched.core import ResourceVector, constraint_bits
 from fedsched.state import (FIT_MASKS, ClusterView, LMStateSnapshot, NodeSnapshot,
                             PartitionSnapshot, ViewPartition)
 
@@ -16,7 +16,6 @@ def rv(*qs):
 def make_partition_snapshot(partition_id="p0", lm_id="lm0", owner="gm0",
                             nodes=(), m=8):
     """nodes: list of (node_id, constraints, available[, running, is_logical])."""
-    bitmap = ConstraintBitmap.from_constraint_sets(m, [n[1] for n in nodes])
     node_snaps = []
     for spec in nodes:
         node_id, _, available = spec[:3]
@@ -28,7 +27,7 @@ def make_partition_snapshot(partition_id="p0", lm_id="lm0", owner="gm0",
         ))
     return PartitionSnapshot(
         partition_id=partition_id, lm_id=lm_id, owner_gm_id=owner,
-        nodes=tuple(node_snaps), bits=bitmap.snapshot_bits(), constraint_count=m,
+        nodes=tuple(node_snaps), bits=constraint_bits(m, [n[1] for n in nodes]),
     )
 
 
