@@ -24,7 +24,7 @@ vector operations never see either.
 A `TaskRequest` is a plain record, checked where its fields enter: each trace
 row by `load_trace`, the duration and demand specs by `generate_synthetic`
 (once per call, so duration > 0 and demand non-zero), each task's user and
-demand dimension by `build_workload`.  Copies made with `_replace` keep that.
+demand dimension by `build_workload`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ from .errors import ConfigurationError
 DEFAULT_RESOURCE_DIM = 2  # (cpu cores, memory MB)
 DEFAULT_CONSTRAINT_COUNT = 21
 WORD_BITS = 64
+
+# the constraint set of every unconstrained task and machine, shared
+NO_CONSTRAINTS: frozenset[int] = frozenset()
 
 
 class ResourceVector(tuple):

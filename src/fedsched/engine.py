@@ -1,9 +1,16 @@
 """Deterministic single-threaded discrete-event loop and message timing.
 
-Events are (fire_time, seq, action) tuples on a heap; seq is a monotonically
+Events are (fire_time, seq, handler, arg) tuples on a heap, dispatched as
+`handler(arg, fire_time)`: a bound method and its message, or a function and
+its owner, so no closure is built per event.  seq is a monotonically
 increasing counter so ties at the same timestamp dispatch in scheduling order.
-Identical configuration and seed must produce an identical event sequence, so
-nothing here consults wall-clock time or unordered collections.
+
+Task arrivals are fed in from one list sorted stably by time (`feed`), and
+only the next one waits on the heap, under seq -1: an arrival dispatches
+ahead of every other event due at the same time, and arrivals with equal
+times keep their list order.  Identical configuration and seed must produce
+an identical event sequence, so nothing here consults wall-clock time or
+unordered collections.
 """
 
 from __future__ import annotations
@@ -13,13 +20,14 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Any, Callable, Optional
 
 from .errors import ConfigurationError, LivelockError, SimulationError
 
 log = logging.getLogger(__name__)
 
-Action = Callable[[float], None]
+Handler = Callable[[Any, float], None]
 
 # message kinds understood by the delay model
 LAUNCH_REQUEST = "launch_request"
@@ -91,14 +99,18 @@ class EventLoop:
 
     A configurable cap on events dispatched without task progress aborts runs
     that would otherwise spin forever (e.g. a task no node can ever satisfy
-    being rescheduled endlessly).
+    being rescheduled endlessly).  Arrivals count as events for the cap, for
+    `events_dispatched` and for `post_event_hook`.
     """
 
     def __init__(self, *, event_cap: int = 2_000_000) -> None:
         if event_cap <= 0:
             raise ConfigurationError("event_cap must be positive")
-        self._heap: list[tuple[float, int, Action]] = []
+        self._heap: list[tuple[float, int, Handler, Any]] = []
         self._seq = itertools.count()
+        # arrivals not yet on the heap, latest first so the next one pops off the end
+        self._arrivals: list[tuple[float, Handler, Any]] = []
+        self._fed = False
         self._clock = 0.0
         self._event_cap = event_cap
         self._since_progress = 0
@@ -108,13 +120,36 @@ class EventLoop:
     def now(self) -> float:
         return self._clock
 
-    def schedule(self, fire_time: float, action: Action) -> None:
-        """Queue an event; scheduling in the past is a fatal simulation error."""
+    def schedule(self, fire_time: float, handler: Handler, arg: Any) -> None:
+        """Queue `handler(arg, fire_time)`; scheduling in the past is a fatal
+        simulation error."""
         if fire_time < self._clock:
             raise SimulationError(
                 f"event scheduled at {fire_time} before current time {self._clock}"
             )
-        heapq.heappush(self._heap, (fire_time, next(self._seq), action))
+        heapq.heappush(self._heap, (fire_time, next(self._seq), handler, arg))
+
+    def feed(self, arrivals: list[tuple[float, Handler, Any]]) -> None:
+        """Take the run's arrivals, each (time, handler, request), once.
+
+        They dispatch as `handler(request, time)` in stable time order.
+        """
+        if self._fed:
+            raise SimulationError("arrivals were already fed to this loop")
+        self._fed = True
+        pending = sorted(arrivals, key=itemgetter(0))
+        if pending and pending[0][0] < self._clock:
+            raise SimulationError(
+                f"arrival at {pending[0][0]} before current time {self._clock}"
+            )
+        pending.reverse()
+        self._arrivals = pending
+        self._next_arrival()
+
+    def _next_arrival(self) -> None:
+        if self._arrivals:
+            time, handler, request = self._arrivals.pop()
+            heapq.heappush(self._heap, (time, -1, handler, request))
 
     def note_progress(self) -> None:
         """Reset the livelock budget; call when a task starts or completes."""
@@ -122,16 +157,20 @@ class EventLoop:
 
     def run(self) -> None:
         """Dispatch events in (time, seq) order until the heap is empty."""
-        while self._heap:
-            fire_time, _, action = heapq.heappop(self._heap)
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            fire_time, seq, handler, arg = pop(heap)
             self._clock = fire_time
-            action(fire_time)
+            if seq < 0:
+                self._next_arrival()
+            handler(arg, fire_time)
             self.events_dispatched += 1
             self._since_progress += 1
             if self._since_progress > self._event_cap:
                 raise LivelockError(
-                    f"no task progress within {self._event_cap} events "
-                    f"(clock={self._clock:.6f}, pending={len(self._heap)})"
+                    f"no task progress within {self._event_cap} events (clock="
+                    f"{self._clock:.6f}, pending={len(heap) + len(self._arrivals)})"
                 )
             if self.post_event_hook is not None:
                 self.post_event_hook(fire_time)
@@ -164,19 +203,24 @@ class Network:
     When a message lies on a task's path to starting (launch and repartition
     requests, failure responses, preemption round trips, the launch payload),
     pass the task's run so the hop is added to its communication sum.
-    Off-path messages pass run=None.
+    Off-path messages pass run=None.  Each kind's delay is read from the
+    `DelayModel` once, into `delay`.
     """
 
     def __init__(self, loop: EventLoop, delays: DelayModel) -> None:
         self.loop = loop
-        self.delays = delays
+        self.delay = {kind: delays.delay_for(kind) for kind in MESSAGE_KINDS}
 
-    def send(self, send_time: float, kind: str, handler: Action, *, run=None) -> float:
-        if send_time < self.loop.now():
-            raise SimulationError(f"message sent at {send_time} before now {self.loop.now()}")
-        delay = self.delays.delay_for(kind)
+    def send(self, send_time: float, kind: str, handler: Handler, arg: Any, *,
+             run=None) -> float:
+        """Deliver `handler(arg, deliver_at)` one `kind` hop after `send_time`;
+        returns `deliver_at`."""
+        loop = self.loop
+        if send_time < loop._clock:
+            raise SimulationError(f"message sent at {send_time} before now {loop._clock}")
+        delay = self.delay[kind]
         if run is not None:
             run.communication += delay
         deliver_at = send_time + delay
-        self.loop.schedule(deliver_at, handler)
+        heapq.heappush(loop._heap, (deliver_at, next(loop._seq), handler, arg))
         return deliver_at

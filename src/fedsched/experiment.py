@@ -16,8 +16,8 @@ import os
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 from .config import ExperimentConfig, UserSpec
-from .core import (Partition, ResourceVector, TaskRequest, WorkerNode, candidates,
-                   constraint_bits, iter_ordinals)
+from .core import (NO_CONSTRAINTS, Partition, ResourceVector, TaskRequest, WorkerNode,
+                   candidates, constraint_bits, iter_ordinals)
 from .engine import EventLoop, Network
 from .errors import ConfigurationError, SimulationError
 from .fairness import QueueSet, UserQueue
@@ -69,7 +69,10 @@ def build_workload(config: ExperimentConfig, users: list[UserSpec]) -> list[Task
             constraint_probabilities=spec.constraint_probabilities or None,
         )
     if spec.load_factor != 1.0:
-        tasks = [t._replace(arrival_time=t.arrival_time / spec.load_factor) for t in tasks]
+        factor = spec.load_factor
+        tasks = [TaskRequest(task_id, job_id, user_id, demand, constraints, arrival / factor,
+                             duration)
+                 for task_id, job_id, user_id, demand, constraints, arrival, duration in tasks]
     tasks = assign_users(tasks, [u.user_id for u in users])
     known = {u.user_id for u in users}
     dim = config.worker_capacity.dimension
@@ -97,7 +100,7 @@ def _build_nodes(config: ExperimentConfig) -> tuple[list[str], list[WorkerNode]]
                 partition_id="",  # assigned below
                 capacity=config.worker_capacity,
                 available=config.worker_capacity,
-                machine_constraints=frozenset(),
+                machine_constraints=NO_CONSTRAINTS,
             ))
     assign_machine_constraints(nodes, config.machine_profiles, config.seed)
     return lm_ids, nodes
@@ -170,21 +173,20 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
     for lm in lms:
         lm.wire_gms(gms)
 
-    gm_of_user = {}
+    arrive = {}  # user id -> the arrival handler of the user's GM
     for gm in gms:
         for queue in gm.queues.queues:
-            gm_of_user[queue.user_id] = gm
+            arrive[queue.user_id] = gm.on_task_arrival
     # every node starts with the full worker capacity
     eligible = _eligible(nodes, nodes, tasks)
+    arrivals = []
     for task in tasks:
         if not (eligible[task.constraints]
                 and config.worker_capacity.geq(task.demand)):
             collector.mark_unschedulable(task.task_id)
             continue
-        run = collector.new_run(task)
-        gm = gm_of_user[task.user_id]
-        loop.schedule(task.arrival_time,
-                      lambda t, r=run, g=gm: g.on_task_arrival(r, t))
+        arrivals.append((task.arrival_time, arrive[task.user_id], task))
+    _feed(loop, collector, arrivals)
     for lm in lms:
         lm.start_heartbeats()
     return loop, collector, lms, gms
@@ -205,18 +207,25 @@ def build_sparrow(config: ExperimentConfig, tasks: list[TaskRequest]):
                                  seed=config.seed)
                   for i in range(config.sparrow_scheduler_count)]
 
-    job_home: dict[str, ProbeScheduler] = {}
+    arrive = [scheduler.on_task_arrival for scheduler in schedulers]
+    job_home = {}  # job id -> the arrival handler of the job's scheduler
+    arrivals = []
     for task in tasks:
         if not eligible[task.constraints]:
             collector.mark_unschedulable(task.task_id)
             continue
-        if task.job_id not in job_home:
-            job_home[task.job_id] = schedulers[len(job_home) % len(schedulers)]
-        run = collector.new_run(task)
-        scheduler = job_home[task.job_id]
-        loop.schedule(task.arrival_time,
-                      lambda t, r=run, s=scheduler: s.on_task_arrival(r, t))
+        handler = job_home.get(task.job_id)
+        if handler is None:
+            handler = job_home[task.job_id] = arrive[len(job_home) % len(arrive)]
+        arrivals.append((task.arrival_time, handler, task))
+    _feed(loop, collector, arrivals)
     return loop, collector, workers, schedulers
+
+
+def _feed(loop: EventLoop, collector: MetricsCollector, arrivals: list) -> None:
+    """Admit the arrivals: each task's run is made when its arrival fires."""
+    collector.admitted = len(arrivals)
+    loop.feed(arrivals)
 
 
 # -- invariants --------------------------------------------------------------

@@ -97,7 +97,8 @@ class GlobalMaster:
 
     # -- arrivals and the scheduling loop -------------------------------------
 
-    def on_task_arrival(self, run: TaskRun, now: float) -> None:
+    def on_task_arrival(self, request: TaskRequest, now: float) -> None:
+        run = TaskRun(request)
         run.queued_since = now
         self.queues.enqueue(run)
         self._kick(now)
@@ -105,7 +106,7 @@ class GlobalMaster:
     def _kick(self, at: float) -> None:
         if not self._tick_pending:
             self._tick_pending = True
-            self.loop.schedule(at, self._tick)
+            self.loop.schedule(at, GlobalMaster._tick, self)
 
     def _tick(self, now: float) -> None:
         self._tick_pending = False
@@ -189,7 +190,7 @@ class GlobalMaster:
             kind, handler = LAUNCH_REQUEST, lm.on_launch_request
         else:
             kind, handler = REPARTITION_REQUEST, lm.on_repartition_request
-        self.network.send(done, kind, lambda t: handler(message, t), run=run)
+        self.network.send(done, kind, handler, message, run=run)
 
     def _request_preempt(self, run: TaskRun, plan: PreemptPlan, done: float) -> None:
         request = run.request
@@ -200,8 +201,7 @@ class GlobalMaster:
             gm_id=self.gm_id, task_id=request.task_id, node_id=plan.node_id,
             victim_ids=plan.victim_ids, demand=request.demand, run=run,
         )
-        self.network.send(done, PREEMPT_REQUEST,
-                          lambda t: lm.on_preempt_request(message, t), run=run)
+        self.network.send(done, PREEMPT_REQUEST, lm.on_preempt_request, message, run=run)
 
     def _reinsert(self, run: TaskRun, at: float) -> None:
         """Rescheduling: back to the tail of the task's own queue."""

@@ -51,7 +51,8 @@ class RunningTask:
     run: TaskRun
     node_id: str
     gm_id: str
-    info: RunningTaskInfo  # as published; launch_time is when execution begins
+    # as published, set once the payload is sent: launch_time is when it lands
+    info: RunningTaskInfo | None = None
 
 
 class LocalMaster:
@@ -101,7 +102,7 @@ class LocalMaster:
 
     def start_heartbeats(self) -> None:
         if self.gms and self.collector.outstanding > 0:
-            self.loop.schedule(self.heartbeat_period, self._heartbeat)
+            self.loop.schedule(self.heartbeat_period, LocalMaster._heartbeat, self)
 
     # -- snapshots ----------------------------------------------------------
 
@@ -162,11 +163,11 @@ class LocalMaster:
         done = self.clock.charge(start, cost)
         state = self.snapshot(done)
         for gm in self.gms:
-            self.network.send(done, HEARTBEAT, lambda t, g=gm: g.on_heartbeat(state, t))
+            self.network.send(done, HEARTBEAT, gm.on_heartbeat, state)
         self.collector.bump("heartbeats")
         if self.collector.outstanding > 0:
             # fixed cadence from the period, independent of processing time
-            self.loop.schedule(now + self.heartbeat_period, self._heartbeat)
+            self.loop.schedule(now + self.heartbeat_period, LocalMaster._heartbeat, self)
 
     # -- launch -------------------------------------------------------------
 
@@ -217,12 +218,10 @@ class LocalMaster:
     def _launch(self, run: TaskRun, node: WorkerNode, gm_id: str, done: float) -> None:
         request = run.request
         node.available = node.available - request.demand
-        # `rt` is bound below, before the payload can land
-        deliver_at = self.network.send(done, TASK_LAUNCH,
-                                       lambda t: self._begin_execution(rt, t), run=run)
-        info = RunningTaskInfo(request.task_id, request.user_id, request.demand, deliver_at)
-        rt = self.running[request.task_id] = RunningTask(
-            run=run, node_id=node.node_id, gm_id=gm_id, info=info)
+        rt = self.running[request.task_id] = RunningTask(run, node.node_id, gm_id)
+        rt.info = info = RunningTaskInfo(
+            request.task_id, request.user_id, request.demand,
+            self.network.send(done, TASK_LAUNCH, self._begin_execution, rt, run=run))
         self._publish(node, add=info)
         self.consumed[request.user_id] = (
             self.consumed.get(request.user_id, ResourceVector.zeros(self.resource_dim))
@@ -234,7 +233,7 @@ class LocalMaster:
         if self.running.get(rt.info.task_id) is not rt:
             return  # preempted before the payload landed
         self.collector.finalize(rt.run, now)
-        start_task(self.loop, rt.run, now, lambda t: self._on_task_complete(rt, t))
+        start_task(self.loop, rt.run, now, self._on_task_complete, rt)
 
     def _respond_launch(self, req: LaunchRequest, kind: str,
                         node_id: str | None, state: LMStateSnapshot) -> None:
@@ -249,9 +248,8 @@ class LocalMaster:
         gm = self._gm(req.gm_id)
         response = LaunchResponse(ok=ok, task_id=req.task_id, kind=kind,
                                   node_id=node_id, state=state)
-        self.network.send(state.timestamp, LAUNCH_RESPONSE,
-                          lambda t: gm.on_launch_response(response, t),
-                          run=None if ok else req.run)
+        self.network.send(state.timestamp, LAUNCH_RESPONSE, gm.on_launch_response,
+                          response, run=None if ok else req.run)
 
     def _gm(self, gm_id: str):
         for gm in self.gms:
@@ -328,8 +326,7 @@ class LocalMaster:
             note = TaskPreempted(task_id=victim_id, user_id=rt.info.user_id,
                                  demand=rt.info.demand, state=self._state(done, ()),
                                  run=rt.run)
-            self.network.send(done, TASK_PREEMPTED,
-                              lambda t, n=note, g=owner: g.on_task_preempted(n, t))
+            self.network.send(done, TASK_PREEMPTED, owner.on_task_preempted, note)
 
         run.preempted_caused += killed
         node = self.nodes.get(req.node_id)
@@ -338,8 +335,8 @@ class LocalMaster:
         response = PreemptResponse(task_id=req.task_id, node_id=req.node_id,
                                    statuses=tuple(statuses),
                                    state=self._state(done, partitions))
-        self.network.send(done, PREEMPT_RESPONSE,
-                          lambda t: gm.on_preempt_response(response, t), run=run)
+        self.network.send(done, PREEMPT_RESPONSE, gm.on_preempt_response, response,
+                          run=run)
 
     # -- completion ----------------------------------------------------------
 
@@ -372,5 +369,4 @@ class LocalMaster:
         message = TaskCompletion(task_id=task_id, user_id=rt.info.user_id,
                                  demand=rt.info.demand, state=self._state(now, touched),
                                  run=rt.run)
-        self.network.send(now, TASK_COMPLETION,
-                          lambda t: owner.on_task_completion(message, t))
+        self.network.send(now, TASK_COMPLETION, owner.on_task_completion, message)

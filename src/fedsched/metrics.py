@@ -108,12 +108,8 @@ class MetricsCollector:
         self.audit_launches: list[dict] = []
         self.audit_preemptions: list[dict] = []
         self.unschedulable: list[str] = []
-        self.admitted = 0
+        self.admitted = 0  # tasks fed to the event loop, set when the run is built
         self.completed = 0
-
-    def new_run(self, request: TaskRequest) -> TaskRun:
-        self.admitted += 1
-        return TaskRun(request)
 
     def bump(self, counter: str, amount: int = 1) -> None:
         self.counters[counter] += amount

@@ -15,11 +15,24 @@ from __future__ import annotations
 
 import random
 
+from .core import TaskRequest
 from .engine import (PROBE, PROBE_REPLY, TASK_LAUNCH, ActorClock, CostModel,
                      EventLoop, Network)
 from .errors import ConfigurationError
 from .metrics import MetricsCollector, TaskRun
 from .worker import FifoWorker
+
+
+class ProbeRound:
+    """One task's probes: the replies still due and the lowest estimate so far."""
+
+    __slots__ = ("run", "waiting", "best", "estimate")
+
+    def __init__(self, run: TaskRun, waiting: int) -> None:
+        self.run = run
+        self.waiting = waiting
+        self.best: FifoWorker | None = None
+        self.estimate = 0.0
 
 
 class ProbeScheduler:
@@ -46,40 +59,39 @@ class ProbeScheduler:
         self.probe_count = probe_count
         self.rng = random.Random(f"{seed}/probe/{scheduler_id}")
         self.clock = ActorClock()
+        self.round_trip = 2 * network.delay[PROBE]
 
-    def on_task_arrival(self, run: TaskRun, now: float) -> None:
+    def on_task_arrival(self, request: TaskRequest, now: float) -> None:
+        run = TaskRun(request)
         start = self.clock.begin(now)
         run.framework_queuing += start - now
         done = self.clock.charge(start, self.costs.probe_handling)
         run.processing += self.costs.probe_handling
         run.attempts += 1
 
-        eligible = self.eligible[run.request.constraints]
+        eligible = self.eligible[request.constraints]
         sample = (self.rng.sample(eligible, self.probe_count)
                   if len(eligible) > self.probe_count else eligible)
 
         # probes fan out in parallel: one round trip sits on the critical
         # path, so the task is charged two hops rather than two per probe
-        round_trip = 2 * self.network.delays.delay_for(PROBE)
-        run.communication += round_trip
-        state = {"waiting": len(sample), "best": None}
+        run.communication += self.round_trip
+        probing = ProbeRound(run, len(sample))
         for worker in sample:
-            self.network.send(done, PROBE, self._probe(run, worker, state))
+            self.network.send(done, PROBE, self._on_probe, (probing, worker))
 
-    def _probe(self, run: TaskRun, worker: FifoWorker, state: dict):
-        def deliver(now: float) -> None:
-            estimate = worker.estimated_wait()
-            self.network.send(now, PROBE_REPLY, self._reply(run, worker, estimate, state))
-        return deliver
+    def _on_probe(self, probe: tuple[ProbeRound, FifoWorker], now: float) -> None:
+        """A worker answers with its wait estimate as the probe lands."""
+        probing, worker = probe
+        self.network.send(now, PROBE_REPLY, self._on_reply,
+                          (probing, worker, worker.estimated_wait()))
 
-    def _reply(self, run: TaskRun, worker: FifoWorker, estimate: float, state: dict):
-        def deliver(now: float) -> None:
-            best = state["best"]
-            if best is None or (estimate, worker.node_id) < (best[0], best[1].node_id):
-                state["best"] = (estimate, worker)
-            state["waiting"] -= 1
-            if state["waiting"] == 0:
-                chosen = state["best"][1]
-                self.network.send(now, TASK_LAUNCH,
-                                  lambda t: chosen.enqueue(run, t), run=run)
-        return deliver
+    def _on_reply(self, reply: tuple[ProbeRound, FifoWorker, float], now: float) -> None:
+        probing, worker, estimate = reply
+        best = probing.best
+        if best is None or (estimate, worker.node_id) < (probing.estimate, best.node_id):
+            probing.best, probing.estimate = worker, estimate
+        probing.waiting -= 1
+        if probing.waiting == 0:
+            run = probing.run
+            self.network.send(now, TASK_LAUNCH, probing.best.enqueue, run, run=run)

@@ -9,19 +9,20 @@ gives every worker a fixed number of slots and a FIFO queue.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import Any
 
-from .engine import EventLoop
+from .engine import EventLoop, Handler
 from .errors import ConfigurationError
 from .metrics import MetricsCollector, TaskRun
 
 
 def start_task(loop: EventLoop, run: TaskRun, start: float,
-               on_complete: Callable[[float], None]) -> float:
-    """Begin execution at `start`; completion fires at start + duration exactly."""
+               on_complete: Handler, arg: Any) -> float:
+    """Begin execution at `start`; `on_complete(arg, end)` fires at
+    end = start + duration exactly."""
     end = start + run.request.duration
     loop.note_progress()
-    loop.schedule(end, on_complete)
+    loop.schedule(end, on_complete, arg)
     return end
 
 
@@ -57,7 +58,7 @@ class FifoWorker:
         run.worker_queuing += now - enqueued_at
         self.collector.finalize(run, now)
         self.active += 1
-        start_task(self.loop, run, now, lambda t, r=run: self._complete(r, t))
+        start_task(self.loop, run, now, self._complete, run)
 
     def _complete(self, run: TaskRun, now: float) -> None:
         self.active -= 1

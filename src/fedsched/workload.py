@@ -13,8 +13,14 @@ they enter.  `load_trace` checks each row (UTF-8 text, finite numbers,
 constraint ids in range, duration > 0, arrival >= 0).  `generate_synthetic`
 checks its duration and demand specs once per call, so every duration it
 draws is > 0 and every demand is non-zero; a bool is never a number there.
-`augment_constraints` rejects a constraint id that is not a non-negative int,
-so the plain `frozenset` of ids each task carries needs no check of its own.
+`generate_synthetic` and `augment_constraints` reject a constraint id that is
+not a non-negative int, so the plain `frozenset` of ids each task carries
+needs no check of its own.
+
+Each synthetic task is built once: its constraints are drawn in the
+generation pass, from the same `{seed}/task-constraints` stream and in the
+same order that `augment_constraints` draws them for a trace.  Synthetic
+tasks that draw no constraint share `NO_CONSTRAINTS`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import DEFAULT_CONSTRAINT_COUNT, ResourceVector, TaskRequest, WorkerNode
+from .core import (DEFAULT_CONSTRAINT_COUNT, NO_CONSTRAINTS, ResourceVector, TaskRequest,
+                   WorkerNode)
 from .errors import ConfigurationError, TraceFormatError
 
 
@@ -160,6 +167,26 @@ def load_trace(
     return tasks
 
 
+def _draw_constraints(bases: list[frozenset[int]], probabilities: dict[int, float],
+                      seed: int) -> list[frozenset[int]]:
+    """Each base set plus each id drawn with its probability: one draw per id,
+    in id order, task after task, from the `{seed}/task-constraints` stream."""
+    for cid, p in probabilities.items():
+        if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
+            raise ConfigurationError(f"constraint ids must be non-negative ints, got {cid!r}")
+        if not 0.0 <= p <= 1.0:
+            raise ConfigurationError(f"constraint {cid}: probability {p} outside [0, 1]")
+    pairs = sorted(probabilities.items())
+    if not pairs:
+        return bases
+    draw = random.Random(f"{seed}/task-constraints").random
+    out = []
+    for base in bases:
+        drawn = [cid for cid, p in pairs if draw() < p]
+        out.append(base.union(drawn) if drawn else base)
+    return out
+
+
 def augment_constraints(
     tasks: list[TaskRequest],
     probabilities: dict[int, float],
@@ -170,20 +197,8 @@ def augment_constraints(
     Arrival times, durations, demands, and any constraints already present are
     preserved; the same seed always produces the same assignment.
     """
-    for cid, p in probabilities.items():
-        if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
-            raise ConfigurationError(f"constraint ids must be non-negative ints, got {cid!r}")
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"constraint {cid}: probability {p} outside [0, 1]")
-    rng = random.Random(f"{seed}/task-constraints")
-    out: list[TaskRequest] = []
-    for task in tasks:
-        ids = set(task.constraints)
-        for cid in sorted(probabilities):
-            if rng.random() < probabilities[cid]:
-                ids.add(cid)
-        out.append(task._replace(constraints=frozenset(ids)))
-    return out
+    drawn = _draw_constraints([task.constraints for task in tasks], probabilities, seed)
+    return [task._replace(constraints=ids) for task, ids in zip(tasks, drawn)]
 
 
 @dataclass(frozen=True)
@@ -227,7 +242,7 @@ def assign_machine_constraints(
         for node in by_lm[lm_id]:
             ids = {cid for cid in sorted(profile.probabilities)
                    if rng.random() < profile.probabilities[cid]}
-            node.machine_constraints = frozenset(ids)
+            node.machine_constraints = frozenset(ids) if ids else NO_CONSTRAINTS
     return chosen
 
 
@@ -247,7 +262,9 @@ def generate_synthetic(
     times ("poisson") rescaled so the overall span is exactly count/rate --
     the realized mean rate matches the target.  `duration` is a constant or
     ("exp", mean) or ("choice", [values], [weights]); `demand` is a constant
-    vector or a [(vector, weight), ...] mixture.
+    vector or a [(vector, weight), ...] mixture.  With
+    `constraint_probabilities` each task's constraints are drawn as
+    `augment_constraints` draws them.
     """
     if count <= 0:
         raise ConfigurationError("synthetic count must be positive")
@@ -255,6 +272,8 @@ def generate_synthetic(
         raise ConfigurationError("synthetic rate must be positive")
     _check_duration(duration)
     vectors = _check_demand(demand)
+    constraints = _draw_constraints([NO_CONSTRAINTS] * count, constraint_probabilities or {},
+                                    seed)
     rng = random.Random(f"{seed}/synthetic")
 
     if arrival == "uniform":
@@ -285,14 +304,10 @@ def generate_synthetic(
             return demand
         return rng.choices(vectors, cum_weights=cum_weights)[0]
 
-    no_constraints = frozenset()
     # demand is drawn before duration for each task, as the seed's stream expects
-    tasks = [TaskRequest(f"t{i:06d}", f"j{i // 10:05d}", "", draw_demand(), no_constraints,
-                         arrivals[i], draw_duration())
-             for i in range(count)]
-    if constraint_probabilities:
-        tasks = augment_constraints(tasks, constraint_probabilities, seed)
-    return tasks
+    return [TaskRequest(f"t{i:06d}", f"j{i // 10:05d}", "", draw_demand(), constraints[i],
+                        arrivals[i], draw_duration())
+            for i in range(count)]
 
 
 def assign_users(tasks: list[TaskRequest], user_ids: list[str]) -> list[TaskRequest]:
@@ -308,7 +323,9 @@ def assign_users(tasks: list[TaskRequest], user_ids: list[str]) -> list[TaskRequ
         if task.user_id:
             out.append(task)
             continue
-        if task.job_id not in job_user:
-            job_user[task.job_id] = user_ids[len(job_user) % len(user_ids)]
-        out.append(task._replace(user_id=job_user[task.job_id]))
+        task_id, job_id, _, demand, constraints, arrival, duration = task
+        user = job_user.get(job_id)
+        if user is None:
+            user = job_user[job_id] = user_ids[len(job_user) % len(user_ids)]
+        out.append(TaskRequest(task_id, job_id, user, demand, constraints, arrival, duration))
     return out

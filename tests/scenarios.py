@@ -50,16 +50,19 @@ class MiniCluster:
     collector: MetricsCollector
     lms: list[LocalMaster]
     gms: list[GlobalMaster]
-    runs: dict = field(default_factory=dict)
+    arrivals: list = field(default_factory=list)
 
-    def submit(self, request: TaskRequest, gm: GlobalMaster):
-        run = self.collector.new_run(request)
-        self.runs[request.task_id] = run
-        self.loop.schedule(request.arrival_time,
-                           lambda t, r=run, g=gm: g.on_task_arrival(r, t))
-        return run
+    def submit(self, request: TaskRequest, gm: GlobalMaster) -> None:
+        """Have `request` arrive at `gm` at its arrival time once the run starts."""
+        self.arrivals.append((request.arrival_time, gm.on_task_arrival, request))
+
+    def record(self, task_id: str):
+        """The task's allocation record, or None if it never started."""
+        return next((r for r in self.collector.records if r.task_id == task_id), None)
 
     def start(self) -> None:
+        self.collector.admitted = len(self.arrivals)
+        self.loop.feed(self.arrivals)
         for lm in self.lms:
             lm.start_heartbeats()
 

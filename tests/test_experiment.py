@@ -9,7 +9,7 @@ from fedsched.cli import main
 from fedsched.config import UserSpec, config_from_dict
 from fedsched.core import ResourceVector
 from fedsched.errors import ConfigurationError, SimulationError
-from fedsched.experiment import (build_workload, effective_users,
+from fedsched.experiment import (build_megha, build_workload, effective_users,
                                  run_experiment, sweep, write_reports)
 from fedsched.metrics import RECORD_FIELDS
 
@@ -122,6 +122,19 @@ def test_unsatisfiable_constraints_are_marked_unschedulable():
     assert len(result.unschedulable) == 120
     assert result.summary["unschedulable"] == 120
     assert result.events_dispatched == 0
+
+
+@pytest.mark.parametrize("profiles", [[], [{"profile_id": "p", "probabilities": {"1": 0.5}}]],
+                         ids=["no-profiles", "half-drawn"])
+def test_unconstrained_nodes_share_one_empty_constraint_set(profiles):
+    cfg = base_config(machine_profiles=profiles)
+    users = effective_users(cfg)
+    _, _, lms, _ = build_megha(cfg, build_workload(cfg, users), users)
+    nodes = [node for lm in lms for node in lm.nodes.values()]
+    empty = [node.machine_constraints for node in nodes if not node.machine_constraints]
+    assert len(empty) > 1
+    assert len({id(constraints) for constraints in empty}) == 1
+    assert len(empty) < len(nodes) if profiles else len(empty) == len(nodes)
 
 
 def test_oversized_demand_is_unschedulable():

@@ -231,8 +231,8 @@ def test_preemption_flow_end_to_end():
             ("d3", "uD", 3, 0.0), ("d4", "uD", 3, 0.0)):
         cluster.submit(task(tid, user=user, demand=small, constraints=(constraint,),
                             arrival=at, duration=50.0), gm)
-    ta = cluster.submit(task("ta", user="uA", demand=rv(16, 4096),
-                             constraints=(2, 9), arrival=1.0, duration=5.0), gm)
+    cluster.submit(task("ta", user="uA", demand=rv(16, 4096),
+                        constraints=(2, 9), arrival=1.0, duration=5.0), gm)
     cluster.run_all()
     collector = cluster.collector
 
@@ -288,8 +288,8 @@ def test_over_share_requester_is_parked_not_served():
     # uA's first task eats a full node: 8 cpu against a share of 1.6
     cluster.submit(task("a1", user="uA", demand=rv(8, 8192), duration=4.0), gm)
     cluster.submit(task("b1", user="uB", demand=rv(8, 8192), duration=50.0), gm)
-    guarded = cluster.submit(task("a2", user="uA", demand=rv(8, 8192),
-                                  arrival=1.0, duration=1.0), gm)
+    cluster.submit(task("a2", user="uA", demand=rv(8, 8192),
+                        arrival=1.0, duration=1.0), gm)
     cluster.run_all()
 
     guard_audits = [a for a in cluster.collector.audit_preemptions

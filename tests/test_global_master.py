@@ -11,7 +11,7 @@ from fedsched.fairness import QueueSet
 from fedsched.global_master import GlobalMaster
 from fedsched.local_master import LocalMaster
 from fedsched.messages import LaunchResponse, PreemptResponse, TaskPreempted
-from fedsched.metrics import MetricsCollector
+from fedsched.metrics import MetricsCollector, TaskRun
 from fedsched.state import ClusterView, LMStateSnapshot
 
 from scenarios import ZERO_COSTS, build_cluster, build_race_cluster, cs, rv, task
@@ -27,14 +27,14 @@ def one_node_cluster(**kwargs):
 
 def test_clean_launch_request_plus_payload_hops():
     cluster = one_node_cluster()
-    run = cluster.submit(task("t0", demand=rv(2, 4096)), cluster.gms[0])
+    cluster.submit(task("t0", demand=rv(2, 4096)), cluster.gms[0])
 
     seen = {}
-    cluster.loop.schedule(0.5, lambda t: seen.setdefault(
-        "consumed", cluster.gms[0].queues.by_user["u0"].consumed))
+    cluster.loop.schedule(0.5, lambda _, t: seen.setdefault(
+        "consumed", cluster.gms[0].queues.by_user["u0"].consumed), None)
     cluster.run_all()
 
-    record = run.record
+    record = cluster.record("t0")
     assert record.attempts == 1
     assert record.framework_queuing_delay == 0.0
     assert record.processing_delay == 0.0
@@ -101,12 +101,12 @@ def test_external_scan_rotates_over_lms():
 def test_full_view_parks_queue_until_merge_bumps_version():
     cluster = one_node_cluster()
     gm = cluster.gms[0]
-    long = cluster.submit(task("tl", demand=rv(2, 4096), duration=2.0), gm)
-    waiter = cluster.submit(task("tw", demand=rv(2, 4096), duration=1.0), gm)
+    cluster.submit(task("tl", demand=rv(2, 4096), duration=2.0), gm)
+    cluster.submit(task("tw", demand=rv(2, 4096), duration=1.0), gm)
     cluster.run_all()
 
-    assert long.record.task_start == pytest.approx(2 * HOP, abs=1e-9)
-    r = waiter.record
+    assert cluster.record("tl").task_start == pytest.approx(2 * HOP, abs=1e-9)
+    r = cluster.record("tw")
     # pass 1 at arrival, pass 2 after the success-response merge, pass 3
     # after the completion merge finally shows the node free
     assert r.attempts == 3
@@ -128,15 +128,14 @@ def test_retry_limit_sends_task_back_to_queue_tail():
         retry_limit=1)
     cluster.submit(task("t0", user="u0", demand=cap, duration=2.0),
                    cluster.gms[0])
-    t1run = cluster.submit(task("t1", user="u1", demand=cap, duration=2.0),
-                           cluster.gms[1])
+    cluster.submit(task("t1", user="u1", demand=cap, duration=2.0), cluster.gms[1])
     cluster.run_all()
 
     # one failure hits the limit immediately: no chained retry, requeue
     # instead, and the next heartbeat is what wakes the queue again
     assert cluster.collector.counters["inconsistency_failures"] == 1
     assert cluster.collector.counters["reschedules"] == 1
-    r1 = t1run.record
+    r1 = cluster.record("t1")
     assert r1.attempts == 2
     assert r1.repartitioned
     assert r1.task_start == pytest.approx(10.0 + 3 * HOP, abs=1e-6)
@@ -150,11 +149,11 @@ def test_success_merge_cost_busies_clock_but_not_the_task():
     cluster = build_cluster(
         {"lm0": {"gm0": [("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs())]}},
         {"u0": ("gm0", 1.0)}, costs=costs)
-    run = cluster.submit(task("t0", demand=rv(1, 256)), cluster.gms[0])
+    cluster.submit(task("t0", demand=rv(1, 256)), cluster.gms[0])
     cluster.run_all()
     # the ok-response merge happens after the task started; its cost lands
     # on the GM clock only, never on the (already frozen) task record
-    assert run.record.processing_delay == 0.0
+    assert cluster.record("t0").processing_delay == 0.0
     assert cluster.gms[0].clock.busy_until > 2 * HOP
 
 
@@ -174,7 +173,7 @@ def test_task_preempted_note_requeues_and_refreshes_view():
     cluster = one_node_cluster()
     gm = cluster.gms[0]
     demand = rv(2, 4096)
-    run = cluster.collector.new_run(task("t0", demand=demand))
+    run = TaskRun(task("t0", demand=demand))
     run.tried_version = 3
     gm.queues.add_consumed("u0", demand)
     version = gm.view_version

@@ -9,7 +9,7 @@ from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.experiment import check_conservation, check_snapshot_cache
 from fedsched.local_master import LocalMaster
 from fedsched.messages import LaunchRequest, PreemptRequest
-from fedsched.metrics import MetricsCollector
+from fedsched.metrics import MetricsCollector, TaskRun
 
 from scenarios import ZERO_COSTS, build_race_cluster, cs, rv, task
 
@@ -65,15 +65,21 @@ def one_lm(spec, *, costs=ZERO_COSTS, heartbeat_period=10.0, constraint_count=21
     return lm, gms, loop, collector
 
 
+def admit(collector, request):
+    """The task's run, counted as outstanding as the experiment builder counts it."""
+    collector.admitted += 1
+    return TaskRun(request)
+
+
 def launch(lm, loop, collector, *, node_id, gm_id="gm0", demand=None,
            constraints=(), task_id="t0", at=0.0, duration=1.0, user="u0"):
     request = task(task_id, user=user, demand=demand, constraints=constraints,
                    arrival=at, duration=duration)
-    run = collector.new_run(request)
+    run = admit(collector, request)
     req = LaunchRequest(gm_id=gm_id, task_id=task_id, node_id=node_id,
                         demand=request.demand, constraints=request.constraints,
                         run=run)
-    loop.schedule(at, lambda t: lm.on_launch_request(req, t))
+    loop.schedule(at, lm.on_launch_request, req)
     return run
 
 
@@ -81,21 +87,21 @@ def repartition(lm, loop, collector, *, source, gm_id="gm1", demand=None,
                 constraints=(), task_id="t0", at=0.0, duration=1.0, user="u1"):
     request = task(task_id, user=user, demand=demand, constraints=constraints,
                    arrival=at, duration=duration)
-    run = collector.new_run(request)
+    run = admit(collector, request)
     req = LaunchRequest(gm_id=gm_id, task_id=task_id, node_id=source,
                         demand=request.demand, constraints=request.constraints, run=run)
-    loop.schedule(at, lambda t: lm.on_repartition_request(req, t))
+    loop.schedule(at, lm.on_repartition_request, req)
     return run
 
 
 def preempt(lm, loop, collector, *, node_id, victim_ids, gm_id="gm0",
             demand=None, task_id="tp", at=1.0):
     request = task(task_id, demand=demand, arrival=at, duration=1.0)
-    run = collector.new_run(request)
+    run = admit(collector, request)
     req = PreemptRequest(gm_id=gm_id, task_id=task_id, node_id=node_id,
                          victim_ids=tuple(victim_ids), demand=request.demand,
                          run=run)
-    loop.schedule(at, lambda t: lm.on_preempt_request(req, t))
+    loop.schedule(at, lm.on_preempt_request, req)
     return run
 
 
@@ -139,8 +145,8 @@ def test_launch_exact_fit_boundary():
     run = launch(lm, loop, collector, node_id="n0", demand=rv(4, 8192),
                  duration=5.0)
     probe = {}
-    loop.schedule(1.0, lambda t: probe.setdefault(
-        "avail", lm.nodes["n0"].available))
+    loop.schedule(1.0, lambda _, t: probe.setdefault(
+        "avail", lm.nodes["n0"].available), None)
     loop.run()
     assert probe["avail"] == rv(0, 0)
     assert run.record is not None
@@ -275,7 +281,7 @@ def test_repartition_carves_child_then_restores_parent():
 
     seen = {}
 
-    def probe(t):
+    def probe(_, t):
         seen["child"] = lm.nodes.get("N.l1")
         seen["parent_avail"] = lm.nodes["N"].available
         seen["target_members"] = tuple(lm.partitions["lm0-p1"].node_ids)
@@ -283,7 +289,7 @@ def test_repartition_carves_child_then_restores_parent():
                             if node.parent_node == "N"]
         check_conservation(lm)
 
-    loop.schedule(0.5, probe)
+    loop.schedule(0.5, probe, None)
     loop.run()
 
     child = seen["child"]
@@ -416,7 +422,7 @@ def test_preempt_verified_victim_is_killed():
     run = preempt(lm, loop, collector, node_id="n0", victim_ids=["tv"],
                   demand=rv(2, 4096), at=1.0)
     running = []
-    loop.schedule(0.5, lambda t: running.append(lm.running["tv"]))
+    loop.schedule(0.5, lambda _, t: running.append(lm.running["tv"]), None)
     loop.run()
 
     when, resp = gms["gm0"].preempt_responses[0]
@@ -444,8 +450,8 @@ def test_preempt_verified_victim_is_killed():
     relaunch = LaunchRequest(gm_id="gm0", task_id="tv", node_id="n0",
                              demand=victim.request.demand,
                              constraints=victim.request.constraints, run=victim)
-    loop.schedule(loop.now() + 1.0, lambda t: lm.on_launch_request(relaunch, t))
-    loop.schedule(loop.now() + 2.0, lambda t: running.append(lm.running["tv"]))
+    loop.schedule(loop.now() + 1.0, lm.on_launch_request, relaunch)
+    loop.schedule(loop.now() + 2.0, lambda _, t: running.append(lm.running["tv"]), None)
     loop.run()
     first, second = running
     assert second is not first and second.run is first.run is victim
@@ -531,7 +537,7 @@ def test_payload_of_a_launch_killed_as_it_lands_is_dropped_after_relaunch():
     relaunch = LaunchRequest(gm_id="gm0", task_id="tv", node_id="n0",
                              demand=victim.request.demand,
                              constraints=victim.request.constraints, run=victim)
-    loop.schedule(HOP, lambda t: lm.on_launch_request(relaunch, t))
+    loop.schedule(HOP, lm.on_launch_request, relaunch)
     loop.run()
     assert collector.counters["preemptions"] == 1
     assert victim.record.task_start == pytest.approx(2 * HOP, abs=1e-12)
@@ -548,7 +554,7 @@ def test_relaunch_before_the_killed_launch_ends_ignores_its_completion():
     relaunch = LaunchRequest(gm_id="gm0", task_id="tv", node_id="n0",
                              demand=victim.request.demand,
                              constraints=victim.request.constraints, run=victim)
-    loop.schedule(2.0, lambda t: lm.on_launch_request(relaunch, t))
+    loop.schedule(2.0, lm.on_launch_request, relaunch)
     loop.run()
     # the killed launch's completion, due at 10 + HOP, finds the relaunch's
     # RunningTask under the same task id and is dropped
@@ -571,6 +577,11 @@ def assert_snapshots_fresh(lm):
     return nodes
 
 
+def snapshots_fresh_at(loop, at, lm, seen, key):
+    """At time `at`, store `assert_snapshots_fresh(lm)` as `seen[key]`."""
+    loop.schedule(at, lambda _, t: seen.setdefault(key, assert_snapshots_fresh(lm)), None)
+
+
 def test_snapshot_cache_after_launch_and_completion():
     lm, gms, loop, collector = one_lm({"gm0": [
         ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs())]})
@@ -579,8 +590,8 @@ def test_snapshot_cache_after_launch_and_completion():
            duration=2.0)
     before = assert_snapshots_fresh(lm)
     seen = {}
-    loop.schedule(0.5, lambda t: seen.setdefault("running", assert_snapshots_fresh(lm)))
-    loop.schedule(1.5, lambda t: seen.setdefault("one_done", assert_snapshots_fresh(lm)))
+    snapshots_fresh_at(loop, 0.5, lm, seen, "running")
+    snapshots_fresh_at(loop, 1.5, lm, seen, "one_done")
     loop.run()
     after = assert_snapshots_fresh(lm)
 
@@ -601,7 +612,7 @@ def test_snapshot_cache_across_repartition_and_logical_node_destruction():
     before = assert_snapshots_fresh(lm)
     repartition(lm, loop, collector, source="N", demand=rv(2, 4096), duration=1.0)
     seen = {}
-    loop.schedule(0.5, lambda t: seen.setdefault("carved", assert_snapshots_fresh(lm)))
+    snapshots_fresh_at(loop, 0.5, lm, seen, "carved")
     loop.run()
     after = assert_snapshots_fresh(lm)
 
@@ -627,9 +638,9 @@ def test_snapshot_cache_after_preemption():
         launch(lm, loop, collector, node_id="n1", demand=rv(1, 1024), task_id="tk",
                duration=100.0)
         seen = {}
-        loop.schedule(0.5, lambda t: seen.setdefault("before", assert_snapshots_fresh(lm)))
+        snapshots_fresh_at(loop, 0.5, lm, seen, "before")
         preempt(lm, loop, collector, node_id="n0", victim_ids=sorted(victims), at=1.0)
-        loop.schedule(1.5, lambda t: seen.setdefault("after", assert_snapshots_fresh(lm)))
+        snapshots_fresh_at(loop, 1.5, lm, seen, "after")
         loop.run()
 
         assert collector.counters["preemptions"] == len(victims)
@@ -649,8 +660,8 @@ def test_repartition_of_a_physical_node_invalidates_its_snapshot():
     repartition(lm, loop, collector, source="N", demand=rv(2, 4096), task_id="b",
                 at=1.0, duration=10.0)
     seen = {}
-    loop.schedule(0.5, lambda t: seen.setdefault("one", assert_snapshots_fresh(lm)))
-    loop.schedule(1.5, lambda t: seen.setdefault("two", assert_snapshots_fresh(lm)))
+    snapshots_fresh_at(loop, 0.5, lm, seen, "one")
+    snapshots_fresh_at(loop, 1.5, lm, seen, "two")
     loop.run()
     assert seen["two"]["N"].available == rv(5, 11264)
     assert seen["two"]["N"] is not seen["one"]["N"]
@@ -688,11 +699,11 @@ def test_carve_out_and_logical_node_destruction_patch_the_partition_list():
     repartition(lm, loop, collector, source="N", demand=rv(2, 4096), duration=1.0)
     seen = {}
 
-    def carved(t):
+    def carved(_, t):
         seen["carved"] = [n.node_id for n in lm.partition_nodes["lm0-p1"]]
         check_snapshot_cache(lm)
 
-    loop.schedule(0.5, carved)
+    loop.schedule(0.5, carved, None)
     loop.run()
 
     (_, resp), = gms["gm1"].launch_responses
@@ -722,15 +733,15 @@ def test_physical_nodes_keep_their_ordinals_across_carve_outs_and_destruction():
                 duration=2.0)
     seen = []
 
-    def layout(t):
+    def layout(_, t):
         seen.append({pid: list(part.node_ids) for pid, part in lm.partitions.items()})
         for pid, part in lm.partitions.items():
             assert [n.node_id for n in lm.partition_nodes[pid]] == part.node_ids
 
-    loop.schedule(0.5, layout)
-    loop.schedule(1.5, layout)
+    loop.schedule(0.5, layout, None)
+    loop.schedule(1.5, layout, None)
     loop.run()
-    layout(loop.now())
+    layout(None, loop.now())
 
     both, one, none = seen
     assert both == {"lm0-p0": ["N", "M"], "lm0-p1": ["K", "J", "N.l1", "M.l2"]}

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsched.core import ResourceVector, TaskRequest
-from fedsched.metrics import MetricsCollector, SUMMARY_PERCENTILES, percentile, summarize
+from fedsched.metrics import (MetricsCollector, SUMMARY_PERCENTILES, TaskRun, percentile,
+                              summarize)
 
 from oracles import sort_percentile
 
@@ -54,7 +55,7 @@ class TestPercentile:
 class TestCollector:
     def test_record_built_from_run(self):
         collector = MetricsCollector()
-        run = collector.new_run(make_request(arrival=100.0))
+        run = TaskRun(make_request(arrival=100.0))
         run.communication += 0.001
         run.framework_queuing += 5.299
         collector.finalize(run, 105.3)
@@ -66,7 +67,7 @@ class TestCollector:
 
     def test_finalize_only_once_per_run(self):
         collector = MetricsCollector()
-        run = collector.new_run(make_request())
+        run = TaskRun(make_request())
         collector.finalize(run, 1.0)
         collector.finalize(run, 2.0)
         assert len(collector.records) == 1
@@ -75,8 +76,7 @@ class TestCollector:
 
     def test_outstanding_tracks_admissions_and_completions(self):
         collector = MetricsCollector()
-        collector.new_run(make_request("a"))
-        collector.new_run(make_request("b"))
+        collector.admitted = 2
         assert collector.outstanding == 2
         collector.note_completed()
         assert collector.outstanding == 1
@@ -98,7 +98,7 @@ class TestSummarize:
     def test_statistics_present(self):
         collector = MetricsCollector()
         for i in range(10):
-            run = collector.new_run(make_request(f"t{i}", arrival=0.0))
+            run = TaskRun(make_request(f"t{i}", arrival=0.0))
             run.communication += 0.001 * (i + 1)
             collector.finalize(run, 0.001 * (i + 1))
         summary = summarize(collector.records, collector.counters, 2)

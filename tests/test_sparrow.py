@@ -35,17 +35,21 @@ def setup(worker_specs, *, probe_count=2, seed=0, costs=ZERO_COSTS, delays=None)
 
 
 def submit(sched, loop, collector, request):
-    run = collector.new_run(request)
-    loop.schedule(request.arrival_time,
-                  lambda t: sched.on_task_arrival(run, t))
-    return run
+    """Arrive `request` at `sched` at its arrival time; its run is made then."""
+    collector.admitted += 1
+    loop.schedule(request.arrival_time, sched.on_task_arrival, request)
+
+
+def record_of(collector, task_id):
+    """The task's allocation record, or None if it never started."""
+    return next((r for r in collector.records if r.task_id == task_id), None)
 
 
 def test_idle_worker_starts_after_probe_round_trip_and_payload():
     sched, workers, loop, collector = setup([("a", 1), ("b", 1)])
-    run = submit(sched, loop, collector, task("t0"))
+    submit(sched, loop, collector, task("t0"))
     loop.run()
-    record = run.record
+    record = record_of(collector, "t0")
     assert record is not None
     # probes fan out in parallel: one round trip, then the launch hop
     assert record.communication_delay == pytest.approx(3 * HOP, abs=1e-12)
@@ -59,11 +63,11 @@ def test_idle_worker_starts_after_probe_round_trip_and_payload():
 
 def test_single_slot_worker_queues_second_task_fifo():
     sched, workers, loop, collector = setup([("a", 1)])
-    first = submit(sched, loop, collector, task("t1", duration=1.0))
-    second = submit(sched, loop, collector, task("t2", duration=1.0))
+    submit(sched, loop, collector, task("t1", duration=1.0))
+    submit(sched, loop, collector, task("t2", duration=1.0))
     loop.run()
-    assert first.record.worker_queuing_delay == 0.0
-    r2 = second.record
+    assert record_of(collector, "t1").worker_queuing_delay == 0.0
+    r2 = record_of(collector, "t2")
     assert r2.worker_queuing_delay == pytest.approx(1.0, abs=1e-9)
     assert r2.task_start == pytest.approx(1.0 + 3 * HOP, abs=1e-9)
     assert r2.allocation_time == pytest.approx(
@@ -79,19 +83,19 @@ def test_lowest_estimate_wins():
     assert workers["a"].estimated_wait() == pytest.approx(9.0)
     assert workers["b"].estimated_wait() == 0.0
 
-    run = submit(sched, loop, collector, task("t0", duration=1.0))
+    submit(sched, loop, collector, task("t0", duration=1.0))
     loop.run()
     # the probe pair saw estimates 9.0 and 0.0 and picked the idle worker
-    assert run.record.worker_queuing_delay == 0.0
-    assert run.record.task_start == pytest.approx(3 * HOP, abs=1e-9)
+    assert record_of(collector, "t0").worker_queuing_delay == 0.0
+    assert record_of(collector, "t0").task_start == pytest.approx(3 * HOP, abs=1e-9)
 
 
 def test_equal_estimates_tie_break_on_lower_node_id():
     sched, workers, loop, collector = setup([("a", 1), ("b", 1)], seed=13)
     submit(sched, loop, collector, task("t0", duration=1.0))
     seen = {}
-    loop.schedule(0.002, lambda t: seen.update(
-        a=workers["a"].active, b=workers["b"].active))
+    loop.schedule(0.002, lambda _, t: seen.update(
+        a=workers["a"].active, b=workers["b"].active), None)
     loop.run()
     assert seen == {"a": 1, "b": 0}
 
@@ -99,9 +103,9 @@ def test_equal_estimates_tie_break_on_lower_node_id():
 def test_sample_shrinks_to_eligible_pool():
     sched, workers, loop, collector = setup(
         [("a", 1), ("b", 1), ("c", 1)], probe_count=5)
-    run = submit(sched, loop, collector, task("t0"))
+    submit(sched, loop, collector, task("t0"))
     loop.run()
-    assert run.record is not None  # three probes, no sampling error
+    assert record_of(collector, "t0") is not None  # three probes, no sampling error
 
 
 def test_constraint_filter_and_unschedulable_marking():
@@ -122,13 +126,14 @@ def test_constraint_filter_and_unschedulable_marking():
 def test_probe_handling_cost_serializes_the_scheduler():
     costs = dataclasses.replace(ZERO_COSTS, probe_handling=0.01)
     sched, workers, loop, collector = setup([("a", 1), ("b", 1)], costs=costs)
-    r1 = submit(sched, loop, collector, task("t1"))
-    r2 = submit(sched, loop, collector, task("t2"))
+    submit(sched, loop, collector, task("t1"))
+    submit(sched, loop, collector, task("t2"))
     loop.run()
-    assert r1.record.processing_delay == pytest.approx(0.01, abs=1e-12)
-    assert r1.record.framework_queuing_delay == 0.0
-    assert r2.record.processing_delay == pytest.approx(0.01, abs=1e-12)
-    assert r2.record.framework_queuing_delay == pytest.approx(0.01, abs=1e-12)
+    r1, r2 = record_of(collector, "t1"), record_of(collector, "t2")
+    assert r1.processing_delay == pytest.approx(0.01, abs=1e-12)
+    assert r1.framework_queuing_delay == 0.0
+    assert r2.processing_delay == pytest.approx(0.01, abs=1e-12)
+    assert r2.framework_queuing_delay == pytest.approx(0.01, abs=1e-12)
 
 
 def test_same_seed_reproduces_identical_records():
@@ -159,12 +164,12 @@ def test_estimated_wait_is_queued_durations_over_slots():
 
 def test_slots_run_concurrently():
     sched, workers, loop, collector = setup([("a", 2)])
-    runs = [submit(sched, loop, collector, task(f"t{i}", duration=1.0))
-            for i in range(3)]
+    for i in range(3):
+        submit(sched, loop, collector, task(f"t{i}", duration=1.0))
     loop.run()
-    assert runs[0].record.worker_queuing_delay == 0.0
-    assert runs[1].record.worker_queuing_delay == 0.0
-    assert runs[2].record.worker_queuing_delay == pytest.approx(1.0, abs=1e-9)
+    assert record_of(collector, "t0").worker_queuing_delay == 0.0
+    assert record_of(collector, "t1").worker_queuing_delay == 0.0
+    assert record_of(collector, "t2").worker_queuing_delay == pytest.approx(1.0, abs=1e-9)
 
 
 def test_worker_rejects_nonpositive_slots():

@@ -145,6 +145,20 @@ class TestAugmentConstraints:
     def test_bad_probability_rejected(self):
         with pytest.raises(ConfigurationError):
             augment_constraints([], {1: 1.5}, seed=0)
+        with pytest.raises(ConfigurationError):
+            synthetic(10, constraint_probabilities={1: 1.5})
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 104729])
+    @pytest.mark.parametrize("probabilities", [{7: 0.2}, {1: 0.3, 2: 0.7, 5: 1.0}],
+                             ids=["one", "three"])
+    def test_generation_draws_what_augmenting_draws(self, seed, probabilities):
+        # generation draws each task's constraints in its own pass; a trace
+        # is augmented afterwards, so both must read one stream in one order
+        spec = dict(seed=seed, duration=("exp", 2.0),
+                    demand=[(ResourceVector.of(1, 256), 0.5), (ResourceVector.of(4, 1024), 0.5)])
+        drawn = synthetic(400, constraint_probabilities=probabilities, **spec)
+        assert drawn == augment_constraints(synthetic(400, **spec), probabilities, seed)
+        assert len({t.constraints for t in drawn}) > 1
 
     @pytest.mark.parametrize("cid", [-1, True, "1", 1.0],
                              ids=["negative", "bool", "str", "float"])
