@@ -30,6 +30,7 @@ demand dimension by `build_workload`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, ge, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -119,26 +120,22 @@ class TaskRequest(NamedTuple):
 
 @dataclass
 class WorkerNode:
-    """A physical worker or a logical node carved out of one.
+    """A physical worker or a logical node carved out of one, as fixed once
+    built; its availability lives only in its LM's snapshot list.
 
-    Invariants:
-      - 0 <= available <= capacity element-wise
-      - is_logical implies parent_node is set and capacity equals the demand
-        the node was carved for
+    Invariant: is_logical implies parent_node is set and capacity equals the
+    demand the node was carved for.
     """
 
     node_id: str
     lm_id: str
     partition_id: str
     capacity: ResourceVector
-    available: ResourceVector
     machine_constraints: frozenset[int]
     is_logical: bool = False
     parent_node: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.capacity.geq(self.available):
-            raise ConfigurationError(f"node {self.node_id}: available exceeds capacity")
         if self.is_logical and self.parent_node is None:
             raise ConfigurationError(f"logical node {self.node_id} needs a parent node")
 
@@ -184,26 +181,28 @@ def iter_ordinals(mask: int) -> Iterator[int]:
 class Partition:
     """A logical slice of one LM's workers, owned by exactly one GM.
 
-    `bits` is the `constraint_bits` of the nodes in `node_ids` order.  It is
-    an immutable tuple, replaced on every membership change, so a snapshot
-    carries it as it stands.
+    `node_ids` maps each node id to its ordinal, in ordinal order.  `bits` is
+    the `constraint_bits` of the nodes in that order, an immutable tuple
+    replaced on every membership change, so a snapshot carries it as it stands.
     """
 
     partition_id: str
     lm_id: str
     owner_gm_id: str
-    node_ids: list[str]
+    node_ids: dict[str, int]
     bits: tuple[int, ...]
 
     def append_node(self, node_id: str, constraints: frozenset[int]) -> None:
-        bit = 1 << len(self.node_ids)
+        ordinal = self.node_ids[node_id] = len(self.node_ids)
+        bit = 1 << ordinal
         self.bits = tuple(v | bit if cid in constraints else v
                           for cid, v in enumerate(self.bits))
-        self.node_ids.append(node_id)
 
-    def remove_node(self, node_id: str) -> None:
-        """Drop the node's position, shifting higher ordinals down by one."""
-        ordinal = self.node_ids.index(node_id)
+    def remove_node(self, node_id: str) -> int:
+        """Drop the node's position and return it; higher ordinals shift down by one."""
+        ordinal = self.node_ids.pop(node_id)
+        for later in islice(reversed(self.node_ids), len(self.node_ids) - ordinal):
+            self.node_ids[later] -= 1
         low = (1 << ordinal) - 1
         self.bits = tuple((v >> (ordinal + 1) << ordinal) | (v & low) for v in self.bits)
-        del self.node_ids[ordinal]
+        return ordinal

@@ -25,7 +25,7 @@ from .global_master import GlobalMaster
 from .local_master import LocalMaster
 from .metrics import AllocationRecord, MetricsCollector, RECORD_FIELDS, summarize
 from .sparrow import ProbeScheduler
-from .state import FIT_MASKS, ClusterView, NodeSnapshot, RunningTaskInfo
+from .state import FIT_MASKS, ClusterView, RunningTaskInfo
 from .worker import FifoWorker
 from .workload import (assign_machine_constraints, assign_users,
                        augment_constraints, generate_synthetic, load_trace)
@@ -99,7 +99,6 @@ def _build_nodes(config: ExperimentConfig) -> tuple[list[str], list[WorkerNode]]
                 lm_id=lm_id,
                 partition_id="",  # assigned below
                 capacity=config.worker_capacity,
-                available=config.worker_capacity,
                 machine_constraints=NO_CONSTRAINTS,
             ))
     assign_machine_constraints(nodes, config.machine_profiles, config.seed)
@@ -132,11 +131,12 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
     lm_ids, nodes = _build_nodes(config)
     gm_ids = [f"gm{j:02d}" for j in range(config.gm_count)]
     lms: list[LocalMaster] = []
-    for lm_id in lm_ids:
+    per_lm = config.workers_per_lm
+    for i, lm_id in enumerate(lm_ids):
         lm = LocalMaster(lm_id, loop, network, config.costs, collector,
                          heartbeat_period=config.heartbeat_period,
                          resource_dim=dim)
-        lm_nodes = [node for node in nodes if node.lm_id == lm_id]
+        lm_nodes = nodes[i * per_lm:(i + 1) * per_lm]  # built LM by LM
         for node in lm_nodes:
             lm.add_node(node)
         # every LM carries one partition per GM; workers dealt round-robin
@@ -147,7 +147,7 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
                 node.partition_id = partition_id
             lm.add_partition(Partition(
                 partition_id=partition_id, lm_id=lm_id, owner_gm_id=gm_id,
-                node_ids=[node.node_id for node in members],
+                node_ids={node.node_id: o for o, node in enumerate(members)},
                 bits=constraint_bits(config.constraint_count,
                                      [node.machine_constraints for node in members]),
             ))
@@ -232,7 +232,7 @@ def _feed(loop: EventLoop, collector: MetricsCollector, arrivals: list) -> None:
 
 
 def check_conservation(lm: LocalMaster) -> None:
-    """capacity == available + running demands + live logical child capacities."""
+    """capacity == published available + running demands + live logical child capacities."""
     running_sum: dict[str, ResourceVector] = {}
     for rt in lm.running.values():
         prev = running_sum.get(rt.node_id)
@@ -244,9 +244,10 @@ def check_conservation(lm: LocalMaster) -> None:
             prev = child_sum.get(node.parent_node)
             child_sum[node.parent_node] = (node.capacity if prev is None
                                            else prev + node.capacity)
+    available = {s.node_id: s.available for nodes in lm.partition_nodes.values() for s in nodes}
     zero = ResourceVector.zeros(lm.resource_dim)
     for node in lm.nodes.values():
-        expected = node.available + running_sum.get(node.node_id, zero)
+        expected = available[node.node_id] + running_sum.get(node.node_id, zero)
         if not node.is_logical:
             expected = expected + child_sum.get(node.node_id, zero)
         elif node.node_id in child_sum:
@@ -274,6 +275,8 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
             logical = [lm.nodes[node_id].is_logical for node_id in part.node_ids]
             if logical != sorted(logical):  # a GM keeps a plan's ordinal across merges
                 raise SimulationError(f"{part.partition_id}: physical node after a logical one")
+            if list(part.node_ids.values()) != list(range(len(part.node_ids))):
+                raise SimulationError(f"{part.partition_id}: node ordinals out of order")
             for node_id in part.node_ids:
                 if node_id in seen:
                     raise SimulationError(f"node {node_id} in two partitions")
@@ -288,53 +291,46 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
 
 
 def check_snapshot_cache(lm: LocalMaster) -> None:
-    """Every partition's snapshot list equals a rebuild from the nodes and tasks."""
+    """Every partition's snapshot list matches its nodes and running tasks."""
     by_node: dict[str, list[RunningTaskInfo]] = {}
     for task_id in sorted(lm.running):
         rt = lm.running[task_id]
         by_node.setdefault(rt.node_id, []).append(rt.info)
     for pid, partition in lm.partitions.items():
-        nodes = [lm.nodes[node_id] for node_id in partition.node_ids]
-        fresh = [NodeSnapshot(node_id=node.node_id, available=node.available,
-                              is_logical=node.is_logical, parent_node=node.parent_node,
-                              running=tuple(by_node.get(node.node_id, ())))
-                 for node in nodes]
-        if lm.partition_nodes[pid] != fresh:
+        fresh = [(node.node_id, node.is_logical, node.parent_node,
+                  tuple(by_node.get(node.node_id, ())))
+                 for node in map(lm.nodes.__getitem__, partition.node_ids)]
+        kept = [(snap.node_id, snap.is_logical, snap.parent_node, snap.running)
+                for snap in lm.partition_nodes[pid]]
+        if kept != fresh:
             raise SimulationError(f"{pid}: snapshot list != rebuild from its nodes")
 
 
 def check_view_index(gm: GlobalMaster) -> None:
-    """Every view partition's masks and overlay agree with a rebuild.
+    """Every view partition's masks agree with a rebuild.
 
     The per-dimension columns and each cached fit mask must equal ones
-    rebuilt from `available`, each candidate mask and charge what
+    rebuilt from the viewed availability, each candidate mask and charge what
     `candidates` returns for the snapshot's bits, and at most FIT_MASKS fit
-    masks are kept; outside the deduction overlay `available` must equal the
-    snapshot; and `match` must return what a first-fit walk over the
+    masks are kept; and `match` must return what a first-fit walk over the
     candidates returns, counts included.
     """
     for (lm_id, pid), part in gm.view.partitions.items():
         where = f"{gm.gm_id}: view of {lm_id}/{pid}"
-        for ordinal, node in enumerate(part.nodes):
-            if ordinal not in part.deducted and part.available[ordinal] != node.available:
-                raise SimulationError(f"{where}: node {node.node_id} differs from its "
-                                      f"snapshot outside the deduction overlay")
-        if part.columns != [list(c) for c in zip(*part.available)]:
+        viewed = [part.deducted.get(o, node.available) for o, node in enumerate(part.nodes)]
+        if part.columns != [list(c) for c in zip(*viewed)]:
             raise SimulationError(f"{where}: columns != viewed availability")
-        if part.powers != [1 << o for o in range(len(part.nodes))]:
-            raise SimulationError(f"{where}: powers != node count")
         if len(part.fits) > FIT_MASKS:
             raise SimulationError(f"{where}: {len(part.fits)} fit masks, cap {FIT_MASKS}")
         for demand, fit in part.fits.items():
-            if fit != sum(1 << o for o, have in enumerate(part.available)
-                          if have.geq(demand)):
+            if fit != sum(1 << o for o, have in enumerate(viewed) if have.geq(demand)):
                 raise SimulationError(f"{where}: fit mask for {demand} drifted")
         for ids, cand in part.cands.items():
             if cand != candidates(part.bits, len(part.nodes), ids):
                 raise SimulationError(f"{where}: candidate mask for {sorted(ids)} drifted")
             mask, word_ops = cand
             for demand, fit in part.fits.items():
-                # walk the candidates; the fit mask was just checked against `available`
+                # walk the candidates; the fit mask was just checked against `viewed`
                 hit, checked = None, 0
                 for ordinal in iter_ordinals(mask):
                     checked += 1
@@ -356,10 +352,10 @@ class InvariantChecker:
 
     def __call__(self, now: float) -> None:
         self.checks += 1
-        for lm in self.lms:
-            check_conservation(lm)
-            check_snapshot_cache(lm)
         check_structure(self.lms, self.gms)
+        for lm in self.lms:
+            check_snapshot_cache(lm)  # first: conservation reads each node's snapshot
+            check_conservation(lm)
         for gm in self.gms:
             check_view_index(gm)
 
@@ -380,6 +376,7 @@ def run_experiment(config: ExperimentConfig, *, check_invariants: bool = False,
         loop, collector, lms, gms = build_megha(config, tasks, users, audit=audit)
         if check_invariants:
             loop.post_event_hook = InvariantChecker(lms, gms)
+    del tasks  # the loop holds each task until its arrival fires
     loop.run()
 
     if collector.outstanding:

@@ -242,7 +242,7 @@ def _victims_for_user(
             scanned += 1
             if not part.node_satisfies(ordinal, constraints):
                 continue
-            freed = part.available[ordinal]
+            freed = part.available(ordinal)
             owned.sort(key=lambda info: (-info.launch_time, info.task_id))
             victims: list[str] = []
             for info in owned:

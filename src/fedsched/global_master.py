@@ -263,7 +263,7 @@ class GlobalMaster:
 
         part, ordinal = plan.partition, plan.ordinal
         if (all(s.verified for s in response.statuses)
-                and part.available[ordinal].geq(request.demand)
+                and part.available(ordinal).geq(request.demand)
                 and part.node_satisfies(ordinal, request.constraints)):
             cost = self.costs.gm_request_overhead
             done = self.clock.charge(mid, cost)

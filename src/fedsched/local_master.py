@@ -8,15 +8,14 @@ responses and notifications just the partitions that changed, and a periodic
 heartbeat pushes the full state to every GM.
 
 Snapshot state is kept incrementally rather than rebuilt per message: each
-partition keeps its list of `NodeSnapshot`s, aligned with
-`Partition.node_ids`, and every change publishes its node's new snapshot
-there at once.  `_publish` replaces the node's entry on a launch, a release
-or a carve-out, adding or removing the one `RunningTaskInfo` it concerns; a
-carve-out appends to the list and the destruction of a logical node deletes
-its entry, as `Partition.append_node` and `remove_node` do to the node ids
-and the constraint bits.
-A message carries the list as it stands, so untouched nodes keep their
-`NodeSnapshot` objects.
+partition keeps its list of `NodeSnapshot`s in `Partition.node_ids` ordinal
+order, and it holds the one copy of each node's availability.  `available`
+reads it; `_publish`, the only writer, replaces a node's entry on a launch, a
+release or a carve-out, adding or removing the one `RunningTaskInfo` it
+concerns.  A carve-out appends to the list and the destruction of a logical
+node deletes its entry, as `Partition.append_node` and `remove_node` do to the
+ordinals and the constraint bits.  A message carries the list as it stands, so
+untouched nodes keep their `NodeSnapshot` objects.
 """
 
 from __future__ import annotations
@@ -41,8 +40,9 @@ log = logging.getLogger(__name__)
 _TASK_ID = attrgetter("task_id")
 
 
-def _snapshot(node: WorkerNode, running: tuple[RunningTaskInfo, ...] = ()) -> NodeSnapshot:
-    return NodeSnapshot(node.node_id, node.available, node.is_logical, node.parent_node,
+def _snapshot(node: WorkerNode, available: ResourceVector,
+              running: tuple[RunningTaskInfo, ...] = ()) -> NodeSnapshot:
+    return NodeSnapshot(node.node_id, available, node.is_logical, node.parent_node,
                         running)
 
 
@@ -92,7 +92,8 @@ class LocalMaster:
         self.partitions[partition.partition_id] = partition
         self.partition_by_owner[partition.owner_gm_id] = partition
         self.partition_nodes[partition.partition_id] = [
-            _snapshot(self.nodes[node_id]) for node_id in partition.node_ids]
+            _snapshot(node, node.capacity)
+            for node in map(self.nodes.__getitem__, partition.node_ids)]
 
     def add_node(self, node: WorkerNode) -> None:
         self.nodes[node.node_id] = node
@@ -106,30 +107,34 @@ class LocalMaster:
 
     # -- snapshots ----------------------------------------------------------
 
-    def _publish(self, node: WorkerNode, *, add: RunningTaskInfo | None = None,
+    def available(self, node: WorkerNode) -> ResourceVector:
+        """The node's availability, as its published snapshot holds it."""
+        ordinal = self.partitions[node.partition_id].node_ids[node.node_id]
+        return self.partition_nodes[node.partition_id][ordinal].available
+
+    def _publish(self, node: WorkerNode, available: ResourceVector, *,
+                 add: RunningTaskInfo | None = None,
                  remove: RunningTaskInfo | None = None) -> None:
         """The node changed: replace its entry in its partition's list."""
         nodes = self.partition_nodes[node.partition_id]
-        ordinal = self.partitions[node.partition_id].node_ids.index(node.node_id)
+        ordinal = self.partitions[node.partition_id].node_ids[node.node_id]
         running = nodes[ordinal].running
         if remove is not None:
             running = tuple(info for info in running if info is not remove)
         if add is not None:
             running = tuple(sorted((*running, add), key=_TASK_ID))
-        nodes[ordinal] = _snapshot(node, running)
+        nodes[ordinal] = _snapshot(node, available, running)
 
     def _add_node(self, node: WorkerNode, partition: Partition) -> None:
-        """Append a carved-out node to the partition and its snapshot list."""
+        """Append a carved-out node, all of it free, to the partition and its snapshot list."""
         self.nodes[node.node_id] = node
         partition.append_node(node.node_id, node.machine_constraints)
-        self.partition_nodes[partition.partition_id].append(_snapshot(node))
+        self.partition_nodes[partition.partition_id].append(_snapshot(node, node.capacity))
 
     def _destroy_node(self, node: WorkerNode) -> None:
         """Remove a logical node from its partition and its snapshot list."""
-        partition = self.partitions[node.partition_id]
-        del self.partition_nodes[partition.partition_id][
-            partition.node_ids.index(node.node_id)]
-        partition.remove_node(node.node_id)
+        pid = node.partition_id
+        del self.partition_nodes[pid][self.partitions[pid].remove_node(node.node_id)]
         del self.nodes[node.node_id]
 
     def partition_snapshot(self, partition_id: str) -> PartitionSnapshot:
@@ -180,11 +185,10 @@ class LocalMaster:
         run.processing += cost
         return start, done
 
-    @staticmethod
-    def _fits(node: WorkerNode | None, req: LaunchRequest) -> bool:
+    def _fits(self, node: WorkerNode | None, req: LaunchRequest) -> bool:
         """The node exists, carries the task's constraints and has its demand."""
         return (node is not None and node.machine_constraints >= req.constraints
-                and node.available.geq(req.demand))
+                and self.available(node).geq(req.demand))
 
     def on_launch_request(self, req: LaunchRequest, now: float) -> None:
         _, done = self._begin(req.run, now, self.costs.lm_validate)
@@ -209,7 +213,7 @@ class LocalMaster:
             "time": done, "lm_id": self.lm_id, "gm_id": req.gm_id,
             "task_id": req.task_id, "node_id": req.node_id, "kind": kind,
             "ok": ok,
-            "available_before": node.available.quantities if node else None,
+            "available_before": self.available(node).quantities if node else None,
             "demand": req.demand.quantities,
             "machine_constraints": tuple(sorted(node.machine_constraints)) if node else None,
             "task_constraints": tuple(sorted(req.constraints)),
@@ -217,12 +221,11 @@ class LocalMaster:
 
     def _launch(self, run: TaskRun, node: WorkerNode, gm_id: str, done: float) -> None:
         request = run.request
-        node.available = node.available - request.demand
         rt = self.running[request.task_id] = RunningTask(run, node.node_id, gm_id)
         rt.info = info = RunningTaskInfo(
             request.task_id, request.user_id, request.demand,
             self.network.send(done, TASK_LAUNCH, self._begin_execution, rt, run=run))
-        self._publish(node, add=info)
+        self._publish(node, self.available(node) - request.demand, add=info)
         self.consumed[request.user_id] = (
             self.consumed.get(request.user_id, ResourceVector.zeros(self.resource_dim))
             + request.demand
@@ -281,13 +284,11 @@ class LocalMaster:
             lm_id=self.lm_id,
             partition_id=target.partition_id,
             capacity=req.demand,
-            available=req.demand,
             machine_constraints=source.machine_constraints,
             is_logical=True,
             parent_node=source.node_id,
         )
-        source.available = source.available - req.demand
-        self._publish(source)
+        self._publish(source, self.available(source) - req.demand)
         self._add_node(logical, target)
         self.collector.bump("repartitions")
         run.repartitioned = True
@@ -347,13 +348,11 @@ class LocalMaster:
         touched = [node.partition_id]
         if node.is_logical:
             parent = self.nodes[node.parent_node]
-            parent.available = parent.available + node.capacity
-            self._publish(parent)
+            self._publish(parent, self.available(parent) + node.capacity)
             self._destroy_node(node)
             touched.append(parent.partition_id)
         else:
-            node.available = node.available + info.demand
-            self._publish(node, remove=info)
+            self._publish(node, self.available(node) + info.demand, remove=info)
         self.consumed[info.user_id] = self.consumed[info.user_id] - info.demand
         return touched
 

@@ -8,14 +8,16 @@ responses and notifications piggyback just the partitions they touched.  Each
 snapshot carries the LM-side timestamp at which it was taken and the LM's
 per-user consumption, and merges never move a view backwards in time.
 
-Both ends keep this state incrementally.  The LM hands over the same
-`NodeSnapshot` object for every node it has not touched since the last
-message, and a GM's `ViewPartition` re-reads only the nodes whose object
-changed, plus those it deducted from itself, so the host cost of a merge
-follows the nodes that changed rather than the partition's size.  The
-simulated merge charge still counts every node carried.  A partition's
-constraint bits travel as the LM's own immutable `Partition.bits` tuple, which
-the view reads as it stands, so neither end copies them per message.
+Both ends keep this state incrementally, with one copy of a node's
+availability on each: the LM's published `NodeSnapshot`, which a GM's
+`ViewPartition` reads as received unless its deduction overlay holds the
+node.  The LM hands over the same object for every node it has not touched
+since the last message, and the view re-reads only the nodes whose object
+changed, plus the overlay's, so the host cost of a merge follows the nodes
+that changed rather than the partition's size.  The simulated merge charge
+still counts every node carried.  A partition's constraint bits travel as the
+LM's own immutable `Partition.bits` tuple, which the view reads as it stands,
+so neither end copies them per message.
 
 The snapshot records are `NamedTuple`s: immutable, as the GM's identity diff
 requires of a published `NodeSnapshot`, and built at tuple speed, since every
@@ -73,6 +75,10 @@ class LMStateSnapshot(NamedTuple):
 # comes back rebuilds its mask from `columns`.
 FIT_MASKS = 8
 
+# 1 << j at each ordinal j, shared by every view partition and as long as the
+# longest; `compress` stops at a shorter partition's column, so none is sliced
+_POWERS: list[int] = []
+
 
 class ViewPartition:
     """One partition as last reported by its LM, plus optimistic deductions.
@@ -82,27 +88,25 @@ class ViewPartition:
     the same resources twice.  The next snapshot from the LM overwrites the
     guesswork with authority.
 
-    `nodes` is the LM's snapshot of each node, kept as received; `available`
-    is the GM's mutable copy of their availability, which deductions shrink.
-    `deducted` is the overlay: the ordinals deducted from since the last
-    refresh, the only ones where `available` may differ from `nodes`.
-    `columns` holds `available` again, one list per resource dimension, so
-    a fit mask is built in one C-level pass per dimension, summing the
-    `powers` (1 << ordinal) of the nodes that pass.
+    `nodes` is the LM's snapshot of each node, kept as received; `deducted`
+    is the overlay, {ordinal: availability left} for the nodes deducted from
+    since the last refresh.  Node j's viewed availability, `available(j)`, is
+    its overlay entry, else its snapshot's.  `columns` holds it again, one
+    list per resource dimension, so a fit mask takes one C-level pass each.
 
     `match` answers first-fit with two bit masks instead of a walk:
-    `fits[demand]` has bit j set iff `available[j]` covers that demand, and
+    `fits[demand]` has bit j set iff `available(j)` covers that demand, and
     `cands[constraint ids]` holds what `candidates` returns for the snapshot's
     `bits`: the candidate mask and its word-op charge.
     Both are kept incrementally, `fits` for at most FIT_MASKS demands.  The
     LM hands over the same `NodeSnapshot` object for a node it has not
-    touched, so `refresh` re-reads only the ordinals whose object changed
-    plus the overlay, which is the same as overwriting the whole partition.
+    touched, so `refresh` re-reads only the ordinals whose object changed and
+    the overlay's, then drops the overlay: the same as overwriting it all.
     A change in node count or in the constraint bits rebuilds everything.
     """
 
-    __slots__ = ("partition_id", "lm_id", "owner_gm_id", "nodes", "available",
-                 "columns", "powers", "bits", "deducted", "fits", "cands")
+    __slots__ = ("partition_id", "lm_id", "owner_gm_id", "nodes", "columns", "bits",
+                 "deducted", "fits", "cands")
 
     def __init__(self, snapshot: PartitionSnapshot) -> None:
         self.partition_id = snapshot.partition_id
@@ -111,32 +115,28 @@ class ViewPartition:
         self._rebuild(snapshot)
 
     def _rebuild(self, snapshot: PartitionSnapshot) -> None:
-        self.nodes = snapshot.nodes
-        self.available = [n.available for n in snapshot.nodes]
-        self.columns = [list(column) for column in zip(*self.available)]
-        self.powers = [1 << ordinal for ordinal in range(len(snapshot.nodes))]
+        nodes = self.nodes = snapshot.nodes
+        self.columns = [list(column) for column in zip(*(n.available for n in nodes))]
+        _POWERS.extend(1 << ordinal for ordinal in range(len(_POWERS), len(nodes)))
         self.bits = snapshot.bits
-        self.deducted: set[int] = set()
+        self.deducted: dict[int, ResourceVector] = {}
         self.fits: dict[ResourceVector, int] = {}
         self.cands: dict[frozenset[int], tuple[int, int]] = {}
 
     def refresh(self, snapshot: PartitionSnapshot) -> None:
-        """Take a newer snapshot: re-read the changed nodes and the overlay."""
+        """Take a newer snapshot: re-read changed nodes and the overlay, then drop it."""
         old, nodes = self.nodes, snapshot.nodes
         if len(old) != len(nodes) or snapshot.bits != self.bits:
             self._rebuild(snapshot)
             return
         self.nodes = nodes
-        changed = self.deducted
-        changed.update(compress(range(len(nodes)), map(is_not, old, nodes)))
-        self.deducted = set()
+        changed = self.deducted.keys() | compress(range(len(nodes)), map(is_not, old, nodes))
+        self.deducted = {}
         for ordinal in changed:
             self._set(ordinal, nodes[ordinal].available)
 
     def _set(self, ordinal: int, have: ResourceVector) -> None:
-        """Record a node's viewed availability: in `available`, in `columns`,
-        and as a set or cleared bit in every fit mask."""
-        self.available[ordinal] = have
+        """Record a node's viewed availability in `columns` and every fit mask."""
         for column, quantity in zip(self.columns, have):
             column[ordinal] = quantity
         fits = self.fits
@@ -171,16 +171,20 @@ class ViewPartition:
         return None, word_ops, mask.bit_count()
 
     def _fit_mask(self, demand: ResourceVector) -> int:
-        """Bit j set iff `available[j]` covers the demand."""
-        powers = self.powers
-        fit = (1 << len(powers)) - 1
+        """Bit j set iff `available(j)` covers the demand."""
+        fit = (1 << len(self.nodes)) - 1
         for column, want in zip(self.columns, demand):
-            fit &= sum(compress(powers, map(ge, column, repeat(want))))
+            fit &= sum(compress(_POWERS, map(ge, column, repeat(want))))
         return fit
 
+    def available(self, ordinal: int) -> ResourceVector:
+        """The node's viewed availability: the overlay's entry, else the snapshot's."""
+        have = self.deducted.get(ordinal)
+        return self.nodes[ordinal].available if have is None else have
+
     def deduct(self, ordinal: int, demand: ResourceVector) -> None:
-        self.deducted.add(ordinal)
-        self._set(ordinal, self.available[ordinal] - demand)
+        have = self.deducted[ordinal] = self.available(ordinal) - demand
+        self._set(ordinal, have)
 
     def node_satisfies(self, ordinal: int, constraints: frozenset[int]) -> bool:
         bits = self.bits

@@ -106,13 +106,13 @@ def build_cluster(
             for node_id, capacity, machine in specs:
                 lm.add_node(WorkerNode(
                     node_id=node_id, lm_id=lm_id, partition_id=partition_id,
-                    capacity=capacity, available=capacity,
+                    capacity=capacity,
                     machine_constraints=machine,
                 ))
                 total = total + capacity
             lm.add_partition(Partition(
                 partition_id=partition_id, lm_id=lm_id, owner_gm_id=gm_id,
-                node_ids=[spec[0] for spec in specs],
+                node_ids={spec[0]: o for o, spec in enumerate(specs)},
                 bits=constraint_bits(constraint_count, [spec[2] for spec in specs]),
             ))
         lms.append(lm)

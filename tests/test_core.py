@@ -130,16 +130,9 @@ def test_wire_and_record_types_are_immutable():
 
 
 class TestWorkerNodeValidation:
-    def test_available_bounded_by_capacity(self):
-        with pytest.raises(ConfigurationError):
-            WorkerNode("n", "lm", "p", capacity=ResourceVector.of(1, 1),
-                       available=ResourceVector.of(2, 1),
-                       machine_constraints=frozenset())
-
     def test_logical_requires_parent(self):
         with pytest.raises(ConfigurationError):
             WorkerNode("n", "lm", "p", capacity=ResourceVector.of(1, 1),
-                       available=ResourceVector.of(1, 1),
                        machine_constraints=frozenset(), is_logical=True)
 
 
@@ -223,7 +216,7 @@ def test_iter_ordinals_enumerates_set_bits(mask):
 
 def partition_of(sets, m=8):
     """A partition built by appending one node per constraint set."""
-    part = Partition("p", "lm", "gm", node_ids=[], bits=constraint_bits(m, []))
+    part = Partition("p", "lm", "gm", node_ids={}, bits=constraint_bits(m, []))
     for i, machine in enumerate(sets):
         part.append_node(f"n{i}", machine)
     return part
@@ -239,17 +232,19 @@ def test_remove_matches_rebuild(sets, drop):
     drop %= len(sets)
     part = partition_of(sets)
     assert part.bits == constraint_bits(8, sets)
-    part.remove_node(f"n{drop}")
+    assert part.remove_node(f"n{drop}") == drop
     assert part.bits == constraint_bits(8, sets[:drop] + sets[drop + 1:])
+    survivors = [f"n{i}" for i in range(len(sets)) if i != drop]
+    assert part.node_ids == {node_id: o for o, node_id in enumerate(survivors)}
 
 
 class TestPartition:
     def test_bits_track_membership(self):
         part = partition_of([frozenset({1}), frozenset({2})], m=3)
-        assert part.node_ids == ["n0", "n1"]
+        assert list(part.node_ids) == ["n0", "n1"]
         assert part.bits == (0b00, 0b01, 0b10)
         part.remove_node("n0")
-        assert part.node_ids == ["n1"]
+        assert list(part.node_ids) == ["n1"]
         assert part.bits == (0, 0, 0b1)
 
     def test_remove_node_splices_bits(self):
@@ -257,5 +252,21 @@ class TestPartition:
                 frozenset(), frozenset({0})]
         part = partition_of(sets, m=2)
         part.remove_node("n2")
-        assert part.node_ids == ["n0", "n1", "n3", "n4"]
+        assert list(part.node_ids) == ["n0", "n1", "n3", "n4"]
         assert part.bits == constraint_bits(2, [sets[i] for i in (0, 1, 3, 4)])
+
+    def test_ordinals_through_append_and_remove(self):
+        part = partition_of([frozenset({0}), frozenset({1})], m=2)
+        assert part.node_ids == {"n0": 0, "n1": 1}
+        for logical in ("n0.l1", "n1.l2", "n0.l3"):  # carve-outs join at the tail
+            part.append_node(logical, frozenset({0}))
+        assert part.node_ids == {"n0": 0, "n1": 1, "n0.l1": 2, "n1.l2": 3, "n0.l3": 4}
+        # a logical node destroyed before the others: only those after it move
+        assert part.remove_node("n0.l1") == 2
+        assert part.node_ids == {"n0": 0, "n1": 1, "n1.l2": 2, "n0.l3": 3}
+        assert part.remove_node("n0.l3") == 3
+        assert part.node_ids == {"n0": 0, "n1": 1, "n1.l2": 2}
+        part.append_node("n1.l4", frozenset({1}))
+        assert part.node_ids == {"n0": 0, "n1": 1, "n1.l2": 2, "n1.l4": 3}
+        assert part.bits == constraint_bits(2, [frozenset({0}), frozenset({1}),
+                                                frozenset({0}), frozenset({1})])

@@ -55,10 +55,10 @@ def one_lm(spec, *, costs=ZERO_COSTS, heartbeat_period=10.0, constraint_count=21
         for node_id, capacity, machine in spec[gm_id]:
             lm.add_node(WorkerNode(node_id=node_id, lm_id="lm0",
                                    partition_id=partition_id, capacity=capacity,
-                                   available=capacity, machine_constraints=machine))
+                                   machine_constraints=machine))
         lm.add_partition(Partition(
             partition_id=partition_id, lm_id="lm0", owner_gm_id=gm_id,
-            node_ids=[node[0] for node in spec[gm_id]],
+            node_ids={node[0]: o for o, node in enumerate(spec[gm_id])},
             bits=constraint_bits(constraint_count, [node[2] for node in spec[gm_id]])))
     gms = {gm_id: FakeGM(gm_id) for gm_id in sorted(spec)}
     lm.wire_gms(list(gms.values()))
@@ -130,7 +130,7 @@ def test_launch_deducts_and_starts():
     assert resp.state.partitions[0].partition_id == "lm0-p0"
 
     # after completion the node is whole again and the owner was told
-    assert lm.nodes["n0"].available == rv(4, 8192)
+    assert lm.available(lm.nodes["n0"]) == rv(4, 8192)
     assert lm.running == {}
     assert lm.consumed["u0"] == rv(0, 0)
     assert collector.completed == 1
@@ -146,7 +146,7 @@ def test_launch_exact_fit_boundary():
                  duration=5.0)
     probe = {}
     loop.schedule(1.0, lambda _, t: probe.setdefault(
-        "avail", lm.nodes["n0"].available), None)
+        "avail", lm.available(lm.nodes["n0"])), None)
     loop.run()
     assert probe["avail"] == rv(0, 0)
     assert run.record is not None
@@ -166,7 +166,7 @@ def test_launch_wrong_owner_fails_full_state():
     assert ({p.partition_id for p in resp.state.partitions} == set(lm.partitions)
             == {"lm0-p0", "lm0-p1"})
     assert collector.counters["inconsistency_failures"] == 1
-    assert lm.nodes["n0"].available == rv(4, 8192)
+    assert lm.available(lm.nodes["n0"]) == rv(4, 8192)
     assert run.record is None
     # the failure response is on the task's path and is charged to it
     assert run.communication == pytest.approx(HOP, abs=1e-12)
@@ -189,7 +189,7 @@ def test_launch_constraint_mismatch_fails():
     loop.run()
     assert not gms["gm0"].launch_responses[0][1].ok
     assert collector.counters["inconsistency_failures"] == 1
-    assert lm.nodes["n0"].available == rv(4, 8192)
+    assert lm.available(lm.nodes["n0"]) == rv(4, 8192)
 
 
 def test_launch_insufficient_resources_fails():
@@ -197,7 +197,7 @@ def test_launch_insufficient_resources_fails():
     launch(lm, loop, collector, node_id="n0", demand=rv(8, 16384))
     loop.run()
     assert not gms["gm0"].launch_responses[0][1].ok
-    assert lm.nodes["n0"].available == rv(4, 8192)
+    assert lm.available(lm.nodes["n0"]) == rv(4, 8192)
 
 
 def test_launch_audit_entry_shape():
@@ -264,8 +264,8 @@ def test_race_internal_launch_beats_external_repartition():
 
     lm = cluster.lms[0]
     assert set(lm.nodes) == {"n0", "n1"}
-    assert lm.nodes["n0"].available == rv(2, 4096)
-    assert lm.nodes["n1"].available == rv(2, 4096)
+    assert lm.available(lm.nodes["n0"]) == rv(2, 4096)
+    assert lm.available(lm.nodes["n1"]) == rv(2, 4096)
     assert all(node.parent_node is None for node in lm.nodes.values())
     check_conservation(lm)
 
@@ -282,8 +282,9 @@ def test_repartition_carves_child_then_restores_parent():
     seen = {}
 
     def probe(_, t):
-        seen["child"] = lm.nodes.get("N.l1")
-        seen["parent_avail"] = lm.nodes["N"].available
+        seen["child"] = child = lm.nodes.get("N.l1")
+        seen["child_avail"] = child and lm.available(child)
+        seen["parent_avail"] = lm.available(lm.nodes["N"])
         seen["target_members"] = tuple(lm.partitions["lm0-p1"].node_ids)
         seen["children"] = [node_id for node_id, node in lm.nodes.items()
                             if node.parent_node == "N"]
@@ -296,7 +297,7 @@ def test_repartition_carves_child_then_restores_parent():
     assert child is not None and child.is_logical
     assert child.parent_node == "N"
     assert child.capacity == rv(2, 4096)
-    assert child.available == rv(0, 0)  # fully consumed by its one task
+    assert seen["child_avail"] == rv(0, 0)  # fully consumed by its one task
     assert child.machine_constraints == {3}
     assert child.partition_id == "lm0-p1"
     assert seen["parent_avail"] == rv(6, 12288)
@@ -305,8 +306,8 @@ def test_repartition_carves_child_then_restores_parent():
 
     # completion destroys the logical node and returns capacity to the parent
     assert "N.l1" not in lm.nodes
-    assert lm.nodes["N"].available == rv(8, 16384)
-    assert lm.partitions["lm0-p1"].node_ids == []
+    assert lm.available(lm.nodes["N"]) == rv(8, 16384)
+    assert lm.partitions["lm0-p1"].node_ids == {}
     assert all(node.parent_node is None for node in lm.nodes.values())
     assert collector.counters["repartitions"] == 1
     assert run.record.repartitioned
@@ -327,7 +328,7 @@ def test_repartition_insufficient_resources_fails():
     assert not resp.ok and resp.kind == "repartition"
     assert {p.partition_id for p in resp.state.partitions} == set(lm.partitions)
     assert collector.counters["inconsistency_failures"] == 1
-    assert lm.nodes["N"].available == rv(8, 16384)
+    assert lm.available(lm.nodes["N"]) == rv(8, 16384)
 
 
 def test_repartition_constraint_mismatch_fails():
@@ -430,7 +431,7 @@ def test_preempt_verified_victim_is_killed():
     assert resp.statuses[0].task_id == "tv"
     assert collector.counters["preemptions"] == 1
     assert run.preempted_caused == 1
-    assert lm.nodes["n0"].available == rv(4, 8192)
+    assert lm.available(lm.nodes["n0"]) == rv(4, 8192)
     assert lm.consumed["uV"] == rv(0, 0)
     assert "tv" not in lm.running
 
@@ -502,7 +503,7 @@ def test_preempt_before_payload_lands_is_stale():
     assert victim.record is not None
     assert victim.record.task_start == pytest.approx(HOP, abs=1e-12)
     assert collector.completed == 1
-    assert lm.nodes["n0"].available == rv(2, 4096)
+    assert lm.available(lm.nodes["n0"]) == rv(2, 4096)
 
 
 def test_preempt_repartitioned_victim_destroys_logical_node():
@@ -517,8 +518,8 @@ def test_preempt_repartitioned_victim_destroys_logical_node():
     when, resp = gms["gm1"].preempt_responses[0]
     assert resp.statuses[0].verified
     assert "N.l1" not in lm.nodes
-    assert lm.nodes["N"].available == rv(8, 16384)
-    assert lm.partitions["lm0-p1"].node_ids == []
+    assert lm.available(lm.nodes["N"]) == rv(8, 16384)
+    assert lm.partitions["lm0-p1"].node_ids == {}
     assert {p.partition_id for p in resp.state.partitions} == {"lm0-p0", "lm0-p1"}
     assert collector.counters["preemptions"] == 1
     (_, note), = gms["gm1"].preempted
@@ -563,7 +564,7 @@ def test_relaunch_before_the_killed_launch_ends_ignores_its_completion():
     assert when == pytest.approx(12.0 + 2 * HOP, abs=1e-9)
     assert collector.completed == 1
     assert "tv" not in lm.running
-    assert lm.nodes["n0"].available == rv(4, 8192)
+    assert lm.available(lm.nodes["n0"]) == rv(4, 8192)
     check_conservation(lm)
 
 
@@ -571,9 +572,11 @@ def test_relaunch_before_the_killed_launch_ends_ignores_its_completion():
 
 
 def assert_snapshots_fresh(lm):
-    """Snapshot every node, check the caches against a rebuild; nodes by id."""
+    """Snapshot every node, check the caches against a rebuild and the
+    availability against conservation; nodes by id."""
     nodes = {n.node_id: n for p in lm.snapshot(0.0).partitions for n in p.nodes}
     check_snapshot_cache(lm)
+    check_conservation(lm)
     return nodes
 
 
@@ -736,7 +739,7 @@ def test_physical_nodes_keep_their_ordinals_across_carve_outs_and_destruction():
     def layout(_, t):
         seen.append({pid: list(part.node_ids) for pid, part in lm.partitions.items()})
         for pid, part in lm.partitions.items():
-            assert [n.node_id for n in lm.partition_nodes[pid]] == part.node_ids
+            assert [n.node_id for n in lm.partition_nodes[pid]] == list(part.node_ids)
 
     loop.schedule(0.5, layout, None)
     loop.schedule(1.5, layout, None)

@@ -103,7 +103,7 @@ class TestViewPartitionMatch:
             ("a", frozenset(), rv(8, 800)),
         ]))
         part.deduct(0, rv(3, 300))
-        assert part.available[0].quantities == (5, 500)
+        assert part.available(0).quantities == (5, 500)
         ordinal, _, _ = part.match(frozenset(), rv(6, 100))
         assert ordinal is None
 
@@ -120,8 +120,15 @@ def first_fit_walk(sets, avail, constraints, demand):
     return None, checked
 
 
+def viewed(part):
+    """Every node's viewed availability, in ordinal order."""
+    return [part.available(ordinal) for ordinal in range(len(part.nodes))]
+
+
 def assert_matches_oracles(part, sets, avail, queries):
-    """`match` agrees with the brute-force oracle and the naive walk's count."""
+    """The viewed availability is `avail`, and `match` agrees with the
+    brute-force oracle and the naive walk's count."""
+    assert viewed(part) == avail
     assert part.columns == [list(c) for c in zip(*(a.quantities for a in avail))]
     for constraints, demand in queries:
         ordinal, _, checked = part.match(constraints, demand)
@@ -176,9 +183,9 @@ class TestViewPartitionIndex:
         assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
         part.deduct(2, rv(3, 300))
         part.deduct(1, rv(5, 500))
-        assert part.deducted == {1, 2}
+        assert part.deducted == {1: rv(3, 300), 2: rv(0, 0)}
         avail = [rv(2, 200), rv(3, 300), rv(0, 0), rv(4, 400), rv(1, 100)]
-        assert part.available == avail
+        assert viewed(part) == avail
         assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
 
     def test_more_demands_than_fit_masks_evict_the_oldest(self):
@@ -201,7 +208,7 @@ class TestViewPartitionIndex:
                                parent_node=None, running=())
         part.refresh(first._replace(nodes=first.nodes[:4] + (changed,)))
         avail = self.AVAIL[:4] + [rv(9, 900)]
-        assert part.available == avail
+        assert viewed(part) == avail
         assert part.match(frozenset({1}), rv(9, 900))[0] == 4
         assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
 
@@ -213,10 +220,26 @@ class TestViewPartitionIndex:
         assert part.match(frozenset({1}), rv(3, 300))[0] is None
         # the same node objects again: only the overlay is re-read
         part.refresh(first._replace(nodes=tuple(first.nodes)))
-        assert part.deducted == set()
-        assert part.available == self.AVAIL
+        assert part.deducted == {}
+        assert viewed(part) == self.AVAIL
         assert part.match(frozenset({1}), rv(3, 300))[0] == 2
         assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
+
+    def test_refresh_drops_the_overlay(self):
+        first = index_snapshot(self.AVAIL)
+        part = ViewPartition(first)
+        assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
+        part.deduct(1, rv(5, 500))  # the LM will not touch n1
+        part.deduct(3, rv(4, 400))  # the LM will publish n3 anew
+        assert part.deducted == {1: rv(3, 300), 3: rv(0, 0)}
+        nodes = list(first.nodes)
+        nodes[3] = nodes[3]._replace(available=rv(1, 100))
+        part.refresh(first._replace(nodes=tuple(nodes)))
+        assert part.deducted == {}
+        assert part.nodes[1] is first.nodes[1]
+        avail = [rv(2, 200), rv(8, 800), rv(3, 300), rv(1, 100), rv(1, 100)]
+        assert [n.available for n in part.nodes] == avail
+        assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
 
     def test_refresh_with_a_new_node_count_rebuilds(self):
         part = ViewPartition(index_snapshot(self.AVAIL))
@@ -225,7 +248,7 @@ class TestViewPartitionIndex:
         sets = INDEX_SETS + [frozenset({3})]
         avail = self.AVAIL + [rv(9, 900)]
         part.refresh(index_snapshot(avail, sets))
-        assert part.deducted == set() and part.fits == {} and part.cands == {}
+        assert part.deducted == {} and part.fits == {} and part.cands == {}
         assert part.match(frozenset({3}), rv(9, 900))[0] == 5
         assert_matches_oracles(part, sets, avail, INDEX_QUERIES)
         part.refresh(index_snapshot(avail[:3], sets[:3]))
@@ -285,21 +308,21 @@ class TestClusterViewMerges:
     def test_heartbeat_replaces_lm_slice(self):
         view = ClusterView([two_node_snapshot(0.0, rv(8, 800), rv(8, 800))], 2)
         assert view.apply_heartbeat(two_node_snapshot(10.0, rv(1, 100), rv(2, 200)))
-        assert view.partitions[("lm0", "p0")].available[0].quantities == (1, 100)
+        assert view.partitions[("lm0", "p0")].available(0).quantities == (1, 100)
         assert view.last_update_time["lm0"] == 10.0
 
     def test_newer_then_older_discards_older(self):
         view = ClusterView([two_node_snapshot(0.0, rv(8, 800), rv(8, 800))], 2)
         assert view.apply_heartbeat(two_node_snapshot(20.0, rv(2, 200), rv(2, 200)))
         assert not view.apply_heartbeat(two_node_snapshot(10.0, rv(7, 700), rv(7, 700)))
-        assert view.partitions[("lm0", "p0")].available[0].quantities == (2, 200)
+        assert view.partitions[("lm0", "p0")].available(0).quantities == (2, 200)
         assert view.last_update_time["lm0"] == 20.0
 
     def test_heartbeat_sequence_reflects_latest(self):
         view = ClusterView([two_node_snapshot(0.0, rv(8, 800), rv(8, 800))], 2)
         view.apply_heartbeat(two_node_snapshot(10.0, rv(5, 500), rv(5, 500)))
         view.apply_heartbeat(two_node_snapshot(20.0, rv(3, 300), rv(3, 300)))
-        assert view.partitions[("lm0", "p0")].available[1].quantities == (3, 300)
+        assert view.partitions[("lm0", "p0")].available(1).quantities == (3, 300)
 
     def test_partial_merge_updates_only_named_partitions(self):
         p0 = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(8, 800))])
@@ -307,8 +330,8 @@ class TestClusterViewMerges:
         view = ClusterView([make_lm_snapshot(ts=0.0, partitions=[p0, p1])], 2)
         newer_p0 = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(1, 100))])
         assert view.merge_partitions("lm0", 5.0, (newer_p0,))
-        assert view.partitions[("lm0", "p0")].available[0].quantities == (1, 100)
-        assert view.partitions[("lm0", "p1")].available[0].quantities == (8, 800)
+        assert view.partitions[("lm0", "p0")].available(0).quantities == (1, 100)
+        assert view.partitions[("lm0", "p1")].available(0).quantities == (8, 800)
         assert view.last_update_time["lm0"] == 5.0
 
     def test_heartbeat_cannot_regress_piggybacked_state(self):
@@ -321,17 +344,17 @@ class TestClusterViewMerges:
         assert view.merge_partitions("lm0", 15.0, (newer,))
         stale_heartbeat = two_node_snapshot(12.0, rv(8, 800), rv(8, 800))
         assert not view.apply_heartbeat(stale_heartbeat)
-        assert view.partitions[("lm0", "p0")].available[0].quantities == (0, 0)
+        assert view.partitions[("lm0", "p0")].available(0).quantities == (0, 0)
         later = two_node_snapshot(16.0, rv(4, 400), rv(4, 400))
         assert view.apply_heartbeat(later)
-        assert view.partitions[("lm0", "p0")].available[0].quantities == (4, 400)
+        assert view.partitions[("lm0", "p0")].available(0).quantities == (4, 400)
         assert view.last_update_time["lm0"] == 16.0
 
     def test_stale_partial_merge_discarded(self):
         view = ClusterView([two_node_snapshot(10.0, rv(8, 800), rv(8, 800))], 2)
         older = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(1, 1))])
         assert not view.merge_partitions("lm0", 9.0, (older,))
-        assert view.partitions[("lm0", "p0")].available[0].quantities == (8, 800)
+        assert view.partitions[("lm0", "p0")].available(0).quantities == (8, 800)
 
     def test_equal_timestamp_applies(self):
         view = ClusterView([two_node_snapshot(10.0, rv(8, 800), rv(8, 800))], 2)

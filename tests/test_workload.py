@@ -176,7 +176,6 @@ def make_nodes(lm_ids, per_lm):
             nodes.append(WorkerNode(
                 node_id=f"{lm_id}-n{k:04d}", lm_id=lm_id, partition_id="p",
                 capacity=ResourceVector.of(64, 16384),
-                available=ResourceVector.of(64, 16384),
                 machine_constraints=frozenset(),
             ))
     return nodes
