@@ -187,16 +187,17 @@ class Partition:
     """
 
     partition_id: str
-    lm_id: str
     owner_gm_id: str
     node_ids: dict[str, int]
     bits: tuple[int, ...]
 
-    def append_node(self, node_id: str, constraints: frozenset[int]) -> None:
+    def append_node(self, node_id: str, constraints: frozenset[int]) -> int:
+        """Give the node the next ordinal and return it."""
         ordinal = self.node_ids[node_id] = len(self.node_ids)
         bit = 1 << ordinal
         self.bits = tuple(v | bit if cid in constraints else v
                           for cid, v in enumerate(self.bits))
+        return ordinal
 
     def remove_node(self, node_id: str) -> int:
         """Drop the node's position and return it; higher ordinals shift down by one."""

@@ -13,7 +13,10 @@ import csv
 import json
 import logging
 import os
+import re
 from dataclasses import asdict, dataclass, field, is_dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .config import ExperimentConfig, UserSpec
 from .core import (NO_CONSTRAINTS, Partition, ResourceVector, TaskRequest, WorkerNode,
@@ -55,35 +58,40 @@ def effective_users(config: ExperimentConfig) -> list[UserSpec]:
 
 def build_workload(config: ExperimentConfig, users: list[UserSpec]) -> list[TaskRequest]:
     spec = config.workload
+    user_ids = [u.user_id for u in users]
     if spec.kind == "trace":
         tasks = load_trace(spec.path, cpu_divisor=spec.cpu_divisor,
                            mem_divisor=spec.mem_divisor,
                            constraint_count=config.constraint_count)
         if spec.constraint_probabilities:
             tasks = augment_constraints(tasks, spec.constraint_probabilities, config.seed)
+        if spec.load_factor != 1.0:
+            factor = spec.load_factor
+            tasks = [TaskRequest(task_id, job_id, user_id, demand, constraints,
+                                 arrival / factor, duration)
+                     for task_id, job_id, user_id, demand, constraints, arrival, duration
+                     in tasks]
+        tasks = assign_users(tasks, user_ids)
+        known = set(user_ids)
+        for task in tasks:
+            if task.user_id not in known:
+                raise ConfigurationError(
+                    f"task {task.task_id} belongs to unknown user {task.user_id!r}"
+                )
     else:
         demand = spec.demand if spec.demand is not None else ResourceVector.of(1, 256)
         tasks = generate_synthetic(
             count=spec.count, rate=spec.rate, duration=spec.duration,
             demand=demand, seed=config.seed, arrival=spec.arrival,
             constraint_probabilities=spec.constraint_probabilities or None,
+            user_ids=user_ids, load_factor=spec.load_factor,
         )
-    if spec.load_factor != 1.0:
-        factor = spec.load_factor
-        tasks = [TaskRequest(task_id, job_id, user_id, demand, constraints, arrival / factor,
-                             duration)
-                 for task_id, job_id, user_id, demand, constraints, arrival, duration in tasks]
-    tasks = assign_users(tasks, [u.user_id for u in users])
-    known = {u.user_id for u in users}
     dim = config.worker_capacity.dimension
-    for task in tasks:
-        if task.user_id not in known:
+    for demand in dict.fromkeys(map(attrgetter("demand"), tasks)):
+        if demand.dimension != dim:
+            first = next(task for task in tasks if task.demand == demand)
             raise ConfigurationError(
-                f"task {task.task_id} belongs to unknown user {task.user_id!r}"
-            )
-        if task.demand.dimension != dim:
-            raise ConfigurationError(
-                f"task {task.task_id}: demand {tuple(task.demand)} does not "
+                f"task {first.task_id}: demand {tuple(demand)} does not "
                 f"have the {dim} dimensions of worker_capacity"
             )
     return tasks
@@ -146,7 +154,7 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
             for node in members:
                 node.partition_id = partition_id
             lm.add_partition(Partition(
-                partition_id=partition_id, lm_id=lm_id, owner_gm_id=gm_id,
+                partition_id=partition_id, owner_gm_id=gm_id,
                 node_ids={node.node_id: o for o, node in enumerate(members)},
                 bits=constraint_bits(config.constraint_count,
                                      [node.machine_constraints for node in members]),
@@ -383,7 +391,7 @@ def run_experiment(config: ExperimentConfig, *, check_invariants: bool = False,
         raise SimulationError(
             f"{collector.outstanding} tasks never completed"
         )
-    records = sorted(collector.records, key=lambda r: (r.arrival, r.task_id))
+    records = sorted(collector.records, key=attrgetter("arrival", "task_id"))
     summary = summarize(records, collector.counters, len(collector.unschedulable))
     summary["config"] = {
         "scheduler": config.scheduler,
@@ -409,16 +417,35 @@ def _csv_row(record: AllocationRecord) -> list:
     return [int(v) if v.__class__ is bool else v for v in record]
 
 
+# One tasks.csv row as csv.writer writes `_csv_row(record)` when no id needs
+# quoting: repr() of the seven floats, the bool and the two counts as ints.
+_CSV_HEADER = ",".join(RECORD_FIELDS) + "\n"
+_CSV_FORMAT = "%s,%s,%s,%s,%r,%r,%r,%r,%r,%r,%r,%d,%d,%d\n"
+# Every character csv may quote in an id (a superset: 3.11 leaves a lone \r bare)
+_NEEDS_QUOTING = re.compile('[,"\r\n]')
+_IDS = itemgetter(0, 1, 2, 3)
+
+
 def write_reports(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> dict[str, str]:
-    """Write the per-task record file and the summary; returns the paths."""
+    """Write the per-task record file and the summary; returns the paths.
+
+    tasks.csv holds what `csv.writer` writes for `_csv_row` of each record.
+    Only ids can need quoting, so the rows come from one format string unless
+    an id holds a character csv may quote; then csv.writer writes the file.
+    """
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     if fmt == "csv":
+        records = result.records
         task_path = os.path.join(out_dir, "tasks.csv")
         with open(task_path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(RECORD_FIELDS)
-            writer.writerows(map(_csv_row, result.records))
+            if _NEEDS_QUOTING.search("".join(chain.from_iterable(map(_IDS, records)))):
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(RECORD_FIELDS)
+                writer.writerows(map(_csv_row, records))
+            else:
+                handle.write(_CSV_HEADER)
+                handle.writelines(map(_CSV_FORMAT.__mod__, records))
     elif fmt == "jsonl":
         task_path = os.path.join(out_dir, "tasks.jsonl")
         with open(task_path, "w") as handle:

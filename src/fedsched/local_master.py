@@ -12,10 +12,12 @@ partition keeps its list of `NodeSnapshot`s in `Partition.node_ids` ordinal
 order, and it holds the one copy of each node's availability.  `available`
 reads it; `_publish`, the only writer, replaces a node's entry on a launch, a
 release or a carve-out, adding or removing the one `RunningTaskInfo` it
-concerns.  A carve-out appends to the list and the destruction of a logical
-node deletes its entry, as `Partition.append_node` and `remove_node` do to the
-ordinals and the constraint bits.  A message carries the list as it stands, so
-untouched nodes keep their `NodeSnapshot` objects.
+concerns.  Each change looks the node's ordinal up once and passes it along:
+a launch or a carve-out takes it from `_fits`.  A carve-out appends to the
+list and the destruction of a logical node deletes its entry, as
+`Partition.append_node` and `remove_node` do to the ordinals and the
+constraint bits.  A message carries the list as it stands, so untouched nodes
+keep their `NodeSnapshot` objects.
 """
 
 from __future__ import annotations
@@ -107,17 +109,19 @@ class LocalMaster:
 
     # -- snapshots ----------------------------------------------------------
 
+    def _ordinal(self, node: WorkerNode) -> int:
+        """The node's position in its partition's snapshot list."""
+        return self.partitions[node.partition_id].node_ids[node.node_id]
+
     def available(self, node: WorkerNode) -> ResourceVector:
         """The node's availability, as its published snapshot holds it."""
-        ordinal = self.partitions[node.partition_id].node_ids[node.node_id]
-        return self.partition_nodes[node.partition_id][ordinal].available
+        return self.partition_nodes[node.partition_id][self._ordinal(node)].available
 
-    def _publish(self, node: WorkerNode, available: ResourceVector, *,
+    def _publish(self, node: WorkerNode, ordinal: int, available: ResourceVector, *,
                  add: RunningTaskInfo | None = None,
                  remove: RunningTaskInfo | None = None) -> None:
-        """The node changed: replace its entry in its partition's list."""
+        """The node, at `ordinal`, changed: replace its entry in its partition's list."""
         nodes = self.partition_nodes[node.partition_id]
-        ordinal = self.partitions[node.partition_id].node_ids[node.node_id]
         running = nodes[ordinal].running
         if remove is not None:
             running = tuple(info for info in running if info is not remove)
@@ -125,11 +129,12 @@ class LocalMaster:
             running = tuple(sorted((*running, add), key=_TASK_ID))
         nodes[ordinal] = _snapshot(node, available, running)
 
-    def _add_node(self, node: WorkerNode, partition: Partition) -> None:
-        """Append a carved-out node, all of it free, to the partition and its snapshot list."""
+    def _add_node(self, node: WorkerNode, partition: Partition) -> int:
+        """Append a carved-out node, all of it free, to the partition and its
+        snapshot list; returns its ordinal."""
         self.nodes[node.node_id] = node
-        partition.append_node(node.node_id, node.machine_constraints)
         self.partition_nodes[partition.partition_id].append(_snapshot(node, node.capacity))
+        return partition.append_node(node.node_id, node.machine_constraints)
 
     def _destroy_node(self, node: WorkerNode) -> None:
         """Remove a logical node from its partition and its snapshot list."""
@@ -185,20 +190,26 @@ class LocalMaster:
         run.processing += cost
         return start, done
 
-    def _fits(self, node: WorkerNode | None, req: LaunchRequest) -> bool:
-        """The node exists, carries the task's constraints and has its demand."""
-        return (node is not None and node.machine_constraints >= req.constraints
-                and self.available(node).geq(req.demand))
+    def _fits(self, node: WorkerNode | None, req: LaunchRequest) -> int | None:
+        """The node's ordinal if it exists, carries the task's constraints and
+        has its demand; else None."""
+        if node is None or not node.machine_constraints >= req.constraints:
+            return None
+        ordinal = self._ordinal(node)
+        if self.partition_nodes[node.partition_id][ordinal].available.geq(req.demand):
+            return ordinal
+        return None
 
     def on_launch_request(self, req: LaunchRequest, now: float) -> None:
         _, done = self._begin(req.run, now, self.costs.lm_validate)
         node = self.nodes.get(req.node_id)
-        ok = (self._fits(node, req)
+        ordinal = self._fits(node, req)
+        ok = (ordinal is not None
               and self.partitions[node.partition_id].owner_gm_id == req.gm_id)
         self._audit(req, "launch", node, ok, done)
 
         if ok:
-            self._launch(req.run, node, req.gm_id, done)
+            self._launch(req.run, node, ordinal, req.gm_id, done)
             self._respond_launch(req, "launch", node.node_id,
                                  self._state(done, (node.partition_id,)))
         else:
@@ -219,13 +230,15 @@ class LocalMaster:
             "task_constraints": tuple(sorted(req.constraints)),
         })
 
-    def _launch(self, run: TaskRun, node: WorkerNode, gm_id: str, done: float) -> None:
+    def _launch(self, run: TaskRun, node: WorkerNode, ordinal: int, gm_id: str,
+                done: float) -> None:
         request = run.request
         rt = self.running[request.task_id] = RunningTask(run, node.node_id, gm_id)
         rt.info = info = RunningTaskInfo(
             request.task_id, request.user_id, request.demand,
             self.network.send(done, TASK_LAUNCH, self._begin_execution, rt, run=run))
-        self._publish(node, self.available(node) - request.demand, add=info)
+        available = self.partition_nodes[node.partition_id][ordinal].available
+        self._publish(node, ordinal, available - request.demand, add=info)
         self.consumed[request.user_id] = (
             self.consumed.get(request.user_id, ResourceVector.zeros(self.resource_dim))
             + request.demand
@@ -268,7 +281,8 @@ class LocalMaster:
         run = req.run
         _, done = self._begin(run, now, self.costs.lm_repartition)
         source = self.nodes.get(req.node_id)
-        ok = self._fits(source, req) and not source.is_logical  # never carve a logical node
+        ordinal = self._fits(source, req)
+        ok = ordinal is not None and not source.is_logical  # never carve a logical node
         self._audit(req, "repartition", source, ok, done)
 
         if not ok:
@@ -288,12 +302,13 @@ class LocalMaster:
             is_logical=True,
             parent_node=source.node_id,
         )
-        self._publish(source, self.available(source) - req.demand)
-        self._add_node(logical, target)
+        available = self.partition_nodes[source.partition_id][ordinal].available
+        self._publish(source, ordinal, available - req.demand)
+        logical_ordinal = self._add_node(logical, target)
         self.collector.bump("repartitions")
         run.repartitioned = True
 
-        self._launch(run, logical, req.gm_id, done)
+        self._launch(run, logical, logical_ordinal, req.gm_id, done)
         self._respond_launch(
             req, "repartition", logical.node_id,
             self._state(done, (source.partition_id, target.partition_id)),
@@ -348,11 +363,15 @@ class LocalMaster:
         touched = [node.partition_id]
         if node.is_logical:
             parent = self.nodes[node.parent_node]
-            self._publish(parent, self.available(parent) + node.capacity)
+            ordinal = self._ordinal(parent)
+            available = self.partition_nodes[parent.partition_id][ordinal].available
+            self._publish(parent, ordinal, available + node.capacity)
             self._destroy_node(node)
             touched.append(parent.partition_id)
         else:
-            self._publish(node, self.available(node) + info.demand, remove=info)
+            ordinal = self._ordinal(node)
+            available = self.partition_nodes[node.partition_id][ordinal].available
+            self._publish(node, ordinal, available + info.demand, remove=info)
         self.consumed[info.user_id] = self.consumed[info.user_id] - info.demand
         return touched
 

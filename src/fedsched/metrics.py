@@ -46,6 +46,7 @@ class AllocationRecord(NamedTuple):
 
 
 RECORD_FIELDS = AllocationRecord._fields
+_new_tuple = tuple.__new__
 
 
 class TaskRun:
@@ -119,7 +120,8 @@ class MetricsCollector:
         if run.record is not None:
             return
         request = run.request
-        run.record = AllocationRecord(
+        # tuple.__new__ fills the record in C, past the generated Python __new__
+        run.record = _new_tuple(AllocationRecord, (
             request.task_id,
             request.job_id,
             request.user_id,
@@ -134,7 +136,7 @@ class MetricsCollector:
             run.attempts,
             run.repartitioned,
             run.preempted_caused,
-        )
+        ))
         self.records.append(run.record)
 
     def note_completed(self) -> None:

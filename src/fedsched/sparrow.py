@@ -1,18 +1,25 @@
 """Probe-based baseline: sample d workers per task, enqueue at the shortest queue.
 
 Each task triggers d probes to distinct workers chosen uniformly among those
-satisfying its constraints.  Worker constraints never change, so eligibility
-is computed once per distinct task constraint set when the cluster is built:
-each scheduler is handed that map, with every list in worker (node id) order.
-Workers answer with an estimated queue wait (sum of queued task durations
-over slot count); the task is sent to the lowest estimate, ties broken by
-lower node id.  Workers run a fixed number of slots and queue the rest FIFO,
-so allocation time includes worker-side queuing -- the component the
-federated design eliminates by validating before launch.
+satisfying its constraints: the workers `random.sample(eligible, d)` returns,
+in its order, or every eligible worker when there are d or fewer.  Above
+sample's set size (21 for d <= 5) the scheduler makes sample's own draw
+inline: each of the d indices is `randrange(n)`, redrawn while it repeats an
+earlier one, which leaves the generator where sample would.  `randrange(n)`
+is itself `getrandbits(n.bit_length())` redrawn while it is n or more, and
+the indices are drawn that way here.  Worker constraints never change, so
+eligibility is computed once per distinct task constraint set when the
+cluster is built: each scheduler is handed that map, with every list in
+worker (node id) order.  Workers answer with an estimated queue wait (sum of
+queued task durations over slot count); the task is sent to the lowest
+estimate, ties broken by lower node id.  Workers run a fixed number of slots
+and queue the rest FIFO, so allocation time includes worker-side queuing --
+the component the federated design eliminates by validating before launch.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from .core import TaskRequest
@@ -58,6 +65,9 @@ class ProbeScheduler:
         self.collector = collector
         self.probe_count = probe_count
         self.rng = random.Random(f"{seed}/probe/{scheduler_id}")
+        # random.sample draws indices with rejection from a population larger
+        # than its set size (21 for up to 5 picks); below it, call sample
+        self.draw_above = 21 if probe_count <= 5 else math.inf
         self.clock = ActorClock()
         self.round_trip = 2 * network.delay[PROBE]
 
@@ -70,8 +80,24 @@ class ProbeScheduler:
         run.attempts += 1
 
         eligible = self.eligible[request.constraints]
-        sample = (self.rng.sample(eligible, self.probe_count)
-                  if len(eligible) > self.probe_count else eligible)
+        n = len(eligible)
+        if n > self.draw_above:
+            # random.sample's own draw for a population this large: each
+            # index is randrange(n), that is getrandbits(n.bit_length())
+            # redrawn while >= n, and it is redrawn while it repeats a pick
+            getrandbits = self.rng.getrandbits
+            bits = n.bit_length()
+            picked = []
+            for _ in range(self.probe_count):
+                j = getrandbits(bits)
+                while j >= n or j in picked:
+                    j = getrandbits(bits)
+                picked.append(j)
+            sample = [eligible[j] for j in picked]
+        elif n > self.probe_count:
+            sample = self.rng.sample(eligible, self.probe_count)
+        else:
+            sample = eligible
 
         # probes fan out in parallel: one round trip sits on the critical
         # path, so the task is charged two hops rather than two per probe

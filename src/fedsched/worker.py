@@ -46,6 +46,8 @@ class FifoWorker:
         self.queue: deque[tuple[TaskRun, float]] = deque()
 
     def estimated_wait(self) -> float:
+        if not self.queue:
+            return 0.0
         return sum(run.request.duration for run, _ in self.queue) / self.slots
 
     def enqueue(self, run: TaskRun, now: float) -> None:

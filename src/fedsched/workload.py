@@ -17,10 +17,12 @@ draws is > 0 and every demand is non-zero; a bool is never a number there.
 not a non-negative int, so the plain `frozenset` of ids each task carries
 needs no check of its own.
 
-Each synthetic task is built once: its constraints are drawn in the
-generation pass, from the same `{seed}/task-constraints` stream and in the
-same order that `augment_constraints` draws them for a trace.  Synthetic
-tasks that draw no constraint share `NO_CONSTRAINTS`.
+Each synthetic task is built once, with its user and its load-scaled
+arrival: its constraints are drawn in the generation pass, from the same
+`{seed}/task-constraints` stream and in the same order that
+`augment_constraints` draws them for a trace, and its job is dealt to a user
+as `assign_users` deals a trace's jobs.  Synthetic tasks that draw no
+constraint share `NO_CONSTRAINTS`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Sequence
 
 from .core import (DEFAULT_CONSTRAINT_COUNT, NO_CONSTRAINTS, ResourceVector, TaskRequest,
                    WorkerNode)
@@ -255,6 +258,8 @@ def generate_synthetic(
     seed: int,
     arrival: str = "poisson",
     constraint_probabilities: dict[int, float] | None = None,
+    user_ids: Sequence[str] = ("",),
+    load_factor: float = 1.0,
 ) -> list[TaskRequest]:
     """Generate `count` tasks at a mean arrival rate of `rate` tasks/second.
 
@@ -264,8 +269,12 @@ def generate_synthetic(
     ("exp", mean) or ("choice", [values], [weights]); `demand` is a constant
     vector or a [(vector, weight), ...] mixture.  With
     `constraint_probabilities` each task's constraints are drawn as
-    `augment_constraints` draws them.
+    `augment_constraints` draws them.  Jobs (ten tasks each) are dealt to
+    `user_ids` round-robin, as `assign_users` deals them, and each arrival
+    time is divided by `load_factor`; by default every task has user id "".
     """
+    if not user_ids:
+        raise ConfigurationError("synthetic generation needs at least one user id")
     if count <= 0:
         raise ConfigurationError("synthetic count must be positive")
     if rate <= 0:
@@ -304,9 +313,11 @@ def generate_synthetic(
             return demand
         return rng.choices(vectors, cum_weights=cum_weights)[0]
 
+    users = len(user_ids)
     # demand is drawn before duration for each task, as the seed's stream expects
-    return [TaskRequest(f"t{i:06d}", f"j{i // 10:05d}", "", draw_demand(), constraints[i],
-                        arrivals[i], draw_duration())
+    return [TaskRequest(f"t{i:06d}", f"j{i // 10:05d}", user_ids[i // 10 % users],
+                        draw_demand(), constraints[i], arrivals[i] / load_factor,
+                        draw_duration())
             for i in range(count)]
 
 

@@ -111,7 +111,7 @@ def build_cluster(
                 ))
                 total = total + capacity
             lm.add_partition(Partition(
-                partition_id=partition_id, lm_id=lm_id, owner_gm_id=gm_id,
+                partition_id=partition_id, owner_gm_id=gm_id,
                 node_ids={spec[0]: o for o, spec in enumerate(specs)},
                 bits=constraint_bits(constraint_count, [spec[2] for spec in specs]),
             ))

@@ -216,7 +216,7 @@ def test_iter_ordinals_enumerates_set_bits(mask):
 
 def partition_of(sets, m=8):
     """A partition built by appending one node per constraint set."""
-    part = Partition("p", "lm", "gm", node_ids={}, bits=constraint_bits(m, []))
+    part = Partition("p", "gm", node_ids={}, bits=constraint_bits(m, []))
     for i, machine in enumerate(sets):
         part.append_node(f"n{i}", machine)
     return part

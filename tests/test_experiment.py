@@ -1,6 +1,8 @@
 """Config-driven experiment runs, report files, sweeps, and the CLI."""
 
+import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -9,9 +11,10 @@ from fedsched.cli import main
 from fedsched.config import UserSpec, config_from_dict
 from fedsched.core import ResourceVector
 from fedsched.errors import ConfigurationError, SimulationError
-from fedsched.experiment import (build_megha, build_workload, effective_users,
-                                 run_experiment, sweep, write_reports)
-from fedsched.metrics import RECORD_FIELDS
+from fedsched import experiment
+from fedsched.experiment import (ExperimentResult, build_megha, build_workload,
+                                 effective_users, run_experiment, sweep, write_reports)
+from fedsched.metrics import RECORD_FIELDS, AllocationRecord
 
 TRACE_HEADER = "arrival_s,job_id,task_id,cpu,mem_mb,duration_s,constraints"
 SAMPLE_TRACE = str(Path(__file__).resolve().parent.parent / "configs" / "sample-trace.csv")
@@ -422,6 +425,47 @@ def test_jsonl_report_shape(tmp_path):
     assert len(lines) == 5
     row = json.loads(lines[0])
     assert set(row) == set(RECORD_FIELDS)
+
+
+PLAIN_IDS = ("", " ", "\t", "t\u00e2che-\u00e9", "a b", "x'y", "p%sq")
+QUOTED_IDS = ("a,b", 'say "hi"', "cr\rhere", "nl\nhere")
+ODD_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2, 1 / 3,
+              1234567.8901234567, 5e-324, 1e300, 7)
+
+
+def odd_records(ids):
+    """Records with each id in every id column, and many-digit, signed and
+    infinite floats, an int, bools and counts in the other columns."""
+    records = []
+    for i, text in enumerate(ids):
+        floats = [ODD_FLOATS[(i + k) % len(ODD_FLOATS)] for k in range(7)]
+        records.append(AllocationRecord(text, f"j{i}", "u0", "sparrow", *floats,
+                                        i + 1, i % 2 == 0, 3 * i))
+        records.append(AllocationRecord(f"t{i}", text, text, text, *floats,
+                                        True, False, 0))
+    return records
+
+
+@pytest.mark.parametrize("ids, writer_calls", [
+    (PLAIN_IDS, 0),
+    *(((*PLAIN_IDS, quoted), 1) for quoted in QUOTED_IDS),
+])
+def test_csv_report_is_what_csv_writer_writes(ids, writer_calls, tmp_path, monkeypatch):
+    records = odd_records(ids)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(RECORD_FIELDS)
+        writer.writerows(map(experiment._csv_row, records))
+    calls = []
+    real_writer = csv.writer
+    monkeypatch.setattr(experiment.csv, "writer",
+                        lambda *a, **kw: calls.append(1) or real_writer(*a, **kw))
+    result = ExperimentResult(config=base_config(), records=records, summary={},
+                              counters={})
+    paths = write_reports(result, str(tmp_path / "out"))
+    assert Path(paths["tasks"]).read_bytes() == reference.read_bytes()
+    assert len(calls) == writer_calls  # the fallback writes only ids that need quoting
 
 
 def test_sweep_runs_one_experiment_per_value():

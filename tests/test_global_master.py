@@ -199,8 +199,7 @@ def test_seed_requires_exactly_one_partition_per_lm():
     collector = MetricsCollector()
     lm = LocalMaster("lm0", loop, network, ZERO_COSTS, collector)
     for j in range(2):
-        lm.add_partition(Partition(partition_id=f"p{j}", lm_id="lm0",
-                                   owner_gm_id="gm0", node_ids={},
+        lm.add_partition(Partition(partition_id=f"p{j}", owner_gm_id="gm0", node_ids={},
                                    bits=constraint_bits(21, [])))
     gm = GlobalMaster("gm0", loop, network, ZERO_COSTS, collector)
     with pytest.raises(ConfigurationError):

@@ -57,7 +57,7 @@ def one_lm(spec, *, costs=ZERO_COSTS, heartbeat_period=10.0, constraint_count=21
                                    partition_id=partition_id, capacity=capacity,
                                    machine_constraints=machine))
         lm.add_partition(Partition(
-            partition_id=partition_id, lm_id="lm0", owner_gm_id=gm_id,
+            partition_id=partition_id, owner_gm_id=gm_id,
             node_ids={node[0]: o for o, node in enumerate(spec[gm_id])},
             bits=constraint_bits(constraint_count, [node[2] for node in spec[gm_id]])))
     gms = {gm_id: FakeGM(gm_id) for gm_id in sorted(spec)}

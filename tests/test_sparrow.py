@@ -1,6 +1,7 @@
 """Probe baseline: sampling, estimate-based choice, and FIFO worker queuing."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -108,6 +109,28 @@ def test_sample_shrinks_to_eligible_pool():
     assert record_of(collector, "t0") is not None  # three probes, no sampling error
 
 
+@pytest.mark.parametrize("n", [2, 3, 20, 21, 22, 1000, 1024])
+@pytest.mark.parametrize("k", [1, 2, 5, 6])
+@pytest.mark.parametrize("seed", [0, 104729])
+def test_probes_go_to_the_workers_random_sample_picks(n, k, seed, monkeypatch):
+    sched, workers, loop, collector = setup([(f"w{i:04d}", 1) for i in range(n)],
+                                            probe_count=k, seed=seed)
+    pool = list(workers.values())
+    reference = random.Random()
+    reference.setstate(sched.rng.getstate())
+    sent = []
+    send = sched.network.send
+    monkeypatch.setattr(sched.network, "send",
+                        lambda t, kind, handler, arg, **kw: sent.append(arg[1])
+                        or send(t, kind, handler, arg, **kw))
+    for i in range(3):
+        sent.clear()
+        sched.on_task_arrival(task(f"t{i}"), 0.0)
+        # with k or fewer eligible workers every one is probed, and nothing drawn
+        assert sent == (reference.sample(pool, k) if n > k else pool)
+        assert sched.rng.getstate() == reference.getstate()
+
+
 def test_constraint_filter_and_unschedulable_marking():
     # eligibility is worked out once, when the cluster is built: both
     # workers carry constraint 1, and a task needing 2 never reaches a
@@ -156,6 +179,7 @@ def test_estimated_wait_is_queued_durations_over_slots():
     for tid in ("t1", "t2"):  # fill both slots
         worker.enqueue(TaskRun(task(tid, duration=5.0)), 0.0)
     assert worker.estimated_wait() == 0.0  # running work is not queued work
+    assert type(worker.estimated_wait()) is float
     for tid in ("t3", "t4", "t5"):
         worker.enqueue(TaskRun(task(tid, duration=2.0)), 0.0)
     assert worker.estimated_wait() == pytest.approx(3.0)

@@ -316,3 +316,17 @@ class TestAssignUsers:
     def test_needs_users(self):
         with pytest.raises(ConfigurationError):
             assign_users([], [])
+        with pytest.raises(ConfigurationError):
+            synthetic(10, user_ids=[])
+
+    @pytest.mark.parametrize("seed", [0, 1, 104729])
+    @pytest.mark.parametrize("users", [["a"], ["a", "b", "c"], ["u0", "u1", "u2", "u3"]])
+    @pytest.mark.parametrize("factor", [1.0, 1.5])
+    def test_generation_matches_a_load_rescale_then_assign_users(self, seed, users, factor):
+        spec = dict(rate=40.0, duration=("exp", 2.0), seed=seed,
+                    demand=[(ResourceVector.of(1, 256), 1), (ResourceVector.of(2, 512), 3)],
+                    constraint_probabilities={3: 0.3})
+        old = synthetic(250, **spec)
+        old = [t._replace(arrival_time=t.arrival_time / factor) for t in old]
+        old = assign_users(old, users)
+        assert synthetic(250, **spec, user_ids=users, load_factor=factor) == old
