@@ -30,7 +30,7 @@ from .metrics import AllocationRecord, MetricsCollector, RECORD_FIELDS, summariz
 from .sparrow import ProbeScheduler
 from .state import FIT_MASKS, ClusterView, RunningTaskInfo
 from .worker import FifoWorker
-from .workload import (assign_machine_constraints, assign_users,
+from .workload import (_check_span, _finite, assign_machine_constraints, assign_users,
                        augment_constraints, generate_synthetic, load_trace)
 
 log = logging.getLogger(__name__)
@@ -63,6 +63,8 @@ def build_workload(config: ExperimentConfig, users: list[UserSpec]) -> list[Task
         tasks = load_trace(spec.path, cpu_divisor=spec.cpu_divisor,
                            mem_divisor=spec.mem_divisor,
                            constraint_count=config.constraint_count)
+        if tasks:
+            _check_span(tasks[-1].arrival_time, spec.load_factor)
         if spec.constraint_probabilities:
             tasks = augment_constraints(tasks, spec.constraint_probabilities, config.seed)
         if spec.load_factor != 1.0:
@@ -480,24 +482,25 @@ def write_audits(result: ExperimentResult, out_dir: str) -> dict[str, str]:
     return paths
 
 
-SWEEP_AXES = ("workers", "gm_count", "lm_count", "load")
+_SWEEP_FIELDS = {"workers": "workers_per_lm", "gm_count": "gm_count", "lm_count": "lm_count"}
+SWEEP_AXES = (*_SWEEP_FIELDS, "load")
 
 
 def sweep(config: ExperimentConfig, axis: str, values: list[float],
           *, check_invariants: bool = False) -> list[tuple[float, ExperimentResult]]:
-    """Run the config once per value of one axis."""
+    """Run the config once per value of one axis, once every variant validates."""
     if axis not in SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r} (want one of {SWEEP_AXES})")
-    results = []
+    variants = []
     for value in values:
         variant = copy.deepcopy(config)
-        if axis == "workers":
-            variant.workers_per_lm = int(value)
-        elif axis == "gm_count":
-            variant.gm_count = int(value)
-        elif axis == "lm_count":
-            variant.lm_count = int(value)
-        else:
+        if axis == "load":
             variant.workload.load_factor = float(value)
-        results.append((value, run_experiment(variant, check_invariants=check_invariants)))
-    return results
+        elif _finite(value) and float(value).is_integer():
+            setattr(variant, _SWEEP_FIELDS[axis], int(value))
+        else:
+            raise ConfigurationError(f"sweep axis {axis} takes whole numbers, got {value!r}")
+        variant.validate()
+        variants.append((value, variant))
+    return [(value, run_experiment(variant, check_invariants=check_invariants))
+            for value, variant in variants]

@@ -69,8 +69,6 @@ class LocalMaster:
         heartbeat_period: float = 10.0,
         resource_dim: int = 2,
     ) -> None:
-        if heartbeat_period <= 0:
-            raise ConfigurationError("heartbeat period must be positive")
         self.lm_id = lm_id
         self.loop = loop
         self.network = network

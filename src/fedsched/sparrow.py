@@ -25,7 +25,6 @@ import random
 from .core import TaskRequest
 from .engine import (PROBE, PROBE_REPLY, TASK_LAUNCH, ActorClock, CostModel,
                      EventLoop, Network)
-from .errors import ConfigurationError
 from .metrics import MetricsCollector, TaskRun
 from .worker import FifoWorker
 
@@ -55,8 +54,6 @@ class ProbeScheduler:
         probe_count: int = 2,
         seed: int = 0,
     ) -> None:
-        if probe_count < 1:
-            raise ConfigurationError("probe_count must be >= 1")
         self.scheduler_id = scheduler_id
         self.loop = loop
         self.network = network

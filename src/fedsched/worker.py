@@ -12,7 +12,6 @@ from collections import deque
 from typing import Any
 
 from .engine import EventLoop, Handler
-from .errors import ConfigurationError
 from .metrics import MetricsCollector, TaskRun
 
 
@@ -36,8 +35,6 @@ class FifoWorker:
 
     def __init__(self, node_id: str, slots: int, loop: EventLoop,
                  collector: MetricsCollector) -> None:
-        if slots <= 0:
-            raise ConfigurationError(f"worker {node_id}: slot count must be positive")
         self.node_id = node_id
         self.slots = slots
         self.loop = loop

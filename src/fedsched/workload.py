@@ -8,21 +8,13 @@ demands at data-center scale, so loading divides cpu and mem_mb by configured
 divisors (defaults 400 and 50) and clamps anything that lands at zero up to
 one unit, keeping demands exact integers.
 
-Task requests check nothing themselves; their fields are checked here, where
-they enter.  `load_trace` checks each row (UTF-8 text, finite numbers,
-constraint ids in range, duration > 0, arrival >= 0).  `generate_synthetic`
-checks its duration and demand specs once per call, so every duration it
-draws is > 0 and every demand is non-zero; a bool is never a number there.
-`generate_synthetic` and `augment_constraints` reject a constraint id that is
-not a non-negative int, so the plain `frozenset` of ids each task carries
-needs no check of its own.
-
-Each synthetic task is built once, with its user and its load-scaled
-arrival: its constraints are drawn in the generation pass, from the same
-`{seed}/task-constraints` stream and in the same order that
-`augment_constraints` draws them for a trace, and its job is dealt to a user
-as `assign_users` deals a trace's jobs.  Synthetic tasks that draw no
-constraint share `NO_CONSTRAINTS`.
+A config's fields are checked by `config.RULES`.  The exported entries here
+check their own arguments: `load_trace` each row (UTF-8 text, finite numbers
+and scaled demands, constraint ids in range, duration > 0, arrival >= 0),
+`generate_synthetic` its specs (durations > 0, non-zero demands, a load factor
+that leaves the last arrival finite), and it and `augment_constraints` their
+constraint ids.  Each synthetic task is built once, its constraints drawn as
+`augment_constraints` draws them and its job dealt as `assign_users` deals it.
 """
 
 from __future__ import annotations
@@ -30,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -45,15 +38,24 @@ def _number(value) -> bool:
 
 
 def _finite(value) -> bool:
-    return _number(value) and math.isfinite(value)
+    """A number a float can hold: not NaN, infinite or an int past the largest float."""
+    return _number(value) and abs(value) <= sys.float_info.max
+
+
+def _show(value) -> str:
+    """`value` for an error message, even holding an int too long for `str`."""
+    try:
+        return repr(value)
+    except ValueError:  # past Python's limit on the digits of an int
+        return f"a {type(value).__name__} too long to print"
 
 
 def _check_weights(weights: list, what: str) -> None:
-    """Weights a random draw can use: finite, none negative, a positive total."""
-    if not (all(_finite(w) and w >= 0 for w in weights) and sum(weights) > 0):
-        raise ConfigurationError(
-            f"{what} weights {list(weights)} must be finite and >= 0 with a positive total"
-        )
+    """Weights a random draw can use: finite, none negative, a positive finite total."""
+    if not (all(_finite(w) and w >= 0 for w in weights)
+            and 0 < sum(map(float, weights)) < math.inf):
+        raise ConfigurationError(f"{what} weights {_show(list(weights))} must be finite "
+                                 "and >= 0 with a positive finite total")
 
 
 def _check_duration(spec) -> None:
@@ -68,9 +70,11 @@ def _check_duration(spec) -> None:
         values = spec[1]
         _check_weights(spec[2], "duration choice")
     else:
-        raise ConfigurationError(f"bad duration spec {spec!r}")
+        raise ConfigurationError(f"bad duration spec {_show(spec)}")
     if not all(_finite(v) and v > 0 for v in values):
-        raise ConfigurationError(f"duration spec {spec!r} needs positive finite values")
+        raise ConfigurationError(f"duration spec {_show(spec)} needs positive finite values")
+    if shape == ("exp", 2) and spec[1] > sys.float_info.max / 64:  # a draw is <= 37 means
+        raise ConfigurationError(f"exp mean {spec[1]!r} can draw an infinite duration")
 
 
 def _check_demand(spec, what: str = "demand") -> list[ResourceVector]:
@@ -87,18 +91,18 @@ def _check_demand(spec, what: str = "demand") -> list[ResourceVector]:
     return vectors
 
 
+def _check_span(last_arrival: float, load_factor: float) -> None:
+    """Arrivals up to `last_arrival`, divided by `load_factor`, must stay finite."""
+    if not (_finite(load_factor) and load_factor > 0
+            and math.isfinite(last_arrival / load_factor)):
+        raise ConfigurationError(f"arrivals up to {last_arrival} over load_factor "
+                                 f"{_show(load_factor)} are not finite times")
+
+
 TRACE_COLUMNS = ("arrival_s", "job_id", "task_id", "cpu", "mem_mb", "duration_s",
                  "constraints")
 
 ARRIVALS = ("poisson", "uniform")
-
-DEFAULT_CPU_DIVISOR = 400
-DEFAULT_MEM_DIVISOR = 50
-
-
-def _scale(value: float, divisor: float) -> int:
-    scaled = int(value / divisor)
-    return scaled if scaled > 0 else 1
 
 
 def _utf8_lines(handle, path: str):
@@ -112,8 +116,8 @@ def _utf8_lines(handle, path: str):
 def load_trace(
     path: str,
     *,
-    cpu_divisor: float = DEFAULT_CPU_DIVISOR,
-    mem_divisor: float = DEFAULT_MEM_DIVISOR,
+    cpu_divisor: float = 400,
+    mem_divisor: float = 50,
     constraint_count: int = DEFAULT_CONSTRAINT_COUNT,
 ) -> list[TaskRequest]:
     """Parse a normalized trace into task requests ordered by arrival."""
@@ -124,6 +128,8 @@ def load_trace(
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL in the path
+        raise TraceFormatError(f"cannot read trace {path!r}: {exc}") from None
     with handle:
         reader = csv.reader(_utf8_lines(handle, path))
         try:
@@ -151,8 +157,10 @@ def load_trace(
                 user_id = row[7].strip() if has_user and len(row) > 7 else ""
             except (ValueError, IndexError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
+            cpu, mem = cpu / cpu_divisor, mem / mem_divisor
             if not all(map(math.isfinite, (arrival, cpu, mem, duration))):
-                raise TraceFormatError(f"{path}:{lineno}: numbers must be finite")
+                raise TraceFormatError(f"{path}:{lineno}: numbers must be finite, and so "
+                                       "must cpu and mem_mb over their divisors")
             if any(cid < 0 or cid >= constraint_count for cid in ids):
                 raise TraceFormatError(
                     f"{path}:{lineno}: constraint id outside [0, {constraint_count})"
@@ -163,7 +171,7 @@ def load_trace(
                 raise TraceFormatError(f"{path}:{lineno}: arrival must be >= 0")
             tasks.append(TaskRequest(
                 task_id, job_id, user_id,
-                ResourceVector.of(_scale(cpu, cpu_divisor), _scale(mem, mem_divisor)),
+                ResourceVector.of(max(int(cpu), 1), max(int(mem), 1)),
                 frozenset(ids), arrival, duration,
             ))
     tasks.sort(key=lambda t: (t.arrival_time, t.task_id))
@@ -210,13 +218,6 @@ class ClusterProfile:
 
     profile_id: str
     probabilities: dict[int, float]
-
-    def __post_init__(self) -> None:
-        for cid, p in self.probabilities.items():
-            if not 0.0 <= p <= 1.0:
-                raise ConfigurationError(
-                    f"profile {self.profile_id}: probability {p} for constraint {cid}"
-                )
 
 
 def assign_machine_constraints(
@@ -267,11 +268,10 @@ def generate_synthetic(
     times ("poisson") rescaled so the overall span is exactly count/rate --
     the realized mean rate matches the target.  `duration` is a constant or
     ("exp", mean) or ("choice", [values], [weights]); `demand` is a constant
-    vector or a [(vector, weight), ...] mixture.  With
-    `constraint_probabilities` each task's constraints are drawn as
-    `augment_constraints` draws them.  Jobs (ten tasks each) are dealt to
-    `user_ids` round-robin, as `assign_users` deals them, and each arrival
-    time is divided by `load_factor`; by default every task has user id "".
+    vector or a [(vector, weight), ...] mixture.  Constraints are drawn as
+    `augment_constraints` draws them, jobs (ten tasks each) are dealt to
+    `user_ids` as `assign_users` deals them, and each arrival is divided by
+    `load_factor`.  By default every task has user id "".
     """
     if not user_ids:
         raise ConfigurationError("synthetic generation needs at least one user id")
@@ -297,6 +297,7 @@ def generate_synthetic(
             arrivals.append(acc)
     else:
         raise ConfigurationError(f"unknown arrival process {arrival!r}")
+    _check_span(arrivals[-1], load_factor)
 
     def draw_duration() -> float:
         if isinstance(duration, (int, float)):

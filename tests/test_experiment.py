@@ -256,6 +256,29 @@ MALFORMED = {
         {}),
     "negative user share": ({"users": [{"user_id": "a", "share": -0.1}]}, {}),
     "user share above one": ({"users": [{"user_id": "a", "share": 1.5}]}, {}),
+    "negative network delay": ({"delays": {"network_delay": -1.0}}, {}),
+    "negative cost": ({"costs": {"lm_validate": -1e-6}}, {}),
+    "machine profile probability above one": (
+        {"machine_profiles": [{"profile_id": "p", "probabilities": {"1": 1.5}}]}, {}),
+    "zero heartbeat_period": ({"heartbeat_period": 0}, {}),
+    "NaN heartbeat_period": ({"heartbeat_period": float("nan")}, {}),
+    "duration choice weights past the largest float": (
+        {}, {"duration": ["choice", [1.0, 2.0], [1e308, 1e308]]}),
+    "demand mixture weights past the largest float": (
+        {}, {"demand": [[[4, 1024], 1e308], [[8, 2048], 1e308]]}),
+    "worker_capacity past 2**53": ({"worker_capacity": [10 ** 400, 16384]}, {}),
+    "int duration past the largest float": ({}, {"duration": 10 ** 400}),
+    "exp mean that can draw an infinite duration": ({}, {"duration": ["exp", 1e308]}),
+}
+
+# Configs that load, but whose workload cannot be built: each is refused when
+# `run` builds it, before any event.
+MALFORMED_WORKLOAD = {
+    "subnormal workload rate": {"rate": 1e-320},
+    "subnormal synthetic load_factor": {"load_factor": 1e-320},
+    "subnormal trace load_factor": {"kind": "trace", "path": SAMPLE_TRACE, "load_factor": 1e-320},
+    "subnormal trace cpu_divisor": {"kind": "trace", "path": SAMPLE_TRACE, "cpu_divisor": 5e-324},
+    "NUL in the trace path": {"kind": "trace", "path": "configs/\x00.csv"},
 }
 
 
@@ -274,6 +297,32 @@ def test_malformed_config_rejected_before_running(case, scheduler, tmp_path, cap
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scheduler", ["megha", "centralized", "sparrow"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_WORKLOAD))
+def test_unbuildable_workload_rejected_before_running(case, scheduler, tmp_path, capsys):
+    data = base_data(scheduler=scheduler, gm_count=1, lm_count=1, workers_per_lm=10,
+                     workload={"kind": "synthetic", "count": 20, "rate": 100.0,
+                               "duration": 1.0, "demand": [4, 1024],
+                               **MALFORMED_WORKLOAD[case]})
+    cfg = config_from_dict(data)
+    with pytest.raises(ConfigurationError):
+        build_workload(cfg, effective_users(cfg))
+    assert main(["run", "--config", write_config(tmp_path, data),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ['{"gm_count": ' + "1" * 5000 + "}", b"\xff\xfe{}"],
+                         ids=["int past the digit limit", "not UTF-8"])
+def test_unreadable_config_json_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["validate-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid JSON" in err and "Traceback" not in err
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -478,6 +527,17 @@ def test_sweep_runs_one_experiment_per_value():
         sweep(cfg, "bogus", [1])
 
 
+@pytest.mark.parametrize("axis, value", [
+    ("workers", 2.7), ("workers", math.inf), ("workers", math.nan), ("gm_count", 1.5),
+    ("lm_count", -math.inf), ("load", math.nan), ("load", math.inf), ("load", 0.0)])
+def test_sweep_refuses_a_bad_axis_value_before_running(axis, value, monkeypatch):
+    runs = []
+    monkeypatch.setattr(experiment, "run_experiment", lambda *a, **kw: runs.append(1))
+    with pytest.raises(ConfigurationError, match="workers|gm_count|lm_count|load_factor"):
+        sweep(base_config(gm_count=1, lm_count=1), axis, [2, value])
+    assert runs == []
+
+
 # -- the command line -----------------------------------------------------------------
 
 
@@ -571,3 +631,13 @@ def test_cli_sweep(tmp_path, capsys):
     assert (out_dir / "workers-4" / "tasks.csv").exists()
     printed = capsys.readouterr().out
     assert "workers=2:" in printed and "workers=4:" in printed
+
+
+@pytest.mark.parametrize("axis, values", [("load", "nan"), ("load", "0.7,inf"),
+                                          ("workers", "2.7"), ("workers", "inf")])
+def test_cli_sweep_bad_value_exits_2(axis, values, tmp_path, capsys):
+    path = write_config(tmp_path, base_data())
+    assert main(["sweep", "--config", path, "--axis", axis, "--values", values,
+                 "--out-dir", str(tmp_path / "sweep")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()

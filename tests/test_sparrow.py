@@ -7,7 +7,6 @@ import pytest
 
 from fedsched.config import ExperimentConfig
 from fedsched.engine import DelayModel, EventLoop, Network
-from fedsched.errors import ConfigurationError
 from fedsched.experiment import build_sparrow
 from fedsched.metrics import MetricsCollector, TaskRun
 from fedsched.sparrow import ProbeScheduler
@@ -194,20 +193,6 @@ def test_slots_run_concurrently():
     assert record_of(collector, "t0").worker_queuing_delay == 0.0
     assert record_of(collector, "t1").worker_queuing_delay == 0.0
     assert record_of(collector, "t2").worker_queuing_delay == pytest.approx(1.0, abs=1e-9)
-
-
-def test_worker_rejects_nonpositive_slots():
-    loop = EventLoop()
-    with pytest.raises(ConfigurationError):
-        FifoWorker("w", 0, loop, MetricsCollector())
-
-
-def test_scheduler_rejects_nonpositive_probe_count():
-    loop = EventLoop()
-    network = Network(loop, DelayModel())
-    with pytest.raises(ConfigurationError):
-        ProbeScheduler("s", loop, network, {}, ZERO_COSTS, MetricsCollector(),
-                       probe_count=0)
 
 
 def test_low_load_median_beats_federated_scheduler():
