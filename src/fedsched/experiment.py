@@ -301,7 +301,8 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
 
 
 def check_snapshot_cache(lm: LocalMaster) -> None:
-    """Every partition's snapshot list matches its nodes and running tasks."""
+    """Every partition's snapshot list matches its nodes and running tasks, and
+    its change log is shorter than the list and names only its ordinals."""
     by_node: dict[str, list[RunningTaskInfo]] = {}
     for task_id in sorted(lm.running):
         rt = lm.running[task_id]
@@ -314,6 +315,9 @@ def check_snapshot_cache(lm: LocalMaster) -> None:
                 for snap in lm.partition_nodes[pid]]
         if kept != fresh:
             raise SimulationError(f"{pid}: snapshot list != rebuild from its nodes")
+        log = lm.partition_logs[pid]
+        if log and not (len(log) < len(fresh) and 0 <= min(log) and max(log) < len(fresh)):
+            raise SimulationError(f"{pid}: change log {log} for {len(fresh)} nodes")
 
 
 def check_view_index(gm: GlobalMaster) -> None:
@@ -323,10 +327,13 @@ def check_view_index(gm: GlobalMaster) -> None:
     rebuilt from the viewed availability, each candidate mask and charge what
     `candidates` returns for the snapshot's bits, and at most FIT_MASKS fit
     masks are kept; and `match` must return what a first-fit walk over the
-    candidates returns, counts included.
+    candidates returns, counts included.  The version seen lies within the
+    log held.
     """
     for (lm_id, pid), part in gm.view.partitions.items():
         where = f"{gm.gm_id}: view of {lm_id}/{pid}"
+        if part.seen > len(part.log):
+            raise SimulationError(f"{where}: version {part.seen} past its log")
         viewed = [part.deducted.get(o, node.available) for o, node in enumerate(part.nodes)]
         if part.columns != [list(c) for c in zip(*viewed)]:
             raise SimulationError(f"{where}: columns != viewed availability")

@@ -11,23 +11,32 @@ per-user consumption, and merges never move a view backwards in time.
 Both ends keep this state incrementally, with one copy of a node's
 availability on each: the LM's published `NodeSnapshot`, which a GM's
 `ViewPartition` reads as received unless its deduction overlay holds the
-node.  The LM hands over the same object for every node it has not touched
-since the last message, and the view re-reads only the nodes whose object
-changed, plus the overlay's, so the host cost of a merge follows the nodes
-that changed rather than the partition's size.  The simulated merge charge
-still counts every node carried.  A partition's constraint bits travel as the
-LM's own immutable `Partition.bits` tuple, which the view reads as it stands,
-so neither end copies them per message.
+node.  A partition snapshot carries every node, but it also carries the LM's
+change log for the partition, an append-only list of the ordinals replaced
+since the list was started, shared and never copied, and its length as
+`version`.  A view that holds the same list re-reads only the ordinals
+between the version it saw and the snapshot's, plus the overlay's, so the
+host cost of a merge follows the nodes that changed rather than the
+partition's size.  Messages with equal timestamps can arrive out of order,
+so the window runs backwards for an older version.  One LM serves several
+GMs and each view keeps its own version, so nothing is cleared on send.  A
+snapshot with another list (the LM starts a new one when a node is added or
+removed, or when the log would grow to the partition's size) rebuilds the
+view, as a change of node count or constraint bits does; that happens at most
+once per partition-size worth of publishes.  The simulated merge charge still
+counts every node carried.  A partition's constraint bits travel as the LM's
+own immutable `Partition.bits` tuple, which the view reads as it stands, so
+neither end copies them per message.
 
-The snapshot records are `NamedTuple`s: immutable, as the GM's identity diff
-requires of a published `NodeSnapshot`, and built at tuple speed, since every
-message carries several.
+The snapshot records are `NamedTuple`s: immutable, as a view keeps the
+`NodeSnapshot`s it received as its copy of each node, and built at tuple
+speed, since every message carries several.
 """
 
 from __future__ import annotations
 
 from itertools import compress, repeat
-from operator import ge, is_not
+from operator import ge
 from typing import NamedTuple
 
 from .core import ResourceVector, candidates
@@ -54,6 +63,11 @@ class PartitionSnapshot(NamedTuple):
     owner_gm_id: str
     nodes: tuple[NodeSnapshot, ...]
     bits: tuple[int, ...]  # the LM's `Partition.bits`, shared, never copied
+    # the LM's change log for the partition, shared, never copied, and its
+    # length when `nodes` was taken: log[:version] names every ordinal
+    # replaced since the list was started
+    log: list[int]
+    version: int
 
 
 class LMStateSnapshot(NamedTuple):
@@ -98,15 +112,17 @@ class ViewPartition:
     `fits[demand]` has bit j set iff `available(j)` covers that demand, and
     `cands[constraint ids]` holds what `candidates` returns for the snapshot's
     `bits`: the candidate mask and its word-op charge.
-    Both are kept incrementally, `fits` for at most FIT_MASKS demands.  The
-    LM hands over the same `NodeSnapshot` object for a node it has not
-    touched, so `refresh` re-reads only the ordinals whose object changed and
-    the overlay's, then drops the overlay: the same as overwriting it all.
-    A change in node count or in the constraint bits rebuilds everything.
+    Both are kept incrementally, `fits` for at most FIT_MASKS demands.
+    `log` and `seen` are the LM's change log and the version of it that
+    `nodes` reflects.  `refresh` re-reads the overlay's ordinals and those
+    logged between `seen` and the snapshot's version; it records a re-read
+    node only where its availability differs from the viewed one, then drops
+    the overlay: the same as overwriting it all.  A snapshot with another log,
+    another node count or other constraint bits rebuilds everything.
     """
 
     __slots__ = ("partition_id", "lm_id", "owner_gm_id", "nodes", "columns", "bits",
-                 "deducted", "fits", "cands")
+                 "log", "seen", "deducted", "fits", "cands")
 
     def __init__(self, snapshot: PartitionSnapshot) -> None:
         self.partition_id = snapshot.partition_id
@@ -119,21 +135,27 @@ class ViewPartition:
         self.columns = [list(column) for column in zip(*(n.available for n in nodes))]
         _POWERS.extend(1 << ordinal for ordinal in range(len(_POWERS), len(nodes)))
         self.bits = snapshot.bits
+        self.log, self.seen = snapshot.log, snapshot.version
         self.deducted: dict[int, ResourceVector] = {}
         self.fits: dict[ResourceVector, int] = {}
         self.cands: dict[frozenset[int], tuple[int, int]] = {}
 
     def refresh(self, snapshot: PartitionSnapshot) -> None:
-        """Take a newer snapshot: re-read changed nodes and the overlay, then drop it."""
-        old, nodes = self.nodes, snapshot.nodes
-        if len(old) != len(nodes) or snapshot.bits != self.bits:
+        """Take another snapshot: re-read changed nodes and the overlay, then drop it."""
+        old, nodes, log = self.nodes, snapshot.nodes, snapshot.log
+        if log is not self.log or len(old) != len(nodes) or snapshot.bits != self.bits:
             self._rebuild(snapshot)
             return
-        self.nodes = nodes
-        changed = self.deducted.keys() | compress(range(len(nodes)), map(is_not, old, nodes))
-        self.deducted = {}
+        version, seen, deducted = snapshot.version, self.seen, self.deducted
+        # the window between the two versions, run backwards for an older one
+        changed = set(log[seen:version] if seen <= version else log[version:seen])
+        changed.update(deducted)
+        self.nodes, self.seen, self.deducted = nodes, version, {}
         for ordinal in changed:
-            self._set(ordinal, nodes[ordinal].available)
+            have = nodes[ordinal].available
+            viewed = deducted.get(ordinal)
+            if have != (old[ordinal].available if viewed is None else viewed):
+                self._set(ordinal, have)
 
     def _set(self, ordinal: int, have: ResourceVector) -> None:
         """Record a node's viewed availability in `columns` and every fit mask."""

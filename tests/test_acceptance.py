@@ -239,7 +239,7 @@ def test_c01_bitmap_match_equals_exhaustive_scan():
                                      is_logical=False, parent_node=None,
                                      running=())
                         for i in range(n)),
-            bits=constraint_bits(m, node_cons))
+            bits=constraint_bits(m, node_cons), log=[], version=0)
         got, _, _ = ViewPartition(snapshot).match(cs(*want_cons), demand)
         want = brute_force_match(node_cons, avail, cs(*want_cons), demand)
         if got != want:

@@ -113,11 +113,11 @@ def test_every_exported_name_resolves():
 
 
 def test_wire_and_record_types_are_immutable():
-    """A GM's identity diff relies on a published snapshot never changing."""
+    """A GM view keeps the published snapshots it received as its copy."""
     demand = ResourceVector.of(1, 1)
     info = RunningTaskInfo("t", "u", demand, 0.0)
     node = NodeSnapshot("n", demand, False, None, (info,))
-    part = PartitionSnapshot("p", "lm", "gm", (node,), (1,))
+    part = PartitionSnapshot("p", "lm", "gm", (node,), (1,), [], 0)
     state = LMStateSnapshot("lm", 0.0, (part,), (("u", demand),))
     request = LaunchRequest("gm", "t", "n", demand, frozenset(), None)
     record = AllocationRecord(*range(len(RECORD_FIELDS)))

@@ -104,6 +104,17 @@ def test_constrained_carve_outs_and_preemptions_pass_the_checker():
     assert result.counters["preemptions"] > 0
 
 
+def test_view_check_refuses_a_version_past_the_log():
+    config = base_config()
+    users = effective_users(config)
+    _, _, _, gms = build_megha(config, build_workload(config, users), users)
+    experiment.check_view_index(gms[0])
+    part = next(iter(gms[0].view.partitions.values()))
+    part.seen = len(part.log) + 1
+    with pytest.raises(SimulationError, match="past its log"):
+        experiment.check_view_index(gms[0])
+
+
 def test_centralized_is_the_single_master_configuration():
     with pytest.raises(ConfigurationError):
         base_config(scheduler="centralized")  # gm_count=2 in the base

@@ -113,7 +113,8 @@ def view_of(nodes, m=8):
                                   running=running))
     part = PartitionSnapshot(partition_id="p0", lm_id="lm0", owner_gm_id="gmX",
                              nodes=tuple(snaps),
-                             bits=constraint_bits(m, [n[1] for n in nodes]))
+                             bits=constraint_bits(m, [n[1] for n in nodes]),
+                             log=[], version=0)
     snap = LMStateSnapshot(lm_id="lm0", timestamp=0.0, partitions=(part,),
                            user_consumed=())
     return ClusterView([snap], 2)

@@ -6,7 +6,8 @@ recorded once from the simulator before its LM snapshot cache and GM match
 memo existed (the `sparrow` ones before the probe baseline computed worker
 eligibility once per constraint set), and must never be re-recorded to
 make a change pass.  The contended config's `tasks.jsonl` and audit files
-have digests of their own, recorded the same way.
+have digests of their own, recorded the same way.  The `centralized_large`
+ones were recorded before the LM kept a change log of its partitions.
 """
 
 import hashlib
@@ -14,7 +15,8 @@ import hashlib
 import pytest
 
 from fedsched.config import config_from_dict
-from fedsched.experiment import run_experiment, write_audits, write_reports
+from fedsched.experiment import (build_megha, build_workload, effective_users,
+                                 run_experiment, write_audits, write_reports)
 
 # 3 GMs x 2 LMs x 12 workers (96 slots) under a burst of 240 tasks of 2 s:
 # GMs carve logical nodes out of each other's partitions, those nodes are
@@ -40,6 +42,18 @@ CENTRALIZED = {
                  "duration": 1.0, "demand": [16, 4096],
                  "constraint_probabilities": {"3": 0.3}},
     "seed": 3,
+}
+
+# 1 GM x 1 LM x 400 workers (1,600 slots) at 1,200 tasks/s of 1 s: the one
+# partition is large, the GM races its own in-flight requests so full
+# snapshots travel on failure responses, and its 2,400 launches and releases
+# are several times its node count, so the LM's change log starts over.
+CENTRALIZED_LARGE = {
+    "scheduler": "centralized", "gm_count": 1, "lm_count": 1, "workers_per_lm": 400,
+    "worker_capacity": [64, 16384],
+    "workload": {"kind": "synthetic", "count": 1200, "rate": 1200.0,
+                 "duration": 1.0, "demand": [16, 4096]},
+    "seed": 7,
 }
 
 # Probe baseline over 10 LMs x 20 workers of 4 slots (800 slots) at 700
@@ -68,6 +82,10 @@ GOLDEN = {
     "centralized": (CENTRALIZED, {
         "tasks.csv": "d06ed3bc2ef24d3bfbb7f50273ee429678947e6a5bf68180114e18a9137bc0d0",
         "summary.json": "64465d0907ca45f7050001ed35aa583fddb87152627345ec0b96ff4a7a7bc35b",
+    }),
+    "centralized_large": (CENTRALIZED_LARGE, {
+        "tasks.csv": "1f137857988cbc8fad07917acd120418b4c0fff62391f3ea641453ef07c998a5",
+        "summary.json": "a38c9b9afb6e31aa91b0d1434b8a5fc21656a53b31e42e975f31f987c90fb3ea",
     }),
     "sparrow": (SPARROW, {
         "tasks.csv": "4370aaf24c9d20683444f548e6767b581bc56f2e6744227713d5c1d0d122cc4f",
@@ -116,6 +134,16 @@ def test_contended_config_takes_every_rare_path():
 def test_centralized_config_fails_validations():
     counters = run_experiment(config_from_dict(CENTRALIZED)).counters
     assert counters["inconsistency_failures"] >= 1
+
+
+def test_centralized_large_config_fails_validations_and_restarts_its_log():
+    config = config_from_dict(CENTRALIZED_LARGE)
+    users = effective_users(config)
+    loop, collector, (lm,), _ = build_megha(config, build_workload(config, users), users)
+    first = lm.partition_logs["lm00-p00"]
+    loop.run()
+    assert collector.counters["inconsistency_failures"] >= 1
+    assert lm.partition_logs["lm00-p00"] is not first
 
 
 def test_sparrow_config_queues_at_workers_and_rejects_tasks():

@@ -6,6 +6,7 @@ import pytest
 
 from fedsched.core import Partition, WorkerNode, constraint_bits
 from fedsched.engine import DelayModel, EventLoop, Network
+from fedsched.errors import SimulationError
 from fedsched.experiment import check_conservation, check_snapshot_cache
 from fedsched.local_master import LocalMaster
 from fedsched.messages import LaunchRequest, PreemptRequest
@@ -757,3 +758,55 @@ def test_physical_nodes_keep_their_ordinals_across_carve_outs_and_destruction():
             physical = [n.node_id for n in part.nodes if not n.is_logical]
             assert ids[:len(physical)] == physical == (
                 ["N", "M"] if part.partition_id == "lm0-p0" else ["K", "J"])
+
+
+# -- change log ---------------------------------------------------------------
+
+
+def test_each_replaced_node_is_logged_until_the_log_would_reach_the_node_count():
+    lm, gms, loop, collector = one_lm({"gm0": [
+        ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs()), ("n2", rv(4, 8192), cs())]})
+    first = lm.partition_logs["lm0-p0"]
+    launch(lm, loop, collector, node_id="n2", demand=rv(2, 4096), task_id="a")
+    launch(lm, loop, collector, node_id="n0", demand=rv(2, 4096), task_id="b", at=0.5)
+    loop.run()
+
+    (_, one), (_, two) = gms["gm0"].launch_responses
+    (_, done_a), (_, done_b) = gms["gm0"].completions
+    # every message ships the log itself, and its length when the nodes were taken
+    assert one.state.partitions[0].log is first and one.state.partitions[0].version == 1
+    assert two.state.partitions[0].log is first and two.state.partitions[0].version == 2
+    assert first == [2, 0]  # a third entry would make it as long as the partition
+    new = lm.partition_logs["lm0-p0"]
+    assert new is not first
+    assert done_a.state.partitions[0].log is new and done_a.state.partitions[0].version == 0
+    assert done_b.state.partitions[0].log is new and new == [0]
+    check_snapshot_cache(lm)
+
+
+def test_carve_out_and_destruction_start_new_logs():
+    lm, gms, loop, collector = one_lm({
+        "gm0": [("N", rv(8, 16384), cs()), ("M", rv(8, 16384), cs())],
+        "gm1": [("K", rv(8, 16384), cs()), ("J", rv(8, 16384), cs())]})
+    logs = dict(lm.partition_logs)
+    repartition(lm, loop, collector, source="N", demand=rv(2, 4096), duration=1.0)
+    seen = {}
+    loop.schedule(0.5, lambda _, t: seen.update(lm.partition_logs), None)
+    loop.run()
+
+    assert seen["lm0-p0"] is logs["lm0-p0"] and logs["lm0-p0"] == [0]  # N, carved from
+    assert lm.partition_logs["lm0-p0"] == []  # N's return would have filled the log
+    carved = seen["lm0-p1"]
+    assert carved is not logs["lm0-p1"] and carved == [2]  # the launch on N.l1
+    assert lm.partition_logs["lm0-p1"] is not carved and lm.partition_logs["lm0-p1"] == []
+    check_snapshot_cache(lm)
+
+
+@pytest.mark.parametrize("log", [[0, 1], [2], [-1]])
+def test_snapshot_cache_check_refuses_a_log_too_long_or_off_the_partition(log):
+    lm, gms, loop, collector = one_lm({"gm0": [
+        ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs())]})
+    check_snapshot_cache(lm)
+    lm.partition_logs["lm0-p0"] = log
+    with pytest.raises(SimulationError, match="change log"):
+        check_snapshot_cache(lm)

@@ -2,7 +2,8 @@
 
 import random
 
-from fedsched.core import ResourceVector, constraint_bits
+from fedsched.core import Partition, ResourceVector, WorkerNode, constraint_bits
+from fedsched.local_master import LocalMaster
 from fedsched.state import (FIT_MASKS, ClusterView, LMStateSnapshot, NodeSnapshot,
                             PartitionSnapshot, ViewPartition)
 
@@ -28,6 +29,7 @@ def make_partition_snapshot(partition_id="p0", lm_id="lm0", owner="gm0",
     return PartitionSnapshot(
         partition_id=partition_id, lm_id=lm_id, owner_gm_id=owner,
         nodes=tuple(node_snaps), bits=constraint_bits(m, [n[1] for n in nodes]),
+        log=[], version=0,
     )
 
 
@@ -204,9 +206,7 @@ class TestViewPartitionIndex:
         first = index_snapshot(self.AVAIL)
         part = ViewPartition(first)
         assert_matches_oracles(part, INDEX_SETS, self.AVAIL, INDEX_QUERIES)
-        changed = NodeSnapshot(node_id="n4", available=rv(9, 900), is_logical=False,
-                               parent_node=None, running=())
-        part.refresh(first._replace(nodes=first.nodes[:4] + (changed,)))
+        part.refresh(logged(first, {4: rv(9, 900)}))
         avail = self.AVAIL[:4] + [rv(9, 900)]
         assert viewed(part) == avail
         assert part.match(frozenset({1}), rv(9, 900))[0] == 4
@@ -232,9 +232,7 @@ class TestViewPartitionIndex:
         part.deduct(1, rv(5, 500))  # the LM will not touch n1
         part.deduct(3, rv(4, 400))  # the LM will publish n3 anew
         assert part.deducted == {1: rv(3, 300), 3: rv(0, 0)}
-        nodes = list(first.nodes)
-        nodes[3] = nodes[3]._replace(available=rv(1, 100))
-        part.refresh(first._replace(nodes=tuple(nodes)))
+        part.refresh(logged(first, {3: rv(1, 100)}))
         assert part.deducted == {}
         assert part.nodes[1] is first.nodes[1]
         avail = [rv(2, 200), rv(8, 800), rv(3, 300), rv(1, 100), rv(1, 100)]
@@ -284,15 +282,173 @@ class TestViewPartitionIndex:
                         part.deduct(ordinal, demand)
                         avail[ordinal] = avail[ordinal] - demand
                 assert_matches_oracles(part, sets, avail, queries)
-                # the LM's next snapshot: a few nodes change, the rest are the
-                # same objects, and every deduction is overwritten
-                nodes = list(snap.nodes)
-                avail = [n.available for n in nodes]
-                for ordinal in rng.sample(range(n), rng.randint(0, min(n, 3))):
-                    avail[ordinal] = rv(rng.randint(0, 8), rng.randint(0, 8))
-                    nodes[ordinal] = nodes[ordinal]._replace(available=avail[ordinal])
-                snap = snap._replace(nodes=tuple(nodes))
+                # the LM's next snapshot: a few nodes change and are logged,
+                # the rest are the same objects, and every deduction is overwritten
+                snap = logged(snap, {
+                    ordinal: rv(rng.randint(0, 8), rng.randint(0, 8))
+                    for ordinal in rng.sample(range(n), rng.randint(0, min(n, 3)))})
+                avail = [node.available for node in snap.nodes]
                 part.refresh(snap)
+
+
+def assert_fresh(part, snap, queries=INDEX_QUERIES):
+    """The view holds what a view built from `snap` alone holds: its nodes and
+    log, no overlay, the same columns, every kept fit mask rebuilt, and the
+    same `match` answers."""
+    fresh = ViewPartition(snap)
+    assert part.nodes is snap.nodes and part.deducted == {}
+    assert part.log is snap.log and part.seen == snap.version
+    assert part.columns == fresh.columns
+    for demand, fit in part.fits.items():
+        assert fit == fresh._fit_mask(demand), demand
+    for constraints, demand in queries:
+        assert part.match(constraints, demand) == fresh.match(constraints, demand)
+
+
+def logged(snap, changes):
+    """`snap` after the LM replaced each node in `changes` ({ordinal: available}),
+    logging each ordinal on the snapshot's log."""
+    nodes = list(snap.nodes)
+    for ordinal, available in changes.items():
+        nodes[ordinal] = nodes[ordinal]._replace(available=available)
+        snap.log.append(ordinal)
+    return snap._replace(nodes=tuple(nodes), version=len(snap.log))
+
+
+def spy_on_set(monkeypatch):
+    """Record the ordinal of every `ViewPartition._set` call from now on."""
+    calls = []
+    inner = ViewPartition._set
+
+    def spy(self, ordinal, have):
+        calls.append(ordinal)
+        inner(self, ordinal, have)
+
+    monkeypatch.setattr(ViewPartition, "_set", spy)
+    return calls
+
+
+class TestViewPartitionLogWindow:
+    """`refresh` re-reads the logged window and the overlay, not every node."""
+
+    AVAIL = TestViewPartitionIndex.AVAIL
+
+    def start(self):
+        snap = index_snapshot(self.AVAIL)
+        part = ViewPartition(snap)
+        for constraints, demand in INDEX_QUERIES:
+            part.match(constraints, demand)  # keep every fit mask it can
+        return part, snap
+
+    def test_a_window_refresh_equals_a_fresh_build(self):
+        part, first = self.start()
+        part.deduct(1, rv(2, 200))
+        second = logged(first, {3: rv(1, 100), 0: rv(7, 700)})
+        part.refresh(second)
+        assert_fresh(part, second)
+        third = logged(second, {3: rv(4, 400)})
+        part.refresh(third)
+        assert part.seen == 3
+        assert_fresh(part, third)
+
+    def test_an_older_snapshot_runs_the_window_backwards(self):
+        # same-timestamp messages pass the merge's staleness check, so an
+        # older version of the log can arrive after a newer one
+        part, first = self.start()
+        second = logged(first, {2: rv(0, 0)})
+        third = logged(second, {4: rv(9, 900), 2: rv(1, 100)})
+        part.refresh(third)
+        part.deduct(1, rv(8, 800))
+        part.refresh(second)
+        assert part.seen == 1
+        assert_fresh(part, second)
+        part.refresh(first)
+        assert_fresh(part, first)
+        part.refresh(third)
+        assert_fresh(part, third)
+
+    def test_another_log_object_rebuilds(self, monkeypatch):
+        part, first = self.start()
+        part.deduct(1, rv(2, 200))
+        nodes = list(first.nodes)
+        nodes[3] = nodes[3]._replace(available=rv(0, 0))
+        # a new, empty log: a window over it would read nothing, yet node 3 changed
+        second = first._replace(nodes=tuple(nodes), log=[], version=0)
+        reread = spy_on_set(monkeypatch)
+        part.refresh(second)
+        assert reread == [] and part.fits == {} and part.cands == {}
+        assert_fresh(part, second)
+        part.refresh(first)  # the first log again, but the view now holds the second
+        assert_fresh(part, first)
+
+    def test_a_one_entry_window_rereads_only_the_logged_and_overlay_nodes(
+            self, monkeypatch):
+        n = 2000
+        snap = make_partition_snapshot(
+            nodes=[(f"n{i}", frozenset(), rv(8, 800)) for i in range(n)])
+        part = ViewPartition(snap)
+        part.match(frozenset(), rv(8, 800))
+        part.deduct(7, rv(8, 800))  # the LM will not touch n7
+        part.deduct(1500, rv(3, 300))  # the LM launches there, as deducted
+        reread = spy_on_set(monkeypatch)
+        second = logged(snap, {1500: rv(5, 500)})
+        part.refresh(second)
+        assert reread == [7]  # n1500 reads what it viewed: no _set
+        queries = [(frozenset(), rv(8, 800)), (frozenset(), rv(5, 500))]
+        assert_fresh(part, second, queries)
+        reread.clear()
+        third = logged(second, {42: rv(0, 0)})
+        part.refresh(third)
+        assert reread == [42]
+        assert_fresh(part, third, queries)
+
+    def test_random_publishes_and_deliveries_leave_each_view_fresh(self):
+        # a real LM's partition, two GM views, and messages delivered late,
+        # twice or out of order; nodes are carved out and destroyed on the way
+        rng = random.Random(20)
+        queries = [(frozenset(c), rv(*d)) for c in ((), (1,), (1, 2))
+                   for d in ((1, 1), (3, 3), (6, 6))]
+        for _ in range(30):
+            lm = LocalMaster("lm0", None, None, None, None)
+            n = rng.randint(1, 24)
+            nodes = [WorkerNode(f"n{i}", "lm0", "p0", rv(8, 8),
+                                frozenset(c for c in (1, 2) if rng.random() < 0.5))
+                     for i in range(n)]
+            for node in nodes:
+                lm.add_node(node)
+            partition = Partition(
+                "p0", "gm0", {node.node_id: o for o, node in enumerate(nodes)},
+                constraint_bits(4, [node.machine_constraints for node in nodes]))
+            lm.add_partition(partition)
+            sent = [lm.partition_snapshot("p0")]
+            views = [ViewPartition(sent[0]), ViewPartition(sent[0])]
+            logical = []
+            for step in range(80):
+                roll = rng.random()
+                if roll < 0.05:
+                    node = WorkerNode(f"l{step}", "lm0", "p0", rv(2, 2), frozenset({1}),
+                                      is_logical=True, parent_node="n0")
+                    logical.append(node)
+                    lm._add_node(node, partition)
+                elif roll < 0.1 and logical:
+                    lm._destroy_node(logical.pop(rng.randrange(len(logical))))
+                else:
+                    node_id = rng.choice(list(partition.node_ids))
+                    node = lm.nodes[node_id]
+                    lm._publish(node, partition.node_ids[node_id],
+                                rv(rng.randint(0, 8), rng.randint(0, 8)))
+                sent.append(lm.partition_snapshot("p0"))
+                assert not sent[-1].log or len(sent[-1].log) < len(sent[-1].nodes)
+                for view in views:
+                    if rng.random() < 0.6:
+                        for _ in range(rng.randint(0, 2)):
+                            constraints, demand = rng.choice(queries)
+                            ordinal = view.match(constraints, demand)[0]
+                            if ordinal is not None:
+                                view.deduct(ordinal, demand)
+                        snap = rng.choice(sent[-4:])
+                        view.refresh(snap)
+                        assert_fresh(view, snap, queries)
 
 
 def two_node_snapshot(ts, avail_a, avail_b):
