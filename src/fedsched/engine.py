@@ -15,10 +15,10 @@ unordered collections.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
@@ -86,7 +86,9 @@ class EventLoop:
     A configurable cap on events dispatched without task progress aborts runs
     that would otherwise spin forever (e.g. a task no node can ever satisfy
     being rescheduled endlessly).  Arrivals count as events for the cap, for
-    `events_dispatched` and for `post_event_hook`.
+    `events_dispatched` and for `post_event_hook`.  `run` reads the hook and
+    the cap once, when it starts, so set the hook before calling `run`.  The
+    heap and the sequence counter are made once; `Network` holds both.
     """
 
     def __init__(self, *, event_cap: int = 2_000_000) -> None:
@@ -111,7 +113,7 @@ class EventLoop:
             raise SimulationError(
                 f"event scheduled at {fire_time} before current time {self._clock}"
             )
-        heapq.heappush(self._heap, (fire_time, next(self._seq), handler, arg))
+        heappush(self._heap, (fire_time, next(self._seq), handler, arg))
 
     def feed(self, arrivals: list[tuple[float, Handler, Any]]) -> None:
         """Take the run's arrivals, each (time, handler, request), once.
@@ -133,7 +135,7 @@ class EventLoop:
     def _next_arrival(self) -> None:
         if self._arrivals:
             time, handler, request = self._arrivals.pop()
-            heapq.heappush(self._heap, (time, -1, handler, request))
+            heappush(self._heap, (time, -1, handler, request))
 
     def note_progress(self) -> None:
         """Reset the livelock budget; call when a task starts or completes."""
@@ -142,7 +144,8 @@ class EventLoop:
     def run(self) -> None:
         """Dispatch events in (time, seq) order until the heap is empty."""
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
+        hook, cap = self.post_event_hook, self._event_cap
         while heap:
             fire_time, seq, handler, arg = pop(heap)
             self._clock = fire_time
@@ -151,13 +154,13 @@ class EventLoop:
             handler(arg, fire_time)
             self.events_dispatched += 1
             self._since_progress += 1
-            if self._since_progress > self._event_cap:
+            if self._since_progress > cap:
                 raise LivelockError(
-                    f"no task progress within {self._event_cap} events (clock="
+                    f"no task progress within {cap} events (clock="
                     f"{self._clock:.6f}, pending={len(heap) + len(self._arrivals)})"
                 )
-            if self.post_event_hook is not None:
-                self.post_event_hook(fire_time)
+            if hook is not None:
+                hook(fire_time)
 
 
 class ActorClock:
@@ -188,23 +191,25 @@ class Network:
     requests, failure responses, preemption round trips, the launch payload),
     pass the task's run so the hop is added to its communication sum.
     Off-path messages pass run=None.  Each kind's delay is read from the
-    `DelayModel` once, into `delay`.
+    `DelayModel` once, into `delay`, and a delivery is pushed straight onto
+    the loop's heap under its sequence counter, both held from construction.
     """
 
     def __init__(self, loop: EventLoop, delays: DelayModel) -> None:
         self.loop = loop
         self.delay = {kind: delays.delay_for(kind) for kind in MESSAGE_KINDS}
+        self._heap, self._seq = loop._heap, loop._seq
 
     def send(self, send_time: float, kind: str, handler: Handler, arg: Any, *,
              run=None) -> float:
         """Deliver `handler(arg, deliver_at)` one `kind` hop after `send_time`;
         returns `deliver_at`."""
-        loop = self.loop
-        if send_time < loop._clock:
-            raise SimulationError(f"message sent at {send_time} before now {loop._clock}")
+        now = self.loop._clock
+        if send_time < now:
+            raise SimulationError(f"message sent at {send_time} before now {now}")
         delay = self.delay[kind]
         if run is not None:
             run.communication += delay
         deliver_at = send_time + delay
-        heapq.heappush(loop._heap, (deliver_at, next(loop._seq), handler, arg))
+        heappush(self._heap, (deliver_at, next(self._seq), handler, arg))
         return deliver_at

@@ -242,12 +242,17 @@ def _feed(loop: EventLoop, collector: MetricsCollector, arrivals: list) -> None:
 
 
 def check_conservation(lm: LocalMaster) -> None:
-    """capacity == published available + running demands + live logical child capacities."""
+    """capacity == published available + running demands + live logical child
+    capacities, and each user's consumption == the demands of their running
+    tasks (zero for a user with none)."""
     running_sum: dict[str, ResourceVector] = {}
+    user_sum: dict[str, ResourceVector] = {}
     for rt in lm.running.values():
         prev = running_sum.get(rt.node_id)
         demand = rt.info.demand
         running_sum[rt.node_id] = demand if prev is None else prev + demand
+        prev = user_sum.get(rt.info.user_id)
+        user_sum[rt.info.user_id] = demand if prev is None else prev + demand
     child_sum: dict[str, ResourceVector] = {}
     for node in lm.nodes.values():
         if node.is_logical:
@@ -267,6 +272,16 @@ def check_conservation(lm: LocalMaster) -> None:
                 f"conservation violated on {node.node_id}: capacity "
                 f"{tuple(node.capacity)}, accounted {tuple(expected)}"
             )
+    for user, consumed in lm.consumed.items():
+        running = user_sum.pop(user, zero)
+        if consumed != running:
+            raise SimulationError(
+                f"{lm.lm_id}: consumption of {user} {tuple(consumed)} != its running "
+                f"tasks' demands {tuple(running)}"
+            )
+    if user_sum:
+        raise SimulationError(f"{lm.lm_id}: running tasks of {sorted(user_sum)} "
+                              "without consumption")
 
 
 def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:

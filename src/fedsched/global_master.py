@@ -35,6 +35,8 @@ from .state import ClusterView, LMStateSnapshot, ViewPartition
 
 log = logging.getLogger(__name__)
 
+_new = tuple.__new__  # a record from its fields in order, filled in C
+
 
 class GlobalMaster:
     def __init__(
@@ -179,10 +181,9 @@ class GlobalMaster:
         """Deduct from the view and ask the LM to launch on the node; on another
         GM's partition the request is a carve-out of that node."""
         request = run.request
-        message = LaunchRequest(
-            gm_id=self.gm_id, task_id=request.task_id, node_id=part.nodes[ordinal].node_id,
-            demand=request.demand, constraints=request.constraints, run=run,
-        )
+        message = _new(LaunchRequest, (self.gm_id, request.task_id,
+                                       part.nodes[ordinal].node_id, request.demand,
+                                       request.constraints, run))
         part.deduct(ordinal, request.demand)
         lm = self._lm_by_id[part.lm_id]
         self._inflight[request.task_id] = run
@@ -197,10 +198,8 @@ class GlobalMaster:
         lm = self._lm_by_id[plan.partition.lm_id]
         self._preempting[request.task_id] = (run, plan)
         self.collector.bump("preempt_attempts")
-        message = PreemptRequest(
-            gm_id=self.gm_id, task_id=request.task_id, node_id=plan.node_id,
-            victim_ids=plan.victim_ids, demand=request.demand, run=run,
-        )
+        message = _new(PreemptRequest, (self.gm_id, request.task_id, plan.node_id,
+                                        plan.victim_ids, request.demand, run))
         self.network.send(done, PREEMPT_REQUEST, lm.on_preempt_request, message, run=run)
 
     def _reinsert(self, run: TaskRun, at: float) -> None:

@@ -23,6 +23,15 @@ message carries the list as a tuple (O(n), but a C-level copy: about 0.4 µs
 at 150 nodes on a 2-vCPU Xeon under Python 3.11), so untouched nodes keep
 their `NodeSnapshot` objects, and the log itself with its current length, so a
 GM view re-reads only the ordinals logged since the version it holds.
+
+Per-user consumption is copy-on-write: `_launch` and `_release` replace
+`consumed` with an updated copy and never mutate a map that has been sent,
+so `_state` ships the current map by reference, as it ships the log, and a
+GM keeps it as received.  `_state` also fills in the snapshot's node count
+once.  The records on this path (`NodeSnapshot`, `PartitionSnapshot`,
+`LMStateSnapshot`, `RunningTaskInfo` and the messages) are built positionally
+with `tuple.__new__`, in their field order, past the generated keyword
+`__new__`.
 """
 
 from __future__ import annotations
@@ -45,12 +54,13 @@ from .worker import start_task
 log = logging.getLogger(__name__)
 
 _TASK_ID = attrgetter("task_id")
+_new = tuple.__new__  # a record from its fields in order, filled in C
 
 
 def _snapshot(node: WorkerNode, available: ResourceVector,
               running: tuple[RunningTaskInfo, ...] = ()) -> NodeSnapshot:
-    return NodeSnapshot(node.node_id, available, node.is_logical, node.parent_node,
-                        running)
+    return _new(NodeSnapshot, (node.node_id, available, node.is_logical,
+                               node.parent_node, running))
 
 
 @dataclass
@@ -88,8 +98,10 @@ class LocalMaster:
         self.running: dict[str, RunningTask] = {}
         self.partition_nodes: dict[str, list[NodeSnapshot]] = {}
         self.partition_logs: dict[str, list[int]] = {}  # ordinals replaced, in order
+        # user -> demand of the user's running tasks; replaced, never mutated
         self.consumed: dict[str, ResourceVector] = {}
-        self.gms: list = []  # GlobalMaster handles, wired by the experiment builder
+        # GlobalMaster handles by id, in wiring order, wired by the experiment builder
+        self.gms: dict = {}
         self._logical_seq = 0
 
     # -- construction ------------------------------------------------------
@@ -106,7 +118,7 @@ class LocalMaster:
         self.nodes[node.node_id] = node
 
     def wire_gms(self, gms: list) -> None:
-        self.gms = list(gms)
+        self.gms = {gm.gm_id: gm for gm in gms}
 
     def start_heartbeats(self) -> None:
         if self.gms and self.collector.outstanding > 0:
@@ -162,7 +174,7 @@ class LocalMaster:
     def partition_snapshot(self, partition_id: str) -> PartitionSnapshot:
         partition = self.partitions[partition_id]
         log = self.partition_logs[partition_id]
-        return PartitionSnapshot(
+        return _new(PartitionSnapshot, (
             partition_id,
             self.lm_id,
             partition.owner_gm_id,
@@ -170,20 +182,20 @@ class LocalMaster:
             partition.bits,
             log,
             len(log),
-        )
+        ))
 
     def snapshot(self, timestamp: float) -> LMStateSnapshot:
         """Full state: every partition of this LM."""
         return self._state(timestamp, sorted(self.partitions))
 
     def _state(self, timestamp: float, partition_ids) -> LMStateSnapshot:
-        """The named partitions (each once, in first-named order) and user consumption."""
-        return LMStateSnapshot(
-            self.lm_id,
-            timestamp,
-            tuple(self.partition_snapshot(pid) for pid in dict.fromkeys(partition_ids)),
-            tuple((user, self.consumed[user]) for user in sorted(self.consumed)),
-        )
+        """The named partitions (each once, in first-named order), their node
+        count and user consumption, the current map itself."""
+        parts = tuple(map(self.partition_snapshot, dict.fromkeys(partition_ids)))
+        count = 0
+        for part in parts:
+            count += len(part.nodes)
+        return _new(LMStateSnapshot, (self.lm_id, timestamp, parts, self.consumed, count))
 
     # -- heartbeat ----------------------------------------------------------
 
@@ -192,7 +204,7 @@ class LocalMaster:
         cost = self.costs.lm_heartbeat_per_node * len(self.nodes)
         done = self.clock.charge(start, cost)
         state = self.snapshot(done)
-        for gm in self.gms:
+        for gm in self.gms.values():
             self.network.send(done, HEARTBEAT, gm.on_heartbeat, state)
         self.collector.bump("heartbeats")
         if self.collector.outstanding > 0:
@@ -254,15 +266,15 @@ class LocalMaster:
                 done: float) -> None:
         request = run.request
         rt = self.running[request.task_id] = RunningTask(run, node.node_id, gm_id)
-        rt.info = info = RunningTaskInfo(
-            request.task_id, request.user_id, request.demand,
-            self.network.send(done, TASK_LAUNCH, self._begin_execution, rt, run=run))
+        user, demand = request.user_id, request.demand
+        rt.info = info = _new(RunningTaskInfo, (
+            request.task_id, user, demand,
+            self.network.send(done, TASK_LAUNCH, self._begin_execution, rt, run=run)))
         available = self.partition_nodes[node.partition_id][ordinal].available
-        self._publish(node, ordinal, available - request.demand, add=info)
-        self.consumed[request.user_id] = (
-            self.consumed.get(request.user_id, ResourceVector.zeros(self.resource_dim))
-            + request.demand
-        )
+        self._publish(node, ordinal, available - demand, add=info)
+        consumed = self.consumed  # may have been sent: replace it, never mutate it
+        have = consumed.get(user)
+        self.consumed = {**consumed, user: demand if have is None else have + demand}
 
     def _begin_execution(self, rt: RunningTask, now: float) -> None:
         # every launch makes a new RunningTask, so a preempted launch's is gone
@@ -282,16 +294,15 @@ class LocalMaster:
         if not ok:
             self.collector.bump("inconsistency_failures")
         gm = self._gm(req.gm_id)
-        response = LaunchResponse(ok=ok, task_id=req.task_id, kind=kind,
-                                  node_id=node_id, state=state)
+        response = _new(LaunchResponse, (ok, req.task_id, kind, node_id, state))
         self.network.send(state.timestamp, LAUNCH_RESPONSE, gm.on_launch_response,
                           response, run=None if ok else req.run)
 
     def _gm(self, gm_id: str):
-        for gm in self.gms:
-            if gm.gm_id == gm_id:
-                return gm
-        raise ConfigurationError(f"unknown GM {gm_id!r}")
+        gm = self.gms.get(gm_id)
+        if gm is None:
+            raise ConfigurationError(f"unknown GM {gm_id!r}")
+        return gm
 
     # -- repartition ---------------------------------------------------------
 
@@ -351,7 +362,7 @@ class LocalMaster:
             # finished, moved, or has not begun executing yet is stale
             verified = (rt is not None and rt.node_id == req.node_id
                         and rt.info.launch_time <= start)
-            statuses.append(VictimStatus(task_id=victim_id, verified=verified))
+            statuses.append(_new(VictimStatus, (victim_id, verified)))
             if not verified:
                 continue
             killed += 1
@@ -359,18 +370,17 @@ class LocalMaster:
             touched.extend(self._release(rt))
             self.collector.bump("preemptions")
             owner = self._gm(rt.gm_id)
-            note = TaskPreempted(task_id=victim_id, user_id=rt.info.user_id,
-                                 demand=rt.info.demand, state=self._state(done, ()),
-                                 run=rt.run)
+            info = rt.info
+            note = _new(TaskPreempted, (victim_id, info.user_id, info.demand,
+                                        self._state(done, ()), rt.run))
             self.network.send(done, TASK_PREEMPTED, owner.on_task_preempted, note)
 
         run.preempted_caused += killed
         node = self.nodes.get(req.node_id)
         partitions = touched or ((node.partition_id,) if node else ())
         gm = self._gm(req.gm_id)
-        response = PreemptResponse(task_id=req.task_id, node_id=req.node_id,
-                                   statuses=tuple(statuses),
-                                   state=self._state(done, partitions))
+        response = _new(PreemptResponse, (req.task_id, req.node_id, tuple(statuses),
+                                          self._state(done, partitions)))
         self.network.send(done, PREEMPT_RESPONSE, gm.on_preempt_response, response,
                           run=run)
 
@@ -392,7 +402,8 @@ class LocalMaster:
             ordinal = self._ordinal(node)
             available = self.partition_nodes[node.partition_id][ordinal].available
             self._publish(node, ordinal, available + info.demand, remove=info)
-        self.consumed[info.user_id] = self.consumed[info.user_id] - info.demand
+        consumed = self.consumed  # may have been sent: replace it, never mutate it
+        self.consumed = {**consumed, info.user_id: consumed[info.user_id] - info.demand}
         return touched
 
     def _on_task_complete(self, rt: RunningTask, now: float) -> None:
@@ -404,7 +415,7 @@ class LocalMaster:
         self.collector.note_completed()
         self.loop.note_progress()
         owner = self._gm(rt.gm_id)
-        message = TaskCompletion(task_id=task_id, user_id=rt.info.user_id,
-                                 demand=rt.info.demand, state=self._state(now, touched),
-                                 run=rt.run)
+        info = rt.info
+        message = _new(TaskCompletion, (task_id, info.user_id, info.demand,
+                                        self._state(now, touched), rt.run))
         self.network.send(now, TASK_COMPLETION, owner.on_task_completion, message)

@@ -7,7 +7,13 @@ simulated wire.  Every message an LM sends to a GM carries one
 `LMStateSnapshot` as `state`: the full state on heartbeats (delivered as the
 bare snapshot) and on validation failures, and just the partitions the
 request touched otherwise, so every interaction refreshes part of the
-receiver's view of that LM.
+receiver's view of that LM.  The snapshot carries its node count, and the
+LM's per-user consumption map by reference: the LM never mutates a map it
+has sent, as it never mutates a change log.
+
+Senders build these records positionally with `tuple.__new__`, in field
+order, on the per-message path; the field order is therefore part of the
+contract, and a record reads back by field name as any `NamedTuple` does.
 
 One request type serves launches and carve-outs: a `LaunchRequest` sent as a
 launch request names the node to launch on, and sent as a repartition

@@ -5,8 +5,13 @@ stale copy of that state.  Every message from an LM to a GM carries one
 `LMStateSnapshot`: periodic heartbeats and validation failures carry every
 partition and replace the LM's slice of the view wholesale, while other
 responses and notifications piggyback just the partitions they touched.  Each
-snapshot carries the LM-side timestamp at which it was taken and the LM's
-per-user consumption, and merges never move a view backwards in time.
+snapshot carries the LM-side timestamp at which it was taken, the LM's
+per-user consumption and the number of nodes in its partitions, and merges
+never move a view backwards in time.  The consumption map is the LM's own
+dict, shared and never mutated, like the change log below: the LM replaces
+it with an updated copy on every launch and release, so a view keeps the map
+it received, by reference, as its copy.  The node count is filled in once by
+the LM; the GM's simulated merge charge reads it.
 
 Both ends keep this state incrementally, with one copy of a node's
 availability on each: the LM's published `NodeSnapshot`, which a GM's
@@ -29,8 +34,9 @@ own immutable `Partition.bits` tuple, which the view reads as it stands, so
 neither end copies them per message.
 
 The snapshot records are `NamedTuple`s: immutable, as a view keeps the
-`NodeSnapshot`s it received as its copy of each node, and built at tuple
-speed, since every message carries several.
+`NodeSnapshot`s it received as its copy of each node.  Every message carries
+several, so the LM builds them positionally with `tuple.__new__`, past the
+generated keyword `__new__`.
 """
 
 from __future__ import annotations
@@ -76,11 +82,8 @@ class LMStateSnapshot(NamedTuple):
     lm_id: str
     timestamp: float
     partitions: tuple[PartitionSnapshot, ...]
-    user_consumed: tuple[tuple[str, ResourceVector], ...]
-
-    @property
-    def node_count(self) -> int:
-        return sum(len(p.nodes) for p in self.partitions)
+    user_consumed: dict[str, ResourceVector]  # the LM's map, shared, never mutated
+    node_count: int  # sum(len(p.nodes) for p in partitions)
 
 
 # Fit masks kept per view partition.  Every deduction and every re-read node
@@ -230,9 +233,10 @@ class ClusterView:
         lm_id: str,
         timestamp: float,
         partitions: tuple[PartitionSnapshot, ...],
-        user_consumed: tuple[tuple[str, ResourceVector], ...] | None,
+        user_consumed: dict[str, ResourceVector] | None,
     ) -> bool:
-        """Overwrite the named partitions unless the update is older than the view."""
+        """Overwrite the named partitions unless the update is older than the view;
+        the consumption map is kept as received."""
         if timestamp < self.last_update_time.get(lm_id, float("-inf")):
             return False
         for part in partitions:
@@ -243,7 +247,7 @@ class ClusterView:
             else:
                 existing.refresh(part)
         if user_consumed is not None:
-            self.lm_user_consumed[lm_id] = dict(user_consumed)
+            self.lm_user_consumed[lm_id] = user_consumed
         self.last_update_time[lm_id] = timestamp
         return True
 
@@ -257,7 +261,7 @@ class ClusterView:
         lm_id: str,
         timestamp: float,
         partitions: tuple[PartitionSnapshot, ...],
-        user_consumed: tuple[tuple[str, ResourceVector], ...] | None = None,
+        user_consumed: dict[str, ResourceVector] | None = None,
     ) -> bool:
         """Merge a partial (piggybacked) update covering only some partitions."""
         return self._merge(lm_id, timestamp, partitions, user_consumed)

@@ -118,7 +118,7 @@ def test_wire_and_record_types_are_immutable():
     info = RunningTaskInfo("t", "u", demand, 0.0)
     node = NodeSnapshot("n", demand, False, None, (info,))
     part = PartitionSnapshot("p", "lm", "gm", (node,), (1,), [], 0)
-    state = LMStateSnapshot("lm", 0.0, (part,), (("u", demand),))
+    state = LMStateSnapshot("lm", 0.0, (part,), {"u": demand}, 1)
     request = LaunchRequest("gm", "t", "n", demand, frozenset(), None)
     record = AllocationRecord(*range(len(RECORD_FIELDS)))
     for value in (info, node, part, state, request, record):

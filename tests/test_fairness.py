@@ -116,7 +116,7 @@ def view_of(nodes, m=8):
                              bits=constraint_bits(m, [n[1] for n in nodes]),
                              log=[], version=0)
     snap = LMStateSnapshot(lm_id="lm0", timestamp=0.0, partitions=(part,),
-                           user_consumed=())
+                           user_consumed={}, node_count=len(snaps))
     return ClusterView([snap], 2)
 
 
@@ -234,8 +234,17 @@ def test_preemption_flow_end_to_end():
                             arrival=at, duration=50.0), gm)
     cluster.submit(task("ta", user="uA", demand=rv(16, 4096),
                         constraints=(2, 9), arrival=1.0, duration=5.0), gm)
+    lm, sent = cluster.lms[0], []
+    forward = lm.on_preempt_request
+    lm.on_preempt_request = lambda req, now: (sent.append(req), forward(req, now))
     cluster.run_all()
     collector = cluster.collector
+
+    # the request the GM built positionally reads back by field name
+    req, = sent
+    assert (req.gm_id, req.task_id, req.node_id, req.victim_ids, req.demand) == (
+        "gm0", "ta", "n1", ("c2", "c1"), rv(16, 4096))
+    assert req.run.request.task_id == "ta"
 
     audit = collector.audit_preemptions[0]
     assert audit.requester_user == "uA"

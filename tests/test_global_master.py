@@ -49,6 +49,19 @@ def test_clean_launch_request_plus_payload_hops():
     assert cluster.gms[0].queues.by_user["u0"].consumed == rv(0, 0)
 
 
+def test_a_launch_request_reads_back_by_field_name():
+    cluster = one_node_cluster()
+    lm, sent = cluster.lms[0], []
+    forward = lm.on_launch_request
+    lm.on_launch_request = lambda req, now: (sent.append(req), forward(req, now))
+    cluster.submit(task("t0", demand=rv(2, 4096), constraints=()), cluster.gms[0])
+    cluster.run_all()
+    req, = sent
+    assert (req.gm_id, req.task_id, req.node_id, req.demand, req.constraints) == (
+        "gm0", "t0", "n0", rv(2, 4096), cs())
+    assert req.run.request.task_id == "t0"
+
+
 def test_race_charges_both_decision_passes():
     costs = dataclasses.replace(ZERO_COSTS, gm_request_overhead=1e-4)
     cluster, t0, t1 = build_race_cluster(costs=costs)
@@ -160,7 +173,8 @@ def test_success_merge_cost_busies_clock_but_not_the_task():
 def test_orphan_responses_are_dropped():
     cluster = one_node_cluster()
     gm = cluster.gms[0]
-    state = LMStateSnapshot(lm_id="lm0", timestamp=0.0, partitions=(), user_consumed=())
+    state = LMStateSnapshot(lm_id="lm0", timestamp=0.0, partitions=(), user_consumed={},
+                            node_count=0)
     resp = LaunchResponse(ok=True, task_id="ghost", kind="launch", node_id="n0",
                           state=state)
     gm.on_launch_response(resp, 0.0)
@@ -178,7 +192,7 @@ def test_task_preempted_note_requeues_and_refreshes_view():
     gm.queues.add_consumed("u0", demand)
     version = gm.view_version
     state = LMStateSnapshot(lm_id="lm0", timestamp=4.0, partitions=(),
-                            user_consumed=(("u0", rv(1, 100)),))
+                            user_consumed={"u0": rv(1, 100)}, node_count=0)
     gm.on_task_preempted(
         TaskPreempted(task_id="t0", user_id="u0", demand=demand, state=state, run=run),
         4.0)

@@ -6,7 +6,7 @@ import pytest
 
 from fedsched.core import Partition, WorkerNode, constraint_bits
 from fedsched.engine import DelayModel, EventLoop, Network
-from fedsched.errors import SimulationError
+from fedsched.errors import ConfigurationError, SimulationError
 from fedsched.experiment import check_conservation, check_snapshot_cache
 from fedsched.local_master import LocalMaster
 from fedsched.messages import LaunchRequest, PreemptRequest
@@ -810,3 +810,151 @@ def test_snapshot_cache_check_refuses_a_log_too_long_or_off_the_partition(log):
     lm.partition_logs["lm0-p0"] = log
     with pytest.raises(SimulationError, match="change log"):
         check_snapshot_cache(lm)
+
+
+# -- the wire contract ----------------------------------------------------------
+
+
+def lm_states_by_kind():
+    """The state of every LM-to-GM message of two runs, by message kind.
+
+    The first run sends a launch that succeeds, one that fails, a carve-out,
+    a preemption with its note, and completions; the second, heartbeats."""
+    lm, gms, loop, collector = one_lm({
+        "gm0": [("N", rv(8, 16384), cs()), ("M", rv(8, 16384), cs())],
+        "gm1": [("K", rv(8, 16384), cs())]})
+    launch(lm, loop, collector, node_id="M", demand=rv(4, 8192), task_id="tv",
+           duration=100.0, user="uV")
+    launch(lm, loop, collector, node_id="M", gm_id="gm1", task_id="tf", at=0.5)
+    repartition(lm, loop, collector, source="N", demand=rv(2, 4096), task_id="tc",
+                at=1.0)
+    preempt(lm, loop, collector, node_id="M", victim_ids=["tv"], at=3.0)
+    loop.run()
+    responses = [resp for gm in gms.values() for _, resp in gm.launch_responses]
+    states = {
+        "launch": [r.state for r in responses if r.ok and r.kind == "launch"],
+        "failure": [r.state for r in responses if not r.ok],
+        "carve-out": [r.state for r in responses if r.ok and r.kind == "repartition"],
+        "completion": [m.state for gm in gms.values() for _, m in gm.completions],
+        "preempt response": [r.state for gm in gms.values()
+                             for _, r in gm.preempt_responses],
+        "task preempted": [m.state for gm in gms.values() for _, m in gm.preempted],
+    }
+    lm, gms, loop, collector = one_lm({"gm0": [("n0", rv(4, 8192), cs())],
+                                       "gm1": [("n1", rv(4, 8192), cs())]})
+    launch(lm, loop, collector, node_id="n0", duration=25.0)
+    lm.start_heartbeats()
+    loop.run()
+    states["heartbeat"] = [m for gm in gms.values() for _, m in gm.heartbeats]
+    return states
+
+
+# partitions each kind carries in `lm_states_by_kind`; the one completion is
+# the carved task's, which touches its logical node's partition and the parent's
+PARTITIONS_CARRIED = {"launch": 1, "failure": 2, "carve-out": 2, "completion": 2,
+                      "preempt response": 1, "task preempted": 0, "heartbeat": 2}
+
+
+@pytest.mark.parametrize("kind", sorted(PARTITIONS_CARRIED))
+def test_every_message_kind_carries_its_node_count(kind):
+    states = lm_states_by_kind()[kind]
+    assert states
+    for state in states:
+        assert len(state.partitions) == PARTITIONS_CARRIED[kind]
+        assert state.node_count == sum(len(p.nodes) for p in state.partitions)
+
+
+def test_a_sent_consumption_map_keeps_its_values():
+    lm, gms, loop, collector = one_lm({"gm0": [
+        ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs())]})
+    launch(lm, loop, collector, node_id="n0", demand=rv(1, 1024), task_id="a", user="u0")
+    launch(lm, loop, collector, node_id="n1", demand=rv(2, 2048), task_id="b", user="u1",
+           at=0.5, duration=2.0)
+    loop.run()
+
+    (_, first), (_, second) = gms["gm0"].launch_responses
+    (_, done_a), (_, done_b) = gms["gm0"].completions
+    # each map reads as it was sent, after every later launch and release
+    assert first.state.user_consumed == {"u0": rv(1, 1024)}
+    assert second.state.user_consumed == {"u0": rv(1, 1024), "u1": rv(2, 2048)}
+    assert done_a.state.user_consumed == {"u0": rv(0, 0), "u1": rv(2, 2048)}
+    assert done_b.state.user_consumed == {"u0": rv(0, 0), "u1": rv(0, 0)}
+    assert done_b.state.user_consumed is lm.consumed  # sent by reference
+    check_conservation(lm)
+
+
+def test_positionally_built_records_read_back_by_field_name():
+    lm, gms, loop, collector = one_lm({
+        "gm0": [("N", rv(8, 16384), cs()), ("M", rv(8, 16384), cs())],
+        "gm1": [("K", rv(8, 16384), cs())]})
+    victim = launch(lm, loop, collector, node_id="M", demand=rv(4, 8192), task_id="tv",
+                    duration=100.0, user="uV")
+    preempt(lm, loop, collector, node_id="M", victim_ids=["tv", "gone"], at=1.0)
+    repartition(lm, loop, collector, source="N", demand=rv(2, 4096), task_id="tc",
+                at=2.0, user="uC")
+    loop.run()
+
+    (_, launched), = gms["gm0"].launch_responses
+    assert (launched.ok, launched.task_id, launched.kind, launched.node_id) == (
+        True, "tv", "launch", "M")
+    state = launched.state
+    assert (state.lm_id, state.timestamp, state.node_count) == ("lm0", 0.0, 2)
+    part, = state.partitions
+    assert (part.partition_id, part.lm_id, part.owner_gm_id) == ("lm0-p0", "lm0", "gm0")
+    assert part.bits is lm.partitions["lm0-p0"].bits
+    assert (part.log, part.version) == ([1], 1)
+    node = part.nodes[1]
+    assert (node.node_id, node.available, node.is_logical, node.parent_node) == (
+        "M", rv(4, 8192), False, None)
+    info, = node.running
+    assert (info.task_id, info.user_id, info.demand, info.launch_time) == (
+        "tv", "uV", rv(4, 8192), HOP)
+
+    (_, response), = gms["gm0"].preempt_responses
+    assert (response.task_id, response.node_id) == ("tp", "M")
+    assert [(s.task_id, s.verified) for s in response.statuses] == [
+        ("tv", True), ("gone", False)]
+    assert response.state.timestamp == 1.0
+    (_, note), = gms["gm0"].preempted
+    assert (note.task_id, note.user_id, note.demand, note.run) == (
+        "tv", "uV", rv(4, 8192), victim)
+    assert note.state.partitions == () and note.state.timestamp == 1.0
+
+    (_, carved), = gms["gm1"].launch_responses
+    assert (carved.ok, carved.task_id, carved.kind, carved.node_id) == (
+        True, "tc", "repartition", "N.l1")
+    logical = carved.state.partitions[1].nodes[1]
+    assert (logical.node_id, logical.is_logical, logical.parent_node) == (
+        "N.l1", True, "N")
+    (_, done), = gms["gm1"].completions
+    assert (done.task_id, done.user_id, done.demand) == ("tc", "uC", rv(2, 4096))
+    assert done.run.request.task_id == "tc"
+    assert done.state.timestamp == pytest.approx(3.0 + HOP, abs=1e-9)
+
+
+def test_a_response_to_an_unknown_gm_is_a_configuration_error():
+    lm, gms, loop, collector = one_lm({"gm0": [("n0", rv(4, 8192), cs())]})
+    launch(lm, loop, collector, node_id="n0", gm_id="ghost")
+    with pytest.raises(ConfigurationError, match="unknown GM 'ghost'"):
+        loop.run()
+
+
+def test_conservation_check_refuses_consumption_that_drifts_from_running_tasks():
+    lm, gms, loop, collector = one_lm({"gm0": [("n0", rv(4, 8192), cs())]})
+    launch(lm, loop, collector, node_id="n0", demand=rv(2, 4096), duration=2.0)
+    seen = []
+
+    def drift(_, t):
+        check_conservation(lm)
+        kept = lm.consumed
+        for consumed in ({"u0": rv(1, 4096)}, {}, {**kept, "u1": rv(1, 1)}):
+            lm.consumed = consumed
+            with pytest.raises(SimulationError, match="consumption"):
+                check_conservation(lm)
+            seen.append(consumed)
+        lm.consumed = kept
+
+    loop.schedule(1.0, drift, None)
+    loop.run()
+    assert len(seen) == 3
+    check_conservation(lm)

@@ -3,11 +3,14 @@
 import random
 
 from fedsched.core import Partition, ResourceVector, WorkerNode, constraint_bits
+from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.local_master import LocalMaster
+from fedsched.metrics import TaskRun
 from fedsched.state import (FIT_MASKS, ClusterView, LMStateSnapshot, NodeSnapshot,
                             PartitionSnapshot, ViewPartition)
 
 from oracles import brute_force_match
+from scenarios import task
 
 
 def rv(*qs):
@@ -36,7 +39,8 @@ def make_partition_snapshot(partition_id="p0", lm_id="lm0", owner="gm0",
 def make_lm_snapshot(lm_id="lm0", ts=0.0, partitions=(), consumed=()):
     return LMStateSnapshot(lm_id=lm_id, timestamp=ts,
                            partitions=tuple(partitions),
-                           user_consumed=tuple(consumed))
+                           user_consumed=dict(consumed),
+                           node_count=sum(len(p.nodes) for p in partitions))
 
 
 class TestViewPartitionMatch:
@@ -534,5 +538,54 @@ class TestClusterViewMerges:
         view = ClusterView([two_node_snapshot(0.0, rv(8, 800), rv(8, 800))], 2)
         assert view.viewed_consumed("u0").quantities == (1, 100)
         p = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(8, 800))])
-        view.merge_partitions("lm0", 1.0, (p,), user_consumed=(("u0", rv(9, 900)),))
+        view.merge_partitions("lm0", 1.0, (p,), user_consumed={"u0": rv(9, 900)})
         assert view.viewed_consumed("u0").quantities == (9, 900)
+
+
+def wired_lm(*capacities):
+    """A real LM with one partition p0, owned by gm0, of nodes n0, n1, ..."""
+    loop = EventLoop()
+    lm = LocalMaster("lm0", loop, Network(loop, DelayModel()), None, None)
+    nodes = [WorkerNode(f"n{i}", "lm0", "p0", capacity, frozenset({1}))
+             for i, capacity in enumerate(capacities)]
+    for node in nodes:
+        lm.add_node(node)
+    lm.add_partition(Partition("p0", "gm0", {n.node_id: o for o, n in enumerate(nodes)},
+                               constraint_bits(4, [n.machine_constraints for n in nodes])))
+    return lm
+
+
+class TestWireContract:
+    def test_an_lm_state_reads_back_by_field_name(self):
+        lm = wired_lm(rv(8, 800), rv(4, 400))
+        state = lm.snapshot(3.0)
+        assert (state.lm_id, state.timestamp, state.node_count) == ("lm0", 3.0, 2)
+        assert state.user_consumed is lm.consumed
+        part, = state.partitions
+        assert (part.partition_id, part.lm_id, part.owner_gm_id) == ("p0", "lm0", "gm0")
+        assert part.bits is lm.partitions["p0"].bits
+        assert part.log is lm.partition_logs["p0"] and part.version == 0
+        assert [(n.node_id, n.available, n.is_logical, n.parent_node, n.running)
+                for n in part.nodes] == [("n0", rv(8, 800), False, None, ()),
+                                         ("n1", rv(4, 400), False, None, ())]
+
+    def test_a_merged_consumption_map_is_kept_as_received(self):
+        view = ClusterView([two_node_snapshot(0.0, rv(8, 800), rv(8, 800))], 2)
+        consumed = {"u0": rv(9, 900)}
+        assert view.merge_partitions("lm0", 1.0, (), user_consumed=consumed)
+        assert view.lm_user_consumed["lm0"] is consumed
+
+    def test_a_view_keeps_the_consumption_it_merged_while_the_lm_moves_on(self):
+        lm = wired_lm(rv(8, 800), rv(8, 800))
+        view = ClusterView([lm.snapshot(0.0)], 2)
+        node = lm.nodes["n0"]
+        lm._launch(TaskRun(task("a", user="u0", demand=rv(2, 200))), node, 0, "gm0", 0.0)
+        assert view.apply_heartbeat(lm.snapshot(1.0))
+        # the LM releases u0's task and launches one of u1's
+        lm._release(lm.running.pop("a"))
+        lm._launch(TaskRun(task("b", user="u1", demand=rv(3, 300))), node, 0, "gm0", 0.0)
+        assert view.viewed_consumed("u0") == rv(2, 200)
+        assert view.viewed_consumed("u1") == rv(0, 0)
+        assert view.apply_heartbeat(lm.snapshot(2.0))
+        assert view.viewed_consumed("u0") == rv(0, 0)
+        assert view.viewed_consumed("u1") == rv(3, 300)
