@@ -286,7 +286,8 @@ def check_conservation(lm: LocalMaster) -> None:
 
 def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
     """Every LM holds one partition per GM, listing its physical nodes before its
-    logical ones; every GM searches its own partition on each LM."""
+    logical ones; every GM searches its own partition on each LM, and every
+    view partition exactly once over its two searches."""
     gm_ids = {gm.gm_id for gm in gms}
     for lm in lms:
         owners = [p.owner_gm_id for p in lm.partitions.values()]
@@ -311,8 +312,10 @@ def check_structure(lms: list[LocalMaster], gms: list[GlobalMaster]) -> None:
         if seen != set(lm.nodes):
             raise SimulationError(f"{lm.lm_id}: partition membership != node set")
     for gm in gms:
-        if sorted(p.lm_id for p in gm.own_orders[0]) != sorted(lm.lm_id for lm in lms):
+        if sorted(p.lm_id for p in gm.own) != sorted(lm.lm_id for lm in lms):
             raise SimulationError(f"{gm.gm_id}: own partitions != one per LM")
+        if len(gm.own) + len(gm.others) != len(gm.view.partitions):
+            raise SimulationError(f"{gm.gm_id}: search orders != its view's partitions")
 
 
 def check_snapshot_cache(lm: LocalMaster) -> None:

@@ -8,20 +8,22 @@ consecutive failures the task goes back to the tail of its queue.
 
 The decision flow for one request (`_attempt`):
   1. first fit over the GM's own partition on each LM, the starting LM
-     rotating per request -> launch request
+     moving on by one per request -> launch request
   2. first fit over the other GMs' partitions, LM by LM, the starting LM
-     rotating per search -> launch request on a node of another GM's
-     partition, which the LM carves out (a repartition)
+     moving on by one per search -> launch request on a node of another
+     GM's partition, which the LM carves out (a repartition)
   3. fairness: a preemption plan -> preempt request, else reinsert at tail
-Both searches walk lists of the view's `ViewPartition` objects, one list per
-starting LM, built once in `seed`: the view refreshes each partition in
-place, so the lists stay current.  A verified preemption launches on the
-node the plan named, by the plan's partition and ordinal.
+Each search walks one deque of the view's `ViewPartition` objects, built once
+in `seed` and rotated after the search so that it starts at the next LM: the
+view refreshes each partition in place, so the deques stay current.  A
+verified preemption launches on the node the plan named, by the plan's
+partition and ordinal.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import deque
 
 from .core import TaskRequest
 from .engine import (LAUNCH_REQUEST, PREEMPT_REQUEST, REPARTITION_REQUEST,
@@ -61,11 +63,10 @@ class GlobalMaster:
         self.view: ClusterView | None = None
         self.queues: QueueSet | None = None
         self.shares: dict[str, tuple[float, ...]] = {}
-        # search orders per starting LM: own partitions, then others' partitions
-        self.own_orders: list[list[ViewPartition]] = []
-        self.other_orders: list[list[ViewPartition]] = []
-        self.rr_internal = 0
-        self.rr_external = 0
+        # the two search orders, each rotated to start at its next LM: this GM's
+        # partition on each LM, then the other GMs' partitions, LM by LM
+        self.own: deque[ViewPartition] = deque()
+        self.others: deque[ViewPartition] = deque()
         self.view_version = 0
         self._tick_pending = False
         self._inflight: dict[str, TaskRun] = {}
@@ -79,8 +80,7 @@ class GlobalMaster:
         self.view = view
         self.queues = queues
         self.shares = shares
-        own: list[ViewPartition] = []
-        others: list[list[ViewPartition]] = []
+        self.own, self.others = own, others = deque(), deque()
         for lm in lms:
             parts = [view.partitions[(lm.lm_id, pid)] for pid in sorted(lm.partitions)]
             mine = [part for part in parts if part.owner_gm_id == self.gm_id]
@@ -90,11 +90,7 @@ class GlobalMaster:
                     f"found {len(mine)}"
                 )
             own.extend(mine)
-            others.append([part for part in parts if part.owner_gm_id != self.gm_id])
-        n = len(lms)
-        self.own_orders = [[own[(first + i) % n] for i in range(n)] for first in range(n)]
-        self.other_orders = [[part for i in range(n) for part in others[(first + i) % n]]
-                             for first in range(n)]
+            others.extend(part for part in parts if part.owner_gm_id != self.gm_id)
         self._lm_by_id = {lm.lm_id: lm for lm in lms}
 
     # -- arrivals and the scheduling loop -------------------------------------
@@ -123,15 +119,12 @@ class GlobalMaster:
 
     def _attempt(self, run: TaskRun, start: float) -> None:
         """Run one full decision pass for a request, charging simulated time."""
-        request = run.request
-        n = len(self.own_orders)
-        cost, part, ordinal = self._first_fit(
-            self.costs.gm_request_overhead, request, self.own_orders[self.rr_internal])
-        self.rr_internal = (self.rr_internal + 1) % n
+        request, own, others = run.request, self.own, self.others
+        cost, part, ordinal = self._first_fit(self.costs.gm_request_overhead, request, own)
+        own.rotate(-1)
         if part is None:
-            cost, part, ordinal = self._first_fit(
-                cost, request, self.other_orders[self.rr_external])
-            self.rr_external = (self.rr_external + 1) % n
+            cost, part, ordinal = self._first_fit(cost, request, others)
+            others.rotate(-(len(others) // len(own)))  # one LM's group: gm_count - 1
         plan = None
         if part is None:
             # fairness: preempt only under contention, never for an over-share user
@@ -149,7 +142,7 @@ class GlobalMaster:
             self._reinsert(run, done)
         self._kick(done)
 
-    def _first_fit(self, cost: float, request: TaskRequest, parts: list[ViewPartition]
+    def _first_fit(self, cost: float, request: TaskRequest, parts: deque[ViewPartition]
                    ) -> tuple[float, ViewPartition | None, int | None]:
         """The first partition in `parts` with a fitting node, and that node's
         ordinal, or None; `cost` plus the charge for every partition searched."""

@@ -315,8 +315,9 @@ def generate_synthetic(
         return rng.choices(vectors, cum_weights=cum_weights)[0]
 
     users = len(user_ids)
+    job_ids = [f"j{j:05d}" for j in range((count + 9) // 10)]  # ten tasks per job
     # demand is drawn before duration for each task, as the seed's stream expects
-    return [TaskRequest(f"t{i:06d}", f"j{i // 10:05d}", user_ids[i // 10 % users],
+    return [TaskRequest(f"t{i:06d}", job_ids[i // 10], user_ids[i // 10 % users],
                         draw_demand(), constraints[i], arrivals[i] / load_factor,
                         draw_duration())
             for i in range(count)]

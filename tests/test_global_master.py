@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
+from fedsched.config import config_from_dict
 from fedsched.core import Partition, constraint_bits
 from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.errors import ConfigurationError
+from fedsched.experiment import build_megha, build_workload, effective_users
 from fedsched.fairness import QueueSet
 from fedsched.global_master import GlobalMaster
 from fedsched.local_master import LocalMaster
@@ -108,7 +110,54 @@ def test_external_scan_rotates_over_lms():
     cluster.run_all()
     sources = [e["node_id"] for e in cluster.collector.audit_launches
                if e["kind"] == "repartition"]
-    assert sorted(sources) == ["a0", "b0"]
+    # the second carve-out starts its search on the next LM, though a0 still fits
+    assert sources == ["a0", "b0"]
+
+
+def test_search_starts_move_per_attempt_and_per_external_pass():
+    # 3 LMs x 3 GMs: gm0's own nodes take only small requests, so a big one
+    # misses internally and carves out of the other GMs' nodes, two per LM
+    small, big = rv(1, 256), rv(4, 8192)
+    mine, theirs = rv(2, 4096), rv(8, 16384)
+    cluster = build_cluster(
+        {lm: {"gm0": [(f"{lm}-own", mine, cs())],
+              "gm1": [(f"{lm}-g1", theirs, cs())],
+              "gm2": [(f"{lm}-g2", theirs, cs())]}
+         for lm in ("lm0", "lm1", "lm2")},
+        {"u0": ("gm0", 0.4), "u1": ("gm1", 0.3), "u2": ("gm2", 0.3)})
+    gm = cluster.gms[0]
+    for i, demand in enumerate([small, big, small, big, big, small, small]):
+        cluster.submit(task(f"t{i}", demand=demand), gm)
+    cluster.run_all()
+    placed = [(e["kind"], e["node_id"]) for e in cluster.collector.audit_launches]
+    # own start: lm0, lm1, ... one LM per attempt, big or small; others' start:
+    # lm0, lm1, lm2 one LM (two partitions) per external pass, the first fit in
+    # each LM being gm1's partition
+    assert placed == [("launch", "lm0-own"), ("repartition", "lm0-g1"),
+                      ("launch", "lm2-own"), ("repartition", "lm1-g1"),
+                      ("repartition", "lm2-g1"), ("launch", "lm2-own"),
+                      ("launch", "lm0-own")]
+
+
+def test_each_gm_searches_every_view_partition_once_in_lm_order():
+    config = config_from_dict({
+        "scheduler": "megha", "gm_count": 4, "lm_count": 5, "workers_per_lm": 8,
+        "workload": {"kind": "synthetic", "count": 1, "rate": 1.0, "duration": 0.1,
+                     "demand": [1, 256]},
+        "seed": 1})
+    users = effective_users(config)
+    _, _, lms, gms = build_megha(config, build_workload(config, users), users)
+    lm_ids = [lm.lm_id for lm in lms]
+    for gm in gms:
+        assert [(p.lm_id, p.owner_gm_id) for p in gm.own] == [
+            (lm_id, gm.gm_id) for lm_id in lm_ids]
+        others = list(gm.others)
+        assert len(others) == len(lm_ids) * (len(gms) - 1)
+        assert len(set(map(id, others))) == len(others)
+        assert all(p.owner_gm_id != gm.gm_id for p in others)
+        assert [p.lm_id for p in others] == [
+            lm_id for lm_id in lm_ids for _ in range(len(gms) - 1)]
+        assert len(gm.own) + len(others) == len(gm.view.partitions) == 4 * 5
 
 
 def test_full_view_parks_queue_until_merge_bumps_version():
