@@ -37,6 +37,14 @@ The snapshot records are `NamedTuple`s: immutable, as a view keeps the
 `NodeSnapshot`s it received as its copy of each node.  Every message carries
 several, so the LM builds them positionally with `tuple.__new__`, past the
 generated keyword `__new__`.
+
+Every GM views every partition, but a GM searches few of them in a short run,
+so a view partition builds what only a search reads on first use: its
+per-dimension `columns` on the first fit mask, and its overlay, fit masks and
+candidate masks on their first write.  Until then they share one empty
+mapping, never written, and a refresh of a partition never searched only
+swaps in the snapshot.  A view the GM never searches costs the snapshot
+reference and a few slots.
 """
 
 from __future__ import annotations
@@ -93,8 +101,13 @@ class LMStateSnapshot(NamedTuple):
 FIT_MASKS = 8
 
 # 1 << j at each ordinal j, shared by every view partition and as long as the
-# longest; `compress` stops at a shorter partition's column, so none is sliced
+# longest built `columns`; `compress` stops at a shorter partition's column,
+# so none is sliced
 _POWERS: list[int] = []
+
+# The overlay, fit masks and candidate masks of every view partition until
+# their first write, which replaces it with a dict of their own: never written
+_EMPTY: dict = {}
 
 
 class ViewPartition:
@@ -122,6 +135,13 @@ class ViewPartition:
     node only where its availability differs from the viewed one, then drops
     the overlay: the same as overwriting it all.  A snapshot with another log,
     another node count or other constraint bits rebuilds everything.
+
+    All of these are built on first use.  `columns` is None until the first
+    fit mask builds it from the viewed availability, overlay included, and
+    `_set` writes it only once it exists; no fit mask exists before it, so a
+    refresh while it is None re-reads nothing.  `deducted`, `fits` and
+    `cands` are the shared `_EMPTY` until their first write, and a refresh or
+    rebuild hands them back to it.
     """
 
     __slots__ = ("partition_id", "lm_id", "owner_gm_id", "nodes", "columns", "bits",
@@ -134,14 +154,13 @@ class ViewPartition:
         self._rebuild(snapshot)
 
     def _rebuild(self, snapshot: PartitionSnapshot) -> None:
-        nodes = self.nodes = snapshot.nodes
-        self.columns = [list(column) for column in zip(*(n.available for n in nodes))]
-        _POWERS.extend(1 << ordinal for ordinal in range(len(_POWERS), len(nodes)))
+        self.nodes = snapshot.nodes
+        self.columns: list[list[int]] | None = None
         self.bits = snapshot.bits
         self.log, self.seen = snapshot.log, snapshot.version
-        self.deducted: dict[int, ResourceVector] = {}
-        self.fits: dict[ResourceVector, int] = {}
-        self.cands: dict[frozenset[int], tuple[int, int]] = {}
+        self.deducted: dict[int, ResourceVector] = _EMPTY
+        self.fits: dict[ResourceVector, int] = _EMPTY
+        self.cands: dict[frozenset[int], tuple[int, int]] = _EMPTY
 
     def refresh(self, snapshot: PartitionSnapshot) -> None:
         """Take another snapshot: re-read changed nodes and the overlay, then drop it."""
@@ -150,10 +169,12 @@ class ViewPartition:
             self._rebuild(snapshot)
             return
         version, seen, deducted = snapshot.version, self.seen, self.deducted
+        self.nodes, self.seen, self.deducted = nodes, version, _EMPTY
+        if self.columns is None:  # nothing kept reads the availability
+            return
         # the window between the two versions, run backwards for an older one
         changed = set(log[seen:version] if seen <= version else log[version:seen])
         changed.update(deducted)
-        self.nodes, self.seen, self.deducted = nodes, version, {}
         for ordinal in changed:
             have = nodes[ordinal].available
             viewed = deducted.get(ordinal)
@@ -161,8 +182,12 @@ class ViewPartition:
                 self._set(ordinal, have)
 
     def _set(self, ordinal: int, have: ResourceVector) -> None:
-        """Record a node's viewed availability in `columns` and every fit mask."""
-        for column, quantity in zip(self.columns, have):
+        """Record a node's viewed availability in `columns`, once built, and
+        every fit mask."""
+        columns = self.columns
+        if columns is None:  # and so no fit mask either
+            return
+        for column, quantity in zip(columns, have):
             column[ordinal] = quantity
         fits = self.fits
         bit = 1 << ordinal
@@ -181,12 +206,16 @@ class ViewPartition:
         cand = self.cands.get(constraints)
         if cand is None:
             cand = candidates(self.bits, len(self.nodes), constraints)
+            if self.cands is _EMPTY:
+                self.cands = {}
             self.cands[constraints] = cand
         mask, word_ops = cand
         fits = self.fits
         fit = fits.get(demand)
         if fit is None:
-            if len(fits) >= FIT_MASKS:
+            if fits is _EMPTY:
+                fits = self.fits = {}
+            elif len(fits) >= FIT_MASKS:
                 del fits[next(iter(fits))]  # the oldest
             fit = fits[demand] = self._fit_mask(demand)
         hit = mask & fit
@@ -196,9 +225,16 @@ class ViewPartition:
         return None, word_ops, mask.bit_count()
 
     def _fit_mask(self, demand: ResourceVector) -> int:
-        """Bit j set iff `available(j)` covers the demand."""
-        fit = (1 << len(self.nodes)) - 1
-        for column, want in zip(self.columns, demand):
+        """Bit j set iff `available(j)` covers the demand; builds `columns`
+        from the viewed availability on first use."""
+        nodes, columns = self.nodes, self.columns
+        if columns is None:
+            _POWERS.extend(1 << ordinal for ordinal in range(len(_POWERS), len(nodes)))
+            viewed = (map(self.available, range(len(nodes))) if self.deducted
+                      else (node.available for node in nodes))
+            columns = self.columns = [list(column) for column in zip(*viewed)]
+        fit = (1 << len(nodes)) - 1
+        for column, want in zip(columns, demand):
             fit &= sum(compress(_POWERS, map(ge, column, repeat(want))))
         return fit
 
@@ -208,7 +244,10 @@ class ViewPartition:
         return self.nodes[ordinal].available if have is None else have
 
     def deduct(self, ordinal: int, demand: ResourceVector) -> None:
-        have = self.deducted[ordinal] = self.available(ordinal) - demand
+        have = self.available(ordinal) - demand
+        if self.deducted is _EMPTY:
+            self.deducted = {}
+        self.deducted[ordinal] = have
         self._set(ordinal, have)
 
     def node_satisfies(self, ordinal: int, constraints: frozenset[int]) -> bool:

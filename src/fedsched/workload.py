@@ -15,6 +15,14 @@ and scaled demands, constraint ids in range, duration > 0, arrival >= 0),
 that leaves the last arrival finite), and it and `augment_constraints` their
 constraint ids.  Each synthetic task is built once, its constraints drawn as
 `augment_constraints` draws them and its job dealt as `assign_users` deals it.
+
+Set-up cost follows the task count, so tasks are built from columns rather
+than field by field: each request is filled positionally with `tuple.__new__`
+from zipped columns, a constant demand or duration is repeated rather than
+drawn, job ids and users are made once per job, and constraint and machine
+draws are taken in one pass each, every item sharing the set of ids it drew.
+Every random draw is still the standard library's call, made in the same
+order, so a seed gives the same tasks and machines as drawing one by one.
 """
 
 from __future__ import annotations
@@ -24,12 +32,15 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Sequence
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import add, lshift, lt, mul, or_, truediv
+from typing import Iterator, Sequence
 
 from .core import (DEFAULT_CONSTRAINT_COUNT, NO_CONSTRAINTS, ResourceVector, TaskRequest,
                    WorkerNode)
 from .errors import ConfigurationError, TraceFormatError
+
+_new_tuple = tuple.__new__
 
 
 def _number(value) -> bool:
@@ -178,24 +189,58 @@ def load_trace(
     return tasks
 
 
-def _draw_constraints(bases: list[frozenset[int]], probabilities: dict[int, float],
-                      seed: int) -> list[frozenset[int]]:
-    """Each base set plus each id drawn with its probability: one draw per id,
-    in id order, task after task, from the `{seed}/task-constraints` stream."""
+def _constraint_pairs(probabilities: dict[int, float]) -> list[tuple[int, float]]:
+    """The (id, probability) pairs in id order, the order they are drawn in,
+    each id a non-negative int and each probability in [0, 1]."""
     for cid, p in probabilities.items():
         if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
             raise ConfigurationError(f"constraint ids must be non-negative ints, got {cid!r}")
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"constraint {cid}: probability {p} outside [0, 1]")
-    pairs = sorted(probabilities.items())
+    return sorted(probabilities.items())
+
+
+def _draw_patterns(pairs: list[tuple[int, float]], count: int, draw) -> list[int]:
+    """Which of the (id, probability) `pairs` each of `count` items draws: one
+    `draw()` per pair, in pair order, item after item.  Bit j of an item's
+    pattern is set iff its j-th draw fell below the j-th probability."""
+    if not pairs:
+        return [0] * count
+    k = len(pairs)
+    draws = [draw() for _ in range(count * k)]
+    patterns = repeat(0)
+    for j, (_, p) in enumerate(pairs):  # every item's j-th draw is every k-th
+        patterns = map(or_, patterns, map(lshift, map(lt, draws[j::k], repeat(p)), repeat(j)))
+    return list(patterns)
+
+
+def _drawn_ids(pairs: list[tuple[int, float]], patterns: list[int]) -> dict[int, list[int]]:
+    """The ids each distinct pattern drew, in id order."""
+    return {pattern: [cid for j, (cid, _) in enumerate(pairs) if pattern >> j & 1]
+            for pattern in set(patterns)}
+
+
+def _drawn_sets(pairs: list[tuple[int, float]], patterns: list[int]
+                ) -> dict[int, frozenset[int]]:
+    """One set of the ids each distinct pattern drew, NO_CONSTRAINTS for none,
+    shared by every item that drew it."""
+    return {pattern: frozenset(ids) if ids else NO_CONSTRAINTS
+            for pattern, ids in _drawn_ids(pairs, patterns).items()}
+
+
+def _draw_constraints(bases: Sequence[frozenset[int]], probabilities: dict[int, float],
+                      seed: int) -> Sequence[frozenset[int]]:
+    """Each base set plus each id drawn with its probability: one draw per id,
+    in id order, task after task, from the `{seed}/task-constraints` stream.
+    A base no id is drawn for comes back as it is, and with no ids `bases`
+    itself does."""
+    pairs = _constraint_pairs(probabilities)
     if not pairs:
         return bases
-    draw = random.Random(f"{seed}/task-constraints").random
-    out = []
-    for base in bases:
-        drawn = [cid for cid, p in pairs if draw() < p]
-        out.append(base.union(drawn) if drawn else base)
-    return out
+    patterns = _draw_patterns(pairs, len(bases), random.Random(f"{seed}/task-constraints").random)
+    drawn = _drawn_ids(pairs, patterns)
+    return [base.union(drawn[pattern]) if pattern else base
+            for base, pattern in zip(bases, patterns)]
 
 
 def augment_constraints(
@@ -237,16 +282,18 @@ def assign_machine_constraints(
     by_lm: dict[str, list[WorkerNode]] = {}
     for node in nodes:
         by_lm.setdefault(node.lm_id, []).append(node)
-    profile_by_lm: dict[str, ClusterProfile] = {}
+    # each profile's (id, probability) pairs in id order, the order of its draws
+    pairs = [sorted(profile.probabilities.items()) for profile in profiles]
+    pairs_by_lm: dict[str, list[tuple[int, float]]] = {}
     for lm_id in sorted(by_lm):
-        profile_by_lm[lm_id] = profiles[rng.randrange(len(profiles))]
-        chosen[lm_id] = profile_by_lm[lm_id].profile_id
+        k = rng.randrange(len(profiles))
+        pairs_by_lm[lm_id], chosen[lm_id] = pairs[k], profiles[k].profile_id
     for lm_id in sorted(by_lm):
-        profile = profile_by_lm[lm_id]
-        for node in by_lm[lm_id]:
-            ids = {cid for cid in sorted(profile.probabilities)
-                   if rng.random() < profile.probabilities[cid]}
-            node.machine_constraints = frozenset(ids) if ids else NO_CONSTRAINTS
+        lm_pairs, lm_nodes = pairs_by_lm[lm_id], by_lm[lm_id]
+        patterns = _draw_patterns(lm_pairs, len(lm_nodes), rng.random)
+        sets = _drawn_sets(lm_pairs, patterns)
+        for node, pattern in zip(lm_nodes, patterns):
+            node.machine_constraints = sets[pattern]
     return chosen
 
 
@@ -272,6 +319,15 @@ def generate_synthetic(
     `augment_constraints` draws them, jobs (ten tasks each) are dealt to
     `user_ids` as `assign_users` deals them, and each arrival is divided by
     `load_factor`.  By default every task has user id "".
+
+    The draw order is part of the output, so a seed always gives the same
+    tasks.  Constraints come from their own `{seed}/task-constraints` stream
+    (see `_draw_constraints`).  The `{seed}/synthetic` stream first gives
+    every Poisson gap, one `expovariate(rate)` per task, then, task after
+    task, the task's demand (one `choices` draw, for a mixture only) and then
+    its duration (one `expovariate` or `choices` draw, for a non-constant
+    spec only).  A constant draws nothing, and when only one of the two is
+    drawn its draws run back to back.
     """
     if not user_ids:
         raise ConfigurationError("synthetic generation needs at least one user id")
@@ -281,46 +337,67 @@ def generate_synthetic(
         raise ConfigurationError("synthetic rate must be positive")
     _check_duration(duration)
     vectors = _check_demand(demand)
-    constraints = _draw_constraints([NO_CONSTRAINTS] * count, constraint_probabilities or {},
-                                    seed)
+    # what `_draw_constraints` draws for unconstrained tasks, one shared set per draw
+    pairs = _constraint_pairs(constraint_probabilities or {})
+    if pairs:
+        patterns = _draw_patterns(pairs, count, random.Random(f"{seed}/task-constraints").random)
+        constraints = map(_drawn_sets(pairs, patterns).__getitem__, patterns)
+    else:
+        constraints = repeat(NO_CONSTRAINTS)
     rng = random.Random(f"{seed}/synthetic")
 
     if arrival == "uniform":
-        arrivals = [(i + 1) / rate for i in range(count)]
+        arrivals = list(map(truediv, range(1, count + 1), repeat(rate)))
     elif arrival == "poisson":
-        gaps = [rng.expovariate(rate) for _ in range(count)]
-        total = math.fsum(gaps)
-        scale = (count / rate) / total
-        arrivals, acc = [], 0.0
-        for gap in gaps:
-            acc += gap * scale
-            arrivals.append(acc)
+        gaps = list(map(rng.expovariate, repeat(rate, count)))
+        scale = (count / rate) / math.fsum(gaps)
+        arrivals = list(accumulate(map(mul, gaps, repeat(scale))))
     else:
         raise ConfigurationError(f"unknown arrival process {arrival!r}")
     _check_span(arrivals[-1], load_factor)
+    if load_factor != 1:
+        arrivals = map(truediv, arrivals, repeat(load_factor))
 
-    def draw_duration() -> float:
-        if isinstance(duration, (int, float)):
-            return float(duration)
-        if duration[0] == "exp":
-            return max(rng.expovariate(1.0 / duration[1]), 1e-6)
-        return rng.choices(duration[1], weights=duration[2])[0]
-
+    choices = rng.choices
     cum_weights = (None if isinstance(demand, ResourceVector)
                    else list(accumulate(w for _, w in demand)))
+    if isinstance(duration, (int, float)):
+        durations = repeat(float(duration))
+        demands = (repeat(demand) if cum_weights is None
+                   else choices(vectors, cum_weights=cum_weights, k=count))
+    else:
+        if duration[0] == "exp":
+            expovariate, lambd = rng.expovariate, 1.0 / duration[1]
 
-    def draw_demand() -> ResourceVector:
+            def draw_duration() -> float:
+                return max(expovariate(lambd), 1e-6)
+        else:
+            values, weights = duration[1], duration[2]
+
+            def draw_duration() -> float:
+                return choices(values, weights=weights)[0]
         if cum_weights is None:
-            return demand
-        return rng.choices(vectors, cum_weights=cum_weights)[0]
+            demands, durations = repeat(demand), [draw_duration() for _ in range(count)]
+        else:  # demand, then duration, task after task
+            demands, durations = zip(*[(choices(vectors, cum_weights=cum_weights)[0],
+                                        draw_duration()) for _ in range(count)])
 
-    users = len(user_ids)
-    job_ids = [f"j{j:05d}" for j in range((count + 9) // 10)]  # ten tasks per job
-    # demand is drawn before duration for each task, as the seed's stream expects
-    return [TaskRequest(f"t{i:06d}", job_ids[i // 10], user_ids[i // 10 % users],
-                        draw_demand(), constraints[i], arrivals[i] / load_factor,
-                        draw_duration())
-            for i in range(count)]
+    jobs = range((count + 9) // 10)  # ten tasks per job, one id and user each
+    job_ids = chain.from_iterable(map(repeat, map("j{:05d}".format, jobs), repeat(10)))
+    users = chain.from_iterable(map(repeat, islice(cycle(user_ids), len(jobs)), repeat(10)))
+    # tuple.__new__ fills each request in C, past the generated Python __new__
+    return list(map(_new_tuple, repeat(TaskRequest), zip(
+        _task_ids(count), job_ids, users, demands, constraints, arrivals, durations)))
+
+
+def _task_ids(count: int) -> Iterator[str]:
+    """f"t{i:06d}" for each i in range(count), built as the head f"t{i // 100:04d}"
+    joined to the tail f"{i % 100:02d}": a format per hundred ids and a
+    hundred tails formatted once, not a format per id."""
+    tails = list(map("{:02d}".format, range(min(count, 100))))
+    heads = map("t{:04d}".format, range((count + 99) // 100))
+    return islice(map(add, chain.from_iterable(map(repeat, heads, repeat(len(tails)))),
+                      cycle(tails)), count)
 
 
 def assign_users(tasks: list[TaskRequest], user_ids: list[str]) -> list[TaskRequest]:

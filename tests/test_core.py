@@ -185,7 +185,7 @@ node_sets = st.lists(
 
 
 @given(sets=node_sets, task_ids=st.sets(st.integers(min_value=0, max_value=7)))
-@settings(max_examples=200)
+@settings(max_examples=200, derandomize=True)
 def test_candidates_match_per_node_superset_oracle(sets, task_ids):
     task_constraints = frozenset(task_ids)
     mask, _ = candidates(constraint_bits(8, sets), len(sets), task_constraints)
@@ -198,7 +198,7 @@ def test_candidates_match_per_node_superset_oracle(sets, task_ids):
        task_ids=st.sets(st.integers(min_value=0, max_value=7)),
        cpus=st.lists(st.integers(min_value=0, max_value=8), min_size=40, max_size=40),
        demand_cpu=st.integers(min_value=1, max_value=8))
-@settings(max_examples=200)
+@settings(max_examples=200, derandomize=True)
 def test_masked_scan_equals_brute_force(sets, task_ids, cpus, demand_cpu):
     """Constraint-bit AND + ordered availability scan == naive per-node oracle."""
     task_constraints = frozenset(task_ids)
@@ -210,6 +210,7 @@ def test_masked_scan_equals_brute_force(sets, task_ids, cpus, demand_cpu):
 
 
 @given(st.integers(min_value=0, max_value=2 ** 70 - 1))
+@settings(max_examples=100, derandomize=True)
 def test_iter_ordinals_enumerates_set_bits(mask):
     assert list(iter_ordinals(mask)) == [i for i in range(70) if mask >> i & 1]
 
@@ -223,7 +224,7 @@ def partition_of(sets, m=8):
 
 
 @given(sets=node_sets, drop=st.integers(min_value=0, max_value=39))
-@settings(max_examples=200)
+@settings(max_examples=200, derandomize=True)
 def test_remove_matches_rebuild(sets, drop):
     """Appending builds the bits of the members; removing a node leaves exactly
     the bits of the survivors."""

@@ -115,6 +115,27 @@ def test_view_check_refuses_a_version_past_the_log():
         experiment.check_view_index(gms[0])
 
 
+def test_view_check_sees_what_is_built_on_first_use(monkeypatch):
+    config = base_config()
+    users = effective_users(config)
+    _, _, _, gms = build_megha(config, build_workload(config, users), users)
+    view = gms[0].view.partitions
+    part, other = list(view.values())[:2]
+    part.match(frozenset(), ResourceVector.of(4, 1024))
+    experiment.check_view_index(gms[0])  # one view searched, the others untouched
+    part.columns[0][0] -= 1
+    with pytest.raises(SimulationError, match="columns != viewed availability"):
+        experiment.check_view_index(gms[0])
+    part.columns[0][0] += 1
+    monkeypatch.setattr(other, "fits", {ResourceVector.of(4, 1024): 1})
+    with pytest.raises(SimulationError, match="fit masks without columns"):
+        experiment.check_view_index(gms[0])
+    monkeypatch.setattr(other, "fits", {})
+    monkeypatch.setitem(experiment._EMPTY, 0, ResourceVector.of(1, 1))
+    with pytest.raises(SimulationError, match="shared empty mapping was written"):
+        experiment.check_view_index(gms[0])
+
+
 def test_centralized_is_the_single_master_configuration():
     with pytest.raises(ConfigurationError):
         base_config(scheduler="centralized")  # gm_count=2 in the base

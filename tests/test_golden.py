@@ -17,6 +17,7 @@ import pytest
 from fedsched.config import config_from_dict
 from fedsched.experiment import (build_megha, build_workload, effective_users,
                                  run_experiment, write_audits, write_reports)
+from fedsched.local_master import LocalMaster
 
 # 3 GMs x 2 LMs x 12 workers (96 slots) under a burst of 240 tasks of 2 s:
 # GMs carve logical nodes out of each other's partitions, those nodes are
@@ -150,3 +151,36 @@ def test_sparrow_config_queues_at_workers_and_rejects_tasks():
     result = run_experiment(config_from_dict(SPARROW))
     assert result.unschedulable
     assert any(r.worker_queuing_delay > 0 for r in result.records)
+
+
+def test_contended_views_hold_the_consumption_sent_at_their_update_time(monkeypatch):
+    # the LM ships its consumption map by reference, so an LM that wrote to a
+    # map it had sent would show GMs consumption from their future; the
+    # invariant checker sees only the LM's own state, so compare every view
+    # with copies of what was on the wire when it was sent
+    sent: dict[tuple[str, float], list[dict]] = {}
+    state = LocalMaster._state
+
+    def logged_state(lm, timestamp, partition_ids):
+        snapshot = state(lm, timestamp, partition_ids)
+        sent.setdefault((lm.lm_id, timestamp), []).append(dict(snapshot.user_consumed))
+        return snapshot
+
+    monkeypatch.setattr(LocalMaster, "_state", logged_state)
+    config = config_from_dict(CONTENDED)
+    users = effective_users(config)
+    loop, _, _, gms = build_megha(config, build_workload(config, users), users)
+    checked = []
+
+    def check(now):
+        for gm in gms:
+            view = gm.view
+            for lm_id, consumed in view.lm_user_consumed.items():
+                assert consumed in sent[lm_id, view.last_update_time[lm_id]], (gm.gm_id, now)
+        checked.append(now)
+
+    loop.post_event_hook = check
+    loop.run()
+    assert len(checked) == loop.events_dispatched
+    assert any(len(maps) > 1 for maps in sent.values())  # same-time sends happen
+    assert any(any(maps) for maps in sent.values())

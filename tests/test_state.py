@@ -6,7 +6,7 @@ from fedsched.core import Partition, ResourceVector, WorkerNode, constraint_bits
 from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.local_master import LocalMaster
 from fedsched.metrics import TaskRun
-from fedsched.state import (FIT_MASKS, ClusterView, LMStateSnapshot, NodeSnapshot,
+from fedsched.state import (_EMPTY, FIT_MASKS, ClusterView, LMStateSnapshot, NodeSnapshot,
                             PartitionSnapshot, ViewPartition)
 
 from oracles import brute_force_match
@@ -132,14 +132,17 @@ def viewed(part):
 
 
 def assert_matches_oracles(part, sets, avail, queries):
-    """The viewed availability is `avail`, and `match` agrees with the
-    brute-force oracle and the naive walk's count."""
+    """The viewed availability is `avail`, `match` agrees with the
+    brute-force oracle and the naive walk's count, and the columns, built by
+    the first match if not before, hold `avail`."""
     assert viewed(part) == avail
-    assert part.columns == [list(c) for c in zip(*(a.quantities for a in avail))]
+    columns = [list(c) for c in zip(*(a.quantities for a in avail))]
+    assert part.columns is None or part.columns == columns
     for constraints, demand in queries:
         ordinal, _, checked = part.match(constraints, demand)
         assert ordinal == brute_force_match(sets, avail, constraints, demand)
         assert (ordinal, checked) == first_fit_walk(sets, avail, constraints, demand)
+    assert part.columns == columns
 
 
 INDEX_SETS = [frozenset({1}), frozenset(), frozenset({1, 2}),
@@ -302,11 +305,11 @@ def assert_fresh(part, snap, queries=INDEX_QUERIES):
     fresh = ViewPartition(snap)
     assert part.nodes is snap.nodes and part.deducted == {}
     assert part.log is snap.log and part.seen == snap.version
-    assert part.columns == fresh.columns
     for demand, fit in part.fits.items():
         assert fit == fresh._fit_mask(demand), demand
     for constraints, demand in queries:
         assert part.match(constraints, demand) == fresh.match(constraints, demand)
+    assert part.columns == fresh.columns
 
 
 def logged(snap, changes):
@@ -453,6 +456,53 @@ class TestViewPartitionLogWindow:
                         snap = rng.choice(sent[-4:])
                         view.refresh(snap)
                         assert_fresh(view, snap, queries)
+
+
+class TestViewPartitionOnFirstUse:
+    """What only a search reads is built by the first search, not on arrival."""
+
+    AVAIL = TestViewPartitionIndex.AVAIL
+
+    def test_a_new_view_holds_the_snapshot_and_the_shared_empty_mapping(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        assert part.columns is None
+        assert part.deducted is part.fits is part.cands is _EMPTY
+        part.match(frozenset({1}), rv(3, 300))
+        assert part.columns == [[2, 8, 3, 4, 1], [200, 800, 300, 400, 100]]
+        assert list(part.fits) == [rv(3, 300)] and list(part.cands) == [frozenset({1})]
+        assert part.deducted is _EMPTY and _EMPTY == {}
+
+    def test_columns_built_after_a_deduction_read_the_overlay(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        part.deduct(1, rv(6, 600))
+        assert part.deducted == {1: rv(2, 200)} and part.deducted is not _EMPTY
+        assert part.columns is None and part.fits is _EMPTY and _EMPTY == {}
+        avail = [self.AVAIL[0], rv(2, 200), *self.AVAIL[2:]]
+        assert_matches_oracles(part, INDEX_SETS, avail, INDEX_QUERIES)
+
+    def test_a_refresh_of_an_unsearched_view_rereads_nothing(self, monkeypatch):
+        first = index_snapshot(self.AVAIL)
+        part = ViewPartition(first)
+        part.deduct(2, rv(3, 300))
+        reread = spy_on_set(monkeypatch)
+        second = logged(first, {4: rv(9, 900), 0: rv(0, 0)})
+        part.refresh(second)
+        assert reread == [] and part.columns is None
+        assert part.deducted is _EMPTY and part.seen == 2
+        assert_fresh(part, second)
+        assert part.columns is not None  # built by assert_fresh's matches
+        third = logged(second, {3: rv(1, 100)})
+        part.refresh(third)
+        assert reread == [3]
+        assert_fresh(part, third)
+
+    def test_a_rebuild_hands_everything_back(self):
+        part = ViewPartition(index_snapshot(self.AVAIL))
+        part.match(frozenset(), rv(1, 100))
+        part.deduct(0, rv(1, 100))
+        part.refresh(index_snapshot(self.AVAIL, INDEX_SETS[::-1]))
+        assert part.columns is None
+        assert part.deducted is part.fits is part.cands is _EMPTY
 
 
 def two_node_snapshot(ts, avail_a, avail_b):

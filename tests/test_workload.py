@@ -1,17 +1,23 @@
 """Trace parsing and scaling, constraint assignment, synthetic generation."""
 
+import hashlib
+import itertools
 import math
 import re
+from pathlib import Path
 
 import pytest
 
+from fedsched.config import ExperimentConfig, UserSpec, WorkloadSpec
 from fedsched.core import ResourceVector, WorkerNode
 from fedsched.errors import ConfigurationError, TraceFormatError
+from fedsched.experiment import build_workload
 from fedsched.workload import (ClusterProfile, assign_machine_constraints,
                                assign_users, augment_constraints,
                                generate_synthetic, load_trace)
 
 HEADER = "arrival_s,job_id,task_id,cpu,mem_mb,duration_s,constraints\n"
+SAMPLE_TRACE = str(Path(__file__).resolve().parent.parent / "configs" / "sample-trace.csv")
 
 
 def write_trace(tmp_path, rows, header=HEADER):
@@ -330,3 +336,94 @@ class TestAssignUsers:
         old = [t._replace(arrival_time=t.arrival_time / factor) for t in old]
         old = assign_users(old, users)
         assert synthetic(250, **spec, user_ids=users, load_factor=factor) == old
+
+
+# -- digests pinning every generator branch and the trace build ----------------
+
+DIGEST_DURATIONS = {"const": 2.5, "exp": ("exp", 1.5),
+                    "choice": ("choice", [0.5, 2.0, 7.0], [1, 2, 3])}
+DIGEST_DEMANDS = {
+    "vector": ResourceVector.of(2, 512),
+    "mixture": [(ResourceVector.of(1, 256), 0.5), (ResourceVector.of(4, 1024), 0.3),
+                (ResourceVector.of(8, 2048), 0.2)],
+}
+
+# sha256 over repr(generate_synthetic(...)) of every (constraint probabilities,
+# load factor, user count, task count) in the grid below, per arrival process,
+# duration and demand spec; recorded before the generator was rewritten
+GENERATOR_DIGESTS = {
+    "poisson-const-vector": "ebf0c973be45a953a57866f828bb3f4d1be708ad3e8f2febcf667f8e42d51d98",
+    "poisson-const-mixture": "b5e62c46fdab5a1d206bebb635edcd18f47be6a5e69d20d13d71e6390fd52375",
+    "poisson-exp-vector": "ea054c0f71fb667ce69af0feb638696d73d1d7f9d905deb4ec96669a8c38b2d7",
+    "poisson-exp-mixture": "df96b82e27b8f7d5083e97377ef0decf731d6e005175c7b363ec13125ddbd2ee",
+    "poisson-choice-vector": "bc04d56f8b6ec3b96c3b43510b4ffc646371044b8d69d1d48124fc311390fda2",
+    "poisson-choice-mixture": "8079e6f805ecec7a7d3926affa276f522d2dfa903a347cbe0f1915b863beca35",
+    "uniform-const-vector": "e6f125bcd9cbd5f51cf3d676d75f5a6e430a411a333aac1bb8764a275edcfe0b",
+    "uniform-const-mixture": "25640112748566df4b504b0e0de90837d60c54a4f3f58e2d9882c13ec1e7b0b2",
+    "uniform-exp-vector": "e132f4848f41fd43dd3e2d84c986c0b6c01c6b047e7186607725e7a44abb3b6f",
+    "uniform-exp-mixture": "643a6fe9dfb9d8580dfc34c1f7bd1455a475b1513b96935fddf53839cf8d0e50",
+    "uniform-choice-vector": "09a51a7d3a66745d3e3f7bd549ca14ef69e299efcec32d87f8cafa4971a17568",
+    "uniform-choice-mixture": "5a6f30e3ddf256762b733c0f8a60e9ab22ef25df8e46454b008798f47ae83b28",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GENERATOR_DIGESTS))
+def test_generator_output_matches_recorded_digest(key):
+    arrival, duration, demand = key.split("-")
+    digest = hashlib.sha256()
+    for probabilities, load_factor, users, count in itertools.product(
+            ({}, {4: 0.3}, {1: 0.0, 3: 0.5, 6: 1.0}), (1.0, 1.7), (1, 3, 7),
+            (1, 9, 10, 11, 997)):
+        tasks = generate_synthetic(
+            count=count, rate=40.0, duration=DIGEST_DURATIONS[duration],
+            demand=DIGEST_DEMANDS[demand], seed=11, arrival=arrival,
+            constraint_probabilities=probabilities,
+            user_ids=[f"u{i}" for i in range(users)], load_factor=load_factor)
+        digest.update(repr(tasks).encode())
+    assert digest.hexdigest() == GENERATOR_DIGESTS[key]
+
+
+def trace_config(path, users, **workload):
+    config = ExperimentConfig(gm_count=2, lm_count=1, workers_per_lm=4, seed=7,
+                              workload=WorkloadSpec(kind="trace", path=path, **workload),
+                              users=[UserSpec(u, 1 / len(users)) for u in users])
+    config.validate()
+    return config
+
+
+def test_trace_build_matches_recorded_digest():
+    # constraints augmented, arrivals compressed and jobs dealt to users, in one build
+    config = trace_config(SAMPLE_TRACE, ["a", "b", "c"], load_factor=1.3,
+                          constraint_probabilities={2: 0.5, 5: 0.25, 9: 1.0})
+    tasks = build_workload(config, config.users)
+    assert (hashlib.sha256(repr(tasks).encode()).hexdigest()
+            == "fdcd3b485a866ca73c2300815825d80dd0b8b625cf54ef25f50f95b09713a71c")
+    # the one pass builds what the three reference passes build, one after another
+    staged = augment_constraints(load_trace(SAMPLE_TRACE), {2: 0.5, 5: 0.25, 9: 1.0}, 7)
+    staged = [t._replace(arrival_time=t.arrival_time / 1.3) for t in staged]
+    assert repr(tasks) == repr(assign_users(staged, ["a", "b", "c"]))
+
+
+def test_trace_users_kept_dealt_and_checked(tmp_path):
+    path = write_trace(tmp_path, [
+        "0.0,j1,t1,400,50,1.0,,b\n",
+        "0.1,j1,t2,400,50,1.0,,\n",
+        "0.2,j2,t3,400,50,1.0,,\n",
+        "0.3,j3,t4,400,50,1.0,,a\n",
+        "0.4,j3,t5,400,50,1.0,,\n",
+    ], header=HEADER.rstrip("\n") + ",user_id\n")
+    config = trace_config(path, ["a", "b"], load_factor=2.0)
+    tasks = build_workload(config, config.users)
+    # a task's own user is kept; the others' jobs are dealt in first-seen order
+    assert [(t.task_id, t.user_id, t.arrival_time) for t in tasks] == [
+        ("t1", "b", 0.0), ("t2", "a", 0.05), ("t3", "b", 0.1), ("t4", "a", 0.15),
+        ("t5", "a", 0.2)]
+    config = trace_config(path, ["a"])
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("task t1 belongs to unknown user 'b'")):
+        build_workload(config, config.users)
+    config = trace_config(path, ["a", "b"])
+    config.worker_capacity = ResourceVector.of(64, 16384, 8)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "task t1: demand (1, 1) does not have the 3 dimensions of worker_capacity")):
+        build_workload(config, config.users)
