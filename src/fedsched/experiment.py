@@ -15,8 +15,8 @@ import logging
 import os
 import re
 from dataclasses import asdict, dataclass, field, is_dataclass
-from itertools import chain, compress, cycle, repeat
-from operator import add, and_, attrgetter, ge, itemgetter, not_
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .config import ExperimentConfig, UserSpec
 from .core import (NO_CONSTRAINTS, Partition, ResourceVector, TaskRequest, WorkerNode,
@@ -26,13 +26,12 @@ from .errors import ConfigurationError, SimulationError
 from .fairness import QueueSet, UserQueue
 from .global_master import GlobalMaster
 from .local_master import LocalMaster
-from .metrics import (AllocationRecord, MetricsCollector, RECORD_FIELDS, _new_tuple,
-                      summarize)
+from .metrics import AllocationRecord, MetricsCollector, RECORD_FIELDS, summarize
 from .sparrow import ProbeScheduler
 from .state import _EMPTY, FIT_MASKS, ClusterView, RunningTaskInfo
 from .worker import FifoWorker
-from .workload import (_check_span, _draw_constraints, _finite, assign_machine_constraints,
-                       generate_synthetic, load_trace)
+from .workload import (_check_span, _finite, assign_machine_constraints, assign_users,
+                       augment_constraints, generate_synthetic, load_trace)
 
 log = logging.getLogger(__name__)
 
@@ -66,9 +65,21 @@ def build_workload(config: ExperimentConfig, users: list[UserSpec]) -> list[Task
                            constraint_count=config.constraint_count)
         if tasks:
             _check_span(tasks[-1].arrival_time, spec.load_factor)
-        tasks = _prepare_trace(tasks, user_ids, spec.load_factor,
-                               _draw_constraints([task.constraints for task in tasks],
-                                                 spec.constraint_probabilities, config.seed))
+        if spec.constraint_probabilities:
+            tasks = augment_constraints(tasks, spec.constraint_probabilities, config.seed)
+        if spec.load_factor != 1.0:
+            factor = spec.load_factor
+            tasks = [TaskRequest(task_id, job_id, user_id, demand, constraints,
+                                 arrival / factor, duration)
+                     for task_id, job_id, user_id, demand, constraints, arrival, duration
+                     in tasks]
+        tasks = assign_users(tasks, user_ids)
+        known = set(user_ids)
+        for task in tasks:
+            if task.user_id not in known:
+                raise ConfigurationError(
+                    f"task {task.task_id} belongs to unknown user {task.user_id!r}"
+                )
     else:
         demand = spec.demand if spec.demand is not None else ResourceVector.of(1, 256)
         tasks = generate_synthetic(
@@ -88,36 +99,18 @@ def build_workload(config: ExperimentConfig, users: list[UserSpec]) -> list[Task
     return tasks
 
 
-def _prepare_trace(tasks: list[TaskRequest], user_ids: list[str], load_factor: float,
-                   constraints) -> list[TaskRequest]:
-    """Each trace task rebuilt once: its drawn `constraints`, its arrival over
-    `load_factor`, and its user, as `assign_users` deals them: a task's own
-    user is kept and must be one of `user_ids`, and the jobs of the others
-    are dealt round-robin in first-seen order."""
-    known = set(user_ids)
-    job_user: dict[str, str] = {}
-    out = []
-    for (task_id, job_id, user, demand, _, arrival, duration), ids in zip(tasks, constraints):
-        if not user:
-            user = job_user.get(job_id)
-            if user is None:
-                user = job_user[job_id] = user_ids[len(job_user) % len(user_ids)]
-        elif user not in known:
-            raise ConfigurationError(f"task {task_id} belongs to unknown user {user!r}")
-        out.append(_new_tuple(TaskRequest, (task_id, job_id, user, demand, ids,
-                                            arrival / load_factor, duration)))
-    return out
-
-
 def _build_nodes(config: ExperimentConfig) -> tuple[list[str], list[WorkerNode]]:
-    """Every LM's workers, LM by LM, with their machine constraints drawn."""
-    lm_ids = list(map("lm{:02d}".format, range(config.lm_count)))
-    per_lm = config.workers_per_lm
-    owners = list(chain.from_iterable(map(repeat, lm_ids, repeat(per_lm))))
-    suffixes = list(map("-n{:04d}".format, range(per_lm)))  # node k is f"{lm_id}-n{k:04d}"
-    nodes = list(map(WorkerNode, map(add, owners, cycle(suffixes)),
-                     owners, repeat(""),  # partition ids are assigned by the builder
-                     repeat(config.worker_capacity), repeat(NO_CONSTRAINTS)))
+    lm_ids = [f"lm{i:02d}" for i in range(config.lm_count)]
+    nodes: list[WorkerNode] = []
+    for lm_id in lm_ids:
+        for k in range(config.workers_per_lm):
+            nodes.append(WorkerNode(
+                node_id=f"{lm_id}-n{k:04d}",
+                lm_id=lm_id,
+                partition_id="",  # assigned below
+                capacity=config.worker_capacity,
+                machine_constraints=NO_CONSTRAINTS,
+            ))
     assign_machine_constraints(nodes, config.machine_profiles, config.seed)
     return lm_ids, nodes
 
@@ -127,27 +120,15 @@ def _eligible(nodes: list[WorkerNode], members: list, tasks: list[TaskRequest]
     """For each distinct task constraint set, the members whose node carries it.
 
     `members[i]` stands for `nodes[i]`, and every list keeps node order.
-    Machine constraints never change, so this is the only constraint scan:
-    one C-level pass over the nodes per distinct set.
+    Machine constraints never change, so this is the only constraint scan.
     """
-    machines = list(map(attrgetter("machine_constraints"), nodes))
-    return {ids: list(compress(members, map(ge, machines, repeat(ids))))
-            for ids in dict.fromkeys(map(attrgetter("constraints"), tasks))}
-
-
-def _admit(collector: MetricsCollector, tasks: list[TaskRequest], eligible: dict,
-           capacity: ResourceVector | None = None) -> list[TaskRequest]:
-    """The tasks, in order, that some member is `eligible` for and, given a
-    `capacity`, whose demand it covers; the rest are marked unschedulable."""
-    ok = map(bool, map(eligible.__getitem__, map(attrgetter("constraints"), tasks)))
-    if capacity is not None:
-        fits = {demand: capacity.geq(demand)
-                for demand in dict.fromkeys(map(attrgetter("demand"), tasks))}
-        ok = map(and_, ok, map(fits.__getitem__, map(attrgetter("demand"), tasks)))
-    ok = list(ok)
-    for task in compress(tasks, map(not_, ok)):
-        collector.mark_unschedulable(task.task_id)
-    return list(compress(tasks, ok))
+    eligible: dict[frozenset[int], list] = {}
+    for task in tasks:
+        ids = task.constraints
+        if ids not in eligible:
+            eligible[ids] = [m for m, n in zip(members, nodes)
+                             if n.machine_constraints >= ids]
+    return eligible
 
 
 def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
@@ -207,9 +188,15 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
         for queue in gm.queues.queues:
             arrive[queue.user_id] = gm.on_task_arrival
     # every node starts with the full worker capacity
-    admitted = _admit(collector, tasks, _eligible(nodes, nodes, tasks), config.worker_capacity)
-    _feed(loop, collector, admitted,
-          map(arrive.__getitem__, map(attrgetter("user_id"), admitted)))
+    eligible = _eligible(nodes, nodes, tasks)
+    arrivals = []
+    for task in tasks:
+        if not (eligible[task.constraints]
+                and config.worker_capacity.geq(task.demand)):
+            collector.mark_unschedulable(task.task_id)
+            continue
+        arrivals.append((task.arrival_time, arrive[task.user_id], task))
+    _feed(loop, collector, arrivals)
     for lm in lms:
         lm.start_heartbeats()
     return loop, collector, lms, gms
@@ -230,21 +217,25 @@ def build_sparrow(config: ExperimentConfig, tasks: list[TaskRequest]):
                                  seed=config.seed)
                   for i in range(config.sparrow_scheduler_count)]
 
-    admitted = _admit(collector, tasks, eligible)
-    # job id -> the arrival handler of the job's scheduler, dealt in first-seen order
-    job_home = dict(zip(dict.fromkeys(map(attrgetter("job_id"), admitted)),
-                        cycle([scheduler.on_task_arrival for scheduler in schedulers])))
-    _feed(loop, collector, admitted,
-          map(job_home.__getitem__, map(attrgetter("job_id"), admitted)))
+    arrive = [scheduler.on_task_arrival for scheduler in schedulers]
+    job_home = {}  # job id -> the arrival handler of the job's scheduler
+    arrivals = []
+    for task in tasks:
+        if not eligible[task.constraints]:
+            collector.mark_unschedulable(task.task_id)
+            continue
+        handler = job_home.get(task.job_id)
+        if handler is None:
+            handler = job_home[task.job_id] = arrive[len(job_home) % len(arrive)]
+        arrivals.append((task.arrival_time, handler, task))
+    _feed(loop, collector, arrivals)
     return loop, collector, workers, schedulers
 
 
-def _feed(loop: EventLoop, collector: MetricsCollector, admitted: list[TaskRequest],
-          handlers) -> None:
-    """Feed the admitted tasks to the loop, each to its arrival handler: each
-    task's run is made when its arrival fires."""
-    collector.admitted = len(admitted)
-    loop.feed(list(zip(map(attrgetter("arrival_time"), admitted), handlers, admitted)))
+def _feed(loop: EventLoop, collector: MetricsCollector, arrivals: list) -> None:
+    """Admit the arrivals: each task's run is made when its arrival fires."""
+    collector.admitted = len(arrivals)
+    loop.feed(arrivals)
 
 
 # -- invariants --------------------------------------------------------------

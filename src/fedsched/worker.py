@@ -33,8 +33,6 @@ class FifoWorker:
     the slot count.
     """
 
-    __slots__ = ("node_id", "slots", "loop", "collector", "active", "queue")
-
     def __init__(self, node_id: str, slots: int, loop: EventLoop,
                  collector: MetricsCollector) -> None:
         self.node_id = node_id

@@ -28,19 +28,18 @@ order, so a seed gives the same tasks and machines as drawing one by one.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle, islice, repeat
-from operator import add, lshift, lt, mul, or_, truediv
+from itertools import accumulate, chain, compress, cycle, islice, repeat
+from operator import add, lt, mul, truediv
 from typing import Iterator, Sequence
 
 from .core import (DEFAULT_CONSTRAINT_COUNT, NO_CONSTRAINTS, ResourceVector, TaskRequest,
                    WorkerNode)
 from .errors import ConfigurationError, TraceFormatError
-
-_new_tuple = tuple.__new__
 
 
 def _number(value) -> bool:
@@ -189,58 +188,33 @@ def load_trace(
     return tasks
 
 
-def _constraint_pairs(probabilities: dict[int, float]) -> list[tuple[int, float]]:
-    """The (id, probability) pairs in id order, the order they are drawn in,
-    each id a non-negative int and each probability in [0, 1]."""
+def _draw_sets(pairs: list[tuple[int, float]], count: int, draw) -> list[frozenset[int]]:
+    """The ids each of `count` items draws from the (id, probability) `pairs`:
+    one `draw()` per pair, in pair order, item after item, an id taken iff its
+    draw falls below its probability.  Items that draw the same ids share one
+    set, NO_CONSTRAINTS for none."""
+    if not pairs:
+        return [NO_CONSTRAINTS] * count
+    ids, probabilities = zip(*pairs)
+    hits = map(lt, iter(draw, None), cycle(probabilities))  # draw() never returns None
+    shared = functools.cache(lambda hit: frozenset(compress(ids, hit)) or NO_CONSTRAINTS)
+    return list(map(shared, islice(zip(*[hits] * len(ids)), count)))  # a tuple of hits per item
+
+
+def _draw_constraints(bases: list[frozenset[int]], probabilities: dict[int, float],
+                      seed: int) -> list[frozenset[int]]:
+    """Each base set plus each id drawn with its probability: one draw per id,
+    in id order, task after task, from the `{seed}/task-constraints` stream."""
     for cid, p in probabilities.items():
         if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
             raise ConfigurationError(f"constraint ids must be non-negative ints, got {cid!r}")
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"constraint {cid}: probability {p} outside [0, 1]")
-    return sorted(probabilities.items())
-
-
-def _draw_patterns(pairs: list[tuple[int, float]], count: int, draw) -> list[int]:
-    """Which of the (id, probability) `pairs` each of `count` items draws: one
-    `draw()` per pair, in pair order, item after item.  Bit j of an item's
-    pattern is set iff its j-th draw fell below the j-th probability."""
-    if not pairs:
-        return [0] * count
-    k = len(pairs)
-    draws = [draw() for _ in range(count * k)]
-    patterns = repeat(0)
-    for j, (_, p) in enumerate(pairs):  # every item's j-th draw is every k-th
-        patterns = map(or_, patterns, map(lshift, map(lt, draws[j::k], repeat(p)), repeat(j)))
-    return list(patterns)
-
-
-def _drawn_ids(pairs: list[tuple[int, float]], patterns: list[int]) -> dict[int, list[int]]:
-    """The ids each distinct pattern drew, in id order."""
-    return {pattern: [cid for j, (cid, _) in enumerate(pairs) if pattern >> j & 1]
-            for pattern in set(patterns)}
-
-
-def _drawn_sets(pairs: list[tuple[int, float]], patterns: list[int]
-                ) -> dict[int, frozenset[int]]:
-    """One set of the ids each distinct pattern drew, NO_CONSTRAINTS for none,
-    shared by every item that drew it."""
-    return {pattern: frozenset(ids) if ids else NO_CONSTRAINTS
-            for pattern, ids in _drawn_ids(pairs, patterns).items()}
-
-
-def _draw_constraints(bases: Sequence[frozenset[int]], probabilities: dict[int, float],
-                      seed: int) -> Sequence[frozenset[int]]:
-    """Each base set plus each id drawn with its probability: one draw per id,
-    in id order, task after task, from the `{seed}/task-constraints` stream.
-    A base no id is drawn for comes back as it is, and with no ids `bases`
-    itself does."""
-    pairs = _constraint_pairs(probabilities)
+    pairs = sorted(probabilities.items())
     if not pairs:
         return bases
-    patterns = _draw_patterns(pairs, len(bases), random.Random(f"{seed}/task-constraints").random)
-    drawn = _drawn_ids(pairs, patterns)
-    return [base.union(drawn[pattern]) if pattern else base
-            for base, pattern in zip(bases, patterns)]
+    drawn = _draw_sets(pairs, len(bases), random.Random(f"{seed}/task-constraints").random)
+    return [base | ids if base else ids for base, ids in zip(bases, drawn)]
 
 
 def augment_constraints(
@@ -282,18 +256,15 @@ def assign_machine_constraints(
     by_lm: dict[str, list[WorkerNode]] = {}
     for node in nodes:
         by_lm.setdefault(node.lm_id, []).append(node)
-    # each profile's (id, probability) pairs in id order, the order of its draws
-    pairs = [sorted(profile.probabilities.items()) for profile in profiles]
-    pairs_by_lm: dict[str, list[tuple[int, float]]] = {}
+    profile_by_lm: dict[str, ClusterProfile] = {}
     for lm_id in sorted(by_lm):
-        k = rng.randrange(len(profiles))
-        pairs_by_lm[lm_id], chosen[lm_id] = pairs[k], profiles[k].profile_id
+        profile_by_lm[lm_id] = profiles[rng.randrange(len(profiles))]
+        chosen[lm_id] = profile_by_lm[lm_id].profile_id
     for lm_id in sorted(by_lm):
-        lm_pairs, lm_nodes = pairs_by_lm[lm_id], by_lm[lm_id]
-        patterns = _draw_patterns(lm_pairs, len(lm_nodes), rng.random)
-        sets = _drawn_sets(lm_pairs, patterns)
-        for node, pattern in zip(lm_nodes, patterns):
-            node.machine_constraints = sets[pattern]
+        pairs = sorted(profile_by_lm[lm_id].probabilities.items())
+        lm_nodes = by_lm[lm_id]
+        for node, ids in zip(lm_nodes, _draw_sets(pairs, len(lm_nodes), rng.random)):
+            node.machine_constraints = ids
     return chosen
 
 
@@ -337,13 +308,8 @@ def generate_synthetic(
         raise ConfigurationError("synthetic rate must be positive")
     _check_duration(duration)
     vectors = _check_demand(demand)
-    # what `_draw_constraints` draws for unconstrained tasks, one shared set per draw
-    pairs = _constraint_pairs(constraint_probabilities or {})
-    if pairs:
-        patterns = _draw_patterns(pairs, count, random.Random(f"{seed}/task-constraints").random)
-        constraints = map(_drawn_sets(pairs, patterns).__getitem__, patterns)
-    else:
-        constraints = repeat(NO_CONSTRAINTS)
+    constraints = _draw_constraints([NO_CONSTRAINTS] * count, constraint_probabilities or {},
+                                    seed)
     rng = random.Random(f"{seed}/synthetic")
 
     if arrival == "uniform":
@@ -386,7 +352,7 @@ def generate_synthetic(
     job_ids = chain.from_iterable(map(repeat, map("j{:05d}".format, jobs), repeat(10)))
     users = chain.from_iterable(map(repeat, islice(cycle(user_ids), len(jobs)), repeat(10)))
     # tuple.__new__ fills each request in C, past the generated Python __new__
-    return list(map(_new_tuple, repeat(TaskRequest), zip(
+    return list(map(tuple.__new__, repeat(TaskRequest), zip(
         _task_ids(count), job_ids, users, demands, constraints, arrivals, durations)))
 
 

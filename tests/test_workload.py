@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 import re
 from pathlib import Path
 
@@ -166,6 +167,19 @@ class TestAugmentConstraints:
         assert drawn == augment_constraints(synthetic(400, **spec), probabilities, seed)
         assert len({t.constraints for t in drawn}) > 1
 
+    @pytest.mark.parametrize("with_base", [False, True], ids=["empty", "based"])
+    def test_thousands_of_ids_draw_what_a_per_task_draw_draws(self, with_base):
+        # one random() per id, in id order, task after task, however many ids
+        probabilities = {cid: cid % 7 / 6 for cid in range(9000, 0, -3)}  # 3,000 ids
+        tasks = synthetic(25, constraint_probabilities={1: 1.0} if with_base else None)
+        draw = random.Random("4/task-constraints").random
+        expected = [t.constraints.union([cid for cid, p in sorted(probabilities.items())
+                                         if draw() < p]) for t in tasks]
+        assert [t.constraints for t in augment_constraints(tasks, probabilities, 4)] == expected
+        if not with_base:
+            assert [t.constraints for t in synthetic(
+                25, constraint_probabilities=probabilities, seed=4)] == expected
+
     @pytest.mark.parametrize("cid", [-1, True, "1", 1.0],
                              ids=["negative", "bool", "str", "float"])
     def test_bad_constraint_id_rejected(self, cid):
@@ -227,6 +241,20 @@ class TestAssignMachineConstraints:
         assign_machine_constraints(a, profiles, 42)
         assign_machine_constraints(b, profiles, 42)
         assert [n.machine_constraints for n in a] == [n.machine_constraints for n in b]
+
+    def test_thousands_of_ids_draw_what_a_per_machine_draw_draws(self):
+        # the LMs share one stream, so each must draw exactly one random() per id
+        profiles = [ClusterProfile("A", {cid: cid % 5 / 4 for cid in range(2000)}),
+                    ClusterProfile("B", {cid: 0.5 for cid in range(0, 4000, 2)})]
+        nodes = make_nodes(["lm0", "lm1", "lm2"], 7)
+        chosen = assign_machine_constraints(nodes, profiles, 8)
+        rng = random.Random("8/machine-constraints")
+        picked = {lm_id: profiles[rng.randrange(2)] for lm_id in ("lm0", "lm1", "lm2")}
+        assert chosen == {lm_id: profile.profile_id for lm_id, profile in picked.items()}
+        for node in nodes:
+            probabilities = picked[node.lm_id].probabilities
+            assert node.machine_constraints == {cid for cid in sorted(probabilities)
+                                                if rng.random() < probabilities[cid]}
 
 
 class TestGenerateSynthetic:
@@ -392,16 +420,12 @@ def trace_config(path, users, **workload):
 
 
 def test_trace_build_matches_recorded_digest():
-    # constraints augmented, arrivals compressed and jobs dealt to users, in one build
+    # constraints augmented, arrivals compressed and jobs dealt to users
     config = trace_config(SAMPLE_TRACE, ["a", "b", "c"], load_factor=1.3,
                           constraint_probabilities={2: 0.5, 5: 0.25, 9: 1.0})
     tasks = build_workload(config, config.users)
     assert (hashlib.sha256(repr(tasks).encode()).hexdigest()
             == "fdcd3b485a866ca73c2300815825d80dd0b8b625cf54ef25f50f95b09713a71c")
-    # the one pass builds what the three reference passes build, one after another
-    staged = augment_constraints(load_trace(SAMPLE_TRACE), {2: 0.5, 5: 0.25, 9: 1.0}, 7)
-    staged = [t._replace(arrival_time=t.arrival_time / 1.3) for t in staged]
-    assert repr(tasks) == repr(assign_users(staged, ["a", "b", "c"]))
 
 
 def test_trace_users_kept_dealt_and_checked(tmp_path):
