@@ -88,14 +88,12 @@ def build_workload(config: ExperimentConfig, users: list[UserSpec]) -> list[Task
             constraint_probabilities=spec.constraint_probabilities or None,
             user_ids=user_ids, load_factor=spec.load_factor,
         )
+    # trace demands and the default are 2-dimensional and validate() checks a
+    # configured demand, so every task's demand has the first one's dimension
     dim = config.worker_capacity.dimension
-    for demand in dict.fromkeys(map(attrgetter("demand"), tasks)):
-        if demand.dimension != dim:
-            first = next(task for task in tasks if task.demand == demand)
-            raise ConfigurationError(
-                f"task {first.task_id}: demand {tuple(demand)} does not "
-                f"have the {dim} dimensions of worker_capacity"
-            )
+    if tasks and tasks[0].demand.dimension != dim:
+        raise ConfigurationError(f"task {tasks[0].task_id}: demand {tuple(tasks[0].demand)} "
+                                 f"does not have the {dim} dimensions of worker_capacity")
     return tasks
 
 

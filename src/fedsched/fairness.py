@@ -5,7 +5,9 @@ a fraction of total data-center resources.  A GM serves its queues round-robin.
 Preemption is a last resort: it runs only after both the internal-partition
 scan and repartitioning fail, and only on behalf of a user still at or under
 its share.  Victim users are considered in decreasing order of how far over
-their share they appear in the deciding GM's view.
+their share they appear in the deciding GM's view.  `plan_preemption` returns
+(nodes_scanned, plan), appends its audit record to `audit` if that is a list,
+and scans the view's partitions in their sorted key order.
 """
 
 from __future__ import annotations
@@ -137,48 +139,36 @@ class PreemptDecisionAudit:
     nodes_scanned: int = 0
 
 
-GUARD_FAILURE = "over_share"
-
-
 def plan_preemption(
     view: ClusterView,
     run: TaskRun,
-    requester_queue: UserQueue,
+    queues: QueueSet,
     shares: dict[str, tuple[float, ...]],
-    own_queues: dict[str, UserQueue],
     metric: str,
     now: float,
     gm_id: str,
-    *,
-    audit: bool = True,
-) -> tuple[str | None, PreemptPlan | None, PreemptDecisionAudit | int]:
-    """Decide whether and whom to preempt for `run`.
+    audit: list | None = None,
+) -> tuple[int, PreemptPlan | None]:
+    """Decide whether and whom to preempt for `run`, one of `queues`' requests.
 
-    Returns (guard_failure, plan, audit).  guard_failure is set when the
-    requesting user is already over its share, in which case the request must
-    go back to the tail of its queue.  plan is None when no over-share user
-    has victims that would free enough resources on a single eligible node.
-    With `audit` off no audit record is built, and the third element is just
-    the record's `nodes_scanned`, the one figure the caller charges for.
+    Returns (nodes_scanned, plan).  A requester already over its share gets no
+    plan and scans nothing; its request goes back to the tail of its queue.
+    plan is also None when no over-share user has victims that would free
+    enough resources on a single eligible node.  When `audit` is a list, the
+    decision's `PreemptDecisionAudit` is appended to it.
     """
     request = run.request
-    requester_user = request.user_id
-    requester_consumed = requester_queue.consumed
-    requester_share = requester_queue.share
+    own = queues.by_user
+    requester = own[request.user_id]
 
     # rank other users by how far over their share the view says they are
     candidates: list[tuple[float, str, ResourceVector]] = []
-    if over_share(requester_consumed, requester_share, metric):
-        guard = GUARD_FAILURE
-    else:
-        guard = None
+    if not over_share(requester.consumed, requester.share, metric):
         for user_id, share in shares.items():
-            if user_id == requester_user:
+            if user_id == requester.user_id:
                 continue
-            if user_id in own_queues:
-                consumed = own_queues[user_id].consumed
-            else:
-                consumed = view.viewed_consumed(user_id)
+            queue = own.get(user_id)
+            consumed = view.viewed_consumed(user_id) if queue is None else queue.consumed
             ratio = metric_value(consumed, share, metric)
             if ratio > 1.0:
                 candidates.append((ratio, user_id, consumed))
@@ -188,32 +178,29 @@ def plan_preemption(
     plan: PreemptPlan | None = None
     scanned = 0
     for ratio, user_id, consumed in candidates:
-        found, checked = _victims_for_user(view, user_id, request.constraints, request.demand)
+        plan, checked = _victims_for_user(view, user_id, request.constraints, request.demand)
         scanned += checked
-        if audit:
+        if audit is not None:
             audit_entries.append(CandidateAudit(
                 user_id=user_id, viewed_consumed=consumed.quantities,
-                share=shares[user_id], ratio=ratio, yielded_victims=found is not None,
+                share=shares[user_id], ratio=ratio, yielded_victims=plan is not None,
             ))
-        if found is not None:
-            part, node_id, ordinal, victim_ids = found
-            plan = PreemptPlan(partition=part, node_id=node_id, ordinal=ordinal,
-                               victim_user=user_id, victim_ids=victim_ids)
+        if plan is not None:
             break
 
-    if not audit:
-        return guard, plan, scanned
-    return guard, plan, PreemptDecisionAudit(
-        time=now, gm_id=gm_id, task_id=request.task_id,
-        requester_user=requester_user,
-        requester_consumed=requester_consumed.quantities,
-        requester_share=requester_share, metric=metric,
-        candidates=tuple(audit_entries),
-        chosen_user=plan.victim_user if plan else None,
-        victim_ids=plan.victim_ids if plan else (),
-        node_id=plan.node_id if plan else None,
-        nodes_scanned=scanned,
-    )
+    if audit is not None:
+        audit.append(PreemptDecisionAudit(
+            time=now, gm_id=gm_id, task_id=request.task_id,
+            requester_user=requester.user_id,
+            requester_consumed=requester.consumed.quantities,
+            requester_share=requester.share, metric=metric,
+            candidates=tuple(audit_entries),
+            chosen_user=plan.victim_user if plan else None,
+            victim_ids=plan.victim_ids if plan else (),
+            node_id=plan.node_id if plan else None,
+            nodes_scanned=scanned,
+        ))
+    return scanned, plan
 
 
 def _victims_for_user(
@@ -221,16 +208,15 @@ def _victims_for_user(
     victim_user: str,
     constraints: frozenset[int],
     demand: ResourceVector,
-) -> tuple[tuple[ViewPartition, str, int, tuple[str, ...]] | None, int]:
+) -> tuple[PreemptPlan | None, int]:
     """Find one node where killing this user's tasks frees enough for demand.
 
     Victims are taken most-recently-launched first and must cover the demand
-    on a single node; tasks on different nodes are never combined.  Returns
-    ((partition, node, ordinal, victim_ids) or None, nodes_scanned).
+    on a single node; tasks on different nodes are never combined.  Partitions
+    are visited in the view's key order.  Returns (plan or None, nodes_scanned).
     """
     scanned = 0
-    for key in sorted(view.partitions):
-        part = view.partitions[key]
+    for part in view.partitions.values():
         for ordinal, node in enumerate(part.nodes):
             if node.is_logical:
                 # killing a logical node's task returns capacity to its
@@ -251,5 +237,6 @@ def _victims_for_user(
                 freed = freed + info.demand
                 victims.append(info.task_id)
             if freed.geq(demand) and victims:
-                return (part, node.node_id, ordinal, tuple(victims)), scanned
+                return PreemptPlan(part, node.node_id, ordinal, victim_user,
+                                   tuple(victims)), scanned
     return None, scanned

@@ -15,9 +15,11 @@ The decision flow for one request (`_attempt`):
   3. fairness: a preemption plan -> preempt request, else reinsert at tail
 Each search walks one deque of the view's `ViewPartition` objects, built once
 in `seed` and rotated after the search so that it starts at the next LM: the
-view refreshes each partition in place, so the deques stay current.  A
-verified preemption launches on the node the plan named, by the plan's
-partition and ordinal.
+view refreshes each partition in place, so the deques stay current.  The
+fairness step charges for the nodes_scanned of `plan_preemption`'s
+(nodes_scanned, plan), a scan of the view's partitions in sorted key order,
+and hands it the collector's audit list only when auditing is on.  A verified
+preemption launches on the plan's physical node, by partition and ordinal.
 """
 
 from __future__ import annotations
@@ -157,16 +159,11 @@ class GlobalMaster:
 
     def _plan(self, run: TaskRun, at: float) -> tuple[float, PreemptPlan | None]:
         """The fairness step: (scan cost, a preemption plan or None)."""
-        audit = self.collector.audit
-        _, plan, record = plan_preemption(
-            self.view, run, self.queues.by_user[run.request.user_id], self.shares,
-            self.queues.by_user, self.violation_metric, at, self.gm_id, audit=audit,
+        collector = self.collector
+        scanned, plan = plan_preemption(
+            self.view, run, self.queues, self.shares, self.violation_metric, at,
+            self.gm_id, audit=collector.audit_preemptions if collector.audit else None,
         )
-        if audit:
-            self.collector.audit_preemptions.append(record)
-            scanned = record.nodes_scanned
-        else:
-            scanned = record
         return scanned * self.costs.gm_node_check, plan
 
     def _request_launch(self, run: TaskRun, part: ViewPartition, ordinal: int,
@@ -254,9 +251,9 @@ class GlobalMaster:
         mid = self.clock.charge(start, merge_cost)
 
         part, ordinal = plan.partition, plan.ordinal
+        # a plan names a physical node, whose ordinal and constraint bits never change
         if (all(s.verified for s in response.statuses)
-                and part.available(ordinal).geq(request.demand)
-                and part.node_satisfies(ordinal, request.constraints)):
+                and part.available(ordinal).geq(request.demand)):
             cost = self.costs.gm_request_overhead
             done = self.clock.charge(mid, cost)
             run.processing += cost

@@ -266,6 +266,8 @@ class ClusterView:
         for snapshot in snapshots:
             self._merge(snapshot.lm_id, snapshot.timestamp, snapshot.partitions,
                         snapshot.user_consumed)
+        # in (lm_id, partition_id) order, which the victim scan visits
+        self.partitions = dict(sorted(self.partitions.items()))
 
     def _merge(
         self,

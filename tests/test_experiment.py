@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -414,6 +415,16 @@ def test_trace_demand_dimension_must_match_workers(tmp_path):
                       worker_capacity=[64, 16384, 8])
     with pytest.raises(ConfigurationError, match="dimensions"):
         build_workload(cfg, effective_users(cfg))
+
+
+def test_default_demand_dimension_must_match_workers():
+    # no demand configured: every task takes the 2-dimensional default
+    data = base_data(worker_capacity=[64, 16384, 8])
+    data["workload"] = {"kind": "synthetic", "count": 3, "rate": 1.0, "duration": 1.0}
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "task t000000: demand (1, 256) does not have the 3 dimensions of "
+            "worker_capacity")):
+        run_experiment(config_from_dict(data))
 
 
 def test_shares_may_not_exceed_the_cluster():

@@ -5,8 +5,8 @@ import pytest
 from fedsched.core import constraint_bits
 from fedsched.errors import ConfigurationError
 from fedsched.experiment import check_conservation
-from fedsched.fairness import (GUARD_FAILURE, QueueSet, UserQueue, metric_value,
-                               over_share, plan_preemption)
+from fedsched.fairness import (QueueSet, UserQueue, metric_value, over_share,
+                               plan_preemption)
 from fedsched.metrics import TaskRun
 from fedsched.state import (ClusterView, LMStateSnapshot, NodeSnapshot,
                             PartitionSnapshot, RunningTaskInfo)
@@ -122,29 +122,45 @@ def view_of(nodes, m=8):
 
 def plan(view, *, requester="uA", req_consumed=None, req_share=(10.0, 10000.0),
          others=(), demand=None, constraints=(), metric="cpu"):
-    """others: (user_id, consumed, share) triples, all homed at this GM."""
-    rq = queue(requester, share=req_share, consumed=req_consumed)
-    own = {requester: rq}
+    """others: (user_id, consumed, share) triples, all homed at this GM.
+
+    Returns (nodes_scanned, plan, audit record); planning without an audit
+    list must give the same (nodes_scanned, plan)."""
+    queues = [queue(requester, share=req_share, consumed=req_consumed)]
     shares = {requester: req_share}
     for user_id, consumed, share in others:
-        own[user_id] = queue(user_id, share=share, consumed=consumed)
+        queues.append(queue(user_id, share=share, consumed=consumed))
         shares[user_id] = share
     run = run_for(requester, "tp", demand=demand, constraints=constraints)
-    return plan_preemption(view, run, rq, shares, own, metric, 0.0, "gm0")
+    args = (view, run, QueueSet(queues), shares, metric, 0.0, "gm0")
+    audits = []
+    scanned, chosen = plan_preemption(*args, audit=audits)
+    assert plan_preemption(*args) == (scanned, chosen)
+    audit, = audits
+    assert audit.nodes_scanned == scanned
+    return scanned, chosen, audit
 
 
 def test_guard_blocks_strictly_over_share_requester():
-    guard, chosen, audit = plan(view_of([]), req_consumed=rv(11, 0),
-                                req_share=(10.0, 10000.0))
-    assert guard == GUARD_FAILURE and chosen is None
+    # uB is over its share and its task's release would fit the request
+    v = view_of([("x", cs(), rv(0, 0), [info("b1", "uB", rv(4, 4096), 1.0)])])
+    scanned, chosen, audit = plan(v, req_consumed=rv(11, 0), req_share=(10.0, 10000.0),
+                                  others=[("uB", rv(4, 4096), (2.0, 2048.0))],
+                                  demand=rv(4, 4096))
+    assert (scanned, chosen) == (0, None)
     assert audit.candidates == ()
+    # the same request from a requester at its share gets uB's task
+    scanned, chosen, audit = plan(v, req_consumed=rv(10, 0), req_share=(10.0, 10000.0),
+                                  others=[("uB", rv(4, 4096), (2.0, 2048.0))],
+                                  demand=rv(4, 4096))
+    assert (scanned, chosen.victim_ids) == (1, ("b1",))
 
 
 def test_no_over_share_users_means_no_plan():
     v = view_of([("x", cs(), rv(0, 0), [info("t1", "uB", rv(4, 4096), 1.0)])])
-    guard, chosen, audit = plan(v, others=[("uB", rv(4, 4096), (10.0, 10000.0))],
-                                demand=rv(4, 4096))
-    assert guard is None and chosen is None
+    scanned, chosen, audit = plan(v, others=[("uB", rv(4, 4096), (10.0, 10000.0))],
+                                  demand=rv(4, 4096))
+    assert scanned == 0 and chosen is None
     assert audit.candidates == ()
 
 
@@ -154,9 +170,9 @@ def test_victims_taken_most_recently_launched_first():
         info("v2", "uB", rv(4, 4096), 2.0),
         info("v3", "uB", rv(4, 4096), 3.0),
     ])])
-    guard, chosen, audit = plan(v, others=[("uB", rv(12, 12288), (4.0, 4096.0))],
-                                demand=rv(8, 8192))
-    assert guard is None
+    scanned, chosen, audit = plan(v, others=[("uB", rv(12, 12288), (4.0, 4096.0))],
+                                  demand=rv(8, 8192))
+    assert scanned == 1
     assert chosen.victim_ids == ("v3", "v2")
     assert chosen.node_id == "x"
 
@@ -166,8 +182,8 @@ def test_victims_never_combined_across_nodes():
         ("x", cs(), rv(0, 0), [info("v1", "uB", rv(4, 4096), 1.0)]),
         ("y", cs(), rv(0, 0), [info("v2", "uB", rv(4, 4096), 2.0)]),
     ])
-    guard, chosen, audit = plan(v, others=[("uB", rv(8, 8192), (4.0, 4096.0))],
-                                demand=rv(8, 8192))
+    scanned, chosen, audit = plan(v, others=[("uB", rv(8, 8192), (4.0, 4096.0))],
+                                  demand=rv(8, 8192))
     assert chosen is None
     assert audit.candidates[0].yielded_victims is False
     assert audit.nodes_scanned == 2
@@ -177,8 +193,8 @@ def test_victim_scan_ignores_logical_nodes():
     v = view_of([
         ("x.l1", cs(), rv(0, 0), [info("v1", "uB", rv(4, 4096), 1.0)], True),
     ])
-    guard, chosen, audit = plan(v, others=[("uB", rv(4, 4096), (2.0, 2048.0))],
-                                demand=rv(4, 4096))
+    scanned, chosen, audit = plan(v, others=[("uB", rv(4, 4096), (2.0, 2048.0))],
+                                  demand=rv(4, 4096))
     assert chosen is None
     assert audit.nodes_scanned == 0
 
@@ -188,8 +204,8 @@ def test_victim_node_must_satisfy_task_constraints():
         ("x", cs(1), rv(0, 0), [info("v1", "uB", rv(4, 4096), 1.0)]),
         ("y", cs(1, 2), rv(0, 0), [info("v2", "uB", rv(4, 4096), 2.0)]),
     ])
-    guard, chosen, audit = plan(v, others=[("uB", rv(8, 8192), (4.0, 4096.0))],
-                                demand=rv(4, 4096), constraints=(2,))
+    scanned, chosen, audit = plan(v, others=[("uB", rv(8, 8192), (4.0, 4096.0))],
+                                  demand=rv(4, 4096), constraints=(2,))
     assert chosen.node_id == "y" and chosen.victim_ids == ("v2",)
 
 
@@ -200,13 +216,13 @@ def test_candidates_ranked_by_ratio_then_user_id():
     ])
     others = [("uB", rv(4, 4096), (2.0, 2048.0)),   # ratio 2.0
               ("uC", rv(4, 4096), (3.0, 3072.0))]   # ratio 1.33
-    guard, chosen, audit = plan(v, others=others, demand=rv(4, 4096))
+    scanned, chosen, audit = plan(v, others=others, demand=rv(4, 4096))
     assert chosen.victim_user == "uB"
     assert audit.candidates[0].user_id == "uB"
     # equal ratios fall back to user id order
     others_tied = [("uC", rv(4, 4096), (2.0, 2048.0)),
                    ("uB", rv(4, 4096), (2.0, 2048.0))]
-    guard, chosen, audit = plan(v, others=others_tied, demand=rv(4, 4096))
+    scanned, chosen, audit = plan(v, others=others_tied, demand=rv(4, 4096))
     assert chosen.victim_user == "uB"
 
 

@@ -160,6 +160,20 @@ def test_each_gm_searches_every_view_partition_once_in_lm_order():
         assert len(gm.own) + len(others) == len(gm.view.partitions) == 4 * 5
 
 
+def test_view_partitions_in_key_order_past_100_lms():
+    # LM-list order puts lm100 last; key order puts it between lm10 and lm11,
+    # and the victim scan visits view.partitions in their insertion order
+    config = config_from_dict({
+        "scheduler": "megha", "gm_count": 1, "lm_count": 101, "workers_per_lm": 1,
+        "workload": {"kind": "synthetic", "count": 3, "rate": 1.0, "duration": 0.1,
+                     "demand": [1, 256]},
+        "seed": 1})
+    users = effective_users(config)
+    _, _, lms, (gm,) = build_megha(config, build_workload(config, users), users)
+    assert lms[-1].lm_id == "lm100"
+    assert list(gm.view.partitions) == sorted(gm.view.partitions)
+
+
 def test_full_view_parks_queue_until_merge_bumps_version():
     cluster = one_node_cluster()
     gm = cluster.gms[0]

@@ -44,7 +44,8 @@ CONTENDED = {
 
 
 def traced_run(monkeypatch, data):
-    """Run a config inside `Spans`; returns the result and the message counts."""
+    """Run a config inside `Spans`; returns the result and the message and
+    plan-yield counts."""
     from fedsched.config import config_from_dict
     from fedsched.experiment import run_experiment
 
@@ -53,6 +54,7 @@ def traced_run(monkeypatch, data):
     with tracing.Spans() as spans:
         result = run_experiment(config_from_dict(data))
     counts = {kind: spans.counts["message." + kind] for kind in tracing.MESSAGE_KINDS}
+    counts["plan_yields"] = spans.counts["plan_yields"]
     return result, counts
 
 
@@ -73,3 +75,5 @@ def test_traced_contended_run_counts_each_message_kind(monkeypatch):
     assert counts["task_completion"] == placed
     # each launch or carve-out request is answered exactly once
     assert counts["launch_request"] + counts["repartition_request"] == counts["launch_response"]
+    # every plan the GM gets, the traced call's result[1], is one preempt attempt
+    assert counts["plan_yields"] == result.counters["preempt_attempts"] > 0

@@ -515,6 +515,16 @@ def two_node_snapshot(ts, avail_a, avail_b):
 
 
 class TestClusterViewMerges:
+    def test_partitions_in_key_order_whatever_the_snapshot_order(self):
+        # the victim scan visits view.partitions in their insertion order
+        snaps = [make_lm_snapshot(lm_id, 0.0, [make_partition_snapshot(pid, lm_id)
+                                               for pid in ("p1", "p0")])
+                 for lm_id in ("lm2", "lm10", "lm1")]
+        view = ClusterView(snaps, 2)
+        assert list(view.partitions) == [
+            ("lm1", "p0"), ("lm1", "p1"), ("lm10", "p0"), ("lm10", "p1"),
+            ("lm2", "p0"), ("lm2", "p1")]
+
     def test_heartbeat_replaces_lm_slice(self):
         view = ClusterView([two_node_snapshot(0.0, rv(8, 800), rv(8, 800))], 2)
         assert view.apply_heartbeat(two_node_snapshot(10.0, rv(1, 100), rv(2, 200)))
