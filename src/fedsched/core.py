@@ -9,8 +9,10 @@ integer ids, and a task's or a machine's constraints are a plain
 the task's.  Partition membership is indexed per constraint with bit
 vectors, an immutable tuple built by `constraint_bits`, so a scheduler can
 intersect them with bitwise AND (`candidates`) instead of walking every node.
-The LM's `Partition.bits` is the only copy: snapshots ship it and GM views
-read it as it stands.
+A `Partition` is the one owner of its ordinal layout: the node ids, their
+bits, the LM's published `NodeSnapshot` at each ordinal and the change log
+move together in its three mutators.  The LM's `Partition.bits` and `log`
+are the only copies: snapshots ship them and GM views read them as they stand.
 
 Input is validated where it enters, not in every operation.  `ResourceVector.of`
 checks each vector built from outside input (config, trace, default demand);
@@ -29,12 +31,15 @@ demand dimension by `build_workload`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import add, ge, sub
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from .state import NodeSnapshot
 
 DEFAULT_RESOURCE_DIM = 2  # (cpu cores, memory MB)
 DEFAULT_CONSTRAINT_COUNT = 21
@@ -179,24 +184,43 @@ def iter_ordinals(mask: int) -> Iterator[int]:
 
 @dataclass
 class Partition:
-    """A logical slice of one LM's workers, owned by exactly one GM.
+    """A logical slice of one LM's workers, owned by exactly one GM, and the one
+    owner of its ordinal layout.
 
     `node_ids` maps each node id to its ordinal, in ordinal order.  `bits` is
     the `constraint_bits` of the nodes in that order, an immutable tuple
     replaced on every membership change, so a snapshot carries it as it stands.
+    `nodes` holds the LM's published `NodeSnapshot` at each ordinal, and `log`
+    the ordinals replaced since it was started, in order.  The three mutators
+    keep all four in step: `replace` logs the ordinal, or starts a new log
+    where it would grow as long as `nodes`, which bounds it without a setting;
+    `append_node` and `remove_node` move ordinals, so both start a new log.
     """
 
     partition_id: str
     owner_gm_id: str
     node_ids: dict[str, int]
     bits: tuple[int, ...]
+    nodes: list[NodeSnapshot]
+    log: list[int] = field(default_factory=list)
 
-    def append_node(self, node_id: str, constraints: frozenset[int]) -> int:
+    def replace(self, ordinal: int, snapshot: NodeSnapshot) -> None:
+        """Publish the node at `ordinal` anew."""
+        self.nodes[ordinal] = snapshot
+        if len(self.log) < len(self.nodes) - 1:
+            self.log.append(ordinal)
+        else:
+            self.log = []
+
+    def append_node(self, node_id: str, constraints: frozenset[int],
+                    snapshot: NodeSnapshot) -> int:
         """Give the node the next ordinal and return it."""
         ordinal = self.node_ids[node_id] = len(self.node_ids)
         bit = 1 << ordinal
         self.bits = tuple(v | bit if cid in constraints else v
                           for cid, v in enumerate(self.bits))
+        self.nodes.append(snapshot)
+        self.log = []
         return ordinal
 
     def remove_node(self, node_id: str) -> int:
@@ -206,4 +230,6 @@ class Partition:
             self.node_ids[later] -= 1
         low = (1 << ordinal) - 1
         self.bits = tuple((v >> (ordinal + 1) << ordinal) | (v & low) for v in self.bits)
+        del self.nodes[ordinal]
+        self.log = []
         return ordinal

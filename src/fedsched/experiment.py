@@ -19,8 +19,8 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 
 from .config import ExperimentConfig, UserSpec
-from .core import (NO_CONSTRAINTS, Partition, ResourceVector, TaskRequest, WorkerNode,
-                   candidates, constraint_bits, iter_ordinals)
+from .core import (NO_CONSTRAINTS, ResourceVector, TaskRequest, WorkerNode, candidates,
+                   constraint_bits, iter_ordinals)
 from .engine import EventLoop, Network
 from .errors import ConfigurationError, SimulationError
 from .fairness import QueueSet, UserQueue
@@ -142,23 +142,12 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
     per_lm = config.workers_per_lm
     for i, lm_id in enumerate(lm_ids):
         lm = LocalMaster(lm_id, loop, network, config.costs, collector,
-                         heartbeat_period=config.heartbeat_period,
-                         resource_dim=dim)
+                         heartbeat_period=config.heartbeat_period)
         lm_nodes = nodes[i * per_lm:(i + 1) * per_lm]  # built LM by LM
-        for node in lm_nodes:
-            lm.add_node(node)
         # every LM carries one partition per GM; workers dealt round-robin
         for j, gm_id in enumerate(gm_ids):
-            members = lm_nodes[j::config.gm_count]
-            partition_id = f"{lm_id}-p{j:02d}"
-            for node in members:
-                node.partition_id = partition_id
-            lm.add_partition(Partition(
-                partition_id=partition_id, owner_gm_id=gm_id,
-                node_ids={node.node_id: o for o, node in enumerate(members)},
-                bits=constraint_bits(config.constraint_count,
-                                     [node.machine_constraints for node in members]),
-            ))
+            lm.add_partition(f"{lm_id}-p{j:02d}", gm_id, lm_nodes[j::config.gm_count],
+                             config.constraint_count)
         lms.append(lm)
 
     total = ResourceVector.of(*[q * config.lm_count * config.workers_per_lm
@@ -257,21 +246,24 @@ def check_conservation(lm: LocalMaster) -> None:
             prev = child_sum.get(node.parent_node)
             child_sum[node.parent_node] = (node.capacity if prev is None
                                            else prev + node.capacity)
-    available = {s.node_id: s.available for nodes in lm.partition_nodes.values() for s in nodes}
-    zero = ResourceVector.zeros(lm.resource_dim)
+    available = {s.node_id: s.available for p in lm.partitions.values() for s in p.nodes}
     for node in lm.nodes.values():
-        expected = available[node.node_id] + running_sum.get(node.node_id, zero)
-        if not node.is_logical:
-            expected = expected + child_sum.get(node.node_id, zero)
-        elif node.node_id in child_sum:
-            raise SimulationError(f"logical node {node.node_id} has children")
+        expected = available[node.node_id]
+        running = running_sum.get(node.node_id)
+        if running is not None:
+            expected = expected + running
+        children = child_sum.get(node.node_id)
+        if children is not None:
+            if node.is_logical:
+                raise SimulationError(f"logical node {node.node_id} has children")
+            expected = expected + children
         if expected != node.capacity:
             raise SimulationError(
                 f"conservation violated on {node.node_id}: capacity "
                 f"{tuple(node.capacity)}, accounted {tuple(expected)}"
             )
     for user, consumed in lm.consumed.items():
-        running = user_sum.pop(user, zero)
+        running = user_sum.pop(user, ResourceVector.zeros(consumed.dimension))
         if consumed != running:
             raise SimulationError(
                 f"{lm.lm_id}: consumption of {user} {tuple(consumed)} != its running "
@@ -328,10 +320,10 @@ def check_snapshot_cache(lm: LocalMaster) -> None:
                   tuple(by_node.get(node.node_id, ())))
                  for node in map(lm.nodes.__getitem__, partition.node_ids)]
         kept = [(snap.node_id, snap.is_logical, snap.parent_node, snap.running)
-                for snap in lm.partition_nodes[pid]]
+                for snap in partition.nodes]
         if kept != fresh:
             raise SimulationError(f"{pid}: snapshot list != rebuild from its nodes")
-        log = lm.partition_logs[pid]
+        log = partition.log
         if log and not (len(log) < len(fresh) and 0 <= min(log) and max(log) < len(fresh)):
             raise SimulationError(f"{pid}: change log {log} for {len(fresh)} nodes")
 

@@ -8,17 +8,15 @@ responses and notifications just the partitions that changed, and a periodic
 heartbeat pushes the full state to every GM.
 
 Snapshot state is kept incrementally rather than rebuilt per message: each
-partition keeps its list of `NodeSnapshot`s in `Partition.node_ids` ordinal
-order, and it holds the one copy of each node's availability.  `available`
-reads it; `_publish`, the only writer, replaces a node's entry on a launch, a
-release or a carve-out, adding or removing the one `RunningTaskInfo` it
-concerns, and appends the node's ordinal to the partition's change log.  Each
-change looks the node's ordinal up once and passes it along: a launch or a
-carve-out takes it from `_fits`.  A carve-out appends to the list and the
-destruction of a logical node deletes its entry, as `Partition.append_node`
-and `remove_node` do to the ordinals and the constraint bits; both start a
-new change log, since they move ordinals, and so does a publish that would
-make the log as long as the list, which bounds it without a setting.  A
+`Partition`, built by `add_partition` from its members, keeps its
+`NodeSnapshot`s in ordinal order and its change log (see `core.Partition`),
+and holds the one copy of each node's availability.  `available` reads it;
+`_publish` builds a node's new entry on a launch, a release or a carve-out,
+adding or removing the one `RunningTaskInfo` it concerns, and
+`Partition.replace` writes it and logs its ordinal.  Each change looks the
+node's ordinal up once and passes it along: a launch or a carve-out takes
+it from `_fits`.  A carve-out appends a logical node with
+`Partition.append_node` and its destruction drops it with `remove_node`.  A
 message carries the list as a tuple (O(n), but a C-level copy: about 0.4 µs
 at 150 nodes on a 2-vCPU Xeon under Python 3.11), so untouched nodes keep
 their `NodeSnapshot` objects, and the log itself with its current length, so a
@@ -40,7 +38,7 @@ import logging
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .core import Partition, ResourceVector, WorkerNode
+from .core import Partition, ResourceVector, WorkerNode, constraint_bits
 from .engine import (HEARTBEAT, LAUNCH_RESPONSE, PREEMPT_RESPONSE, TASK_COMPLETION,
                      TASK_LAUNCH, TASK_PREEMPTED, ActorClock, CostModel, EventLoop,
                      Network)
@@ -82,7 +80,6 @@ class LocalMaster:
         collector: MetricsCollector,
         *,
         heartbeat_period: float = 10.0,
-        resource_dim: int = 2,
     ) -> None:
         self.lm_id = lm_id
         self.loop = loop
@@ -90,14 +87,11 @@ class LocalMaster:
         self.costs = costs
         self.collector = collector
         self.heartbeat_period = heartbeat_period
-        self.resource_dim = resource_dim
         self.clock = ActorClock()
         self.nodes: dict[str, WorkerNode] = {}
         self.partitions: dict[str, Partition] = {}
         self.partition_by_owner: dict[str, Partition] = {}
         self.running: dict[str, RunningTask] = {}
-        self.partition_nodes: dict[str, list[NodeSnapshot]] = {}
-        self.partition_logs: dict[str, list[int]] = {}  # ordinals replaced, in order
         # user -> demand of the user's running tasks; replaced, never mutated
         self.consumed: dict[str, ResourceVector] = {}
         # GlobalMaster handles by id, in wiring order, wired by the experiment builder
@@ -106,16 +100,17 @@ class LocalMaster:
 
     # -- construction ------------------------------------------------------
 
-    def add_partition(self, partition: Partition) -> None:
-        self.partitions[partition.partition_id] = partition
-        self.partition_by_owner[partition.owner_gm_id] = partition
-        self.partition_nodes[partition.partition_id] = [
-            _snapshot(node, node.capacity)
-            for node in map(self.nodes.__getitem__, partition.node_ids)]
-        self.partition_logs[partition.partition_id] = []
-
-    def add_node(self, node: WorkerNode) -> None:
-        self.nodes[node.node_id] = node
+    def add_partition(self, partition_id: str, owner_gm_id: str,
+                      members: list[WorkerNode], constraint_count: int) -> None:
+        """Give `owner_gm_id` a partition of the members, in member order, all free."""
+        for node in members:
+            node.partition_id = partition_id
+            self.nodes[node.node_id] = node
+        self.partitions[partition_id] = self.partition_by_owner[owner_gm_id] = Partition(
+            partition_id, owner_gm_id,
+            {node.node_id: o for o, node in enumerate(members)},
+            constraint_bits(constraint_count, [n.machine_constraints for n in members]),
+            [_snapshot(node, node.capacity) for node in members])
 
     def wire_gms(self, gms: list) -> None:
         self.gms = {gm.gm_id: gm for gm in gms}
@@ -132,53 +127,29 @@ class LocalMaster:
 
     def available(self, node: WorkerNode) -> ResourceVector:
         """The node's availability, as its published snapshot holds it."""
-        return self.partition_nodes[node.partition_id][self._ordinal(node)].available
+        return self.partitions[node.partition_id].nodes[self._ordinal(node)].available
 
     def _publish(self, node: WorkerNode, ordinal: int, available: ResourceVector, *,
                  add: RunningTaskInfo | None = None,
                  remove: RunningTaskInfo | None = None) -> None:
-        """The node, at `ordinal`, changed: replace its entry in its partition's
-        list and log the ordinal, or start a new log where it would grow as
-        long as the list."""
-        pid = node.partition_id
-        nodes = self.partition_nodes[pid]
-        running = nodes[ordinal].running
+        """The node, at `ordinal`, changed: publish its new entry, with the
+        running task added or removed."""
+        partition = self.partitions[node.partition_id]
+        running = partition.nodes[ordinal].running
         if remove is not None:
             running = tuple(info for info in running if info is not remove)
         if add is not None:
             running = tuple(sorted((*running, add), key=_TASK_ID))
-        nodes[ordinal] = _snapshot(node, available, running)
-        log = self.partition_logs[pid]
-        if len(log) < len(nodes) - 1:
-            log.append(ordinal)
-        else:
-            self.partition_logs[pid] = []
-
-    def _add_node(self, node: WorkerNode, partition: Partition) -> int:
-        """Append a carved-out node, all of it free, to the partition and its
-        snapshot list, and start a new log; returns its ordinal."""
-        pid = partition.partition_id
-        self.nodes[node.node_id] = node
-        self.partition_nodes[pid].append(_snapshot(node, node.capacity))
-        self.partition_logs[pid] = []
-        return partition.append_node(node.node_id, node.machine_constraints)
-
-    def _destroy_node(self, node: WorkerNode) -> None:
-        """Remove a logical node from its partition and its snapshot list, and
-        start a new log."""
-        pid = node.partition_id
-        del self.partition_nodes[pid][self.partitions[pid].remove_node(node.node_id)]
-        self.partition_logs[pid] = []
-        del self.nodes[node.node_id]
+        partition.replace(ordinal, _snapshot(node, available, running))
 
     def partition_snapshot(self, partition_id: str) -> PartitionSnapshot:
         partition = self.partitions[partition_id]
-        log = self.partition_logs[partition_id]
+        log = partition.log
         return _new(PartitionSnapshot, (
             partition_id,
             self.lm_id,
             partition.owner_gm_id,
-            tuple(self.partition_nodes[partition_id]),
+            tuple(partition.nodes),
             partition.bits,
             log,
             len(log),
@@ -227,8 +198,9 @@ class LocalMaster:
         has its demand; else None."""
         if node is None or not node.machine_constraints >= req.constraints:
             return None
-        ordinal = self._ordinal(node)
-        if self.partition_nodes[node.partition_id][ordinal].available.geq(req.demand):
+        partition = self.partitions[node.partition_id]
+        ordinal = partition.node_ids[node.node_id]
+        if partition.nodes[ordinal].available.geq(req.demand):
             return ordinal
         return None
 
@@ -270,7 +242,7 @@ class LocalMaster:
         rt.info = info = _new(RunningTaskInfo, (
             request.task_id, user, demand,
             self.network.send(done, TASK_LAUNCH, self._begin_execution, rt, run=run)))
-        available = self.partition_nodes[node.partition_id][ordinal].available
+        available = self.partitions[node.partition_id].nodes[ordinal].available
         self._publish(node, ordinal, available - demand, add=info)
         consumed = self.consumed  # may have been sent: replace it, never mutate it
         have = consumed.get(user)
@@ -333,9 +305,11 @@ class LocalMaster:
             is_logical=True,
             parent_node=source.node_id,
         )
-        available = self.partition_nodes[source.partition_id][ordinal].available
+        available = self.partitions[source.partition_id].nodes[ordinal].available
         self._publish(source, ordinal, available - req.demand)
-        logical_ordinal = self._add_node(logical, target)
+        self.nodes[logical.node_id] = logical
+        logical_ordinal = target.append_node(logical.node_id, logical.machine_constraints,
+                                             _snapshot(logical, logical.capacity))
         self.collector.bump("repartitions")
         run.repartitioned = True
 
@@ -394,13 +368,14 @@ class LocalMaster:
         if node.is_logical:
             parent = self.nodes[node.parent_node]
             ordinal = self._ordinal(parent)
-            available = self.partition_nodes[parent.partition_id][ordinal].available
+            available = self.partitions[parent.partition_id].nodes[ordinal].available
             self._publish(parent, ordinal, available + node.capacity)
-            self._destroy_node(node)
+            self.partitions[node.partition_id].remove_node(node.node_id)
+            del self.nodes[node.node_id]
             touched.append(parent.partition_id)
         else:
             ordinal = self._ordinal(node)
-            available = self.partition_nodes[node.partition_id][ordinal].available
+            available = self.partitions[node.partition_id].nodes[ordinal].available
             self._publish(node, ordinal, available + info.demand, remove=info)
         consumed = self.consumed  # may have been sent: replace it, never mutate it
         self.consumed = {**consumed, info.user_id: consumed[info.user_id] - info.demand}

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from fedsched.core import (Partition, ResourceVector, TaskRequest, WorkerNode,
-                           constraint_bits)
+from fedsched.core import ResourceVector, TaskRequest, WorkerNode
 from fedsched.engine import CostModel, DelayModel, EventLoop, Network
 from fedsched.fairness import QueueSet, UserQueue
 from fedsched.global_master import GlobalMaster
@@ -98,23 +97,15 @@ def build_cluster(
     total = ResourceVector.zeros(resource_dim)
     for lm_id in sorted(lm_specs):
         lm = LocalMaster(lm_id, loop, network, costs, collector,
-                         heartbeat_period=heartbeat_period,
-                         resource_dim=resource_dim)
+                         heartbeat_period=heartbeat_period)
         for j, gm_id in enumerate(gm_ids):
             partition_id = f"{lm_id}-p{j}"
-            specs = lm_specs[lm_id].get(gm_id, [])
-            for node_id, capacity, machine in specs:
-                lm.add_node(WorkerNode(
-                    node_id=node_id, lm_id=lm_id, partition_id=partition_id,
-                    capacity=capacity,
-                    machine_constraints=machine,
-                ))
-                total = total + capacity
-            lm.add_partition(Partition(
-                partition_id=partition_id, owner_gm_id=gm_id,
-                node_ids={spec[0]: o for o, spec in enumerate(specs)},
-                bits=constraint_bits(constraint_count, [spec[2] for spec in specs]),
-            ))
+            members = [WorkerNode(node_id=node_id, lm_id=lm_id, partition_id=partition_id,
+                                  capacity=capacity, machine_constraints=machine)
+                       for node_id, capacity, machine in lm_specs[lm_id].get(gm_id, [])]
+            for node in members:
+                total = total + node.capacity
+            lm.add_partition(partition_id, gm_id, members, constraint_count)
         lms.append(lm)
 
     shares = {uid: tuple(frac * q for q in total)

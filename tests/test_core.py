@@ -215,11 +215,37 @@ def test_iter_ordinals_enumerates_set_bits(mask):
     assert list(iter_ordinals(mask)) == [i for i in range(70) if mask >> i & 1]
 
 
+def stand_in(node_id):
+    """A published snapshot standing in for the LM's, named for its node."""
+    return NodeSnapshot(node_id, ResourceVector.of(1), False, None, ())
+
+
+def assert_layout_moved(part, old_log):
+    """`nodes` follows the ids in ordinal order, and a new, empty log started."""
+    assert [n.node_id for n in part.nodes] == list(part.node_ids)
+    assert part.log == [] and part.log is not old_log
+
+
+def append(part, node_id, machine):
+    log = part.log
+    ordinal = part.append_node(node_id, machine, stand_in(node_id))
+    assert_layout_moved(part, log)
+    return ordinal
+
+
+def remove(part, node_id):
+    log = part.log
+    ordinal = part.remove_node(node_id)
+    assert_layout_moved(part, log)
+    return ordinal
+
+
 def partition_of(sets, m=8):
-    """A partition built by appending one node per constraint set."""
-    part = Partition("p", "gm", node_ids={}, bits=constraint_bits(m, []))
+    """A partition built by appending one node, with a stand-in snapshot, per
+    constraint set."""
+    part = Partition("p", "gm", node_ids={}, bits=constraint_bits(m, []), nodes=[])
     for i, machine in enumerate(sets):
-        part.append_node(f"n{i}", machine)
+        append(part, f"n{i}", machine)
     return part
 
 
@@ -233,7 +259,7 @@ def test_remove_matches_rebuild(sets, drop):
     drop %= len(sets)
     part = partition_of(sets)
     assert part.bits == constraint_bits(8, sets)
-    assert part.remove_node(f"n{drop}") == drop
+    assert remove(part, f"n{drop}") == drop
     assert part.bits == constraint_bits(8, sets[:drop] + sets[drop + 1:])
     survivors = [f"n{i}" for i in range(len(sets)) if i != drop]
     assert part.node_ids == {node_id: o for o, node_id in enumerate(survivors)}
@@ -244,7 +270,7 @@ class TestPartition:
         part = partition_of([frozenset({1}), frozenset({2})], m=3)
         assert list(part.node_ids) == ["n0", "n1"]
         assert part.bits == (0b00, 0b01, 0b10)
-        part.remove_node("n0")
+        remove(part, "n0")
         assert list(part.node_ids) == ["n1"]
         assert part.bits == (0, 0, 0b1)
 
@@ -252,7 +278,7 @@ class TestPartition:
         sets = [frozenset({0}), frozenset({1}), frozenset({0, 1}),
                 frozenset(), frozenset({0})]
         part = partition_of(sets, m=2)
-        part.remove_node("n2")
+        remove(part, "n2")
         assert list(part.node_ids) == ["n0", "n1", "n3", "n4"]
         assert part.bits == constraint_bits(2, [sets[i] for i in (0, 1, 3, 4)])
 
@@ -260,14 +286,28 @@ class TestPartition:
         part = partition_of([frozenset({0}), frozenset({1})], m=2)
         assert part.node_ids == {"n0": 0, "n1": 1}
         for logical in ("n0.l1", "n1.l2", "n0.l3"):  # carve-outs join at the tail
-            part.append_node(logical, frozenset({0}))
+            append(part, logical, frozenset({0}))
         assert part.node_ids == {"n0": 0, "n1": 1, "n0.l1": 2, "n1.l2": 3, "n0.l3": 4}
         # a logical node destroyed before the others: only those after it move
-        assert part.remove_node("n0.l1") == 2
+        assert remove(part, "n0.l1") == 2
         assert part.node_ids == {"n0": 0, "n1": 1, "n1.l2": 2, "n0.l3": 3}
-        assert part.remove_node("n0.l3") == 3
+        assert remove(part, "n0.l3") == 3
         assert part.node_ids == {"n0": 0, "n1": 1, "n1.l2": 2}
-        part.append_node("n1.l4", frozenset({1}))
+        append(part, "n1.l4", frozenset({1}))
         assert part.node_ids == {"n0": 0, "n1": 1, "n1.l2": 2, "n1.l4": 3}
         assert part.bits == constraint_bits(2, [frozenset({0}), frozenset({1}),
                                                 frozenset({0}), frozenset({1})])
+
+    def test_replace_logs_each_ordinal_until_the_log_would_reach_the_node_count(self):
+        part = partition_of([frozenset()] * 4, m=1)
+        first = part.log
+        for ordinal in (2, 0, 2):
+            part.replace(ordinal, stand_in(f"n{ordinal}"))
+        assert part.log is first and first == [2, 0, 2]  # one short of the 4 nodes
+        snapshot = stand_in("n1")
+        part.replace(1, snapshot)
+        assert part.nodes[1] is snapshot
+        assert part.log is not first and part.log == []
+        part.replace(3, stand_in("n3"))
+        assert part.log == [3]
+        assert [n.node_id for n in part.nodes] == list(part.node_ids)

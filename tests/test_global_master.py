@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from fedsched.config import config_from_dict
-from fedsched.core import Partition, constraint_bits
 from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.errors import ConfigurationError
 from fedsched.experiment import build_megha, build_workload, effective_users
@@ -276,8 +275,7 @@ def test_seed_requires_exactly_one_partition_per_lm():
     collector = MetricsCollector()
     lm = LocalMaster("lm0", loop, network, ZERO_COSTS, collector)
     for j in range(2):
-        lm.add_partition(Partition(partition_id=f"p{j}", owner_gm_id="gm0", node_ids={},
-                                   bits=constraint_bits(21, [])))
+        lm.add_partition(f"p{j}", "gm0", [], 21)
     gm = GlobalMaster("gm0", loop, network, ZERO_COSTS, collector)
     with pytest.raises(ConfigurationError):
         gm.seed(ClusterView([lm.snapshot(0.0)], 2), QueueSet([]), [lm], {})

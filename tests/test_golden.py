@@ -11,10 +11,11 @@ ones were recorded before the LM kept a change log of its partitions.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from fedsched.config import config_from_dict
+from fedsched.config import config_from_dict, load_config
 from fedsched.experiment import (build_megha, build_workload, effective_users,
                                  run_experiment, write_audits, write_reports)
 from fedsched.local_master import LocalMaster
@@ -105,6 +106,51 @@ CONTENDED_JSONL_AUDITS = {
 }
 
 
+# Each shipped config under configs/, run once with auditing, its reports
+# written in both formats and its audits beside them.  These cover what the
+# configs above do not: a trace workload, machine profiles, demand mixtures
+# and exponential durations.  Recorded before the LM's partitions held their
+# own node snapshots and change logs.
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+SHIPPED = {
+    "centralized.json": {
+        "tasks.csv": "f9c291bbf172e847fe837ec7461a070949b681bc14eccdd11e639e41b964d286",
+        "tasks.jsonl": "97e060d56ab2d3b88bbe4866cb6bba83d073216ca19f8cb2e289ff88cc6f3ae4",
+        "summary.json": "6305af21ed170da2803938ca6380df37b3620d681dab9df967117f7b59c2670a",
+        "audit_launches.jsonl": "e1f0ef2a9d71e205e4e82193f520a3235b307a46e7f93be2ab31cb91e9cc04b4",
+        "audit_preemptions.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "fairness.json": {
+        "tasks.csv": "753fcf4b10c623febb6979e8cf4ce98194095ec969be2716b199a9fe98ab97de",
+        "tasks.jsonl": "9e4fd4ae610005d2f3a42d981f2b436e430f71b6a3a367ccdf882db755b18066",
+        "summary.json": "8d4691693578f5aa5b948099fc8b362ebdf82bff293957ef7268d94d0746fa0f",
+        "audit_launches.jsonl": "78f48a0947f6af000d1d013d2defe45e688e677f0b71c216d7a6331ae082dbfb",
+        "audit_preemptions.jsonl": "39c38b18d523526e91f291aca717c44fde77954d0961868a0fb041fa2bd0e357",
+    },
+    "megha.json": {
+        "tasks.csv": "7052583a6137aad611292e34477023a15e2ddc038ec12362ff5a1450146e478b",
+        "tasks.jsonl": "7c62f148bdafcd8623df212ef148a492f179d98a4968c976759b30048aebf1fa",
+        "summary.json": "d8632c376b907bd2769370a82fe4fbef264f56fc142c7bf28f167eb2b718ef76",
+        "audit_launches.jsonl": "f33fe9dc9edc4451c84fafde99a27d7f55636126ad3484abc21ba266a22a5ff5",
+        "audit_preemptions.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "sparrow.json": {
+        "tasks.csv": "a1d30b89544c641c904e7952a82ab5117cff1f87b65312b11beeef721e646e90",
+        "tasks.jsonl": "9f6e27dd1c026863020e294b362f09abd98f652889c0b02df3ef04abfc7b7872",
+        "summary.json": "11d93430ad149b3f29d2d536da16030df70d8daa873f3cd6cc232cc84ec2295d",
+        "audit_launches.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "audit_preemptions.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "trace.json": {
+        "tasks.csv": "887f0832a4c6814179d746d6e05bb675bcc835a27c14b5b84cd693f398c1a5e7",
+        "tasks.jsonl": "fd1a700edf79b11c4b646eced9f7b0506308a0f559fccde789f028cfc5c7a5e1",
+        "summary.json": "63d54b80c8a45156e336d8a9376ae2d72b71831a839305e42414c10c9f11459e",
+        "audit_launches.jsonl": "abfbade7ceba0db345768ce60b018b650ca019270c7331ea1a2bfdeee086640e",
+        "audit_preemptions.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+}
+
+
 def _digests(out_dir, names=("tasks.csv", "summary.json")) -> dict[str, str]:
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in names}
@@ -125,6 +171,18 @@ def test_contended_jsonl_and_audits_match_golden_digests(tmp_path):
     assert _digests(tmp_path, CONTENDED_JSONL_AUDITS) == CONTENDED_JSONL_AUDITS
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_shipped_config_reports_and_audits_match_digests(path, tmp_path, monkeypatch):
+    root = path.parent.parent
+    monkeypatch.chdir(root)  # a trace path is relative to the repo root
+    result = run_experiment(load_config(str(path.relative_to(root))), audit=True)
+    write_reports(result, str(tmp_path))
+    write_reports(result, str(tmp_path), fmt="jsonl")
+    write_audits(result, str(tmp_path))
+    expected = SHIPPED[path.name]
+    assert _digests(tmp_path, expected) == expected
+
+
 def test_contended_config_takes_every_rare_path():
     counters = run_experiment(config_from_dict(CONTENDED)).counters
     assert counters["repartitions"] >= 1
@@ -141,10 +199,10 @@ def test_centralized_large_config_fails_validations_and_restarts_its_log():
     config = config_from_dict(CENTRALIZED_LARGE)
     users = effective_users(config)
     loop, collector, (lm,), _ = build_megha(config, build_workload(config, users), users)
-    first = lm.partition_logs["lm00-p00"]
+    first = lm.partitions["lm00-p00"].log
     loop.run()
     assert collector.counters["inconsistency_failures"] >= 1
-    assert lm.partition_logs["lm00-p00"] is not first
+    assert lm.partitions["lm00-p00"].log is not first
 
 
 def test_sparrow_config_queues_at_workers_and_rejects_tasks():

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from fedsched.core import Partition, WorkerNode, constraint_bits
+from fedsched.core import WorkerNode
 from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.errors import ConfigurationError, SimulationError
 from fedsched.experiment import check_conservation, check_snapshot_cache
@@ -53,14 +53,10 @@ def one_lm(spec, *, costs=ZERO_COSTS, heartbeat_period=10.0, constraint_count=21
                      heartbeat_period=heartbeat_period)
     for j, gm_id in enumerate(sorted(spec)):
         partition_id = f"lm0-p{j}"
-        for node_id, capacity, machine in spec[gm_id]:
-            lm.add_node(WorkerNode(node_id=node_id, lm_id="lm0",
-                                   partition_id=partition_id, capacity=capacity,
-                                   machine_constraints=machine))
-        lm.add_partition(Partition(
-            partition_id=partition_id, owner_gm_id=gm_id,
-            node_ids={node[0]: o for o, node in enumerate(spec[gm_id])},
-            bits=constraint_bits(constraint_count, [node[2] for node in spec[gm_id]])))
+        lm.add_partition(partition_id, gm_id, [
+            WorkerNode(node_id=node_id, lm_id="lm0", partition_id=partition_id,
+                       capacity=capacity, machine_constraints=machine)
+            for node_id, capacity, machine in spec[gm_id]], constraint_count)
     gms = {gm_id: FakeGM(gm_id) for gm_id in sorted(spec)}
     lm.wire_gms(list(gms.values()))
     return lm, gms, loop, collector
@@ -607,7 +603,7 @@ def test_snapshot_cache_after_launch_and_completion():
     assert after["n0"].running == () and after["n0"].available == rv(4, 8192)
     assert after["n1"] is before["n1"]
     assert lm.running == {}
-    assert all(n.running == () for n in lm.partition_nodes["lm0-p0"])
+    assert all(n.running == () for n in lm.partitions["lm0-p0"].nodes)
 
 
 def test_snapshot_cache_across_repartition_and_logical_node_destruction():
@@ -626,7 +622,7 @@ def test_snapshot_cache_across_repartition_and_logical_node_destruction():
     assert [r.task_id for r in carved["N.l1"].running] == ["t0"]
     assert carved["M"] is before["M"]
     # the destroyed logical node is in no partition's snapshot list
-    assert all(n.node_id != "N.l1" for nodes in lm.partition_nodes.values() for n in nodes)
+    assert all(n.node_id != "N.l1" for p in lm.partitions.values() for n in p.nodes)
     assert after["N"].available == rv(8, 16384)
     assert after["M"] is before["M"]
 
@@ -676,7 +672,7 @@ def test_partition_list_keeps_untouched_entries_across_messages():
     lm, gms, loop, collector = one_lm({"gm0": [
         ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs()), ("n2", rv(4, 8192), cs())]})
     before = lm.partition_snapshot("lm0-p0").nodes
-    cached = lm.partition_nodes["lm0-p0"]
+    cached = lm.partitions["lm0-p0"].nodes
     launch(lm, loop, collector, node_id="n1", demand=rv(2, 4096), task_id="t1")
     loop.run()
 
@@ -688,7 +684,7 @@ def test_partition_list_keeps_untouched_entries_across_messages():
         assert nodes[1] is not before[1]
     assert resp.state.partitions[0].nodes[1].running[0].task_id == "t1"
     assert done.state.partitions[0].nodes[1].running == ()
-    assert lm.partition_nodes["lm0-p0"] is cached  # patched in place
+    assert lm.partitions["lm0-p0"].nodes is cached  # patched in place
     assert tuple(cached) == done.state.partitions[0].nodes
     check_snapshot_cache(lm)
 
@@ -698,13 +694,13 @@ def test_carve_out_and_logical_node_destruction_patch_the_partition_list():
         "gm0": [("N", rv(8, 16384), cs()), ("M", rv(8, 16384), cs())],
         "gm1": [("K", rv(8, 16384), cs())]})
     lm.snapshot(0.0)
-    lists = dict(lm.partition_nodes)
+    lists = {pid: p.nodes for pid, p in lm.partitions.items()}
     k = lists["lm0-p1"][0]
     repartition(lm, loop, collector, source="N", demand=rv(2, 4096), duration=1.0)
     seen = {}
 
     def carved(_, t):
-        seen["carved"] = [n.node_id for n in lm.partition_nodes["lm0-p1"]]
+        seen["carved"] = [n.node_id for n in lm.partitions["lm0-p1"].nodes]
         check_snapshot_cache(lm)
 
     loop.schedule(0.5, carved, None)
@@ -715,14 +711,14 @@ def test_carve_out_and_logical_node_destruction_patch_the_partition_list():
     assert [n.node_id for n in target.nodes] == ["K", "N.l1"]
     assert target.nodes[0] is k
     assert seen["carved"] == ["K", "N.l1"]  # the carve-out appended to the list
-    assert lm.partition_nodes["lm0-p0"] is lists["lm0-p0"]  # the source was patched
+    assert lm.partitions["lm0-p0"].nodes is lists["lm0-p0"]  # the source was patched
     # the logical node's destruction deleted its entry from the same list
-    assert lm.partition_nodes["lm0-p1"] is lists["lm0-p1"]
-    assert lm.partition_nodes["lm0-p1"] == [k]
+    assert lm.partitions["lm0-p1"].nodes is lists["lm0-p1"]
+    assert lm.partitions["lm0-p1"].nodes == [k]
     (_, done), = gms["gm1"].completions
     assert [n.node_id for n in done.state.partitions[0].nodes] == ["K"]
     assert done.state.partitions[0].nodes[0] is k
-    assert lm.partition_nodes["lm0-p0"][0].available == rv(8, 16384)  # N got it back
+    assert lm.partitions["lm0-p0"].nodes[0].available == rv(8, 16384)  # N got it back
     check_snapshot_cache(lm)
 
 
@@ -740,7 +736,7 @@ def test_physical_nodes_keep_their_ordinals_across_carve_outs_and_destruction():
     def layout(_, t):
         seen.append({pid: list(part.node_ids) for pid, part in lm.partitions.items()})
         for pid, part in lm.partitions.items():
-            assert [n.node_id for n in lm.partition_nodes[pid]] == list(part.node_ids)
+            assert [n.node_id for n in part.nodes] == list(part.node_ids)
 
     loop.schedule(0.5, layout, None)
     loop.schedule(1.5, layout, None)
@@ -766,7 +762,7 @@ def test_physical_nodes_keep_their_ordinals_across_carve_outs_and_destruction():
 def test_each_replaced_node_is_logged_until_the_log_would_reach_the_node_count():
     lm, gms, loop, collector = one_lm({"gm0": [
         ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs()), ("n2", rv(4, 8192), cs())]})
-    first = lm.partition_logs["lm0-p0"]
+    first = lm.partitions["lm0-p0"].log
     launch(lm, loop, collector, node_id="n2", demand=rv(2, 4096), task_id="a")
     launch(lm, loop, collector, node_id="n0", demand=rv(2, 4096), task_id="b", at=0.5)
     loop.run()
@@ -777,7 +773,7 @@ def test_each_replaced_node_is_logged_until_the_log_would_reach_the_node_count()
     assert one.state.partitions[0].log is first and one.state.partitions[0].version == 1
     assert two.state.partitions[0].log is first and two.state.partitions[0].version == 2
     assert first == [2, 0]  # a third entry would make it as long as the partition
-    new = lm.partition_logs["lm0-p0"]
+    new = lm.partitions["lm0-p0"].log
     assert new is not first
     assert done_a.state.partitions[0].log is new and done_a.state.partitions[0].version == 0
     assert done_b.state.partitions[0].log is new and new == [0]
@@ -788,17 +784,21 @@ def test_carve_out_and_destruction_start_new_logs():
     lm, gms, loop, collector = one_lm({
         "gm0": [("N", rv(8, 16384), cs()), ("M", rv(8, 16384), cs())],
         "gm1": [("K", rv(8, 16384), cs()), ("J", rv(8, 16384), cs())]})
-    logs = dict(lm.partition_logs)
+
+    def all_logs():
+        return {pid: p.log for pid, p in lm.partitions.items()}
+
+    logs = all_logs()
     repartition(lm, loop, collector, source="N", demand=rv(2, 4096), duration=1.0)
     seen = {}
-    loop.schedule(0.5, lambda _, t: seen.update(lm.partition_logs), None)
+    loop.schedule(0.5, lambda _, t: seen.update(all_logs()), None)
     loop.run()
 
     assert seen["lm0-p0"] is logs["lm0-p0"] and logs["lm0-p0"] == [0]  # N, carved from
-    assert lm.partition_logs["lm0-p0"] == []  # N's return would have filled the log
+    assert lm.partitions["lm0-p0"].log == []  # N's return would have filled the log
     carved = seen["lm0-p1"]
     assert carved is not logs["lm0-p1"] and carved == [2]  # the launch on N.l1
-    assert lm.partition_logs["lm0-p1"] is not carved and lm.partition_logs["lm0-p1"] == []
+    assert lm.partitions["lm0-p1"].log is not carved and lm.partitions["lm0-p1"].log == []
     check_snapshot_cache(lm)
 
 
@@ -807,7 +807,7 @@ def test_snapshot_cache_check_refuses_a_log_too_long_or_off_the_partition(log):
     lm, gms, loop, collector = one_lm({"gm0": [
         ("n0", rv(4, 8192), cs()), ("n1", rv(4, 8192), cs())]})
     check_snapshot_cache(lm)
-    lm.partition_logs["lm0-p0"] = log
+    lm.partitions["lm0-p0"].log = log
     with pytest.raises(SimulationError, match="change log"):
         check_snapshot_cache(lm)
 

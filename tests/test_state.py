@@ -2,7 +2,7 @@
 
 import random
 
-from fedsched.core import Partition, ResourceVector, WorkerNode, constraint_bits
+from fedsched.core import ResourceVector, WorkerNode, constraint_bits
 from fedsched.engine import DelayModel, EventLoop, Network
 from fedsched.local_master import LocalMaster
 from fedsched.metrics import TaskRun
@@ -421,12 +421,8 @@ class TestViewPartitionLogWindow:
             nodes = [WorkerNode(f"n{i}", "lm0", "p0", rv(8, 8),
                                 frozenset(c for c in (1, 2) if rng.random() < 0.5))
                      for i in range(n)]
-            for node in nodes:
-                lm.add_node(node)
-            partition = Partition(
-                "p0", "gm0", {node.node_id: o for o, node in enumerate(nodes)},
-                constraint_bits(4, [node.machine_constraints for node in nodes]))
-            lm.add_partition(partition)
+            lm.add_partition("p0", "gm0", nodes, 4)
+            partition = lm.partitions["p0"]
             sent = [lm.partition_snapshot("p0")]
             views = [ViewPartition(sent[0]), ViewPartition(sent[0])]
             logical = []
@@ -436,9 +432,14 @@ class TestViewPartitionLogWindow:
                     node = WorkerNode(f"l{step}", "lm0", "p0", rv(2, 2), frozenset({1}),
                                       is_logical=True, parent_node="n0")
                     logical.append(node)
-                    lm._add_node(node, partition)
+                    lm.nodes[node.node_id] = node
+                    partition.append_node(node.node_id, node.machine_constraints,
+                                          NodeSnapshot(node.node_id, node.capacity,
+                                                       True, "n0", ()))
                 elif roll < 0.1 and logical:
-                    lm._destroy_node(logical.pop(rng.randrange(len(logical))))
+                    node = logical.pop(rng.randrange(len(logical)))
+                    partition.remove_node(node.node_id)
+                    del lm.nodes[node.node_id]
                 else:
                     node_id = rng.choice(list(partition.node_ids))
                     node = lm.nodes[node_id]
@@ -608,10 +609,7 @@ def wired_lm(*capacities):
     lm = LocalMaster("lm0", loop, Network(loop, DelayModel()), None, None)
     nodes = [WorkerNode(f"n{i}", "lm0", "p0", capacity, frozenset({1}))
              for i, capacity in enumerate(capacities)]
-    for node in nodes:
-        lm.add_node(node)
-    lm.add_partition(Partition("p0", "gm0", {n.node_id: o for o, n in enumerate(nodes)},
-                               constraint_bits(4, [n.machine_constraints for n in nodes])))
+    lm.add_partition("p0", "gm0", nodes, 4)
     return lm
 
 
@@ -624,7 +622,7 @@ class TestWireContract:
         part, = state.partitions
         assert (part.partition_id, part.lm_id, part.owner_gm_id) == ("p0", "lm0", "gm0")
         assert part.bits is lm.partitions["p0"].bits
-        assert part.log is lm.partition_logs["p0"] and part.version == 0
+        assert part.log is lm.partitions["p0"].log and part.version == 0
         assert [(n.node_id, n.available, n.is_logical, n.parent_node, n.running)
                 for n in part.nodes] == [("n0", rv(8, 800), False, None, ()),
                                          ("n1", rv(4, 400), False, None, ())]
