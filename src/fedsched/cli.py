@@ -4,14 +4,17 @@
     fedsched sweep --config experiment.json --axis workers --values 1000,5000,10000
     fedsched validate-config --config experiment.json
 
-Exit codes: 0 success, 2 configuration problem, 3 detected livelock, 4 any
-other simulation error (e.g. tasks that never completed).
+Exit codes: 0 success, 2 configuration problem or an unusable --out-dir
+(checked before the simulation starts) or a failed report write, 3 detected
+livelock, 4 any other simulation error (e.g. tasks that never completed).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
+import os
 import sys
 
 from .config import load_config
@@ -31,7 +34,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="per-task record format (default: csv)")
     parser.add_argument("--check-invariants", action="store_true",
                         help="validate conservation and partition structure "
-                             "after every event (slow)")
+                             "after every event (slow; megha and centralized "
+                             "runs only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,8 +83,22 @@ def _load(args) -> "ExperimentConfig":
     return config
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise OSError unless `path` is, or can be made as, a directory this
+    process can write into.  Creates nothing, so a run refused later leaves
+    no directory behind."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), existing)
+
+
 def cmd_run(args) -> int:
     config = _load(args)
+    _check_out_dir(args.out_dir)
     result = run_experiment(config, check_invariants=args.check_invariants,
                             audit=args.audit)
     paths = write_reports(result, args.out_dir, fmt=args.format)
@@ -100,6 +118,7 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(f"bad --values list: {exc}") from exc
     if not values:
         raise ConfigurationError("--values must name at least one value")
+    _check_out_dir(args.out_dir)
     results = sweep(config, args.axis, values,
                     check_invariants=args.check_invariants)
     for value, result in results:
@@ -128,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "validate-config": cmd_validate}
     try:
         return handlers[args.command](args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LivelockError as exc:

@@ -10,11 +10,14 @@ is itself `getrandbits(n.bit_length())` redrawn while it is n or more, and
 the indices are drawn that way here.  Worker constraints never change, so
 eligibility is computed once per distinct task constraint set when the
 cluster is built: each scheduler is handed that map, with every list in
-worker (node id) order.  Workers answer with an estimated queue wait (sum of
-queued task durations over slot count); the task is sent to the lowest
-estimate, ties broken by lower node id.  Workers run a fixed number of slots
-and queue the rest FIFO, so allocation time includes worker-side queuing --
-the component the federated design eliminates by validating before launch.
+worker (node id) order.  The d probes of a round travel together, as one
+delivery that carries the sampled workers in sample order; as it lands, each
+worker answers with its estimated queue wait (sum of queued task durations
+over slot count), and one reply carries the d (estimate, node id) answers
+back.  The task is sent to the lowest estimate, ties broken by lower node
+id.  Workers run a fixed number of slots and queue the rest FIFO, so
+allocation time includes worker-side queuing -- the component the federated
+design eliminates by validating before launch.
 """
 
 from __future__ import annotations
@@ -27,18 +30,6 @@ from .engine import (PROBE, PROBE_REPLY, TASK_LAUNCH, ActorClock, CostModel,
                      EventLoop, Network)
 from .metrics import MetricsCollector, TaskRun
 from .worker import FifoWorker
-
-
-class ProbeRound:
-    """One task's probes: the replies still due and the lowest estimate so far."""
-
-    __slots__ = ("run", "waiting", "best", "estimate")
-
-    def __init__(self, run: TaskRun, waiting: int) -> None:
-        self.run = run
-        self.waiting = waiting
-        self.best: FifoWorker | None = None
-        self.estimate = 0.0
 
 
 class ProbeScheduler:
@@ -66,7 +57,7 @@ class ProbeScheduler:
         # than its set size (21 for up to 5 picks); below it, call sample
         self.draw_above = 21 if probe_count <= 5 else math.inf
         self.clock = ActorClock()
-        self.round_trip = 2 * network.delay[PROBE]
+        self.round_trip = network.delay[PROBE] + network.delay[PROBE_REPLY]
 
     def on_task_arrival(self, request: TaskRequest, now: float) -> None:
         run = TaskRun(request)
@@ -96,25 +87,20 @@ class ProbeScheduler:
         else:
             sample = eligible
 
-        # probes fan out in parallel: one round trip sits on the critical
-        # path, so the task is charged two hops rather than two per probe
+        # probes fan out in parallel: one probe hop and one reply hop sit on
+        # the critical path, however many workers are probed
         run.communication += self.round_trip
-        probing = ProbeRound(run, len(sample))
-        for worker in sample:
-            self.network.send(done, PROBE, self._on_probe, (probing, worker))
+        self.network.send(done, PROBE, self._on_probe, (run, sample))
 
-    def _on_probe(self, probe: tuple[ProbeRound, FifoWorker], now: float) -> None:
-        """A worker answers with its wait estimate as the probe lands."""
-        probing, worker = probe
+    def _on_probe(self, probe: tuple[TaskRun, list[FifoWorker]], now: float) -> None:
+        """Each sampled worker answers with its wait estimate as the probes land."""
+        run, sample = probe
         self.network.send(now, PROBE_REPLY, self._on_reply,
-                          (probing, worker, worker.estimated_wait()))
+                          (run, [(worker.estimated_wait(), worker.node_id, worker)
+                                 for worker in sample]))
 
-    def _on_reply(self, reply: tuple[ProbeRound, FifoWorker, float], now: float) -> None:
-        probing, worker, estimate = reply
-        best = probing.best
-        if best is None or (estimate, worker.node_id) < (probing.estimate, best.node_id):
-            probing.best, probing.estimate = worker, estimate
-        probing.waiting -= 1
-        if probing.waiting == 0:
-            run = probing.run
-            self.network.send(now, TASK_LAUNCH, probing.best.enqueue, run, run=run)
+    def _on_reply(self, reply: tuple[TaskRun, list[tuple[float, str, FifoWorker]]],
+                  now: float) -> None:
+        """Launch at the lowest (estimate, node id); node ids are distinct."""
+        run, answers = reply
+        self.network.send(now, TASK_LAUNCH, min(answers)[2].enqueue, run, run=run)

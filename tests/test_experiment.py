@@ -643,6 +643,33 @@ def test_cli_simulation_error_exits_4(tmp_path, capsys, monkeypatch):
     assert err == "simulation error: 3 tasks never completed\n"
 
 
+@pytest.mark.parametrize("command", [[], ["sweep", "--axis", "workers", "--values", "2,3"]],
+                         ids=["run", "sweep"])
+def test_cli_out_dir_under_a_file_exits_2_before_simulating(command, tmp_path, capsys,
+                                                            monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulated despite an unusable --out-dir")
+
+    monkeypatch.setattr("fedsched.cli.run_experiment", must_not_run)
+    monkeypatch.setattr("fedsched.cli.sweep", must_not_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = command or ["run"]
+    assert main([*argv, "--config", write_config(tmp_path, base_data()),
+                 "--out-dir", str(blocker / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(blocker) in err and "Traceback" not in err
+
+
+def test_cli_failed_report_write_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, base_data(workload={
+        "kind": "synthetic", "count": 5, "rate": 10.0, "duration": 0.2,
+        "demand": [4, 1024]}))
+    (tmp_path / "out" / "tasks.csv").mkdir(parents=True)  # the report path is taken
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_audits_are_kept_only_when_asked_for(tmp_path, capsys):
     data = base_data(gm_count=1, lm_count=1, workers_per_lm=2, workload={
         "kind": "synthetic", "count": 8, "rate": 50.0, "duration": 0.2,

@@ -62,9 +62,9 @@ def test_traced_sparrow_run_counts_each_message_kind(monkeypatch):
     result, counts = traced_run(monkeypatch, SPARROW)
     placed = len(result.records)
     assert placed == 80
-    # every task probes 2 of the 10 workers, and each probe is answered
-    assert counts["probe"] == counts["probe_reply"] == 2 * placed
-    assert counts["task_launch"] == placed
+    # every task probes 2 of the 10 workers in one delivery, answered by one
+    # reply that carries both estimates
+    assert counts["probe"] == counts["probe_reply"] == counts["task_launch"] == placed
 
 
 def test_traced_contended_run_counts_each_message_kind(monkeypatch):

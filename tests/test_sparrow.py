@@ -1,13 +1,16 @@
 """Probe baseline: sampling, estimate-based choice, and FIFO worker queuing."""
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from fedsched.config import ExperimentConfig
-from fedsched.engine import DelayModel, EventLoop, Network
-from fedsched.experiment import build_sparrow
+from fedsched.config import ExperimentConfig, config_from_dict
+from fedsched.engine import (PROBE, PROBE_REPLY, TASK_LAUNCH, DelayModel, EventLoop,
+                             Network)
+from fedsched.experiment import build_sparrow, run_experiment
 from fedsched.metrics import MetricsCollector, TaskRun
 from fedsched.sparrow import ProbeScheduler
 from fedsched.worker import FifoWorker
@@ -16,6 +19,7 @@ from fedsched.workload import ClusterProfile
 from scenarios import ZERO_COSTS, cs, task
 
 HOP = 0.0005
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def setup(worker_specs, *, probe_count=2, seed=0, costs=ZERO_COSTS, delays=None):
@@ -100,6 +104,29 @@ def test_equal_estimates_tie_break_on_lower_node_id():
     assert seen == {"a": 1, "b": 0}
 
 
+@pytest.mark.parametrize("load_at, chosen", [(HOP / 2, "b"), (3 * HOP / 2, "a")],
+                         ids=["before the probes land", "before the replies land"])
+def test_estimates_are_read_as_the_probes_land(load_at, chosen):
+    # the probes land at one hop and the replies at two: worker a gets a
+    # running and a queued task either before the probes land, so its
+    # estimate is 9.0 when read, or after, so both read 0 and a wins the tie
+    sched, workers, loop, collector = setup([("a", 1), ("b", 1)])
+
+    def load_a(_, now):
+        for tid in ("x1", "x2"):
+            workers["a"].enqueue(TaskRun(task(tid, duration=9.0)), now)
+
+    loop.schedule(load_at, load_a, None)
+    submit(sched, loop, collector, task("t0", duration=1.0))
+    seen = []
+    loop.schedule(4 * HOP, lambda _, t: seen.append(
+        "b" if workers["b"].active else
+        "a" if [r.request.task_id for r, _ in workers["a"].queue] == ["x2", "t0"] else None),
+        None)
+    loop.run()
+    assert seen == [chosen]
+
+
 def test_sample_shrinks_to_eligible_pool():
     sched, workers, loop, collector = setup(
         [("a", 1), ("b", 1), ("c", 1)], probe_count=5)
@@ -120,13 +147,15 @@ def test_probes_go_to_the_workers_random_sample_picks(n, k, seed, monkeypatch):
     sent = []
     send = sched.network.send
     monkeypatch.setattr(sched.network, "send",
-                        lambda t, kind, handler, arg, **kw: sent.append(arg[1])
+                        lambda t, kind, handler, arg, **kw: sent.append((kind, list(arg[1])))
                         or send(t, kind, handler, arg, **kw))
     for i in range(3):
         sent.clear()
         sched.on_task_arrival(task(f"t{i}"), 0.0)
-        # with k or fewer eligible workers every one is probed, and nothing drawn
-        assert sent == (reference.sample(pool, k) if n > k else pool)
+        # one probe delivery per round, naming the sampled workers in sample
+        # order; with k or fewer eligible workers every one is probed, and
+        # nothing drawn
+        assert sent == [(PROBE, reference.sample(pool, k) if n > k else pool)]
         assert sched.rng.getstate() == reference.getstate()
 
 
@@ -222,3 +251,31 @@ def test_low_load_median_beats_federated_scheduler():
     # at this load probing itself is the only processing a task pays for
     handling = probe.config.costs.probe_handling
     assert all(r.processing_delay <= handling + 1e-12 for r in probe.records)
+
+
+def sparrow_config(**overrides):
+    """`configs/sparrow.json`, with top-level fields replaced."""
+    data = json.loads((CONFIGS / "sparrow.json").read_text())
+    return config_from_dict({**data, **overrides})
+
+
+def test_distinct_probe_reply_and_launch_delays_close_every_record():
+    hops = {PROBE: 0.001, PROBE_REPLY: 0.002, TASK_LAUNCH: 0.004}
+    result = run_experiment(sparrow_config(delays={"overrides": hops}))
+    assert len(result.records) == 2000
+    for r in result.records:
+        # each task pays one probe hop, one reply hop and the launch hop
+        assert r.communication_delay == pytest.approx(sum(hops.values()), abs=1e-12)
+        assert abs(r.allocation_time - (
+            r.framework_queuing_delay + r.processing_delay
+            + r.worker_queuing_delay + r.communication_delay)) <= 1e-9
+
+
+def test_each_task_dispatches_five_events():
+    # arrival, one probe delivery, one reply, the launch and the completion
+    result = run_experiment(sparrow_config(workload={
+        "kind": "synthetic", "count": 300, "rate": 250.0, "duration": 1.0,
+        "demand": [16, 4096]}))
+    placed = len(result.records)
+    assert placed == 300 and not result.unschedulable
+    assert result.events_dispatched == 5 * placed
