@@ -7,21 +7,23 @@
 Exit codes: 0 success, 2 configuration problem or an unusable --out-dir
 (checked before the simulation starts) or a failed report write, 3 detected
 livelock, 4 any other simulation error (e.g. tasks that never completed).
+
+An empty --out-dir is refused before simulating, as one under a file is.
+A sweep writes each value's reports to `os.path.join(out_dir,
+f"{axis}-{value:g}")`, and refuses before its first run two values with one
+such label (`1.0000001,1.0000002`, or `2,2`): they would share a directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import logging
 import os
 import sys
 
 from .config import load_config
 from .errors import ConfigurationError, LivelockError, SimulationError
 from .experiment import SWEEP_AXES, run_experiment, sweep, write_audits, write_reports
-
-log = logging.getLogger(__name__)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -43,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fedsched",
         description="Discrete-event simulation of federated cluster scheduling",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment and write reports")
@@ -84,9 +85,11 @@ def _load(args) -> "ExperimentConfig":
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise OSError unless `path` is, or can be made as, a directory this
-    process can write into.  Creates nothing, so a run refused later leaves
-    no directory behind."""
+    """Raise ConfigurationError for an empty path, and OSError unless `path`
+    is, or can be made as, a directory this process can write into.  Creates
+    nothing, so a run refused later leaves no directory behind."""
+    if not path:
+        raise ConfigurationError("--out-dir must not be empty")
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -118,12 +121,19 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(f"bad --values list: {exc}") from exc
     if not values:
         raise ConfigurationError("--values must name at least one value")
+    labels: dict[str, float] = {}
+    for value in values:
+        label = f"{value:g}"
+        if label in labels:
+            raise ConfigurationError(f"--values {labels[label]!r} and {value!r} would "
+                                     f"both write to {args.axis}-{label}")
+        labels[label] = value
     _check_out_dir(args.out_dir)
     results = sweep(config, args.axis, values,
                     check_invariants=args.check_invariants)
     for value, result in results:
         tag = f"{args.axis}={value:g}"
-        out = f"{args.out_dir}/{args.axis}-{value:g}"
+        out = os.path.join(args.out_dir, f"{args.axis}-{value:g}")
         paths = write_reports(result, out, fmt=args.format)
         print(_one_line(tag, result.summary))
         print(f"  wrote {paths['tasks']}")
@@ -140,10 +150,6 @@ def cmd_validate(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "validate-config": cmd_validate}
     try:
         return handlers[args.command](args)

@@ -11,20 +11,22 @@ ahead of every other event due at the same time, and arrivals with equal
 times keep their list order.  Identical configuration and seed must produce
 an identical event sequence, so nothing here consults wall-clock time or
 unordered collections.
+
+A task's simulated delays are charged here too: `Network.send(run=...)`
+adds a hop on the task's path to its communication sum, and
+`ActorClock.serve` takes a task's work item in turn on an actor's clock and
+adds the wait to its framework queuing and the work to its processing.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from .errors import LivelockError, SimulationError
-
-log = logging.getLogger(__name__)
 
 Handler = Callable[[Any, float], None]
 
@@ -168,6 +170,8 @@ class ActorClock:
 
     A work item arriving at `arrival` starts at max(arrival, busy_until); the
     wait is the component-side queuing delay for whatever the work was for.
+    `serve` takes a task's work item in turn and charges the wait and the
+    work to the task, as `Network.send(run=...)` charges it the hop.
     """
 
     __slots__ = ("busy_until",)
@@ -182,6 +186,15 @@ class ActorClock:
         done = start + cost
         self.busy_until = done
         return done
+
+    def serve(self, run, arrival: float, cost: float) -> tuple[float, float]:
+        """Do `cost` of work for `run` arriving at `arrival`, charged to the
+        task as framework queuing and processing; returns (start, done)."""
+        start = arrival if arrival >= self.busy_until else self.busy_until
+        run.framework_queuing += start - arrival
+        run.processing += cost
+        self.busy_until = done = start + cost
+        return start, done
 
 
 class Network:

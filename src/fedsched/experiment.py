@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import csv
 import json
-import logging
 import os
 import re
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -32,8 +31,6 @@ from .state import _EMPTY, FIT_MASKS, ClusterView, RunningTaskInfo
 from .worker import FifoWorker
 from .workload import (_check_span, _finite, assign_machine_constraints, assign_users,
                        augment_constraints, generate_synthetic, load_trace)
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -162,11 +159,10 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
                                            share=shares[user.user_id]))
     initial = [lm.snapshot(0.0) for lm in lms]
     for gm_id in gm_ids:
-        gm = GlobalMaster(gm_id, loop, network, config.costs, collector,
-                          retry_limit=config.retry_limit,
-                          violation_metric=config.violation_metric)
-        gm.seed(ClusterView(initial, dim), QueueSet(queue_sets[gm_id]), lms, shares)
-        gms.append(gm)
+        gms.append(GlobalMaster(gm_id, loop, network, config.costs, collector,
+                                ClusterView(initial, dim), QueueSet(queue_sets[gm_id]),
+                                lms, shares, retry_limit=config.retry_limit,
+                                violation_metric=config.violation_metric))
     for lm in lms:
         lm.wire_gms(gms)
 

@@ -20,7 +20,6 @@ from .errors import ConfigurationError
 from .metrics import TaskRun
 from .state import ClusterView, ViewPartition
 
-VIOLATION_METRIC_CPU = "cpu"
 VIOLATION_METRIC_MAX = "max"
 
 

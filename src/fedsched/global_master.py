@@ -2,9 +2,10 @@
 
 A GM never blocks on a response.  It deducts a decision's demand from its own
 view optimistically, fires the request at the responsible LM, and moves on to
-the next queue head.  Failure responses (state inconsistencies) merge the
-LM's authoritative snapshot and retry the task immediately; after a run of
-consecutive failures the task goes back to the tail of its queue.
+the next queue head.  Every response merges the LM's authoritative snapshot.
+A failed one (a state inconsistency, or stale victims) takes the one failure
+path, `_failed`: the task is retried at once on the merged view, or, after
+`retry_limit` consecutive failures, goes back to the tail of its queue.
 
 The decision flow for one request (`_attempt`):
   1. first fit over the GM's own partition on each LM, the starting LM
@@ -13,18 +14,21 @@ The decision flow for one request (`_attempt`):
      moving on by one per search -> launch request on a node of another
      GM's partition, which the LM carves out (a repartition)
   3. fairness: a preemption plan -> preempt request, else reinsert at tail
-Each search walks one deque of the view's `ViewPartition` objects, built once
-in `seed` and rotated after the search so that it starts at the next LM: the
-view refreshes each partition in place, so the deques stay current.  The
-fairness step charges for the nodes_scanned of `plan_preemption`'s
-(nodes_scanned, plan), a scan of the view's partitions in sorted key order,
-and hands it the collector's audit list only when auditing is on.  A verified
-preemption launches on the plan's physical node, by partition and ordinal.
+`_act` charges a decision and launches, preempts or reinserts; a verified
+preemption's launch and a re-plan after stale victims end there too.
+
+A GM is built whole; its constructor lays out the two search orders, deques
+of the view's `ViewPartition` objects, each rotated after a search to start at
+the next LM (the view refreshes each partition in place).  A launch response
+carries its task's run back; the one table, `_preempting`, holds the plans
+awaiting a preempt response, as a plan's view partition cannot travel on the
+wire.  The fairness step charges for `plan_preemption`'s nodes_scanned, a scan
+of the view's partitions in sorted key order, and hands it the audit list only
+when auditing is on.  A verified preemption launches on the plan's node.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 
 from .core import TaskRequest
@@ -37,8 +41,6 @@ from .messages import (LaunchRequest, LaunchResponse, PreemptRequest, PreemptRes
 from .metrics import MetricsCollector, TaskRun
 from .state import ClusterView, LMStateSnapshot, ViewPartition
 
-log = logging.getLogger(__name__)
-
 _new = tuple.__new__  # a record from its fields in order, filled in C
 
 
@@ -50,50 +52,42 @@ class GlobalMaster:
         network: Network,
         costs: CostModel,
         collector: MetricsCollector,
+        view: ClusterView,
+        queues: QueueSet,
+        lms: list,
+        shares: dict[str, tuple[float, ...]],
         *,
         retry_limit: int = 5,
         violation_metric: str = "cpu",
     ) -> None:
+        """`shares` holds every user's share, this GM's users' and the others'."""
         self.gm_id = gm_id
         self.loop = loop
         self.network = network
         self.costs = costs
         self.collector = collector
+        self.view = view
+        self.queues = queues
+        self.shares = shares
         self.retry_limit = retry_limit
         self.violation_metric = violation_metric
         self.clock = ActorClock()
-        self.view: ClusterView | None = None
-        self.queues: QueueSet | None = None
-        self.shares: dict[str, tuple[float, ...]] = {}
         # the two search orders, each rotated to start at its next LM: this GM's
         # partition on each LM, then the other GMs' partitions, LM by LM
         self.own: deque[ViewPartition] = deque()
         self.others: deque[ViewPartition] = deque()
-        self.view_version = 0
-        self._tick_pending = False
-        self._inflight: dict[str, TaskRun] = {}
-        self._preempting: dict[str, tuple[TaskRun, PreemptPlan]] = {}
-
-    # -- wiring --------------------------------------------------------------
-
-    def seed(self, view: ClusterView, queues: QueueSet, lms: list,
-             shares: dict[str, tuple[float, ...]]) -> None:
-        """Attach the initial view, owned queues, LM handles, and all shares."""
-        self.view = view
-        self.queues = queues
-        self.shares = shares
-        self.own, self.others = own, others = deque(), deque()
         for lm in lms:
             parts = [view.partitions[(lm.lm_id, pid)] for pid in sorted(lm.partitions)]
-            mine = [part for part in parts if part.owner_gm_id == self.gm_id]
+            mine = [part for part in parts if part.owner_gm_id == gm_id]
             if len(mine) != 1:
-                raise ConfigurationError(
-                    f"GM {self.gm_id} must own exactly one partition on {lm.lm_id}, "
-                    f"found {len(mine)}"
-                )
-            own.extend(mine)
-            others.extend(part for part in parts if part.owner_gm_id != self.gm_id)
+                raise ConfigurationError(f"GM {gm_id} must own exactly one partition "
+                                         f"on {lm.lm_id}, found {len(mine)}")
+            self.own.extend(mine)
+            self.others.extend(part for part in parts if part.owner_gm_id != gm_id)
         self._lm_by_id = {lm.lm_id: lm for lm in lms}
+        self.view_version = 0
+        self._tick_pending = False
+        self._preempting: dict[str, tuple[TaskRun, PreemptPlan]] = {}
 
     # -- arrivals and the scheduling loop -------------------------------------
 
@@ -120,7 +114,7 @@ class GlobalMaster:
     # -- the decision flow -----------------------------------------------------
 
     def _attempt(self, run: TaskRun, start: float) -> None:
-        """Run one full decision pass for a request, charging simulated time."""
+        """Run one full decision pass for a request; every pass counts an attempt."""
         request, own, others = run.request, self.own, self.others
         cost, part, ordinal = self._first_fit(self.costs.gm_request_overhead, request, own)
         own.rotate(-1)
@@ -132,10 +126,15 @@ class GlobalMaster:
             # fairness: preempt only under contention, never for an over-share user
             plan_cost, plan = self._plan(run, start)
             cost += plan_cost
+        run.attempts += 1
+        self._act(run, start, cost, part, ordinal, plan)
 
+    def _act(self, run: TaskRun, start: float, cost: float, part: ViewPartition | None,
+             ordinal: int | None, plan: PreemptPlan | None) -> None:
+        """Charge a decision's `cost` to the GM and the task, then launch on
+        `part`'s node at `ordinal`, else preempt by `plan`, else reinsert."""
         done = self.clock.charge(start, cost)
         run.processing += cost
-        run.attempts += 1
         if part is not None:
             self._request_launch(run, part, ordinal, done)
         elif plan is not None:
@@ -176,7 +175,6 @@ class GlobalMaster:
                                        request.constraints, run))
         part.deduct(ordinal, request.demand)
         lm = self._lm_by_id[part.lm_id]
-        self._inflight[request.task_id] = run
         if part.owner_gm_id == self.gm_id:
             kind, handler = LAUNCH_REQUEST, lm.on_launch_request
         else:
@@ -200,6 +198,15 @@ class GlobalMaster:
         self.queues.reinsert(run)
         self.collector.bump("reschedules")
 
+    def _failed(self, run: TaskRun, at: float) -> bool:
+        """Count a failure: True to retry at once, False if requeued at the limit."""
+        run.consecutive_failures += 1
+        if run.consecutive_failures < self.retry_limit:
+            return True
+        self._reinsert(run, at)
+        self._kick(at)
+        return False
+
     # -- responses --------------------------------------------------------------
 
     def _merge(self, state: LMStateSnapshot) -> float:
@@ -210,73 +217,35 @@ class GlobalMaster:
         return state.node_count * self.costs.gm_merge_per_node
 
     def on_launch_response(self, response: LaunchResponse, now: float) -> None:
-        run = self._inflight.pop(response.task_id, None)
-        if run is None:
-            log.warning("GM %s: dropping orphan response for task %s",
-                        self.gm_id, response.task_id)
-            return
-        start = self.clock.begin(now)
+        run = response.run
         merge_cost = self._merge(response.state)
-
         if response.ok:
-            done = self.clock.charge(start, merge_cost)
+            # the task has started: the merge busies the GM, not the task
+            done = self.clock.charge(self.clock.begin(now), merge_cost)
             self.queues.add_consumed(run.request.user_id, run.request.demand)
             run.consecutive_failures = 0
             self._kick(done)
             return
-
-        # validation failed: the view was stale; retry immediately on merged state
-        run.framework_queuing += start - now
-        run.processing += merge_cost
-        mid = self.clock.charge(start, merge_cost)
-        run.consecutive_failures += 1
-        if run.consecutive_failures >= self.retry_limit:
-            self._reinsert(run, mid)
-            self._kick(mid)
-        else:
+        # validation failed: the view was stale; retry on the merged state
+        _, mid = self.clock.serve(run, now, merge_cost)
+        if self._failed(run, mid):
             self._attempt(run, mid)
 
     def on_preempt_response(self, response: PreemptResponse, now: float) -> None:
-        entry = self._preempting.pop(response.task_id, None)
-        if entry is None:
-            log.warning("GM %s: dropping orphan preempt response for task %s",
-                        self.gm_id, response.task_id)
-            return
-        run, plan = entry
-        request = run.request
-        start = self.clock.begin(now)
-        run.framework_queuing += start - now
-        merge_cost = self._merge(response.state)
-        run.processing += merge_cost
-        mid = self.clock.charge(start, merge_cost)
-
+        run, plan = self._preempting.pop(response.task_id)
+        _, mid = self.clock.serve(run, now, self._merge(response.state))
         part, ordinal = plan.partition, plan.ordinal
         # a plan names a physical node, whose ordinal and constraint bits never change
         if (all(s.verified for s in response.statuses)
-                and part.available(ordinal).geq(request.demand)):
-            cost = self.costs.gm_request_overhead
-            done = self.clock.charge(mid, cost)
-            run.processing += cost
+                and part.available(ordinal).geq(run.request.demand)):
             run.attempts += 1
-            self._request_launch(run, part, ordinal, done)
-            self._kick(done)
-            return
-
-        # stale victims (or the freed node was grabbed): repeat victim selection
-        run.consecutive_failures += 1
-        if run.consecutive_failures >= self.retry_limit:
-            self._reinsert(run, mid)
-            self._kick(mid)
-            return
-        cost, plan = self._plan(run, mid)
-        done = self.clock.charge(mid, cost)
-        run.processing += cost
-        if plan is not None:
-            run.attempts += 1
-            self._request_preempt(run, plan, done)
-        else:
-            self._reinsert(run, done)
-        self._kick(done)
+            self._act(run, mid, self.costs.gm_request_overhead, part, ordinal, None)
+        elif self._failed(run, mid):
+            # stale victims (or the freed node was grabbed): plan again
+            cost, plan = self._plan(run, mid)
+            if plan is not None:
+                run.attempts += 1
+            self._act(run, mid, cost, None, None, plan)
 
     # -- notifications ------------------------------------------------------------
 

@@ -34,7 +34,6 @@ with `tuple.__new__`, in their field order, past the generated keyword
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -48,8 +47,6 @@ from .messages import (LaunchRequest, LaunchResponse, PreemptRequest, PreemptRes
 from .metrics import MetricsCollector, TaskRun
 from .state import LMStateSnapshot, NodeSnapshot, PartitionSnapshot, RunningTaskInfo
 from .worker import start_task
-
-log = logging.getLogger(__name__)
 
 _TASK_ID = attrgetter("task_id")
 _new = tuple.__new__  # a record from its fields in order, filled in C
@@ -184,15 +181,6 @@ class LocalMaster:
 
     # -- launch -------------------------------------------------------------
 
-    def _begin(self, run: TaskRun, now: float, cost: float) -> tuple[float, float]:
-        """Take a request in turn on the LM clock and charge `cost` to the LM
-        and to the task; returns (start, done)."""
-        start = self.clock.begin(now)
-        run.framework_queuing += start - now
-        done = self.clock.charge(start, cost)
-        run.processing += cost
-        return start, done
-
     def _fits(self, node: WorkerNode | None, req: LaunchRequest) -> int | None:
         """The node's ordinal if it exists, carries the task's constraints and
         has its demand; else None."""
@@ -205,7 +193,7 @@ class LocalMaster:
         return None
 
     def on_launch_request(self, req: LaunchRequest, now: float) -> None:
-        _, done = self._begin(req.run, now, self.costs.lm_validate)
+        _, done = self.clock.serve(req.run, now, self.costs.lm_validate)
         node = self.nodes.get(req.node_id)
         ordinal = self._fits(node, req)
         ok = (ordinal is not None
@@ -266,7 +254,7 @@ class LocalMaster:
         if not ok:
             self.collector.bump("inconsistency_failures")
         gm = self._gm(req.gm_id)
-        response = _new(LaunchResponse, (ok, req.task_id, kind, node_id, state))
+        response = _new(LaunchResponse, (ok, req.task_id, kind, node_id, state, req.run))
         self.network.send(state.timestamp, LAUNCH_RESPONSE, gm.on_launch_response,
                           response, run=None if ok else req.run)
 
@@ -282,7 +270,7 @@ class LocalMaster:
         """Carve `req.demand` out of the physical node `req.node_id` into a
         logical node of the requesting GM's partition, and launch there."""
         run = req.run
-        _, done = self._begin(run, now, self.costs.lm_repartition)
+        _, done = self.clock.serve(run, now, self.costs.lm_repartition)
         source = self.nodes.get(req.node_id)
         ordinal = self._fits(source, req)
         ok = ordinal is not None and not source.is_logical  # never carve a logical node
@@ -292,9 +280,7 @@ class LocalMaster:
             self._respond_launch(req, "repartition", None, self.snapshot(done))
             return
 
-        target = self.partition_by_owner.get(req.gm_id)
-        if target is None:
-            raise ConfigurationError(f"GM {req.gm_id!r} owns no partition on {self.lm_id}")
+        target = self.partition_by_owner[req.gm_id]
         self._logical_seq += 1
         logical = WorkerNode(
             node_id=f"{source.node_id}.l{self._logical_seq}",
@@ -323,7 +309,7 @@ class LocalMaster:
 
     def on_preempt_request(self, req: PreemptRequest, now: float) -> None:
         run = req.run
-        start, done = self._begin(
+        start, done = self.clock.serve(
             run, now,
             self.costs.lm_validate + self.costs.lm_preempt_per_victim * len(req.victim_ids))
 

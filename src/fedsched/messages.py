@@ -18,7 +18,9 @@ contract, and a record reads back by field name as any `NamedTuple` does.
 One request type serves launches and carve-outs: a `LaunchRequest` sent as a
 launch request names the node to launch on, and sent as a repartition
 request it names the physical node of another GM's partition to carve the
-task's demand out of.  The LM answers both with a `LaunchResponse`.
+task's demand out of.  The LM answers both with a `LaunchResponse`, which
+carries the request's run back, so a GM keeps no table of the launches it
+has in flight.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class LaunchResponse(NamedTuple):
     kind: str  # "launch" or "repartition"
     node_id: str | None
     state: LMStateSnapshot
+    run: "TaskRun"
 
 
 class PreemptRequest(NamedTuple):

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import TaskRequest
+
+if TYPE_CHECKING:
+    from .fairness import PreemptDecisionAudit
 
 
 class AllocationRecord(NamedTuple):
@@ -107,7 +110,7 @@ class MetricsCollector:
         self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
         self.audit = audit
         self.audit_launches: list[dict] = []
-        self.audit_preemptions: list[dict] = []
+        self.audit_preemptions: list[PreemptDecisionAudit] = []
         self.unschedulable: list[str] = []
         self.admitted = 0  # tasks fed to the event loop, set when the run is built
         self.completed = 0

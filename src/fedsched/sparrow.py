@@ -61,10 +61,7 @@ class ProbeScheduler:
 
     def on_task_arrival(self, request: TaskRequest, now: float) -> None:
         run = TaskRun(request)
-        start = self.clock.begin(now)
-        run.framework_queuing += start - now
-        done = self.clock.charge(start, self.costs.probe_handling)
-        run.processing += self.costs.probe_handling
+        _, done = self.clock.serve(run, now, self.costs.probe_handling)
         run.attempts += 1
 
         eligible = self.eligible[request.constraints]

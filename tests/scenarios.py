@@ -114,12 +114,11 @@ def build_cluster(
     for gm_id in gm_ids:
         owned = [UserQueue(user_id=uid, share=shares[uid])
                  for uid, (home, _) in sorted(users.items()) if home == gm_id]
-        gm = GlobalMaster(gm_id, loop, network, costs, collector,
-                          retry_limit=retry_limit,
-                          violation_metric=violation_metric)
         initial = [lm.snapshot(0.0) for lm in lms]
-        gm.seed(ClusterView(initial, resource_dim), QueueSet(owned), lms, shares)
-        gms.append(gm)
+        gms.append(GlobalMaster(gm_id, loop, network, costs, collector,
+                                ClusterView(initial, resource_dim), QueueSet(owned),
+                                lms, shares, retry_limit=retry_limit,
+                                violation_metric=violation_metric))
     for lm in lms:
         lm.wire_gms(gms)
     return MiniCluster(loop=loop, network=network, collector=collector,

@@ -643,10 +643,14 @@ def test_cli_simulation_error_exits_4(tmp_path, capsys, monkeypatch):
     assert err == "simulation error: 3 tasks never completed\n"
 
 
-@pytest.mark.parametrize("command", [[], ["sweep", "--axis", "workers", "--values", "2,3"]],
-                         ids=["run", "sweep"])
-def test_cli_out_dir_under_a_file_exits_2_before_simulating(command, tmp_path, capsys,
-                                                            monkeypatch):
+SWEEP_2_3 = ["sweep", "--axis", "workers", "--values", "2,3"]
+
+
+@pytest.mark.parametrize("command, under_a_file",
+                         [([], True), (SWEEP_2_3, True), ([], False), (SWEEP_2_3, False)],
+                         ids=["run", "sweep", "run-empty", "sweep-empty"])
+def test_cli_out_dir_under_a_file_exits_2_before_simulating(command, under_a_file, tmp_path,
+                                                            capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("simulated despite an unusable --out-dir")
 
@@ -654,11 +658,14 @@ def test_cli_out_dir_under_a_file_exits_2_before_simulating(command, tmp_path, c
     monkeypatch.setattr("fedsched.cli.sweep", must_not_run)
     blocker = tmp_path / "file"
     blocker.write_text("")
+    # an empty path names the working directory to os.path.abspath
+    out_dir, named = ((str(blocker / "out"), str(blocker)) if under_a_file
+                      else ("", "--out-dir"))
     argv = command or ["run"]
     assert main([*argv, "--config", write_config(tmp_path, base_data()),
-                 "--out-dir", str(blocker / "out")]) == 2
+                 "--out-dir", out_dir]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(blocker) in err and "Traceback" not in err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
 def test_cli_failed_report_write_exits_2(tmp_path, capsys):
@@ -704,7 +711,11 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("axis, values", [("load", "nan"), ("load", "0.7,inf"),
-                                          ("workers", "2.7"), ("workers", "inf")])
+                                          ("workers", "2.7"), ("workers", "inf"),
+                                          ("workers", "a,b"), ("workers", ","),
+                                          # one directory label for two values
+                                          ("load", "1.0000001,1.0000002"),
+                                          ("workers", "2,2")])
 def test_cli_sweep_bad_value_exits_2(axis, values, tmp_path, capsys):
     path = write_config(tmp_path, base_data())
     assert main(["sweep", "--config", path, "--axis", axis, "--values", values,

@@ -11,7 +11,7 @@ from fedsched.experiment import build_megha, build_workload, effective_users
 from fedsched.fairness import QueueSet
 from fedsched.global_master import GlobalMaster
 from fedsched.local_master import LocalMaster
-from fedsched.messages import LaunchResponse, PreemptResponse, TaskPreempted
+from fedsched.messages import TaskPreempted
 from fedsched.metrics import MetricsCollector, TaskRun
 from fedsched.state import ClusterView, LMStateSnapshot
 
@@ -232,19 +232,6 @@ def test_success_merge_cost_busies_clock_but_not_the_task():
     assert cluster.gms[0].clock.busy_until > 2 * HOP
 
 
-def test_orphan_responses_are_dropped():
-    cluster = one_node_cluster()
-    gm = cluster.gms[0]
-    state = LMStateSnapshot(lm_id="lm0", timestamp=0.0, partitions=(), user_consumed={},
-                            node_count=0)
-    resp = LaunchResponse(ok=True, task_id="ghost", kind="launch", node_id="n0",
-                          state=state)
-    gm.on_launch_response(resp, 0.0)
-    preempt = PreemptResponse(task_id="ghost", node_id="n0", statuses=(), state=state)
-    gm.on_preempt_response(preempt, 0.0)
-    assert gm._inflight == {}
-
-
 def test_task_preempted_note_requeues_and_refreshes_view():
     cluster = one_node_cluster()
     gm = cluster.gms[0]
@@ -276,6 +263,29 @@ def test_seed_requires_exactly_one_partition_per_lm():
     lm = LocalMaster("lm0", loop, network, ZERO_COSTS, collector)
     for j in range(2):
         lm.add_partition(f"p{j}", "gm0", [], 21)
-    gm = GlobalMaster("gm0", loop, network, ZERO_COSTS, collector)
-    with pytest.raises(ConfigurationError):
-        gm.seed(ClusterView([lm.snapshot(0.0)], 2), QueueSet([]), [lm], {})
+    with pytest.raises(ConfigurationError, match="exactly one partition on lm0, found 2"):
+        GlobalMaster("gm0", loop, network, ZERO_COSTS, collector,
+                     ClusterView([lm.snapshot(0.0)], 2), QueueSet([]), [lm], {})
+
+
+@pytest.mark.parametrize("retry_limit, chosen", [(1, ["uB"]), (5, ["uB", None])])
+def test_stale_preemption_below_and_at_the_retry_limit(retry_limit, chosen):
+    """b1 finishes while a1's preempt request is on the wire, so the LM finds
+    its victim stale.  At the limit the task is requeued at once; below it
+    the GM plans again, finds no victim and requeues; either way the re-plan
+    counts no attempt."""
+    cluster = build_cluster(
+        {"lm0": {"gm0": [("n0", rv(8, 8192), cs())]}},
+        {"uA": ("gm0", 0.9), "uB": ("gm0", 0.1)}, retry_limit=retry_limit)
+    gm = cluster.gms[0]
+    cluster.submit(task("b1", user="uB", demand=rv(8, 8192), duration=1.0 - 1.5 * HOP), gm)
+    cluster.submit(task("a1", user="uA", demand=rv(8, 8192), arrival=1.0), gm)
+    cluster.run_all()
+
+    audits = cluster.collector.audit_preemptions
+    assert [a.chosen_user for a in audits] == chosen
+    assert audits[0].victim_ids == ("b1",)
+    assert cluster.collector.counters["preempt_attempts"] == 1
+    assert cluster.collector.counters["preemptions"] == 0
+    assert cluster.collector.counters["reschedules"] == 1
+    assert cluster.record("a1").attempts == 2

@@ -123,6 +123,7 @@ def test_launch_deducts_and_starts():
     when, resp = gms["gm0"].launch_responses[0]
     assert resp.ok
     assert resp.node_id == "n0" and resp.kind == "launch"
+    assert resp.run is run  # the request's run, carried back
     assert len(resp.state.partitions) == 1
     assert resp.state.partitions[0].partition_id == "lm0-p0"
 
@@ -313,6 +314,7 @@ def test_repartition_carves_child_then_restores_parent():
     when, resp = gms["gm1"].launch_responses[0]
     assert resp.ok and resp.kind == "repartition"
     assert resp.node_id == "N.l1"
+    assert resp.run is run  # the request's run, carried back
     assert {p.partition_id for p in resp.state.partitions} == {"lm0-p0", "lm0-p1"}
 
 
