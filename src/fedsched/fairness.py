@@ -16,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .core import ResourceVector
-from .errors import ConfigurationError
 from .metrics import TaskRun
 from .state import ClusterView, ViewPartition
 
@@ -46,10 +45,8 @@ class QueueSet:
         self._cursor = 0
 
     def enqueue(self, run: TaskRun) -> None:
-        queue = self.by_user.get(run.request.user_id)
-        if queue is None:
-            raise ConfigurationError(f"no queue for user {run.request.user_id!r}")
-        queue.pending.append(run)
+        """Append a run of one of this GM's users to its queue."""
+        self.by_user[run.request.user_id].pending.append(run)
 
     # re-insertion at the tail is how rescheduling and fairness failures retry
     reinsert = enqueue

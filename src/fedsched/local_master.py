@@ -10,17 +10,21 @@ heartbeat pushes the full state to every GM.
 Snapshot state is kept incrementally rather than rebuilt per message: each
 `Partition`, built by `add_partition` from its members, keeps its
 `NodeSnapshot`s in ordinal order and its change log (see `core.Partition`),
-and holds the one copy of each node's availability.  `available` reads it;
-`_publish` builds a node's new entry on a launch, a release or a carve-out,
-adding or removing the one `RunningTaskInfo` it concerns, and
-`Partition.replace` writes it and logs its ordinal.  Each change looks the
-node's ordinal up once and passes it along: a launch or a carve-out takes
-it from `_fits`.  A carve-out appends a logical node with
+and holds the one copy of each node's availability.  A node's state has one
+read and one write, and only they and `Partition` handle ordinals:
+`available(node)` reads it, and `_publish(node, available, ...)` builds the
+node's new entry on a launch, a release or a carve-out, adding or removing
+the one `RunningTaskInfo` it concerns, and has `Partition.replace` write it
+and log its ordinal.  A carve-out appends a logical node with
 `Partition.append_node` and its destruction drops it with `remove_node`.  A
 message carries the list as a tuple (O(n), but a C-level copy: about 0.4 µs
 at 150 nodes on a 2-vCPU Xeon under Python 3.11), so untouched nodes keep
 their `NodeSnapshot` objects, and the log itself with its current length, so a
 GM view re-reads only the ordinals logged since the version it holds.
+
+A running task holds the GM that launched it, `rt.gm`, which gets its
+completion or preempted note; a response goes to the GM that asked.
+`_release` both stops tracking a finished or killed task and frees it.
 
 Per-user consumption is copy-on-write: `_launch` and `_release` replace
 `consumed` with an updated copy and never mutate a map that has been sent,
@@ -41,7 +45,6 @@ from .core import Partition, ResourceVector, WorkerNode, constraint_bits
 from .engine import (HEARTBEAT, LAUNCH_RESPONSE, PREEMPT_RESPONSE, TASK_COMPLETION,
                      TASK_LAUNCH, TASK_PREEMPTED, ActorClock, CostModel, EventLoop,
                      Network)
-from .errors import ConfigurationError
 from .messages import (LaunchRequest, LaunchResponse, PreemptRequest, PreemptResponse,
                        TaskCompletion, TaskPreempted, VictimStatus)
 from .metrics import MetricsCollector, TaskRun
@@ -62,7 +65,7 @@ def _snapshot(node: WorkerNode, available: ResourceVector,
 class RunningTask:
     run: TaskRun
     node_id: str
-    gm_id: str
+    gm: object  # the GlobalMaster that launched it: its notes go there
     # as published, set once the payload is sent: launch_time is when it lands
     info: RunningTaskInfo | None = None
 
@@ -118,20 +121,18 @@ class LocalMaster:
 
     # -- snapshots ----------------------------------------------------------
 
-    def _ordinal(self, node: WorkerNode) -> int:
-        """The node's position in its partition's snapshot list."""
-        return self.partitions[node.partition_id].node_ids[node.node_id]
-
     def available(self, node: WorkerNode) -> ResourceVector:
         """The node's availability, as its published snapshot holds it."""
-        return self.partitions[node.partition_id].nodes[self._ordinal(node)].available
+        partition = self.partitions[node.partition_id]
+        return partition.nodes[partition.node_ids[node.node_id]].available
 
-    def _publish(self, node: WorkerNode, ordinal: int, available: ResourceVector, *,
+    def _publish(self, node: WorkerNode, available: ResourceVector, *,
                  add: RunningTaskInfo | None = None,
                  remove: RunningTaskInfo | None = None) -> None:
-        """The node, at `ordinal`, changed: publish its new entry, with the
-        running task added or removed."""
+        """The node changed: publish its new entry, with the running task
+        added or removed."""
         partition = self.partitions[node.partition_id]
+        ordinal = partition.node_ids[node.node_id]
         running = partition.nodes[ordinal].running
         if remove is not None:
             running = tuple(info for info in running if info is not remove)
@@ -181,27 +182,20 @@ class LocalMaster:
 
     # -- launch -------------------------------------------------------------
 
-    def _fits(self, node: WorkerNode | None, req: LaunchRequest) -> int | None:
-        """The node's ordinal if it exists, carries the task's constraints and
-        has its demand; else None."""
-        if node is None or not node.machine_constraints >= req.constraints:
-            return None
-        partition = self.partitions[node.partition_id]
-        ordinal = partition.node_ids[node.node_id]
-        if partition.nodes[ordinal].available.geq(req.demand):
-            return ordinal
-        return None
+    def _fits(self, node: WorkerNode | None, req: LaunchRequest) -> bool:
+        """Whether the node exists, carries the task's constraints and has its demand."""
+        return (node is not None and node.machine_constraints >= req.constraints
+                and self.available(node).geq(req.demand))
 
     def on_launch_request(self, req: LaunchRequest, now: float) -> None:
         _, done = self.clock.serve(req.run, now, self.costs.lm_validate)
         node = self.nodes.get(req.node_id)
-        ordinal = self._fits(node, req)
-        ok = (ordinal is not None
+        ok = (self._fits(node, req)
               and self.partitions[node.partition_id].owner_gm_id == req.gm_id)
         self._audit(req, "launch", node, ok, done)
 
         if ok:
-            self._launch(req.run, node, ordinal, req.gm_id, done)
+            self._launch(req.run, node, self.gms[req.gm_id], done)
             self._respond_launch(req, "launch", node.node_id,
                                  self._state(done, (node.partition_id,)))
         else:
@@ -222,16 +216,14 @@ class LocalMaster:
             "task_constraints": tuple(sorted(req.constraints)),
         })
 
-    def _launch(self, run: TaskRun, node: WorkerNode, ordinal: int, gm_id: str,
-                done: float) -> None:
+    def _launch(self, run: TaskRun, node: WorkerNode, gm, done: float) -> None:
         request = run.request
-        rt = self.running[request.task_id] = RunningTask(run, node.node_id, gm_id)
+        rt = self.running[request.task_id] = RunningTask(run, node.node_id, gm)
         user, demand = request.user_id, request.demand
         rt.info = info = _new(RunningTaskInfo, (
             request.task_id, user, demand,
             self.network.send(done, TASK_LAUNCH, self._begin_execution, rt, run=run)))
-        available = self.partitions[node.partition_id].nodes[ordinal].available
-        self._publish(node, ordinal, available - demand, add=info)
+        self._publish(node, self.available(node) - demand, add=info)
         consumed = self.consumed  # may have been sent: replace it, never mutate it
         have = consumed.get(user)
         self.consumed = {**consumed, user: demand if have is None else have + demand}
@@ -253,16 +245,10 @@ class LocalMaster:
         ok = node_id is not None
         if not ok:
             self.collector.bump("inconsistency_failures")
-        gm = self._gm(req.gm_id)
+        gm = self.gms[req.gm_id]
         response = _new(LaunchResponse, (ok, req.task_id, kind, node_id, state, req.run))
         self.network.send(state.timestamp, LAUNCH_RESPONSE, gm.on_launch_response,
                           response, run=None if ok else req.run)
-
-    def _gm(self, gm_id: str):
-        gm = self.gms.get(gm_id)
-        if gm is None:
-            raise ConfigurationError(f"unknown GM {gm_id!r}")
-        return gm
 
     # -- repartition ---------------------------------------------------------
 
@@ -272,8 +258,7 @@ class LocalMaster:
         run = req.run
         _, done = self.clock.serve(run, now, self.costs.lm_repartition)
         source = self.nodes.get(req.node_id)
-        ordinal = self._fits(source, req)
-        ok = ordinal is not None and not source.is_logical  # never carve a logical node
+        ok = self._fits(source, req) and not source.is_logical  # never carve a logical node
         self._audit(req, "repartition", source, ok, done)
 
         if not ok:
@@ -291,15 +276,14 @@ class LocalMaster:
             is_logical=True,
             parent_node=source.node_id,
         )
-        available = self.partitions[source.partition_id].nodes[ordinal].available
-        self._publish(source, ordinal, available - req.demand)
+        self._publish(source, self.available(source) - req.demand)
         self.nodes[logical.node_id] = logical
-        logical_ordinal = target.append_node(logical.node_id, logical.machine_constraints,
-                                             _snapshot(logical, logical.capacity))
+        target.append_node(logical.node_id, logical.machine_constraints,
+                           _snapshot(logical, logical.capacity))
         self.collector.bump("repartitions")
         run.repartitioned = True
 
-        self._launch(run, logical, logical_ordinal, req.gm_id, done)
+        self._launch(run, logical, self.gms[req.gm_id], done)
         self._respond_launch(
             req, "repartition", logical.node_id,
             self._state(done, (source.partition_id, target.partition_id)),
@@ -326,19 +310,17 @@ class LocalMaster:
             if not verified:
                 continue
             killed += 1
-            del self.running[victim_id]
             touched.extend(self._release(rt))
             self.collector.bump("preemptions")
-            owner = self._gm(rt.gm_id)
             info = rt.info
             note = _new(TaskPreempted, (victim_id, info.user_id, info.demand,
                                         self._state(done, ()), rt.run))
-            self.network.send(done, TASK_PREEMPTED, owner.on_task_preempted, note)
+            self.network.send(done, TASK_PREEMPTED, rt.gm.on_task_preempted, note)
 
         run.preempted_caused += killed
-        node = self.nodes.get(req.node_id)
-        partitions = touched or ((node.partition_id,) if node else ())
-        gm = self._gm(req.gm_id)
+        # a plan always names a physical node, and those are never destroyed
+        partitions = touched or (self.nodes[req.node_id].partition_id,)
+        gm = self.gms[req.gm_id]
         response = _new(PreemptResponse, (req.task_id, req.node_id, tuple(statuses),
                                           self._state(done, partitions)))
         self.network.send(done, PREEMPT_RESPONSE, gm.on_preempt_response, response,
@@ -347,36 +329,30 @@ class LocalMaster:
     # -- completion ----------------------------------------------------------
 
     def _release(self, rt: RunningTask) -> list[str]:
-        """Return resources for a finished or killed task; destroys logical nodes."""
-        node = self.nodes[rt.node_id]
+        """Stop tracking a finished or killed task and free it; destroys logical nodes."""
         info = rt.info
+        del self.running[info.task_id]
+        node = self.nodes[rt.node_id]
         touched = [node.partition_id]
         if node.is_logical:
             parent = self.nodes[node.parent_node]
-            ordinal = self._ordinal(parent)
-            available = self.partitions[parent.partition_id].nodes[ordinal].available
-            self._publish(parent, ordinal, available + node.capacity)
+            self._publish(parent, self.available(parent) + node.capacity)
             self.partitions[node.partition_id].remove_node(node.node_id)
             del self.nodes[node.node_id]
             touched.append(parent.partition_id)
         else:
-            ordinal = self._ordinal(node)
-            available = self.partitions[node.partition_id].nodes[ordinal].available
-            self._publish(node, ordinal, available + info.demand, remove=info)
+            self._publish(node, self.available(node) + info.demand, remove=info)
         consumed = self.consumed  # may have been sent: replace it, never mutate it
         self.consumed = {**consumed, info.user_id: consumed[info.user_id] - info.demand}
         return touched
 
     def _on_task_complete(self, rt: RunningTask, now: float) -> None:
-        task_id = rt.info.task_id
-        if self.running.get(task_id) is not rt:
+        info = rt.info
+        if self.running.get(info.task_id) is not rt:
             return  # stale completion from a preempted launch
-        del self.running[task_id]
         touched = self._release(rt)
         self.collector.note_completed()
         self.loop.note_progress()
-        owner = self._gm(rt.gm_id)
-        info = rt.info
-        message = _new(TaskCompletion, (task_id, info.user_id, info.demand,
+        message = _new(TaskCompletion, (info.task_id, info.user_id, info.demand,
                                         self._state(now, touched), rt.run))
-        self.network.send(now, TASK_COMPLETION, owner.on_task_completion, message)
+        self.network.send(now, TASK_COMPLETION, rt.gm.on_task_completion, message)

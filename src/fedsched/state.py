@@ -38,6 +38,10 @@ The snapshot records are `NamedTuple`s: immutable, as a view keeps the
 several, so the LM builds them positionally with `tuple.__new__`, past the
 generated keyword `__new__`.
 
+A view is built whole, from one snapshot per LM: an LM's partitions are
+fixed when it is built (a carve-out adds a node, never a partition), so a
+merge only refreshes partitions the view holds.
+
 Every GM views every partition, but a GM searches few of them in a short run,
 so a view partition builds what only a search reads on first use: its
 per-dimension `columns` on the first fit mask, and its overlay, fit masks and
@@ -260,35 +264,28 @@ class ClusterView:
 
     def __init__(self, snapshots: list[LMStateSnapshot], resource_dim: int) -> None:
         self.resource_dim = resource_dim
-        self.partitions: dict[tuple[str, str], ViewPartition] = {}
-        self.last_update_time: dict[str, float] = {}
-        self.lm_user_consumed: dict[str, dict[str, ResourceVector]] = {}
-        for snapshot in snapshots:
-            self._merge(snapshot.lm_id, snapshot.timestamp, snapshot.partitions,
-                        snapshot.user_consumed)
         # in (lm_id, partition_id) order, which the victim scan visits
-        self.partitions = dict(sorted(self.partitions.items()))
+        self.partitions: dict[tuple[str, str], ViewPartition] = dict(sorted(
+            ((snapshot.lm_id, part.partition_id), ViewPartition(part))
+            for snapshot in snapshots for part in snapshot.partitions))
+        self.last_update_time = {snapshot.lm_id: snapshot.timestamp for snapshot in snapshots}
+        self.lm_user_consumed = {snapshot.lm_id: snapshot.user_consumed
+                                 for snapshot in snapshots}
 
     def _merge(
         self,
         lm_id: str,
         timestamp: float,
         partitions: tuple[PartitionSnapshot, ...],
-        user_consumed: dict[str, ResourceVector] | None,
+        user_consumed: dict[str, ResourceVector],
     ) -> bool:
         """Overwrite the named partitions unless the update is older than the view;
         the consumption map is kept as received."""
-        if timestamp < self.last_update_time.get(lm_id, float("-inf")):
+        if timestamp < self.last_update_time[lm_id]:
             return False
         for part in partitions:
-            key = (lm_id, part.partition_id)
-            existing = self.partitions.get(key)
-            if existing is None:
-                self.partitions[key] = ViewPartition(part)
-            else:
-                existing.refresh(part)
-        if user_consumed is not None:
-            self.lm_user_consumed[lm_id] = user_consumed
+            self.partitions[lm_id, part.partition_id].refresh(part)
+        self.lm_user_consumed[lm_id] = user_consumed
         self.last_update_time[lm_id] = timestamp
         return True
 
@@ -302,7 +299,7 @@ class ClusterView:
         lm_id: str,
         timestamp: float,
         partitions: tuple[PartitionSnapshot, ...],
-        user_consumed: dict[str, ResourceVector] | None = None,
+        user_consumed: dict[str, ResourceVector],
     ) -> bool:
         """Merge a partial (piggybacked) update covering only some partitions."""
         return self._merge(lm_id, timestamp, partitions, user_consumed)

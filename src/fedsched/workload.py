@@ -152,6 +152,7 @@ def load_trace(
                 f"{path}:1: expected header {','.join(TRACE_COLUMNS)}, got {','.join(header)}"
             )
         has_user = len(header) > 7 and header[7] == "user_id"
+        first_line: dict[str, int] = {}  # task id -> the line that named it
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -179,6 +180,10 @@ def load_trace(
                 raise TraceFormatError(f"{path}:{lineno}: duration must be > 0")
             if arrival < 0:
                 raise TraceFormatError(f"{path}:{lineno}: arrival must be >= 0")
+            first = first_line.setdefault(task_id, lineno)
+            if first != lineno:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: task id {task_id!r} repeats line {first}")
             tasks.append(TaskRequest(
                 task_id, job_id, user_id,
                 ResourceVector.of(max(int(cpu), 1), max(int(mem), 1)),

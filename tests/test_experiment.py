@@ -398,6 +398,23 @@ def test_non_utf8_trace_exits_2_naming_the_file(tmp_path, capsys):
     assert f"{trace}: not valid UTF-8" in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("scheduler", ["megha", "sparrow"])
+def test_a_repeated_trace_task_id_exits_2_before_simulating(tmp_path, capsys, monkeypatch,
+                                                            scheduler):
+    # the LM keys its running tasks by id: a megha run would never finish t1
+    trace = tmp_path / "t.csv"
+    trace.write_text(TRACE_HEADER + "\n0.0,j1,t1,400,50,1.0,\n0.0,j1,t1,400,50,1.0,\n"
+                     "0.1,j1,t2,400,50,1.0,\n")
+    for name in ("build_megha", "build_sparrow"):
+        monkeypatch.setattr(experiment, name, lambda *a, **k: pytest.fail("simulated"))
+    data = base_data(scheduler=scheduler, gm_count=1, lm_count=1, workers_per_lm=4,
+                     workload={"kind": "trace", "path": str(trace)})
+    assert main(["run", "--config", write_config(tmp_path, data),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{trace}:3: task id 't1' repeats line 2" in err and "Traceback" not in err, err
+
+
 def test_missing_trace_file_exits_2_without_a_traceback(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     data = base_data(workload={"kind": "trace", "path": missing})

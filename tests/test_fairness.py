@@ -3,7 +3,6 @@
 import pytest
 
 from fedsched.core import constraint_bits
-from fedsched.errors import ConfigurationError
 from fedsched.experiment import check_conservation
 from fedsched.fairness import (QueueSet, UserQueue, metric_value, over_share,
                                plan_preemption)
@@ -64,12 +63,6 @@ def test_next_eligible_skips_heads_tried_at_this_version():
     assert qs.next_eligible(7) is None
     # a new view version makes the skipped head eligible again
     assert qs.next_eligible(8) is a1
-
-
-def test_enqueue_unknown_user_rejected():
-    qs = QueueSet([queue("uA")])
-    with pytest.raises(ConfigurationError):
-        qs.enqueue(run_for("uZ", "z1"))
 
 
 # -- share arithmetic -----------------------------------------------------------

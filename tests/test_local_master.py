@@ -6,7 +6,7 @@ import pytest
 
 from fedsched.core import WorkerNode
 from fedsched.engine import DelayModel, EventLoop, Network
-from fedsched.errors import ConfigurationError, SimulationError
+from fedsched.errors import SimulationError
 from fedsched.experiment import check_conservation, check_snapshot_cache
 from fedsched.local_master import LocalMaster
 from fedsched.messages import LaunchRequest, PreemptRequest
@@ -934,13 +934,6 @@ def test_positionally_built_records_read_back_by_field_name():
     assert done.state.timestamp == pytest.approx(3.0 + HOP, abs=1e-9)
 
 
-def test_a_response_to_an_unknown_gm_is_a_configuration_error():
-    lm, gms, loop, collector = one_lm({"gm0": [("n0", rv(4, 8192), cs())]})
-    launch(lm, loop, collector, node_id="n0", gm_id="ghost")
-    with pytest.raises(ConfigurationError, match="unknown GM 'ghost'"):
-        loop.run()
-
-
 def test_conservation_check_refuses_consumption_that_drifts_from_running_tasks():
     lm, gms, loop, collector = one_lm({"gm0": [("n0", rv(4, 8192), cs())]})
     launch(lm, loop, collector, node_id="n0", demand=rv(2, 4096), duration=2.0)
@@ -960,3 +953,28 @@ def test_conservation_check_refuses_consumption_that_drifts_from_running_tasks()
     loop.run()
     assert len(seen) == 3
     check_conservation(lm)
+
+
+def test_notes_go_to_the_launching_gm_and_answers_to_the_requesting_gm():
+    lm, gms, loop, collector = one_lm({"gm0": [("N", rv(8, 16384), cs())],
+                                       "gm1": [("K", rv(8, 16384), cs())]})
+    victim = launch(lm, loop, collector, node_id="K", gm_id="gm1", demand=rv(4, 8192),
+                    task_id="tv", duration=100.0, user="uV")
+    preempt(lm, loop, collector, node_id="K", victim_ids=["tv"], gm_id="gm0", at=1.0)
+    repartition(lm, loop, collector, source="N", gm_id="gm1", demand=rv(2, 4096),
+                task_id="tc", at=2.0, user="uC")
+    loop.run()
+
+    (_, response), = gms["gm0"].preempt_responses
+    assert [(s.task_id, s.verified) for s in response.statuses] == [("tv", True)]
+    assert gms["gm1"].preempt_responses == []
+    (_, note), = gms["gm1"].preempted
+    assert (note.task_id, note.run) == ("tv", victim)
+    assert gms["gm0"].preempted == []
+
+    # the carved task runs on gm0's node but was launched by gm1
+    (_, carved), = gms["gm1"].launch_responses[1:]
+    assert (carved.ok, carved.task_id, carved.node_id) == (True, "tc", "N.l1")
+    (_, done), = gms["gm1"].completions
+    assert done.task_id == "tc"
+    assert gms["gm0"].completions == [] and gms["gm0"].launch_responses == []

@@ -443,8 +443,7 @@ class TestViewPartitionLogWindow:
                 else:
                     node_id = rng.choice(list(partition.node_ids))
                     node = lm.nodes[node_id]
-                    lm._publish(node, partition.node_ids[node_id],
-                                rv(rng.randint(0, 8), rng.randint(0, 8)))
+                    lm._publish(node, rv(rng.randint(0, 8), rng.randint(0, 8)))
                 sent.append(lm.partition_snapshot("p0"))
                 assert not sent[-1].log or len(sent[-1].log) < len(sent[-1].nodes)
                 for view in views:
@@ -550,7 +549,7 @@ class TestClusterViewMerges:
         p1 = make_partition_snapshot("p1", nodes=[("b", frozenset(), rv(8, 800))])
         view = ClusterView([make_lm_snapshot(ts=0.0, partitions=[p0, p1])], 2)
         newer_p0 = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(1, 100))])
-        assert view.merge_partitions("lm0", 5.0, (newer_p0,))
+        assert view.merge_partitions("lm0", 5.0, (newer_p0,), {})
         assert view.partitions[("lm0", "p0")].available(0).quantities == (1, 100)
         assert view.partitions[("lm0", "p1")].available(0).quantities == (8, 800)
         assert view.last_update_time["lm0"] == 5.0
@@ -562,7 +561,7 @@ class TestClusterViewMerges:
             ("a", frozenset(), rv(0, 0)),
             ("b", frozenset(), rv(8, 800)),
         ])
-        assert view.merge_partitions("lm0", 15.0, (newer,))
+        assert view.merge_partitions("lm0", 15.0, (newer,), {})
         stale_heartbeat = two_node_snapshot(12.0, rv(8, 800), rv(8, 800))
         assert not view.apply_heartbeat(stale_heartbeat)
         assert view.partitions[("lm0", "p0")].available(0).quantities == (0, 0)
@@ -574,7 +573,7 @@ class TestClusterViewMerges:
     def test_stale_partial_merge_discarded(self):
         view = ClusterView([two_node_snapshot(10.0, rv(8, 800), rv(8, 800))], 2)
         older = make_partition_snapshot("p0", nodes=[("a", frozenset(), rv(1, 1))])
-        assert not view.merge_partitions("lm0", 9.0, (older,))
+        assert not view.merge_partitions("lm0", 9.0, (older,), {})
         assert view.partitions[("lm0", "p0")].available(0).quantities == (8, 800)
 
     def test_equal_timestamp_applies(self):
@@ -636,12 +635,12 @@ class TestWireContract:
     def test_a_view_keeps_the_consumption_it_merged_while_the_lm_moves_on(self):
         lm = wired_lm(rv(8, 800), rv(8, 800))
         view = ClusterView([lm.snapshot(0.0)], 2)
-        node = lm.nodes["n0"]
-        lm._launch(TaskRun(task("a", user="u0", demand=rv(2, 200))), node, 0, "gm0", 0.0)
+        node, gm = lm.nodes["n0"], object()  # the GM handle is only kept
+        lm._launch(TaskRun(task("a", user="u0", demand=rv(2, 200))), node, gm, 0.0)
         assert view.apply_heartbeat(lm.snapshot(1.0))
         # the LM releases u0's task and launches one of u1's
-        lm._release(lm.running.pop("a"))
-        lm._launch(TaskRun(task("b", user="u1", demand=rv(3, 300))), node, 0, "gm0", 0.0)
+        lm._release(lm.running["a"])
+        lm._launch(TaskRun(task("b", user="u1", demand=rv(3, 300))), node, gm, 0.0)
         assert view.viewed_consumed("u0") == rv(2, 200)
         assert view.viewed_consumed("u1") == rv(0, 0)
         assert view.apply_heartbeat(lm.snapshot(2.0))

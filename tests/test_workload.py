@@ -100,6 +100,14 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError, match=":3: numbers must be finite"):
             load_trace(path)
 
+    def test_repeated_task_id_rejected_naming_both_lines(self, tmp_path):
+        path = write_trace(tmp_path, ["0.0,j1,t1,400,50,1.0,\n",
+                                      "0.5,j2,t1,400,50,1.0,\n",
+                                      "1.0,j2,t2,400,50,1.0,\n"])
+        with pytest.raises(TraceFormatError,
+                           match=re.escape(f"{path}:3: task id 't1' repeats line 2")):
+            load_trace(path)
+
     def test_non_utf8_trace_rejected_naming_its_path(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_bytes(HEADER.encode() + b"0.0,j1,t1,400,50,1.0,\n0.0,j\xff,t2,400,50,1.0,\n")
