@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, itemgetter
 
@@ -493,8 +493,6 @@ def write_audits(result: ExperimentResult, out_dir: str) -> dict[str, str]:
         paths[name] = os.path.join(out_dir, f"audit_{name}.jsonl")
         with open(paths[name], "w") as handle:
             for entry in entries:
-                if is_dataclass(entry):
-                    entry = asdict(entry)
                 handle.write(json.dumps(entry, sort_keys=True))
                 handle.write("\n")
     return paths

@@ -6,8 +6,11 @@ Preemption is a last resort: it runs only after both the internal-partition
 scan and repartitioning fail, and only on behalf of a user still at or under
 its share.  Victim users are considered in decreasing order of how far over
 their share they appear in the deciding GM's view.  `plan_preemption` returns
-(nodes_scanned, plan), appends its audit record to `audit` if that is a list,
-and scans the view's partitions in their sorted key order.
+(nodes_scanned, plan), appends its audit entry to `audit` if that is a list,
+and scans the view's partitions in their sorted key order, testing a node's
+constraints with `core.candidates`, the matcher first fit uses.  An audit
+entry is a plain dict, as a launch's is: the decision's fields, with one
+dict per ranked candidate user under "candidates".
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import ResourceVector
+from .core import ResourceVector, candidates
 from .metrics import TaskRun
 from .state import ClusterView, ViewPartition
 
@@ -110,31 +113,6 @@ class PreemptPlan:
     victim_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CandidateAudit:
-    user_id: str
-    viewed_consumed: tuple[int, ...]
-    share: tuple[float, ...]
-    ratio: float
-    yielded_victims: bool
-
-
-@dataclass(frozen=True)
-class PreemptDecisionAudit:
-    time: float
-    gm_id: str
-    task_id: str
-    requester_user: str
-    requester_consumed: tuple[int, ...]
-    requester_share: tuple[float, ...]
-    metric: str
-    candidates: tuple[CandidateAudit, ...]
-    chosen_user: str | None
-    victim_ids: tuple[str, ...]
-    node_id: str | None
-    nodes_scanned: int = 0
-
-
 def plan_preemption(
     view: ClusterView,
     run: TaskRun,
@@ -151,14 +129,14 @@ def plan_preemption(
     plan and scans nothing; its request goes back to the tail of its queue.
     plan is also None when no over-share user has victims that would free
     enough resources on a single eligible node.  When `audit` is a list, the
-    decision's `PreemptDecisionAudit` is appended to it.
+    decision's audit entry, a dict, is appended to it.
     """
     request = run.request
     own = queues.by_user
     requester = own[request.user_id]
 
     # rank other users by how far over their share the view says they are
-    candidates: list[tuple[float, str, ResourceVector]] = []
+    ranked: list[tuple[float, str, ResourceVector]] = []
     if not over_share(requester.consumed, requester.share, metric):
         for user_id, share in shares.items():
             if user_id == requester.user_id:
@@ -167,35 +145,35 @@ def plan_preemption(
             consumed = view.viewed_consumed(user_id) if queue is None else queue.consumed
             ratio = metric_value(consumed, share, metric)
             if ratio > 1.0:
-                candidates.append((ratio, user_id, consumed))
-        candidates.sort(key=lambda item: (-item[0], item[1]))
+                ranked.append((ratio, user_id, consumed))
+        ranked.sort(key=lambda item: (-item[0], item[1]))
 
-    audit_entries: list[CandidateAudit] = []
+    audit_entries: list[dict] = []
     plan: PreemptPlan | None = None
     scanned = 0
-    for ratio, user_id, consumed in candidates:
+    for ratio, user_id, consumed in ranked:
         plan, checked = _victims_for_user(view, user_id, request.constraints, request.demand)
         scanned += checked
         if audit is not None:
-            audit_entries.append(CandidateAudit(
-                user_id=user_id, viewed_consumed=consumed.quantities,
-                share=shares[user_id], ratio=ratio, yielded_victims=plan is not None,
-            ))
+            audit_entries.append({
+                "user_id": user_id, "viewed_consumed": consumed.quantities,
+                "share": shares[user_id], "ratio": ratio, "yielded_victims": plan is not None,
+            })
         if plan is not None:
             break
 
     if audit is not None:
-        audit.append(PreemptDecisionAudit(
-            time=now, gm_id=gm_id, task_id=request.task_id,
-            requester_user=requester.user_id,
-            requester_consumed=requester.consumed.quantities,
-            requester_share=requester.share, metric=metric,
-            candidates=tuple(audit_entries),
-            chosen_user=plan.victim_user if plan else None,
-            victim_ids=plan.victim_ids if plan else (),
-            node_id=plan.node_id if plan else None,
-            nodes_scanned=scanned,
-        ))
+        audit.append({
+            "time": now, "gm_id": gm_id, "task_id": request.task_id,
+            "requester_user": requester.user_id,
+            "requester_consumed": requester.consumed.quantities,
+            "requester_share": requester.share, "metric": metric,
+            "candidates": tuple(audit_entries),
+            "chosen_user": plan.victim_user if plan else None,
+            "victim_ids": plan.victim_ids if plan else (),
+            "node_id": plan.node_id if plan else None,
+            "nodes_scanned": scanned,
+        })
     return scanned, plan
 
 
@@ -213,6 +191,7 @@ def _victims_for_user(
     """
     scanned = 0
     for part in view.partitions.values():
+        mask = None
         for ordinal, node in enumerate(part.nodes):
             if node.is_logical:
                 # killing a logical node's task returns capacity to its
@@ -222,7 +201,9 @@ def _victims_for_user(
             if not owned:
                 continue
             scanned += 1
-            if not part.node_satisfies(ordinal, constraints):
+            if mask is None:  # the partition's candidate mask, on first need
+                mask = candidates(part.bits, len(part.nodes), constraints)[0]
+            if not mask >> ordinal & 1:
                 continue
             freed = part.available(ordinal)
             owned.sort(key=lambda info: (-info.launch_time, info.task_id))

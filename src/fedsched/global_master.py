@@ -93,7 +93,6 @@ class GlobalMaster:
 
     def on_task_arrival(self, request: TaskRequest, now: float) -> None:
         run = TaskRun(request)
-        run.queued_since = now
         self.queues.enqueue(run)
         self._kick(now)
 
@@ -236,8 +235,7 @@ class GlobalMaster:
         _, mid = self.clock.serve(run, now, self._merge(response.state))
         part, ordinal = plan.partition, plan.ordinal
         # a plan names a physical node, whose ordinal and constraint bits never change
-        if (all(s.verified for s in response.statuses)
-                and part.available(ordinal).geq(run.request.demand)):
+        if response.verified and part.available(ordinal).geq(run.request.demand):
             run.attempts += 1
             self._act(run, mid, self.costs.gm_request_overhead, part, ordinal, None)
         elif self._failed(run, mid):

@@ -46,7 +46,7 @@ from .engine import (HEARTBEAT, LAUNCH_RESPONSE, PREEMPT_RESPONSE, TASK_COMPLETI
                      TASK_LAUNCH, TASK_PREEMPTED, ActorClock, CostModel, EventLoop,
                      Network)
 from .messages import (LaunchRequest, LaunchResponse, PreemptRequest, PreemptResponse,
-                       TaskCompletion, TaskPreempted, VictimStatus)
+                       TaskCompletion, TaskPreempted)
 from .metrics import MetricsCollector, TaskRun
 from .state import LMStateSnapshot, NodeSnapshot, PartitionSnapshot, RunningTaskInfo
 from .worker import start_task
@@ -297,7 +297,6 @@ class LocalMaster:
             run, now,
             self.costs.lm_validate + self.costs.lm_preempt_per_victim * len(req.victim_ids))
 
-        statuses = []
         touched: list[str] = []
         killed = 0
         for victim_id in req.victim_ids:
@@ -306,7 +305,6 @@ class LocalMaster:
             # finished, moved, or has not begun executing yet is stale
             verified = (rt is not None and rt.node_id == req.node_id
                         and rt.info.launch_time <= start)
-            statuses.append(_new(VictimStatus, (victim_id, verified)))
             if not verified:
                 continue
             killed += 1
@@ -320,11 +318,12 @@ class LocalMaster:
         run.preempted_caused += killed
         # a plan always names a physical node, and those are never destroyed
         partitions = touched or (self.nodes[req.node_id].partition_id,)
-        gm = self.gms[req.gm_id]
-        response = _new(PreemptResponse, (req.task_id, req.node_id, tuple(statuses),
+        # a plan's victims run on one node, so their ids are distinct
+        response = _new(PreemptResponse, (req.task_id, req.node_id,
+                                          killed == len(req.victim_ids),
                                           self._state(done, partitions)))
-        self.network.send(done, PREEMPT_RESPONSE, gm.on_preempt_response, response,
-                          run=run)
+        self.network.send(done, PREEMPT_RESPONSE, self.gms[req.gm_id].on_preempt_response,
+                          response, run=run)
 
     # -- completion ----------------------------------------------------------
 

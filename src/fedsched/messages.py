@@ -20,7 +20,8 @@ launch request names the node to launch on, and sent as a repartition
 request it names the physical node of another GM's partition to carve the
 task's demand out of.  The LM answers both with a `LaunchResponse`, which
 carries the request's run back, so a GM keeps no table of the launches it
-has in flight.
+has in flight.  A `PreemptResponse` carries one verdict: `verified` is True
+only when every victim was still running on the named node and was killed.
 """
 
 from __future__ import annotations
@@ -61,15 +62,10 @@ class PreemptRequest(NamedTuple):
     run: "TaskRun"
 
 
-class VictimStatus(NamedTuple):
-    task_id: str
-    verified: bool
-
-
 class PreemptResponse(NamedTuple):
     task_id: str
     node_id: str
-    statuses: tuple[VictimStatus, ...]
+    verified: bool  # every victim was verified and killed
     state: LMStateSnapshot
 
 

@@ -27,11 +27,12 @@ so the window runs backwards for an older version.  One LM serves several
 GMs and each view keeps its own version, so nothing is cleared on send.  A
 snapshot with another list (the LM starts a new one when a node is added or
 removed, or when the log would grow to the partition's size) rebuilds the
-view, as a change of node count or constraint bits does; that happens at most
-once per partition-size worth of publishes.  The simulated merge charge still
-counts every node carried.  A partition's constraint bits travel as the LM's
-own immutable `Partition.bits` tuple, which the view reads as it stands, so
-neither end copies them per message.
+view; that happens at most once per partition-size worth of publishes.  A new
+list is the view's one rebuild signal: only adding or removing a node changes
+a partition's node count or constraint bits, and both start a new list.  The
+simulated merge charge still counts every node carried.  A partition's
+constraint bits travel as the LM's own immutable `Partition.bits` tuple,
+which the view reads as it stands, so neither end copies them per message.
 
 The snapshot records are `NamedTuple`s: immutable, as a view keeps the
 `NodeSnapshot`s it received as its copy of each node.  Every message carries
@@ -137,8 +138,10 @@ class ViewPartition:
     `nodes` reflects.  `refresh` re-reads the overlay's ordinals and those
     logged between `seen` and the snapshot's version; it records a re-read
     node only where its availability differs from the viewed one, then drops
-    the overlay: the same as overwriting it all.  A snapshot with another log,
-    another node count or other constraint bits rebuilds everything.
+    the overlay: the same as overwriting it all.  A snapshot with another log
+    rebuilds everything; it is the one signal, as only `Partition.append_node`
+    and `remove_node` change the node count or the bits, and each starts a
+    new log.
 
     All of these are built on first use.  `columns` is None until the first
     fit mask builds it from the viewed availability, overlay included, and
@@ -169,7 +172,7 @@ class ViewPartition:
     def refresh(self, snapshot: PartitionSnapshot) -> None:
         """Take another snapshot: re-read changed nodes and the overlay, then drop it."""
         old, nodes, log = self.nodes, snapshot.nodes, snapshot.log
-        if log is not self.log or len(old) != len(nodes) or snapshot.bits != self.bits:
+        if log is not self.log:
             self._rebuild(snapshot)
             return
         version, seen, deducted = snapshot.version, self.seen, self.deducted
@@ -253,10 +256,6 @@ class ViewPartition:
             self.deducted = {}
         self.deducted[ordinal] = have
         self._set(ordinal, have)
-
-    def node_satisfies(self, ordinal: int, constraints: frozenset[int]) -> bool:
-        bits = self.bits
-        return all(bits[cid] >> ordinal & 1 for cid in constraints)
 
 
 class ClusterView:

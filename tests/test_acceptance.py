@@ -400,37 +400,37 @@ def test_c08_contention_fades_as_cluster_grows():
 def test_c09_preemptions_replay_as_fair():
     cluster, timeline, _ = _preemption_replay()
     audits = cluster.collector.audit_preemptions
-    plans = [a for a in audits if a.chosen_user is not None]
+    plans = [a for a in audits if a["chosen_user"] is not None]
     times = [t for t, _ in timeline]
 
     bad = []
     for audit in plans:
-        cands = audit.candidates
-        ratios = [share_ratio(c.viewed_consumed, c.share, audit.metric)
+        cands = audit["candidates"]
+        ratios = [share_ratio(c["viewed_consumed"], c["share"], audit["metric"])
                   for c in cands]
-        if any(abs(r - c.ratio) > 1e-12 for r, c in zip(ratios, cands)):
-            bad.append((audit.task_id, "audited ratio drifts from raw state"))
+        if any(abs(r - c["ratio"]) > 1e-12 for r, c in zip(ratios, cands)):
+            bad.append((audit["task_id"], "audited ratio drifts from raw state"))
         if any(r <= 1.0 for r in ratios):
-            bad.append((audit.task_id, "candidate within its share"))
+            bad.append((audit["task_id"], "candidate within its share"))
         if any(a < b for a, b in zip(ratios, ratios[1:])):
-            bad.append((audit.task_id, "candidates not ranked by ratio"))
-        if cands[-1].user_id != audit.chosen_user or not cands[-1].yielded_victims:
-            bad.append((audit.task_id, "chosen user is not the last candidate"))
-        if any(c.yielded_victims for c in cands[:-1]):
-            bad.append((audit.task_id, "higher-ratio candidate could yield"))
+            bad.append((audit["task_id"], "candidates not ranked by ratio"))
+        if cands[-1]["user_id"] != audit["chosen_user"] or not cands[-1]["yielded_victims"]:
+            bad.append((audit["task_id"], "chosen user is not the last candidate"))
+        if any(c["yielded_victims"] for c in cands[:-1]):
+            bad.append((audit["task_id"], "higher-ratio candidate could yield"))
 
         # the requester stayed within its share in the authoritative state
         # bracketing the decision instant, not merely in the GM's view
-        idx = bisect.bisect_right(times, audit.time) - 1
+        idx = bisect.bisect_right(times, audit["time"]) - 1
         for _, consumed in (timeline[idx], timeline[min(idx + 1, len(timeline) - 1)]):
-            held = consumed.get(audit.requester_user)
+            held = consumed.get(audit["requester_user"])
             if held is None:
                 continue
-            if share_ratio(held, audit.requester_share, audit.metric) > 1.0 + 1e-9:
-                bad.append((audit.task_id, "requester over share in truth"))
+            if share_ratio(held, audit["requester_share"], audit["metric"]) > 1.0 + 1e-9:
+                bad.append((audit["task_id"], "requester over share in truth"))
 
     counters = cluster.collector.counters
-    planned_kills = sum(len(a.victim_ids) for a in plans)
+    planned_kills = sum(len(a["victim_ids"]) for a in plans)
     ok = (len(plans) >= 5 and not bad
           and counters.get("preemptions", 0) == planned_kills
           and counters.get("preempt_attempts", 0) == len(plans))

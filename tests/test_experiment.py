@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from fedsched import experiment
 from fedsched.experiment import (ExperimentResult, build_megha, build_workload,
                                  effective_users, run_experiment, sweep, write_reports)
 from fedsched.metrics import RECORD_FIELDS, AllocationRecord
+from fedsched.state import FIT_MASKS, ViewPartition
 
 TRACE_HEADER = "arrival_s,job_id,task_id,cpu,mem_mb,duration_s,constraints"
 SAMPLE_TRACE = str(Path(__file__).resolve().parent.parent / "configs" / "sample-trace.csv")
@@ -135,6 +137,92 @@ def test_view_check_sees_what_is_built_on_first_use(monkeypatch):
     monkeypatch.setitem(experiment._EMPTY, 0, ResourceVector.of(1, 1))
     with pytest.raises(SimulationError, match="shared empty mapping was written"):
         experiment.check_view_index(gms[0])
+
+
+def _logical(lm, node_id, parent):
+    return replace(lm.nodes[node_id], is_logical=True, parent_node=parent)
+
+
+_MATCH = ViewPartition.match
+
+
+def _drifted_match(self, ids, demand):
+    return (None, *_MATCH(self, ids, demand)[1:])
+
+
+# one case per raise that no run reaches: the check to call, a corruption of
+# the first LM, the first GM, or the GM's partition on the LM and its node ids
+# (through monkeypatch, so that shared state is restored), and the message
+# the check must raise
+CHECKER_FAILURES = [
+    pytest.param("conservation", lambda mp, lm, gm, part, ids: (
+        mp.setitem(lm.nodes, ids[0], _logical(lm, ids[0], ids[2])),
+        mp.setitem(lm.nodes, ids[1], _logical(lm, ids[1], ids[0]))),
+        "has children", id="logical-parent"),
+    pytest.param("conservation", lambda mp, lm, gm, part, ids: mp.setitem(
+        lm.nodes, ids[0], replace(lm.nodes[ids[0]], capacity=ResourceVector.of(1, 1))),
+        "conservation violated", id="capacity"),
+    pytest.param("structure", lambda mp, lm, gm, part, ids: mp.setattr(part, "owner_gm_id", "gm99"),
+        "partition owners", id="owners"),
+    pytest.param("structure", lambda mp, lm, gm, part, ids: mp.setattr(part, "bits", (1,)),
+        "constraint bits != its nodes'", id="bits"),
+    pytest.param("structure", lambda mp, lm, gm, part, ids: mp.setitem(
+        lm.nodes, ids[0], _logical(lm, ids[0], ids[1])),
+        "physical node after a logical one", id="logical-first"),
+    pytest.param("structure", lambda mp, lm, gm, part, ids: mp.setattr(
+        part, "node_ids", dict(zip(ids, reversed(range(len(ids)))))),
+        "node ordinals out of order", id="ordinals"),
+    pytest.param("structure", lambda mp, lm, gm, part, ids: [
+        mp.setattr(other, "node_ids", dict(zip(ids, range(len(ids)))))
+        for other in lm.partitions.values()],
+        "in two partitions", id="shared-node"),
+    pytest.param("structure", lambda mp, lm, gm, part, ids: mp.setitem(
+        lm.nodes, ids[0], replace(lm.nodes[ids[0]], partition_id="p99")),
+        "partition field drift", id="partition-field"),
+    pytest.param("structure", lambda mp, lm, gm, part, ids: mp.setitem(
+        lm.nodes, "ghost", lm.nodes[ids[0]]),
+        "partition membership != node set", id="membership"),
+    pytest.param("structure", lambda mp, lm, gm, part, ids: mp.setattr(
+        gm, "own", list(gm.own)[1:]),
+        "own partitions != one per LM", id="own"),
+    pytest.param("structure", lambda mp, lm, gm, part, ids: mp.setattr(
+        gm, "others", list(gm.others)[1:]),
+        "search orders != its view's partitions", id="others"),
+    pytest.param("snapshots", lambda mp, lm, gm, part, ids: mp.setattr(
+        part, "nodes", [part.nodes[0]._replace(is_logical=True), *part.nodes[1:]]),
+        "snapshot list != rebuild", id="snapshot"),
+    pytest.param("view", lambda mp, lm, gm, part, ids: mp.setattr(
+        gm.own[0], "fits", {ResourceVector.of(i, 0): 0 for i in range(FIT_MASKS + 1)}),
+        "fit masks, cap", id="fit-cap"),
+    pytest.param("view", lambda mp, lm, gm, part, ids: mp.setitem(
+        gm.own[0].fits, ResourceVector.of(4, 1024),
+        gm.own[0].fits[ResourceVector.of(4, 1024)] ^ 1),
+        "fit mask for .* drifted", id="fit-mask"),
+    pytest.param("view", lambda mp, lm, gm, part, ids: mp.setitem(
+        gm.own[0].cands, frozenset(), (0, gm.own[0].cands[frozenset()][1])),
+        "candidate mask for .* drifted", id="candidate-mask"),
+    pytest.param("view", lambda mp, lm, gm, part, ids: mp.setattr(
+        ViewPartition, "match", _drifted_match),
+        "first-fit walk", id="match"),
+]
+
+
+@pytest.mark.parametrize("check, corrupt, message", CHECKER_FAILURES)
+def test_each_checker_raise_fires_on_its_corruption(monkeypatch, check, corrupt, message):
+    config = base_config()
+    users = effective_users(config)
+    _, _, lms, gms = build_megha(config, build_workload(config, users), users)
+    lm, gm = lms[0], gms[0]
+    part = lm.partitions[gm.own[0].partition_id]  # gm's partition on lm, as viewed first
+    gm.own[0].match(frozenset(), ResourceVector.of(4, 1024))  # columns, a fit and a candidate mask
+    run = {"conservation": lambda: experiment.check_conservation(lm),
+           "structure": lambda: experiment.check_structure(lms, gms),
+           "snapshots": lambda: experiment.check_snapshot_cache(lm),
+           "view": lambda: experiment.check_view_index(gm)}[check]
+    run()
+    corrupt(monkeypatch, lm, gm, part, list(part.node_ids))
+    with pytest.raises(SimulationError, match=message):
+        run()
 
 
 def test_centralized_is_the_single_master_configuration():
@@ -618,6 +706,15 @@ def test_cli_run_writes_reports(tmp_path, capsys):
     assert (out_dir / "summary.json").exists()
     printed = capsys.readouterr().out
     assert "megha:" in printed and "median=" in printed and "wrote" in printed
+
+
+def test_cli_run_with_every_task_unschedulable_prints_zero_tasks(tmp_path, capsys):
+    # 128 cpu fits no worker of the default capacity (64, 16384)
+    path = write_config(tmp_path, base_data(workload={
+        "kind": "synthetic", "count": 5, "rate": 10.0, "duration": 0.2,
+        "demand": [128, 4096]}))
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "megha: 0 tasks unschedulable=5"
 
 
 def test_cli_seed_override(tmp_path):

@@ -117,7 +117,7 @@ def plan(view, *, requester="uA", req_consumed=None, req_share=(10.0, 10000.0),
          others=(), demand=None, constraints=(), metric="cpu"):
     """others: (user_id, consumed, share) triples, all homed at this GM.
 
-    Returns (nodes_scanned, plan, audit record); planning without an audit
+    Returns (nodes_scanned, plan, audit entry); planning without an audit
     list must give the same (nodes_scanned, plan)."""
     queues = [queue(requester, share=req_share, consumed=req_consumed)]
     shares = {requester: req_share}
@@ -130,7 +130,7 @@ def plan(view, *, requester="uA", req_consumed=None, req_share=(10.0, 10000.0),
     scanned, chosen = plan_preemption(*args, audit=audits)
     assert plan_preemption(*args) == (scanned, chosen)
     audit, = audits
-    assert audit.nodes_scanned == scanned
+    assert audit["nodes_scanned"] == scanned
     return scanned, chosen, audit
 
 
@@ -141,7 +141,7 @@ def test_guard_blocks_strictly_over_share_requester():
                                   others=[("uB", rv(4, 4096), (2.0, 2048.0))],
                                   demand=rv(4, 4096))
     assert (scanned, chosen) == (0, None)
-    assert audit.candidates == ()
+    assert audit["candidates"] == ()
     # the same request from a requester at its share gets uB's task
     scanned, chosen, audit = plan(v, req_consumed=rv(10, 0), req_share=(10.0, 10000.0),
                                   others=[("uB", rv(4, 4096), (2.0, 2048.0))],
@@ -154,7 +154,7 @@ def test_no_over_share_users_means_no_plan():
     scanned, chosen, audit = plan(v, others=[("uB", rv(4, 4096), (10.0, 10000.0))],
                                   demand=rv(4, 4096))
     assert scanned == 0 and chosen is None
-    assert audit.candidates == ()
+    assert audit["candidates"] == ()
 
 
 def test_victims_taken_most_recently_launched_first():
@@ -178,8 +178,8 @@ def test_victims_never_combined_across_nodes():
     scanned, chosen, audit = plan(v, others=[("uB", rv(8, 8192), (4.0, 4096.0))],
                                   demand=rv(8, 8192))
     assert chosen is None
-    assert audit.candidates[0].yielded_victims is False
-    assert audit.nodes_scanned == 2
+    assert audit["candidates"][0]["yielded_victims"] is False
+    assert audit["nodes_scanned"] == 2
 
 
 def test_victim_scan_ignores_logical_nodes():
@@ -189,7 +189,7 @@ def test_victim_scan_ignores_logical_nodes():
     scanned, chosen, audit = plan(v, others=[("uB", rv(4, 4096), (2.0, 2048.0))],
                                   demand=rv(4, 4096))
     assert chosen is None
-    assert audit.nodes_scanned == 0
+    assert audit["nodes_scanned"] == 0
 
 
 def test_victim_node_must_satisfy_task_constraints():
@@ -211,7 +211,7 @@ def test_candidates_ranked_by_ratio_then_user_id():
               ("uC", rv(4, 4096), (3.0, 3072.0))]   # ratio 1.33
     scanned, chosen, audit = plan(v, others=others, demand=rv(4, 4096))
     assert chosen.victim_user == "uB"
-    assert audit.candidates[0].user_id == "uB"
+    assert audit["candidates"][0]["user_id"] == "uB"
     # equal ratios fall back to user id order
     others_tied = [("uC", rv(4, 4096), (2.0, 2048.0)),
                    ("uB", rv(4, 4096), (2.0, 2048.0))]
@@ -256,18 +256,18 @@ def test_preemption_flow_end_to_end():
     assert req.run.request.task_id == "ta"
 
     audit = collector.audit_preemptions[0]
-    assert audit.requester_user == "uA"
-    assert [c.user_id for c in audit.candidates] == ["uD", "uC"]
-    assert [c.yielded_victims for c in audit.candidates] == [False, True]
+    assert audit["requester_user"] == "uA"
+    assert [c["user_id"] for c in audit["candidates"]] == ["uD", "uC"]
+    assert [c["yielded_victims"] for c in audit["candidates"]] == [False, True]
     # ratios as the deciding GM saw them, rechecked from raw numbers
-    for cand in audit.candidates:
-        assert cand.ratio == pytest.approx(
-            share_ratio(cand.viewed_consumed, cand.share, "cpu"))
-    assert audit.candidates[0].ratio == pytest.approx(2.0)
-    assert audit.candidates[1].ratio == pytest.approx(16 / 9.6)
-    assert audit.chosen_user == "uC"
-    assert audit.victim_ids == ("c2", "c1")  # most recent launch dies first
-    assert audit.node_id == "n1"
+    for cand in audit["candidates"]:
+        assert cand["ratio"] == pytest.approx(
+            share_ratio(cand["viewed_consumed"], cand["share"], "cpu"))
+    assert audit["candidates"][0]["ratio"] == pytest.approx(2.0)
+    assert audit["candidates"][1]["ratio"] == pytest.approx(16 / 9.6)
+    assert audit["chosen_user"] == "uC"
+    assert audit["victim_ids"] == ("c2", "c1")  # most recent launch dies first
+    assert audit["node_id"] == "n1"
 
     assert collector.counters["preempt_attempts"] == 1
     assert collector.counters["preemptions"] == 2
@@ -312,9 +312,9 @@ def test_over_share_requester_is_parked_not_served():
     cluster.run_all()
 
     guard_audits = [a for a in cluster.collector.audit_preemptions
-                    if a.task_id == "a2"]
-    assert guard_audits and guard_audits[0].requester_user == "uA"
-    assert guard_audits[0].candidates == ()
+                    if a["task_id"] == "a2"]
+    assert guard_audits and guard_audits[0]["requester_user"] == "uA"
+    assert guard_audits[0]["candidates"] == ()
     # a2 only runs after a1 finishes and uA is back under its share
     r2 = {r.task_id: r for r in cluster.collector.records}["a2"]
     assert r2.task_start > 4.0

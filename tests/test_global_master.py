@@ -283,8 +283,8 @@ def test_stale_preemption_below_and_at_the_retry_limit(retry_limit, chosen):
     cluster.run_all()
 
     audits = cluster.collector.audit_preemptions
-    assert [a.chosen_user for a in audits] == chosen
-    assert audits[0].victim_ids == ("b1",)
+    assert [a["chosen_user"] for a in audits] == chosen
+    assert audits[0]["victim_ids"] == ("b1",)
     assert cluster.collector.counters["preempt_attempts"] == 1
     assert cluster.collector.counters["preemptions"] == 0
     assert cluster.collector.counters["reschedules"] == 1

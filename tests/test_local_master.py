@@ -426,8 +426,7 @@ def test_preempt_verified_victim_is_killed():
     loop.run()
 
     when, resp = gms["gm0"].preempt_responses[0]
-    assert len(resp.statuses) == 1 and resp.statuses[0].verified
-    assert resp.statuses[0].task_id == "tv"
+    assert resp.verified
     assert collector.counters["preemptions"] == 1
     assert run.preempted_caused == 1
     assert lm.available(lm.nodes["n0"]) == rv(4, 8192)
@@ -469,7 +468,7 @@ def test_preempt_finished_victim_is_stale():
     preempt(lm, loop, collector, node_id="n0", victim_ids=["tv"], at=2.0)
     loop.run()
     when, resp = gms["gm0"].preempt_responses[0]
-    assert not resp.statuses[0].verified
+    assert not resp.verified
     assert collector.counters["preemptions"] == 0
     assert gms["gm0"].preempted == []
     assert len(resp.state.partitions) == 1  # still refreshes the named node's partition
@@ -482,7 +481,7 @@ def test_preempt_moved_victim_is_stale():
     preempt(lm, loop, collector, node_id="n1", victim_ids=["tv"], at=1.0)
     loop.run()
     when, resp = gms["gm0"].preempt_responses[0]
-    assert not resp.statuses[0].verified
+    assert not resp.verified
     assert collector.counters["preemptions"] == 0
     assert "tv" not in lm.running  # it ran to completion untouched
     assert collector.completed == 1
@@ -496,7 +495,7 @@ def test_preempt_before_payload_lands_is_stale():
     preempt(lm, loop, collector, node_id="n0", victim_ids=["tv"], at=0.0002)
     loop.run()
     when, resp = gms["gm0"].preempt_responses[0]
-    assert not resp.statuses[0].verified
+    assert not resp.verified
     assert collector.counters["preemptions"] == 0
     # untouched, the task starts when its payload arrives and runs to the end
     assert victim.record is not None
@@ -515,7 +514,7 @@ def test_preempt_repartitioned_victim_destroys_logical_node():
     loop.run()
 
     when, resp = gms["gm1"].preempt_responses[0]
-    assert resp.statuses[0].verified
+    assert resp.verified
     assert "N.l1" not in lm.nodes
     assert lm.available(lm.nodes["N"]) == rv(8, 16384)
     assert lm.partitions["lm0-p1"].node_ids == {}
@@ -914,8 +913,7 @@ def test_positionally_built_records_read_back_by_field_name():
 
     (_, response), = gms["gm0"].preempt_responses
     assert (response.task_id, response.node_id) == ("tp", "M")
-    assert [(s.task_id, s.verified) for s in response.statuses] == [
-        ("tv", True), ("gone", False)]
+    assert response.verified is False  # "tv" was killed, "gone" is stale
     assert response.state.timestamp == 1.0
     (_, note), = gms["gm0"].preempted
     assert (note.task_id, note.user_id, note.demand, note.run) == (
@@ -966,7 +964,7 @@ def test_notes_go_to_the_launching_gm_and_answers_to_the_requesting_gm():
     loop.run()
 
     (_, response), = gms["gm0"].preempt_responses
-    assert [(s.task_id, s.verified) for s in response.statuses] == [("tv", True)]
+    assert response.verified
     assert gms["gm1"].preempt_responses == []
     (_, note), = gms["gm1"].preempted
     assert (note.task_id, note.run) == ("tv", victim)

@@ -108,6 +108,22 @@ class TestLoadTrace:
                            match=re.escape(f"{path}:3: task id 't1' repeats line 2")):
             load_trace(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = write_trace(tmp_path, [], header="")
+        with pytest.raises(TraceFormatError, match=re.escape(f"{path}: empty trace file")):
+            load_trace(path)
+
+    def test_blank_and_all_comma_rows_skipped(self, tmp_path):
+        path = write_trace(tmp_path, ["\n", ",,,,,,\n", "0.0,j1,t1,400,50,1.0,\n",
+                                      " , ,\t,\n", "1.0,j1,t2,400,50,1.0,\n", "\n"])
+        assert [t.task_id for t in load_trace(path)] == ["t1", "t2"]
+
+    @pytest.mark.parametrize("divisors", [{"cpu_divisor": 0}, {"mem_divisor": -50}])
+    def test_non_positive_divisor_rejected(self, tmp_path, divisors):
+        path = write_trace(tmp_path, ["0.0,j1,t1,400,50,1.0,\n"])
+        with pytest.raises(ConfigurationError, match="scaling divisors must be positive"):
+            load_trace(path, **divisors)
+
     def test_non_utf8_trace_rejected_naming_its_path(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_bytes(HEADER.encode() + b"0.0,j1,t1,400,50,1.0,\n0.0,j\xff,t2,400,50,1.0,\n")
