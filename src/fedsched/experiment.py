@@ -4,12 +4,19 @@ The same workload definition drives both scheduler families so allocation
 times are comparable.  "centralized" is the federated scheduler pinned to a
 single GM and a single LM.  Reports are deterministic: identical config and
 seed produce byte-identical per-task files.
+
+`run_experiment` pauses the cyclic garbage collector for the run and then
+restores the caller's state: the cluster is one large graph built once and
+kept to the end, so collections during the run walk it and free nothing.
+LMs and GMs hold each other, so at the end of the run each LM drops its GM
+handles and the cluster is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import gc
 import json
 import os
 import re
@@ -27,7 +34,7 @@ from .global_master import GlobalMaster
 from .local_master import LocalMaster
 from .metrics import AllocationRecord, MetricsCollector, RECORD_FIELDS, summarize
 from .sparrow import ProbeScheduler
-from .state import _EMPTY, FIT_MASKS, ClusterView, RunningTaskInfo
+from .state import _EMPTY, FIT_MASKS, ClusterView, RunningTaskInfo, view_order
 from .worker import FifoWorker
 from .workload import (_check_span, _finite, assign_machine_constraints, assign_users,
                        augment_constraints, generate_synthetic, load_trace)
@@ -158,9 +165,10 @@ def build_megha(config: ExperimentConfig, tasks: list[TaskRequest],
         queue_sets[gm_id].append(UserQueue(user_id=user.user_id,
                                            share=shares[user.user_id]))
     initial = [lm.snapshot(0.0) for lm in lms]
+    order = view_order(initial)
     for gm_id in gm_ids:
         gms.append(GlobalMaster(gm_id, loop, network, config.costs, collector,
-                                ClusterView(initial, dim), QueueSet(queue_sets[gm_id]),
+                                ClusterView(initial, dim, order), QueueSet(queue_sets[gm_id]),
                                 lms, shares, retry_limit=config.retry_limit,
                                 violation_metric=config.violation_metric))
     for lm in lms:
@@ -393,11 +401,36 @@ class InvariantChecker:
 
 def run_experiment(config: ExperimentConfig, *, check_invariants: bool = False,
                    audit: bool = False) -> ExperimentResult:
-    """Run one simulation; `audit` keeps the launch and preemption audit entries."""
+    """Run one simulation; `audit` keeps the launch and preemption audit entries.
+
+    The cyclic garbage collector is paused for the whole call and then left
+    as the caller had it, also when the run raises: a run builds one large
+    graph that lives until its end and makes no cyclic garbage, so a
+    collection inside it would walk that graph and free nothing.  The
+    finished cluster is freed by reference counting before the collector is
+    back on (see `_simulate`), so the first collection after the call walks
+    only what the result holds.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _simulate(config, check_invariants, audit)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _simulate(config: ExperimentConfig, check_invariants: bool, audit: bool
+              ) -> ExperimentResult:
+    """The body of `run_experiment`.  LMs and GMs hold each other, and the
+    invariant checker holds both, so once the loop is done the LMs are
+    unwired from the GMs and the hook is dropped: the cluster then goes when
+    this frame does."""
     config.validate()
     users = effective_users(config)
     tasks = build_workload(config, users)
 
+    lms = []
     if config.scheduler == "sparrow":
         loop, collector, _, _ = build_sparrow(config, tasks)
     else:
@@ -406,6 +439,9 @@ def run_experiment(config: ExperimentConfig, *, check_invariants: bool = False,
             loop.post_event_hook = InvariantChecker(lms, gms)
     del tasks  # the loop holds each task until its arrival fires
     loop.run()
+    loop.post_event_hook = None  # the checker holds every LM and GM
+    for lm in lms:
+        lm.wire_gms(())
 
     if collector.outstanding:
         raise SimulationError(

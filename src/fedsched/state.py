@@ -55,7 +55,7 @@ reference and a few slots.
 from __future__ import annotations
 
 from itertools import compress, repeat
-from operator import ge
+from operator import ge, itemgetter
 from typing import NamedTuple
 
 from .core import ResourceVector, candidates
@@ -258,15 +258,29 @@ class ViewPartition:
         self._set(ordinal, have)
 
 
-class ClusterView:
-    """A GM's eventually-consistent picture of every LM's partitions."""
+def view_order(snapshots: list[LMStateSnapshot]
+               ) -> list[tuple[tuple[str, str], PartitionSnapshot]]:
+    """Every partition of the snapshots under its (lm_id, partition_id) key,
+    in key order, which the victim scan visits."""
+    return sorted((((snapshot.lm_id, part.partition_id), part)
+                   for snapshot in snapshots for part in snapshot.partitions),
+                  key=itemgetter(0))
 
-    def __init__(self, snapshots: list[LMStateSnapshot], resource_dim: int) -> None:
+
+class ClusterView:
+    """A GM's eventually-consistent picture of every LM's partitions.
+
+    `order` is `view_order(snapshots)`: views built from the same snapshots
+    can share one sort.
+    """
+
+    def __init__(self, snapshots: list[LMStateSnapshot], resource_dim: int,
+                 order: list[tuple[tuple[str, str], PartitionSnapshot]] | None = None) -> None:
         self.resource_dim = resource_dim
-        # in (lm_id, partition_id) order, which the victim scan visits
-        self.partitions: dict[tuple[str, str], ViewPartition] = dict(sorted(
-            ((snapshot.lm_id, part.partition_id), ViewPartition(part))
-            for snapshot in snapshots for part in snapshot.partitions))
+        if order is None:
+            order = view_order(snapshots)
+        self.partitions: dict[tuple[str, str], ViewPartition] = {
+            key: ViewPartition(part) for key, part in order}
         self.last_update_time = {snapshot.lm_id: snapshot.timestamp for snapshot in snapshots}
         self.lm_user_consumed = {snapshot.lm_id: snapshot.user_consumed
                                  for snapshot in snapshots}

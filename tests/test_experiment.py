@@ -1,9 +1,11 @@
 """Config-driven experiment runs, report files, sweeps, and the CLI."""
 
 import csv
+import gc
 import json
 import math
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,12 +14,13 @@ import pytest
 from fedsched.cli import main
 from fedsched.config import UserSpec, config_from_dict
 from fedsched.core import ResourceVector
-from fedsched.errors import ConfigurationError, SimulationError
+from fedsched.errors import ConfigurationError, LivelockError, SimulationError
 from fedsched import experiment
 from fedsched.experiment import (ExperimentResult, build_megha, build_workload,
                                  effective_users, run_experiment, sweep, write_reports)
 from fedsched.metrics import RECORD_FIELDS, AllocationRecord
 from fedsched.state import FIT_MASKS, ViewPartition
+from test_golden import CENTRALIZED, CONTENDED, SPARROW
 
 TRACE_HEADER = "arrival_s,job_id,task_id,cpu,mem_mb,duration_s,constraints"
 SAMPLE_TRACE = str(Path(__file__).resolve().parent.parent / "configs" / "sample-trace.csv")
@@ -684,6 +687,93 @@ def test_sweep_refuses_a_bad_axis_value_before_running(axis, value, monkeypatch)
     with pytest.raises(ConfigurationError, match="workers|gm_count|lm_count|load_factor"):
         sweep(base_config(gm_count=1, lm_count=1), axis, [2, value])
     assert runs == []
+
+
+# -- the cyclic garbage collector -----------------------------------------------------
+
+
+def _run_to_the_end():
+    assert len(run_experiment(base_config()).records) == 120
+
+
+def _run_into_a_livelock():
+    config = base_config(gm_count=1, lm_count=1, workers_per_lm=1,
+                         heartbeat_period=0.001, event_cap=400,
+                         workload={"kind": "synthetic", "count": 1, "rate": 1.0,
+                                   "duration": 1e6, "demand": [4, 1024]})
+    with pytest.raises(LivelockError):
+        run_experiment(config)
+
+
+def _run_a_refused_config():
+    config = base_config()
+    config.gm_count = 0
+    with pytest.raises(ConfigurationError, match="gm_count"):
+        run_experiment(config)
+
+
+def _sweep_two_values():
+    config = base_config(workload={"kind": "synthetic", "count": 20, "rate": 50.0,
+                                   "duration": 0.2, "demand": [4, 1024]})
+    assert len(sweep(config, "workers", [2, 4])) == 2
+
+
+def _collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("run", [_run_to_the_end, _run_into_a_livelock,
+                                 _run_a_refused_config, _sweep_two_values],
+                         ids=["normal", "livelock", "refused", "sweep"])
+def test_a_run_leaves_the_collector_as_it_found_it(run, enabled):
+    # the run pauses the collector; thresholds set by the caller and the
+    # frozen count stay as they are, and it is on again only if it was on
+    was_enabled, threshold = gc.isenabled(), gc.get_threshold()
+    try:
+        gc.set_threshold(500, 7, 9)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        before = _collector_state()
+        run()
+        assert _collector_state() == before
+    finally:
+        gc.set_threshold(*threshold)
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+@pytest.mark.parametrize("data, check_invariants", [
+    (CONTENDED, False), (CENTRALIZED, False), (base_data(), True), (SPARROW, False)],
+    ids=["contended", "centralized", "checked", "sparrow"])
+def test_a_run_leaves_no_cyclic_garbage(data, check_invariants, monkeypatch):
+    # with the collector off, a finished run's loop, members (LMs or workers)
+    # and masters (GMs or probe schedulers) go by reference counting alone
+    refs = []
+    for name in ("build_megha", "build_sparrow"):
+        def build(*args, _build=getattr(experiment, name), **kwargs):
+            built = _build(*args, **kwargs)
+            loop, _, members, masters = built
+            refs.extend(map(weakref.ref, (loop, members[0], masters[0])))
+            return built
+        monkeypatch.setattr(experiment, name, build)
+    config = config_from_dict(data)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(config, check_invariants=check_invariants)
+        alive = [ref() is not None for ref in refs]
+        freed = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive == [False, False, False]
+    assert freed == 0
 
 
 # -- the command line -----------------------------------------------------------------

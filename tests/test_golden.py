@@ -11,6 +11,9 @@ ones were recorded before the LM kept a change log of its partitions.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,6 +184,22 @@ def test_shipped_config_reports_and_audits_match_digests(path, tmp_path, monkeyp
     write_audits(result, str(tmp_path))
     expected = SHIPPED[path.name]
     assert _digests(tmp_path, expected) == expected
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+@pytest.mark.parametrize("name", ["fairness.json", "centralized.json"])
+def test_a_fresh_process_writes_the_shipped_digests(name, hash_seed, tmp_path):
+    # process state (string hashing, the garbage collector) is no input: a
+    # run in a new interpreter under either hash seed writes the same reports
+    root = CONFIGS[0].parent.parent
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "fedsched", "run", "--config", f"configs/{name}",
+                    "--out-dir", str(tmp_path)], cwd=root, env=env, check=True,
+                   capture_output=True, timeout=120)
+    expected = {report: SHIPPED[name][report] for report in ("tasks.csv", "summary.json")}
+    assert _digests(tmp_path) == expected
 
 
 def test_contended_config_takes_every_rare_path():
