@@ -1,16 +1,30 @@
 """Deterministic single-threaded discrete-event loop and message timing.
 
-Events are (fire_time, seq, handler, arg) tuples on a heap, dispatched as
+Events are (fire_time, seq, handler, arg) tuples, dispatched as
 `handler(arg, fire_time)`: a bound method and its message, or a function and
 its owner, so no closure is built per event.  seq is a monotonically
 increasing counter so ties at the same timestamp dispatch in scheduling order.
 
+The entries wait on two heaps.  Task completions, pushed by
+`worker.start_task` through `EventLoop.complete_at`, have one of their own;
+message deliveries, `schedule`d events (GM ticks, LM heartbeats) and the
+next arrival share the message heap.  A completion waits as long as its
+task runs, so its heap is about the size of the running set, while the
+message heap holds the few events in flight.  On the benchmark shapes the
+two hold, on average, 2,250 completions against 2.4 messages (probe
+baseline), 287 against 3.5 (centralized) and 555 against 9.4 (contended
+federated); apart, a message no longer sifts through the completions.
+Both heaps number their entries from the one counter, and only the
+arrival, never a completion, carries seq -1, so no two entries compare
+equal and `run` pops whichever head is the smaller tuple: the union
+dispatches in exactly the (time, seq) order of one heap.
+
 Task arrivals are fed in from one list sorted stably by time (`feed`), and
-only the next one waits on the heap, under seq -1: an arrival dispatches
-ahead of every other event due at the same time, and arrivals with equal
-times keep their list order.  Identical configuration and seed must produce
-an identical event sequence, so nothing here consults wall-clock time or
-unordered collections.
+only the next one waits on the message heap, under seq -1: an arrival
+dispatches ahead of every other event due at the same time, and arrivals
+with equal times keep their list order.  Identical configuration and seed
+must produce an identical event sequence, so nothing here consults
+wall-clock time or unordered collections.
 
 A task's simulated delays are charged here too: `Network.send(run=...)`
 adds a hop on the task's path to its communication sum, and
@@ -90,13 +104,17 @@ class EventLoop:
     being rescheduled endlessly).  Arrivals count as events for the cap, for
     `events_dispatched` and for `post_event_hook`.  `run` reads the hook and
     the cap once, when it starts, so set the hook before calling `run`.  The
-    heap and the sequence counter are made once; `Network` holds both.
+    heaps and the sequence counter are made once; `Network` holds the
+    message heap and the counter.  Task completions wait on `_completions`,
+    everything else on `_heap`, and `run` merges the two heads in (time,
+    seq) order.
     """
 
     def __init__(self, *, event_cap: int = 2_000_000) -> None:
         self._heap: list[tuple[float, int, Handler, Any]] = []
+        self._completions: list[tuple[float, int, Handler, Any]] = []
         self._seq = itertools.count()
-        # arrivals not yet on the heap, latest first so the next one pops off the end
+        # arrivals not yet on the message heap, latest first so the next one pops off the end
         self._arrivals: list[tuple[float, Handler, Any]] = []
         self._fed = False
         self._clock = 0.0
@@ -116,6 +134,15 @@ class EventLoop:
                 f"event scheduled at {fire_time} before current time {self._clock}"
             )
         heappush(self._heap, (fire_time, next(self._seq), handler, arg))
+
+    def complete_at(self, end: float, handler: Handler, arg: Any) -> None:
+        """Queue a task's completion `handler(arg, end)` on the completion
+        heap; as with `schedule`, a time in the past is fatal."""
+        if end < self._clock:
+            raise SimulationError(
+                f"task completion at {end} before current time {self._clock}"
+            )
+        heappush(self._completions, (end, next(self._seq), handler, arg))
 
     def feed(self, arrivals: list[tuple[float, Handler, Any]]) -> None:
         """Take the run's arrivals, each (time, handler, request), once.
@@ -144,12 +171,20 @@ class EventLoop:
         self._since_progress = 0
 
     def run(self) -> None:
-        """Dispatch events in (time, seq) order until the heap is empty."""
-        heap = self._heap
+        """Dispatch events in (time, seq) order until both heaps are empty."""
+        heap, completions = self._heap, self._completions
         pop = heappop
         hook, cap = self.post_event_hook, self._event_cap
-        while heap:
-            fire_time, seq, handler, arg = pop(heap)
+        while True:
+            if heap:
+                if completions and completions[0] < heap[0]:
+                    fire_time, seq, handler, arg = pop(completions)
+                else:
+                    fire_time, seq, handler, arg = pop(heap)
+            elif completions:
+                fire_time, seq, handler, arg = pop(completions)
+            else:
+                break
             self._clock = fire_time
             if seq < 0:
                 self._next_arrival()
@@ -159,7 +194,8 @@ class EventLoop:
             if self._since_progress > cap:
                 raise LivelockError(
                     f"no task progress within {cap} events (clock="
-                    f"{self._clock:.6f}, pending={len(heap) + len(self._arrivals)})"
+                    f"{self._clock:.6f}, pending="
+                    f"{len(heap) + len(completions) + len(self._arrivals)})"
                 )
             if hook is not None:
                 hook(fire_time)

@@ -5,7 +5,7 @@ state here, no matter what view the requesting GM acted on.  Every message to
 a GM carries one `LMStateSnapshot`, built by `_state`: failure responses carry
 the full state so the requester can correct its view immediately, success
 responses and notifications just the partitions that changed, and a periodic
-heartbeat pushes the full state to every GM.
+heartbeat pushes the full state to every GM, in one delivery per round.
 
 Snapshot state is kept incrementally rather than rebuilt per message: each
 `Partition`, built by `add_partition` from its members, keeps its
@@ -172,13 +172,21 @@ class LocalMaster:
         start = self.clock.begin(now)
         cost = self.costs.lm_heartbeat_per_node * len(self.nodes)
         done = self.clock.charge(start, cost)
-        state = self.snapshot(done)
-        for gm in self.gms.values():
-            self.network.send(done, HEARTBEAT, gm.on_heartbeat, state)
+        self.network.send(done, HEARTBEAT, self._deliver_heartbeat, self.snapshot(done))
         self.collector.bump("heartbeats")
         if self.collector.outstanding > 0:
             # fixed cadence from the period, independent of processing time
             self.loop.schedule(now + self.heartbeat_period, LocalMaster._heartbeat, self)
+
+    def _deliver_heartbeat(self, state: LMStateSnapshot, now: float) -> None:
+        """The round's one delivery: every GM takes the state, in wiring order.
+
+        One message per GM would take consecutive seqs at one time, so no
+        event could sort between them; one delivery dispatches the same
+        handlers in the same order.
+        """
+        for gm in self.gms.values():
+            gm.on_heartbeat(state, now)
 
     # -- launch -------------------------------------------------------------
 

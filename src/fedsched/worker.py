@@ -18,10 +18,15 @@ from .metrics import MetricsCollector, TaskRun
 def start_task(loop: EventLoop, run: TaskRun, start: float,
                on_complete: Handler, arg: Any) -> float:
     """Begin execution at `start`; `on_complete(arg, end)` fires at
-    end = start + duration exactly."""
+    end = start + duration exactly.
+
+    The completion waits on the loop's completion heap, apart from the
+    messages in flight (`EventLoop.complete_at`), and dispatches in the
+    same (time, seq) order as if it shared their heap.
+    """
     end = start + run.request.duration
     loop.note_progress()
-    loop.schedule(end, on_complete, arg)
+    loop.complete_at(end, on_complete, arg)
     return end
 
 

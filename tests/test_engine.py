@@ -1,11 +1,14 @@
 """Event loop ordering, actor clocks, and the message-delay model."""
 
+import random
+
 import pytest
 
 from fedsched.engine import (HEARTBEAT, PROBE, TASK_LAUNCH, ActorClock, DelayModel,
                              EventLoop, Network)
 from fedsched.errors import LivelockError, SimulationError
 from fedsched.metrics import TaskRun
+from fedsched.worker import start_task
 
 from scenarios import task
 
@@ -17,6 +20,11 @@ def record(seen, now):
 
 def ignore(_, now):
     """A handler that does nothing."""
+
+
+def note(seen):
+    """A handler that notes its argument and the time it fires at."""
+    return lambda arg, t: seen.append((arg, t))
 
 
 class TestEventLoop:
@@ -80,39 +88,35 @@ class TestEventLoop:
 
 
 class TestArrivalFeed:
-    @staticmethod
-    def note(seen):
-        return lambda arg, t: seen.append((arg, t))
-
     def test_arrival_dispatches_ahead_of_an_earlier_scheduled_event(self):
         loop = EventLoop()
         seen = []
-        loop.schedule(1.0, self.note(seen), "event")
-        loop.feed([(1.0, self.note(seen), "arrival")])
+        loop.schedule(1.0, note(seen), "event")
+        loop.feed([(1.0, note(seen), "arrival")])
         loop.run()
         assert seen == [("arrival", 1.0), ("event", 1.0)]
 
     def test_arrival_dispatches_ahead_of_an_event_scheduled_while_running(self):
         loop = EventLoop()
         seen = []
-        loop.schedule(0.5, lambda _, t: loop.schedule(2.0, self.note(seen), "event"), None)
-        loop.feed([(1.0, self.note(seen), "a1"), (2.0, self.note(seen), "a2")])
+        loop.schedule(0.5, lambda _, t: loop.schedule(2.0, note(seen), "event"), None)
+        loop.feed([(1.0, note(seen), "a1"), (2.0, note(seen), "a2")])
         loop.run()
         assert seen == [("a1", 1.0), ("a2", 2.0), ("event", 2.0)]
 
     def test_equal_times_keep_list_order(self):
         loop = EventLoop()
         seen = []
-        loop.feed([(1.0, self.note(seen), name) for name in ("a", "b", "c", "d")])
+        loop.feed([(1.0, note(seen), name) for name in ("a", "b", "c", "d")])
         loop.run()
         assert [name for name, _ in seen] == ["a", "b", "c", "d"]
 
     def test_unsorted_list_dispatches_in_stable_time_order(self):
         loop = EventLoop()
         seen = []
-        note = self.note(seen)
-        loop.feed([(2.0, note, "late"), (1.0, note, "x"), (2.0, note, "late2"),
-                   (0.5, note, "first"), (1.0, note, "y")])
+        noted = note(seen)
+        loop.feed([(2.0, noted, "late"), (1.0, noted, "x"), (2.0, noted, "late2"),
+                   (0.5, noted, "first"), (1.0, noted, "y")])
         loop.run()
         assert seen == [("first", 0.5), ("x", 1.0), ("y", 1.0), ("late", 2.0),
                         ("late2", 2.0)]
@@ -153,6 +157,97 @@ class TestArrivalFeed:
         loop = EventLoop()
         with pytest.raises(SimulationError):
             loop.feed([(1.0, ignore, None), (-1.0, ignore, None)])
+
+
+def complete(loop, start, duration, handler, arg):
+    """Start a task at `start` whose completion fires `handler(arg, end)`."""
+    start_task(loop, TaskRun(task("c", duration=duration)), start, handler, arg)
+
+
+class TestCompletionOrder:
+    """Completions wait apart from other events yet dispatch in the one
+    (time, seq) order, arrivals first."""
+
+    @pytest.mark.parametrize("completion_first", [True, False])
+    @pytest.mark.parametrize("other", ["schedule", "send"])
+    def test_completion_and_another_event_at_one_time_keep_push_order(
+            self, other, completion_first):
+        loop = EventLoop()
+        network = Network(loop, DelayModel(network_delay=0.0))
+        seen = []
+        pushes = {"completion": lambda: complete(loop, 0.5, 0.5, note(seen), "completion"),
+                  "schedule": lambda: loop.schedule(1.0, note(seen), "schedule"),
+                  "send": lambda: network.send(1.0, HEARTBEAT, note(seen), "send")}
+        order = ["completion", other] if completion_first else [other, "completion"]
+        for kind in order:
+            pushes[kind]()
+        loop.run()
+        assert seen == [(kind, 1.0) for kind in order]
+
+    def test_arrival_dispatches_ahead_of_a_completion_at_its_time(self):
+        loop = EventLoop()
+        seen = []
+        complete(loop, 0.0, 1.0, note(seen), "completion")
+        loop.feed([(1.0, note(seen), "arrival")])
+        # a completion pushed at 1.0, after the arrival went on the heap
+        loop.schedule(0.5, lambda _, t: complete(loop, t, 0.5, note(seen), "late"), None)
+        loop.run()
+        assert seen == [("arrival", 1.0), ("completion", 1.0), ("late", 1.0)]
+
+    @pytest.mark.parametrize("seed", [1, 7, 42, 1988, 65537])
+    def test_random_interleaving_follows_the_time_seq_order(self, seed):
+        # every time is a multiple of 0.5, so sums are exact and collide often
+        rng = random.Random(seed)
+        loop = EventLoop()
+        network = Network(loop, DelayModel(network_delay=0.0))
+        pushed = []  # (time, seq, label): the loop numbers pushes as they come
+        dispatched = []
+        budget = [400]
+
+        def fire(label, now):
+            dispatched.append(label)
+            for _ in range(rng.choice((0, 1, 2, 2, 3))):
+                if budget[0] == 0:
+                    return
+                budget[0] -= 1
+                kind = rng.choice(("completion", "tick", "send"))
+                at = now + rng.choice((0.0, 0.5, 1.0))
+                label = f"{kind}{len(pushed)}"
+                pushed.append((at, len(pushed), label))
+                if kind == "completion":
+                    complete(loop, now, at - now, fire, label)
+                elif kind == "tick":
+                    loop.schedule(at, fire, label)
+                else:
+                    network.send(at, HEARTBEAT, fire, label)
+
+        arrivals = [(0.5 * rng.randrange(8), fire, f"arrival{i}") for i in range(20)]
+        loop.feed(arrivals)
+        loop.run()
+        assert budget[0] == 0
+        reference = sorted([(at, -1, i, label) for i, (at, _, label) in enumerate(arrivals)]
+                           + [(at, seq, 0, label) for at, seq, label in pushed])
+        assert dispatched == [label for *_, label in reference]
+        assert loop.events_dispatched == len(reference)
+
+    def test_past_dated_completion_is_fatal(self):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda _, t: complete(loop, 0.5, 0.25, ignore, None), None)
+        with pytest.raises(SimulationError):
+            loop.run()
+
+    def test_livelock_report_counts_pending_completions(self):
+        loop = EventLoop(event_cap=3)
+        for _ in range(4):
+            complete(loop, 0.0, 100.0, ignore, None)
+
+        def spin(_, t):
+            loop.schedule(t + 0.001, spin, None)
+
+        loop.schedule(0.0, spin, None)
+        # four completions wait beside the next spin
+        with pytest.raises(LivelockError, match=r"pending=5\)"):
+            loop.run()
 
 
 class TestActorClock:

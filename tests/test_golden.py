@@ -10,6 +10,7 @@ have digests of their own, recorded the same way.  The `centralized_large`
 ones were recorded before the LM kept a change log of its partitions.
 """
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from fedsched.config import config_from_dict, load_config
+from fedsched.engine import CostModel
 from fedsched.experiment import (build_megha, build_workload, effective_users,
                                  run_experiment, write_audits, write_reports)
 from fedsched.local_master import LocalMaster
@@ -154,6 +156,40 @@ SHIPPED = {
 }
 
 
+# Zero network delay and zero costs, uniform arrivals 1/64 s apart and
+# durations in half-seconds, with heartbeats every second: completions,
+# arrivals, GM ticks, LM heartbeats and message deliveries land on exactly
+# equal times, so these digests pin the event loop's tie order, which the
+# continuous times of the configs above never exercise.  The megha run also
+# carves out logical nodes, preempts and fails validations at those instants.
+# Recorded while every pending event, task completions too, still shared one
+# heap.
+TIES_BASE = {
+    "worker_capacity": [64, 16384], "heartbeat_period": 1.0, "seed": 3,
+    "delays": {"network_delay": 0},
+    "costs": {f.name: 0 for f in dataclasses.fields(CostModel)},
+    "workload": {"kind": "synthetic", "arrival": "uniform", "count": 300, "rate": 64.0,
+                 "duration": ["choice", [0.5, 1.0, 1.5], [1, 1, 1]],
+                 "demand": [16, 4096]},
+}
+TIES = {
+    "megha": (dict(TIES_BASE, scheduler="megha", gm_count=2, lm_count=2, workers_per_lm=4), {
+        "tasks.csv": "9ab7d1d6d951ad17513ebd01e4de66919e3048a5c90b42643736fe928e3871c6",
+        "summary.json": "eaef508c24d6588b194acc6e0383909e5eac6660152420f09c09bdfc79fed51b",
+    }),
+    "centralized": (dict(TIES_BASE, scheduler="centralized", gm_count=1, lm_count=1,
+                         workers_per_lm=8), {
+        "tasks.csv": "b821ff55967f56474456f94e6aad02e720303fc127f41ebd7f263a5b6d31ef87",
+        "summary.json": "f98c51fb9231ebdfe180ccb2850ca84261285c51664305a9612abe36ef0a4be7",
+    }),
+    "sparrow": (dict(TIES_BASE, scheduler="sparrow", lm_count=2, workers_per_lm=4,
+                     slot_demand=[16, 4096]), {
+        "tasks.csv": "054620eca513c077f7cf128258d0287aeff831aed02a62aa299931badb08be49",
+        "summary.json": "aae8f5b32dd37fe636e017e525217ecca31bd98f7244b4d9d74e96a1b97e40f8",
+    }),
+}
+
+
 def _digests(out_dir, names=("tasks.csv", "summary.json")) -> dict[str, str]:
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in names}
@@ -165,6 +201,21 @@ def test_reports_match_golden_digests(name, tmp_path):
     result = run_experiment(config_from_dict(data))
     write_reports(result, str(tmp_path))
     assert _digests(tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TIES))
+def test_tie_heavy_reports_match_golden_digests(name, tmp_path):
+    data, expected = TIES[name]
+    result = run_experiment(config_from_dict(data))
+    write_reports(result, str(tmp_path))
+    assert _digests(tmp_path) == expected
+
+
+def test_tie_heavy_megha_config_takes_every_rare_path():
+    counters = run_experiment(config_from_dict(TIES["megha"][0])).counters
+    assert counters["repartitions"] >= 1
+    assert counters["preemptions"] >= 1
+    assert counters["inconsistency_failures"] >= 1
 
 
 def test_contended_jsonl_and_audits_match_golden_digests(tmp_path):

@@ -404,6 +404,23 @@ def test_heartbeat_timestamp_follows_processing_charge():
     assert stamps[1] == pytest.approx(20.001, abs=1e-12)
 
 
+def test_a_heartbeat_round_is_one_delivery_to_every_gm_in_wiring_order():
+    lm, gms, loop, collector = one_lm({"gm0": [("n0", rv(4, 8192), cs())],
+                                       "gm1": [("n1", rv(4, 8192), cs())]})
+    seen = []
+    for gm in gms.values():
+        gm.on_heartbeat = lambda msg, now, gm_id=gm.gm_id: seen.append(
+            (gm_id, now, msg, loop.events_dispatched))
+    launch(lm, loop, collector, node_id="n0", duration=25.0)
+    lm.start_heartbeats()
+    loop.run()
+    assert [gm_id for gm_id, *_ in seen] == ["gm0", "gm1"] * 3
+    for (_, now0, msg0, event0), (_, now1, msg1, event1) in zip(seen[::2], seen[1::2]):
+        # within one dispatched event: the count has not moved between GMs
+        assert (now1, event1) == (now0, event0)
+        assert msg1 is msg0
+
+
 def test_heartbeats_never_start_when_idle():
     lm, gms, loop, collector = one_lm({"gm0": [("n0", rv(4, 8192), cs())]})
     lm.start_heartbeats()
